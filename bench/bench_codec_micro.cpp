@@ -192,8 +192,9 @@ bool run_chunk_battery(obs::Registry& registry) {
                 registry.gauge("chunk." + name + ".p2_mbps").value(), p4,
                 g.value(), dec);
   }
-  std::printf("(speedup scales with physical cores; chunks are independent, "
-              "so p4 approaches 4x on >=4-core hosts)\n\n");
+  std::printf("(p4 spdup is p4 / serial encode as measured on this host; "
+              "chunks are independent, so it is bounded by the cores the "
+              "pool actually gets)\n\n");
   return ok;
 }
 

@@ -139,7 +139,7 @@ Buffer ChunkEncoder::encode_record(std::size_t index) const {
   record[0] = codec_->id();
   std::size_t pos = 1;
   pos += write_varint(stored, record, pos);
-  write_u64le(fnv1a64(raw), record.data() + pos);
+  write_u64le(checksum64(raw), record.data() + pos);
   pos += 8;
   std::memcpy(record.data() + pos, container.data(), stored);
   record.resize(pos + stored);
@@ -251,8 +251,8 @@ struct ChunkRef {
   std::size_t raw_len = 0;
 };
 
-// Decodes one record's container into `out` and verifies the checksum.
-// Shared by the one-shot walker and the streaming decoder.
+// Decodes one record's container straight into `out` and verifies the
+// checksum. Shared by the one-shot walker and the streaming decoder.
 void decode_chunk(std::span<const std::uint8_t> container,
                   std::uint8_t record_id, std::uint64_t checksum,
                   std::span<std::uint8_t> out, std::size_t index,
@@ -262,15 +262,15 @@ void decode_chunk(std::span<const std::uint8_t> container,
     throw CodecError("chunk: record codec id mismatch in chunk " +
                      std::to_string(index));
   const auto t0 = std::chrono::steady_clock::now();
-  const Buffer raw = decompress_any(container);
-  if (raw.size() != out.size())
+  // A container recording more bytes than `out` holds throws inside
+  // decompress; one recording fewer is caught here.
+  if (codec_for_id(record_id).decompress(container, out) != out.size())
     throw CodecError("chunk: size mismatch in chunk " + std::to_string(index));
-  if (fnv1a64(raw) != checksum)
+  if (checksum64(out) != checksum)
     throw CodecError("chunk: checksum mismatch in chunk " +
                      std::to_string(index));
-  std::memcpy(out.data(), raw.data(), raw.size());
   if (ledger != nullptr)
-    ledger->record_decode(raw.size(), seconds_since(t0));
+    ledger->record_decode(out.size(), seconds_since(t0));
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //
 // Layout (SWF2):
 //   magic 'S''W''F''2' | varint raw_size | varint chunk_bytes |
-//   per chunk: u8 codec id | varint stored_size | u64le FNV-1a-of-raw |
+//   per chunk: u8 codec id | varint stored_size | u64le checksum64(raw) |
 //              container bytes
 //
 // The per-record codec id (redundant with the container's own leading id

@@ -1,5 +1,7 @@
 #include "codec/codec.hpp"
 
+#include <array>
+
 #include "codec/huffman.hpp"
 #include "codec/lz_codec.hpp"
 #include "codec/null_codec.hpp"
@@ -90,14 +92,23 @@ std::vector<CodecKind> all_codec_kinds() {
           CodecKind::kLzHuff};
 }
 
+const Codec& codec_for_id(std::uint8_t id) {
+  static const auto table = [] {
+    std::array<std::unique_ptr<Codec>, 256> codecs;
+    for (const CodecKind kind : all_codec_kinds()) {
+      auto codec = make_codec(kind);
+      const std::uint8_t slot = codec->id();
+      codecs[slot] = std::move(codec);
+    }
+    return codecs;
+  }();
+  if (!table[id]) throw CodecError("unknown codec id " + std::to_string(id));
+  return *table[id];
+}
+
 Buffer decompress_any(std::span<const std::uint8_t> container) {
   if (container.empty()) throw CodecError("decompress_any: empty container");
-  const std::uint8_t id = container[0];
-  for (const CodecKind kind : all_codec_kinds()) {
-    const auto codec = make_codec(kind);
-    if (codec->id() == id) return codec->decompress(container);
-  }
-  throw CodecError("decompress_any: unknown codec id " + std::to_string(id));
+  return codec_for_id(container[0]).decompress(container);
 }
 
 const char* codec_kind_name(CodecKind kind) {

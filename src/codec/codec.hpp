@@ -82,6 +82,11 @@ std::unique_ptr<Codec> make_codec(CodecKind kind);
 /// All built-in kinds, for parameterized tests and benches.
 std::vector<CodecKind> all_codec_kinds();
 
+/// The shared built-in codec whose containers carry `id`; throws CodecError
+/// on an unknown id. Codecs keep no per-call state, so any number of
+/// threads may use the returned instance at once.
+const Codec& codec_for_id(std::uint8_t id);
+
 /// Decodes any container produced by a built-in codec by dispatching on the
 /// id byte (containers are self-describing). Throws CodecError on unknown
 /// ids or corrupt payloads.

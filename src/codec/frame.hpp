@@ -1,5 +1,6 @@
 // Framed container: chunks a payload into fixed-size blocks, compresses
-// each independently, and guards every block with an FNV-1a checksum.
+// each independently, and guards every block with an XXH64 checksum
+// (seed 0, see checksum64).
 //
 // This is how production transports actually ship compressed streams
 // (LZ4 frame format, Snappy framing): blocks bound memory, allow streaming
@@ -10,7 +11,7 @@
 //
 // Layout:
 //   magic 'S''W''F''1' | codec id | varint raw_size | varint block_size |
-//   per block: varint stored_size | u64le checksum-of-raw | container bytes
+//   per block: varint stored_size | u64le checksum64(raw) | container bytes
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,9 @@ namespace swallow::codec {
 
 inline constexpr std::size_t kDefaultFrameBlock = 256 * 1024;
 
-/// FNV-1a over a byte span (the frame checksum).
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
+/// XXH64 (seed 0) of a byte span: the one integrity checksum of every SWF1
+/// block, SWF2 chunk record, journal record and shuffle payload.
+std::uint64_t checksum64(std::span<const std::uint8_t> data);
 
 /// Compresses `payload` into a frame using `codec` per block.
 /// `num_threads` > 1 compresses blocks concurrently (blocks are

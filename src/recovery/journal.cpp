@@ -73,7 +73,7 @@ void JournalWriter::append(const JournalRecord& rec) {
   encode_record(payload, rec);
   StateWriter framed;
   framed.u32(static_cast<std::uint32_t>(payload.size()));
-  framed.u64(codec::fnv1a64(payload.buffer()));
+  framed.u64(codec::checksum64(payload.buffer()));
   framed.bytes(payload.buffer());
   const auto& buf = framed.buffer();
   if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size() ||
@@ -125,7 +125,7 @@ JournalScan read_journal(const std::string& path) {
       return scan;
     }
     std::span<const std::uint8_t> payload(data.data() + r.offset(), len);
-    if (codec::fnv1a64(payload) != checksum) {
+    if (codec::checksum64(payload) != checksum) {
       if (r.offset() + len == data.size()) {
         // Exactly the final record: a crash mid-append / torn tail.
         scan.torn = true;

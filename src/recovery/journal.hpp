@@ -13,7 +13,7 @@
 // reproduces it exactly.
 //
 // On-disk layout, per record:
-//   u32le payload_len | u64le fnv1a64(payload) | payload bytes
+//   u32le payload_len | u64le checksum64(payload) | payload bytes
 // A reader stops cleanly at the first truncated or checksum-failing
 // record (torn tail from a crash mid-append); corruption strictly before
 // the tail still throws, because a torn *middle* cannot be produced by a

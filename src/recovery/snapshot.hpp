@@ -2,7 +2,8 @@
 //
 // A snapshot wraps an opaque state payload (produced by the engine's or
 // the runtime master's save_state) in the codec frame container, which
-// gives per-block FNV-1a checksums and transparent compression for free:
+// gives per-block checksum64 (XXH64) guards and transparent compression
+// for free:
 //
 //   'S''W''S''N' | u32le version | u64le config_fingerprint |
 //   codec::frame(payload)
@@ -27,7 +28,9 @@
 
 namespace swallow::recovery {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2: frame blocks are guarded by XXH64 instead of FNV-1a, so a
+// version-1 file is refused here instead of failing its block checksums.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;          // checkpoint sequence number

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/frame.hpp"
 #include "obs/profile.hpp"
 
 namespace swallow::runtime {
@@ -48,15 +49,6 @@ class TaskGroup {
   std::mutex mutex_;
   std::exception_ptr first_error_;
 };
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> data) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -108,7 +100,7 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
           const BlockId id = block_id(m, r);
           {
             std::lock_guard<std::mutex> lock(checksum_mutex);
-            checksums[id] = fnv1a(part);
+            checksums[id] = codec::checksum64(part);
           }
           cluster.worker(mapper_worker(m))
               .register_flow(FlowInfo{id, 0, mapper_worker(m),
@@ -167,7 +159,7 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
             std::lock_guard<std::mutex> lock(checksum_mutex);
             expected = checksums.at(id);
           }
-          if (fnv1a(data) != expected) {
+          if (codec::checksum64(data) != expected) {
             verified = false;
             BlockId none = 0;
             first_bad_block.compare_exchange_strong(none, id);

@@ -54,7 +54,7 @@ struct ShuffleReport {
   std::size_t faults_injected = 0;
   std::size_t retries = 0;          ///< push/pull attempts beyond the first
   std::size_t retransmits = 0;      ///< re-pushes from the retention store
-  std::size_t corrupt_frames = 0;   ///< frames rejected by FNV checksums
+  std::size_t corrupt_frames = 0;   ///< frames rejected by checksum64
   std::size_t pull_timeouts = 0;    ///< bounded waits that expired
   std::size_t gate_evictions = 0;   ///< dead PortGate holders evicted
   std::size_t degraded_flows = 0;   ///< flows flipped to uncompressed

@@ -476,6 +476,17 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
   } catch (const recovery::RecoveryError& e) {
     EXPECT_NE(e.offset(), recovery::RecoveryError::npos);
   }
+
+  // A version-1 file (FNV-1a block checksums) is refused at its version
+  // field, before any block checksum is compared.
+  skewed[12] = 1;
+  spit(mangled, skewed);
+  try {
+    (void)recovery::read_snapshot(mangled);
+    FAIL() << "version-1 snapshot accepted";
+  } catch (const recovery::RecoveryError& e) {
+    EXPECT_EQ(e.offset(), 12u);
+  }
 }
 
 TEST(RecoveryFuzz, JournalLoaderSurvivesTruncationAndBitFlips) {

@@ -2,7 +2,7 @@
 """Count the valid records in a write-ahead journal file.
 
 The journal framing (DESIGN.md section 13) is a 12-byte header per record
--- u32le payload length, u64le FNV-1a 64 hash of the payload -- followed by
+-- u32le payload length, u64le XXH64 (seed 0) of the payload -- followed by
 the payload. A torn tail (truncated header or payload) ends the count
 cleanly, mirroring recovery::read_journal. The hash is not re-verified
 here: this tool sizes CI kill points, it is not the recovery loader.
