@@ -80,8 +80,9 @@ void BM_SchedulerDecision(benchmark::State& state,
 // carries a DirtyTracker, and each iteration drains a rotating 64-coflow
 // window (marking it dirty) before asking for a fresh decision — the
 // steady-state "few coflows changed" shape the dirty-set machinery targets.
-// Compare against BM_SchedulerDecision at the same Arg for the full-recompute
-// cost of an identical decision.
+// Compare against BM_SchedulerDecision at the same Arg (no tracker: every
+// call rebuilds the scheduler's memo from scratch) for the cost of an
+// identical decision without the dirty set.
 void BM_SchedulerDecisionIncremental(benchmark::State& state,
                                      const std::string& name) {
   LoadedWorld world(static_cast<std::size_t>(state.range(0)));

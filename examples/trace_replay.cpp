@@ -29,6 +29,9 @@
 //   ./trace_replay --codec-threads=4 --chunk-bytes=262144   (calibrate the
 //       codec model against the real chunk-parallel data plane at this
 //       thread count and chunk size before replaying; see DESIGN.md §14)
+//   ./trace_replay --trace-out=/tmp/replay.json   (also record every
+//       scheduler decision as a Chrome trace; the metrics and CSVs are
+//       byte-identical to the untraced replay)
 //
 // Scheduler names: sched::known_scheduler_list() — e.g. FVDF, FVDF-NC,
 // DEADLINE-FVDF, SEBF, AALO, FIFO, PER-FLOW-FAIR. Unknown names raise an
@@ -42,6 +45,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "cpu/cpu_model.hpp"
+#include "obs/cli.hpp"
 #include "recovery/recovery.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -49,6 +53,7 @@
 int main(int argc, char** argv) {
   using namespace swallow;
   const common::Flags flags(argc, argv);
+  const std::unique_ptr<obs::Tracer> tracer = obs::tracer_from_flags(flags);
 
   workload::Trace trace;
   if (flags.has("trace")) {
@@ -146,6 +151,7 @@ int main(int argc, char** argv) {
   crash.torn_tail_bytes =
       static_cast<std::uint64_t>(flags.get_int("torn-tail", 0));
   if (crash.enabled()) config.recovery.crash = &crash;
+  config.sink = tracer.get();
 
   const auto scheduler = sim::make_scheduler(name);
   sim::Metrics m;
@@ -210,5 +216,8 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote " << base
               << ".{flows,coflows,utilization}.csv\n";
   }
+  if (tracer != nullptr && obs::write_trace_from_flags(flags, *tracer))
+    std::cout << "trace: " << tracer->size() << " events -> "
+              << flags.get("trace-out", "") << "\n";
   return 0;
 }

@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace swallow::core {
@@ -35,35 +33,31 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
   return slice + rest / bandwidth;
 }
 
-namespace {
-
-// Cold, out-of-line emitters keep the Args-building machinery out of the
-// time_calculation loop body, so the traced-off path stays tight.
-[[gnu::noinline, gnu::cold]] void emit_beta_decision(
-    const sched::SchedContext& ctx, const fabric::Flow& f,
-    const fabric::Coflow& c, bool beta, common::Seconds fct) {
-  obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "beta_decision", "fvdf",
+[[gnu::noinline, gnu::cold]] void trace_beta_decision(obs::Sink* sink,
+                                                     common::Seconds now,
+                                                     const fabric::Flow& f,
+                                                     bool beta,
+                                                     common::Seconds fct) {
+  obs::emit_instant(sink, obs::sim_ts(now), "beta_decision", "fvdf",
                     obs::Args()
                         .add("flow", std::int64_t(f.id))
-                        .add("coflow", std::int64_t(c.id))
+                        .add("coflow", std::int64_t(f.coflow))
                         .add("beta", beta)
                         .add("expected_fct", fct)
                         .str());
 }
 
-[[gnu::noinline, gnu::cold]] void emit_coflow_estimate(
-    const sched::SchedContext& ctx, const fabric::Coflow& c,
-    const CoflowEstimate& est) {
-  obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "coflow_estimate", "fvdf",
+[[gnu::noinline, gnu::cold]] void trace_coflow_estimate(
+    obs::Sink* sink, common::Seconds now, const fabric::Coflow& c,
+    common::Seconds gamma, double key) {
+  obs::emit_instant(sink, obs::sim_ts(now), "coflow_estimate", "fvdf",
                     obs::Args()
                         .add("coflow", std::int64_t(c.id))
-                        .add("gamma", est.gamma)
+                        .add("gamma", gamma)
                         .add("priority", c.priority)
-                        .add("key", est.adjusted_gamma)
+                        .add("key", key)
                         .str());
 }
-
-}  // namespace
 
 [[gnu::noinline]] FlowEval evaluate_flow(const EvalEnv& env,
                                          const fabric::Flow& f,
@@ -96,112 +90,6 @@ namespace {
     fct = expected_fct(f, beta, model, headroom, bandwidth, env.slice);
   }
   return FlowEval{beta, fct};
-}
-
-std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
-                                             bool online,
-                                             bool force_compression) {
-  const EvalEnv env = eval_env(ctx);
-  // Group unfinished flows by coflow. The engine hands the grouping over in
-  // coflow_flow_offsets (it walks coflow-by-coflow anyway), so the common
-  // path is a flat slice per coflow; hand-built contexts without offsets
-  // fall back to the historical hash-map rebuild.
-  std::unordered_map<fabric::CoflowId, std::vector<const fabric::Flow*>>
-      by_coflow;
-  const bool grouped = ctx.grouped();
-  if (!grouped) {
-    for (const fabric::Flow* f : ctx.flows)
-      if (!f->done()) by_coflow[f->coflow].push_back(f);
-  }
-
-  std::vector<CoflowEstimate> estimates;
-  estimates.reserve(ctx.coflows.size());
-  for (std::size_t ci = 0; ci < ctx.coflows.size(); ++ci) {
-    fabric::Coflow* c = ctx.coflows[ci];
-    CoflowEstimate est;
-    if (grouped) {
-      const std::size_t begin = ctx.coflow_flow_offsets[ci];
-      const std::size_t end = ctx.coflow_flow_offsets[ci + 1];
-      if (begin == end) continue;
-      est.flows.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        if (!ctx.flows[i]->done()) est.flows.push_back(ctx.flows[i]);
-      if (est.flows.empty()) continue;
-    } else {
-      const auto it = by_coflow.find(c->id);
-      if (it == by_coflow.end()) continue;
-      est.flows = it->second;
-    }
-    est.coflow = c;
-    est.beta.reserve(est.flows.size());
-
-    for (const fabric::Flow* f : est.flows) {
-      const FlowEval ev = evaluate_flow(env, *f, force_compression);
-      est.beta.push_back(ev.beta);
-      est.gamma = std::max(est.gamma, ev.fct);  // Eq. 8
-      if (ctx.sink != nullptr) [[unlikely]]
-        emit_beta_decision(ctx, *f, *c, ev.beta, ev.fct);
-    }
-    est.adjusted_gamma =
-        online ? est.gamma / std::max(c->priority, 1.0) : est.gamma;
-    if (ctx.sink != nullptr) [[unlikely]]
-      emit_coflow_estimate(ctx, *c, est);
-    estimates.push_back(std::move(est));
-  }
-  return estimates;
-}
-
-fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx, bool online,
-                                 bool backfill, bool force_compression) {
-  obs::ProfileScope scope(ctx.sink, "fvdf.allocate");
-  std::vector<CoflowEstimate> estimates =
-      time_calculation(ctx, online, force_compression);
-  std::stable_sort(estimates.begin(), estimates.end(),
-                   [](const CoflowEstimate& a, const CoflowEstimate& b) {
-                     if (a.adjusted_gamma != b.adjusted_gamma)
-                       return a.adjusted_gamma < b.adjusted_gamma;
-                     if (a.coflow->arrival != b.coflow->arrival)
-                       return a.coflow->arrival < b.coflow->arrival;
-                     return a.coflow->id < b.coflow->id;
-                   });
-
-  fabric::Allocation alloc;
-  fabric::PortHeadroom headroom(*ctx.fabric);
-
-  // Volume disposal (Pseudocode 2 lines 24-35): compressing flows use the
-  // CPU this round (rate 0, ports left to others); transmitting flows get
-  // the minimum rate that finishes them inside Gamma_C, capped by residual
-  // headroom. Later coflows see what is left, in order.
-  for (const CoflowEstimate& est : estimates) {
-    for (std::size_t i = 0; i < est.flows.size(); ++i) {
-      const fabric::Flow* f = est.flows[i];
-      if (est.beta[i]) {
-        alloc.set_compress(f->id, true);
-        alloc.set_rate(f->id, 0.0);
-        continue;
-      }
-      const common::Seconds gamma = std::max(est.gamma, ctx.slice);
-      const common::Bps want = f->volume() / gamma;
-      const common::Bps r = std::min(want, headroom.available(*f));
-      alloc.set_rate(f->id, r);
-      headroom.consume(*f, r);
-    }
-  }
-
-  if (backfill) {
-    // Work conservation: top transmitting flows up in coflow order.
-    for (const CoflowEstimate& est : estimates) {
-      for (std::size_t i = 0; i < est.flows.size(); ++i) {
-        if (est.beta[i]) continue;
-        const fabric::Flow* f = est.flows[i];
-        const common::Bps extra = headroom.available(*f);
-        if (extra <= 0) continue;
-        alloc.set_rate(f->id, alloc.rate(f->id) + extra);
-        headroom.consume(*f, extra);
-      }
-    }
-  }
-  return alloc;
 }
 
 }  // namespace swallow::core

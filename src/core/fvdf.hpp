@@ -1,12 +1,9 @@
-// Fastest-Volume-Disposal-First (the paper's Pseudocode 2).
-//
-// The offline primitives: per-flow expected FCT (Eq. 7), per-coflow expected
-// CCT (Eq. 8), and the rate assignment r = f.V / Gamma_C with
-// work-conserving backfill. The online wrapper (online.hpp) adds the
-// priority-class starvation protection.
+// Fastest-Volume-Disposal-First (the paper's Pseudocode 2): the per-flow
+// primitives — volume disposal (Eq. 1/2) and expected FCT (Eq. 7). The
+// scheduler (online.hpp) folds them into Γ_C (Eq. 8), ranks coflows, assigns
+// r = f.V / Γ_C with work-conserving backfill, and adds the priority-class
+// starvation protection (Pseudocode 3).
 #pragma once
-
-#include <vector>
 
 #include "core/compression_strategy.hpp"
 #include "sched/scheduler.hpp"
@@ -29,8 +26,8 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
                              common::Seconds slice);
 
 /// The inputs Eq. 3 / Eq. 7 read for one flow, detached from SchedContext
-/// so the incremental path (online.hpp) can evaluate single flows — and the
-/// FVDF-NC ablation can null out the codec — without copying a context.
+/// so a scheduler can evaluate single flows — and the FVDF-NC ablation can
+/// null out the codec — without copying a context.
 struct EvalEnv {
   const fabric::Fabric* fabric = nullptr;
   const cpu::CpuProvider* cpu = nullptr;
@@ -48,39 +45,27 @@ struct FlowEval {
   common::Seconds fct = 0;  ///< Eq. 7 (+inf on a failed link)
 };
 
-/// One flow's compression decision and expected FCT. This is *the* Γ
-/// kernel: both the batch TimeCalculation and the incremental refresh call
-/// it, and it is deliberately out-of-line (noinline) so the two paths share
-/// one instantiation — identical code, identical FP contraction, identical
-/// bits. Inlining it into two different loops would let the compiler fuse
-/// multiply-adds differently per call site and break the byte-identity
-/// contract between the incremental and full-recompute schedulers.
+/// One flow's compression decision and expected FCT — TimeCalculation's
+/// per-flow step (Pseudocode 2 lines 12-23). This is *the* Γ kernel: every
+/// FVDF-family refresh and the test-only reference scheduler call it, and
+/// it is deliberately out-of-line (noinline) so all callers share one
+/// instantiation — identical code, identical FP contraction, identical
+/// bits. Inlining it into different loops would let the compiler fuse
+/// multiply-adds differently per call site and break byte identity.
+/// `force_compression` bypasses the Eq. 3 gate (ablation: compress blindly
+/// whenever the payload is compressible and raw bytes remain).
 FlowEval evaluate_flow(const EvalEnv& env, const fabric::Flow& f,
                        bool force_compression);
 
-struct CoflowEstimate {
-  fabric::Coflow* coflow = nullptr;
-  common::Seconds gamma = 0;           ///< Eq. 8 (raw, before priority)
-  common::Seconds adjusted_gamma = 0;  ///< gamma / coflow->priority
-  std::vector<const fabric::Flow*> flows;
-  std::vector<bool> beta;  ///< per-flow compression decision, aligned
-};
-
-/// TimeCalculation (Pseudocode 2 lines 12-23): evaluates the compression
-/// strategy for every flow of every coflow, computes Gamma_C, and, when
-/// `online`, divides by the coflow's priority class.
-std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
-                                             bool online,
-                                             bool force_compression = false);
-
-/// Full FVDF allocation: coflows ordered Shortest-(adjusted)-Gamma-first;
-/// each flow of an admitted coflow gets rate f.V / Gamma_C (volume
-/// disposal, line 29), compressing flows get rate 0 for the coming slices;
-/// residual capacity backfills later coflows, then a work-conserving pass.
-/// `force_compression` bypasses the Eq. 3 gate (ablation: compress blindly
-/// whenever the payload is compressible and raw bytes remain).
-fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx, bool online,
-                                 bool backfill = true,
-                                 bool force_compression = false);
+/// Cold trace emitters (category "fvdf") for a coflow a scheduler just
+/// re-evaluated: one flow's β decision with its Eq. 7 FCT, and the
+/// coflow's Γ_C with its priority class and rank key. Out of line, so the
+/// refresh loops stay tight when no sink is attached.
+void trace_beta_decision(obs::Sink* sink, common::Seconds now,
+                         const fabric::Flow& f, bool beta,
+                         common::Seconds fct);
+void trace_coflow_estimate(obs::Sink* sink, common::Seconds now,
+                           const fabric::Coflow& c, common::Seconds gamma,
+                           double key);
 
 }  // namespace swallow::core

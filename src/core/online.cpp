@@ -5,40 +5,73 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sched/deadline_fvdf.hpp"
 #include "sched/registry.hpp"
 
 namespace swallow::core {
 
-namespace {
-
-// Round stamps double as membership tests, so out-of-range reads must act
-// like "never stamped" (0) rather than grow the table.
-std::uint64_t stamp_of(const std::vector<std::uint64_t>& v,
-                       fabric::CoflowId id) {
-  return id < v.size() ? v[id] : 0;
+void RoundStamps::save_state(recovery::StateWriter& w) const {
+  w.u64(v_.size());
+  for (const std::uint64_t s : v_) w.u64(s);
 }
 
-void set_stamp(std::vector<std::uint64_t>& v, fabric::CoflowId id,
-               std::uint64_t round) {
-  if (id >= v.size()) v.resize(id + 1, 0);
-  v[id] = round;
+void RoundStamps::restore_state(recovery::StateReader& r,
+                                const std::string& what) {
+  v_.resize(r.count(what.c_str()));
+  for (std::uint64_t& s : v_) s = r.u64();
 }
 
-}  // namespace
-
-std::vector<fabric::CoflowId> upgrade_priorities(
-    const sched::SchedContext& ctx) {
-  std::vector<fabric::CoflowId> bumped;
-  bumped.reserve(ctx.coflows.size());
+void PriorityUpgrade::begin_round(const sched::SchedContext& ctx,
+                                  bool enabled) {
+  ++round_;
+  if (!enabled || !ctx.coflow_event) return;
+  const std::uint64_t prev = round_ - 1;
   for (fabric::Coflow* c : ctx.coflows) {
+    if (seen_.get(c->id) != prev || served_.get(c->id) == prev) continue;
     if (c->priority < 1.0) c->priority = 1.0;
     c->priority *= kPriorityLogBase;
     if (ctx.tracker != nullptr) ctx.tracker->priority_changed(c->id);
-    bumped.push_back(c->id);
+    if (ctx.sink != nullptr) {
+      obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "priority_upgrade",
+                        category_,
+                        obs::Args()
+                            .add("coflow", std::int64_t(c->id))
+                            .add("priority", c->priority)
+                            .str());
+      ctx.sink->registry()
+          .counter(std::string(category_) + ".priority_upgrades")
+          .add();
+    }
   }
-  return bumped;
+}
+
+void PriorityUpgrade::end_round(const sched::SchedContext& ctx,
+                                const fabric::Allocation& alloc) {
+  // Walks coflow flow-id lists instead of ctx.flows: only flows of context
+  // coflows are ever allocated, and the id lists are far smaller than the
+  // Flow records, which matters once 1e5 coflows are resident.
+  for (const fabric::Coflow* c : ctx.coflows) {
+    seen_.set(c->id, round_);
+    for (const fabric::FlowId fid : c->flows)
+      if (alloc.rate(fid) > 0 || alloc.compress(fid)) {
+        served_.set(c->id, round_);
+        break;
+      }
+  }
+}
+
+void PriorityUpgrade::save_state(recovery::StateWriter& w) const {
+  w.u64(round_);
+  seen_.save_state(w);
+  served_.save_state(w);
+}
+
+void PriorityUpgrade::restore_state(recovery::StateReader& r) {
+  round_ = r.u64();
+  seen_.restore_state(r, std::string(category_) + " seen stamps");
+  served_.restore_state(r, std::string(category_) + " served stamps");
 }
 
 FvdfScheduler::FvdfScheduler(FvdfOptions options) : options_(options) {}
@@ -53,78 +86,20 @@ std::string FvdfScheduler::name() const {
 }
 
 fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
-  ++round_;
-  const std::uint64_t prev = round_ - 1;
-
-  // Pseudocode 3's Upgrade targets "coflows waiting for scheduling": age
-  // only coflows that got no service out of the previous decision, at
-  // coflow arrival/completion events. Served coflows keep their class, so
-  // the Shortest-Gamma order is preserved while blocked coflows rise. The
-  // bump is reported to the dirty tracker as key-only: Γ_C stands, only the
-  // rank key (Γ / priority) moves.
-  if (options_.upgrade && options_.online && ctx.coflow_event) {
-    for (fabric::Coflow* c : ctx.coflows) {
-      if (stamp_of(seen_round_, c->id) != prev ||
-          stamp_of(served_round_, c->id) == prev)
-        continue;
-      if (c->priority < 1.0) c->priority = 1.0;
-      c->priority *= kPriorityLogBase;
-      if (ctx.tracker != nullptr) ctx.tracker->priority_changed(c->id);
-      if (ctx.sink != nullptr) {
-        obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "priority_upgrade",
-                          "fvdf",
-                          obs::Args()
-                              .add("coflow", std::int64_t(c->id))
-                              .add("priority", c->priority)
-                              .str());
-        ctx.sink->registry().counter("fvdf.priority_upgrades").add();
-      }
-    }
-  }
-
-  // The traced path stays on full recompute: only the batch TimeCalculation
-  // emits per-coflow estimates and β decisions.
-  const bool incremental = ctx.tracker != nullptr && ctx.sink == nullptr;
-  fabric::Allocation alloc =
-      incremental ? schedule_incremental(ctx) : schedule_full(ctx);
-
-  for (const fabric::Coflow* c : ctx.coflows)
-    set_stamp(seen_round_, c->id, round_);
-  for (const fabric::Flow* f : ctx.flows)
-    if (alloc.rate(f->id) > 0 || alloc.compress(f->id))
-      set_stamp(served_round_, f->coflow, round_);
-  return alloc;
-}
-
-fabric::Allocation FvdfScheduler::schedule_full(
-    const sched::SchedContext& ctx) {
-  if (options_.compression)
-    return fvdf_allocate(ctx, options_.online, options_.backfill,
-                         options_.force_compression);
-  // Nulling the codec needs a mutable view; avoid copying the context's
-  // flow/coflow vectors on the common compression-enabled path.
-  sched::SchedContext local = ctx;
-  local.codec = nullptr;
-  return fvdf_allocate(local, options_.online, options_.backfill,
-                       options_.force_compression);
-}
-
-fabric::Allocation FvdfScheduler::schedule_incremental(
-    const sched::SchedContext& ctx) {
-  const sched::DirtyTracker& tracker = *ctx.tracker;
+  upgrade_.begin_round(ctx, options_.upgrade && options_.online);
+  obs::ProfileScope scope(ctx.sink, "fvdf.allocate");
   EvalEnv env = eval_env(ctx);
   if (!options_.compression) env.codec = nullptr;
 
-  if (bound_tracker_ != ctx.tracker || session_ != tracker.session()) {
-    // First sight of this run (or a restarted one): rebuild from scratch.
-    bound_tracker_ = ctx.tracker;
-    session_ = tracker.session();
-    index_.clear();
+  if (flows_.bind(ctx)) {
+    // No tracker, or first sight of this run (or a restarted one): every
+    // coflow is dirty.
     xmit_index_.clear();
     cache_.clear();
-    beta_.assign(tracker.flow_count(), 0);
+    beta_.assign(flows_.flow_count(), 0);
     for (const fabric::Coflow* c : ctx.coflows) refresh_coflow(ctx, env, *c);
   } else {
+    const sched::DirtyTracker& tracker = *ctx.tracker;
     for (const fabric::CoflowId id : tracker.dirty()) {
       const fabric::Coflow* c = tracker.coflow(id);
       if (c == nullptr) continue;
@@ -140,18 +115,18 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
       }
     }
   }
-  ctx.tracker->consume();
+  if (ctx.tracker != nullptr) ctx.tracker->consume();
 
   // Volume disposal (Pseudocode 2 lines 24-35) over the memoized lanes, in
-  // rank-index order — the same unique (key, arrival, id) sequence the full
-  // path's stable_sort produces. The beta switches install in one bulk copy
-  // (the full path's set_compress(id, true) per compressing flow writes the
-  // same table entries), and the rate walks run over the transmitting-only
-  // index and stop at port exhaustion: beta lanes never touch headroom, and
-  // once every ingress (or every egress) port is drained all remaining
-  // grants are exactly zero — the same rates an unset flow reports.
+  // rank-index order: coflows Shortest-(adjusted)-Γ first, ties by
+  // (arrival, id). Compressing flows use the CPU this round (rate 0, ports
+  // left to others); their beta switches install in one bulk copy.
+  // Transmitting flows get the rate that finishes them inside Γ_C, capped
+  // by residual headroom; later coflows see what is left. The walks stop at
+  // port exhaustion: once every ingress (or every egress) port is drained
+  // all remaining grants are exactly zero — the rate an unset flow reports.
   fabric::Allocation alloc;
-  alloc.reserve(tracker.flow_count());
+  alloc.reserve(flows_.flow_count());
   alloc.set_compress_all(beta_);
   fabric::PortHeadroom headroom(*ctx.fabric);
   xmit_index_.for_each_while([&](fabric::CoflowId id) {
@@ -168,6 +143,7 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
     return !headroom.exhausted();
   });
   if (options_.backfill && !headroom.exhausted()) {
+    // Work conservation: top transmitting flows up in coflow order.
     xmit_index_.for_each_while([&](fabric::CoflowId id) {
       const CachedCoflow& cc = cache_[id];
       for (const Lane& l : cc.lanes) {
@@ -180,6 +156,7 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
       return !headroom.exhausted();
     });
   }
+  upgrade_.end_round(ctx, alloc);
   return alloc;
 }
 
@@ -198,13 +175,14 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
   cc.gamma = 0;
   cc.has_xmit = false;
   cc.lanes.clear();
-  const sched::DirtyTracker& tracker = *ctx.tracker;
   for (const fabric::FlowId fid : c.flows) {
-    const fabric::Flow& f = tracker.flow(fid);
-    if (f.done()) continue;
-    const FlowEval ev = evaluate_flow(env, f, options_.force_compression);
+    const fabric::Flow* f = flows_.live(fid);
+    if (f == nullptr) continue;
+    const FlowEval ev = evaluate_flow(env, *f, options_.force_compression);
+    if (ctx.sink != nullptr) [[unlikely]]
+      trace_beta_decision(ctx.sink, ctx.now, *f, ev.beta, ev.fct);
     cc.gamma = std::max(cc.gamma, ev.fct);  // Eq. 8
-    cc.lanes.push_back(Lane{fid, f.src, f.dst, ev.beta, 0.0});
+    cc.lanes.push_back(Lane{fid, f->src, f->dst, ev.beta, 0.0});
     if (ev.beta) {
       if (fid >= beta_.size()) beta_.resize(fid + 1, 0);
       beta_[fid] = 1;
@@ -213,29 +191,32 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
     }
   }
   if (cc.lanes.empty()) {
-    index_.erase(c.id);
     xmit_index_.erase(c.id);
     return;
   }
+  if (ctx.sink != nullptr) [[unlikely]]
+    trace_coflow_estimate(ctx.sink, ctx.now, c, cc.gamma,
+                          rank_key(c, cc.gamma));
   if (!cc.has_xmit) xmit_index_.erase(c.id);
   const common::Seconds g = std::max(cc.gamma, ctx.slice);
   for (Lane& l : cc.lanes)
-    if (!l.beta) l.want = tracker.flow(l.id).volume() / g;
+    if (!l.beta) l.want = flows_.flow(l.id).volume() / g;
   rekey_coflow(c);
+}
+
+double FvdfScheduler::rank_key(const fabric::Coflow& c,
+                               common::Seconds gamma) const {
+  return options_.online ? gamma / std::max(c.priority, 1.0) : gamma;
 }
 
 void FvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
   const CachedCoflow& cc = cache_[c.id];
-  if (!cc.valid || cc.lanes.empty()) return;
-  const double adjusted =
-      options_.online ? cc.gamma / std::max(c.priority, 1.0) : cc.gamma;
-  const sched::CoflowRankKey key{adjusted, cc.arrival, c.id};
-  index_.insert_or_update(c.id, key);
-  if (cc.has_xmit) xmit_index_.insert_or_update(c.id, key);
+  if (!cc.valid || !cc.has_xmit) return;
+  xmit_index_.insert_or_update(
+      c.id, sched::CoflowRankKey{rank_key(c, cc.gamma), cc.arrival, c.id});
 }
 
 void FvdfScheduler::drop_coflow(fabric::CoflowId id) {
-  index_.erase(id);
   xmit_index_.erase(id);
   if (id < cache_.size()) {
     for (const Lane& l : cache_[id].lanes)
@@ -276,27 +257,17 @@ std::unique_ptr<sched::Scheduler> make_fvdf(const std::string& name) {
 }
 
 void FvdfScheduler::save_state(recovery::StateWriter& w) const {
-  w.u64(round_);
-  w.u64(seen_round_.size());
-  for (const std::uint64_t s : seen_round_) w.u64(s);
-  w.u64(served_round_.size());
-  for (const std::uint64_t s : served_round_) w.u64(s);
+  upgrade_.save_state(w);
 }
 
 void FvdfScheduler::restore_state(recovery::StateReader& r) {
-  round_ = r.u64();
-  seen_round_.resize(r.count("fvdf seen stamps"));
-  for (std::uint64_t& s : seen_round_) s = r.u64();
-  served_round_.resize(r.count("fvdf served stamps"));
-  for (std::uint64_t& s : served_round_) s = r.u64();
-  // Drop any live incremental bindings: the restored run owns a fresh
-  // DirtyTracker session, and schedule_incremental rebuilds from scratch
-  // when it sees one. Clearing here makes that unconditional even if a
-  // stale session id were ever reused.
-  bound_tracker_ = nullptr;
-  session_ = 0;
+  upgrade_.restore_state(r);
+  // Drop the live memo: the restored run owns a fresh DirtyTracker
+  // session, and schedule() rebuilds from scratch when it sees one.
+  // Resetting here makes that unconditional even if a stale session id
+  // were ever reused.
+  flows_.reset();
   cache_.clear();
-  index_.clear();
   xmit_index_.clear();
   beta_.clear();
 }

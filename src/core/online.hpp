@@ -2,16 +2,17 @@
 // Scheduler interface, plus the priority-class Upgrade that guarantees
 // starvation freedom.
 //
-// When the context carries a DirtyTracker (and no trace sink), schedule()
-// runs the incremental path (DESIGN.md section 11): per-coflow Γ components
+// schedule() has one path (DESIGN.md section 11): per-coflow Γ components
 // are memoized, the rank order lives in a RankIndex, and each decision point
-// re-evaluates only the coflows the dirty set names. The allocations are
-// bit-for-bit identical to the historical full recompute — test_engine_parity
-// and test_incremental enforce this.
+// re-evaluates only the coflows the context's DirtyTracker names — every
+// coflow when the context carries no tracker. test_incremental checks the
+// allocations bit for bit against a naive per-round recompute that lives in
+// tests/.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fvdf.hpp"
@@ -25,16 +26,61 @@ namespace swallow::core {
 /// coflow's priority class by this factor.
 inline constexpr double kPriorityLogBase = 1.2;
 
-/// Upgrade (Pseudocode 3 lines 15-23): bumps the priority class of every
-/// coflow in the context and reports which coflows it bumped, so callers can
-/// re-rank exactly those instead of forcing a global re-sort. When the
-/// context carries a DirtyTracker the bumps are also marked key-only dirty.
-/// The pseudocode applies this to "coflows waiting for scheduling";
-/// FvdfScheduler therefore ages only coflows that received no service in its
-/// previous allocation (see DESIGN.md 4.2) and this helper is exposed for
-/// the uniform-aging building block.
-std::vector<fabric::CoflowId> upgrade_priorities(
-    const sched::SchedContext& ctx);
+/// Per-coflow round stamps by dense coflow id. Unstamped ids read 0, so a
+/// stamp doubles as a membership test without growing the table.
+class RoundStamps {
+ public:
+  std::uint64_t get(fabric::CoflowId id) const {
+    return id < v_.size() ? v_[id] : 0;
+  }
+  void set(fabric::CoflowId id, std::uint64_t round) {
+    if (id >= v_.size()) v_.resize(id + 1, 0);
+    v_[id] = round;
+  }
+  void clear() { v_.clear(); }
+  void save_state(recovery::StateWriter& w) const;
+  void restore_state(recovery::StateReader& r, const std::string& what);
+
+ private:
+  std::vector<std::uint64_t> v_;
+};
+
+/// Pseudocode 3's Upgrade, shared by FvdfScheduler and
+/// DeadlineFvdfScheduler. The pseudocode ages "coflows waiting for
+/// scheduling": at coflow arrival/completion events, every coflow that was
+/// resident in the previous round but got no service out of it has its
+/// priority class clamped to at least 1 and multiplied by kPriorityLogBase
+/// (DESIGN.md 4.2). Served coflows keep their class, so the Shortest-Γ
+/// order is preserved while blocked coflows rise. Each bump is reported to
+/// the dirty tracker as key-only: Γ_C stands, only the rank key moves.
+class PriorityUpgrade {
+ public:
+  /// `category` names the trace category of the `priority_upgrade` events
+  /// and the `<category>.priority_upgrades` counter.
+  explicit PriorityUpgrade(const char* category) : category_(category) {}
+
+  /// Opens a scheduling round; ages the waiting coflows when `enabled` and
+  /// the round is a coflow event.
+  void begin_round(const sched::SchedContext& ctx, bool enabled);
+  /// Closes the round: every context coflow was seen, and every coflow
+  /// with a flow given a positive rate or β = 1 was served.
+  void end_round(const sched::SchedContext& ctx,
+                 const fabric::Allocation& alloc);
+  /// Rounds opened so far.
+  std::uint64_t round() const { return round_; }
+
+  void save_state(recovery::StateWriter& w) const;
+  void restore_state(recovery::StateReader& r);
+
+ private:
+  const char* category_;
+  // A coflow is waiting iff it was seen in the previous round and not
+  // served there. Default stamps of 0 are safe: at round 1 both compare
+  // equal to prev = 0, so nothing counts as waiting.
+  std::uint64_t round_ = 0;
+  RoundStamps seen_;
+  RoundStamps served_;
+};
 
 struct FvdfOptions {
   bool online = true;            ///< divide Gamma_C by the priority class
@@ -51,16 +97,14 @@ class FvdfScheduler final : public sched::Scheduler {
   fabric::Allocation schedule(const sched::SchedContext& ctx) override;
 
   /// Serializes the starvation round stamps (the only state a restored run
-  /// cannot rederive); the incremental caches are session-keyed and
-  /// rebuilt on the first post-restore round.
+  /// cannot rederive); the memo is session-keyed and rebuilt on the first
+  /// post-restore round.
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
 
   const FvdfOptions& options() const { return options_; }
 
  private:
-  fabric::Allocation schedule_full(const sched::SchedContext& ctx);
-  fabric::Allocation schedule_incremental(const sched::SchedContext& ctx);
   /// Re-evaluates a dirty coflow's flows (Eq. 7/8), refreshing its cache
   /// entry and its rank-index slot.
   void refresh_coflow(const sched::SchedContext& ctx, const EvalEnv& env,
@@ -68,19 +112,13 @@ class FvdfScheduler final : public sched::Scheduler {
   /// Re-derives the rank key from cached Γ (key-only dirt: priority moved).
   void rekey_coflow(const fabric::Coflow& c);
   void drop_coflow(fabric::CoflowId id);
+  /// Γ_C divided by the priority class in online mode (Pseudocode 3).
+  double rank_key(const fabric::Coflow& c, common::Seconds gamma) const;
 
   FvdfOptions options_;
+  PriorityUpgrade upgrade_{"fvdf"};
 
-  // --- starvation bookkeeping (both paths) ---
-  // Round-stamped replacement for a "starved" id set: a coflow is waiting
-  // iff it was seen in the previous round (seen == round-1) and was not
-  // served there (served != round-1). Default stamps of 0 are safe: at
-  // round 1 both compare equal to prev = 0, so nothing counts as starved.
-  std::uint64_t round_ = 0;
-  std::vector<std::uint64_t> seen_round_;    ///< by dense coflow id
-  std::vector<std::uint64_t> served_round_;  ///< by dense coflow id
-
-  // --- incremental state, valid for one tracker session ---
+  // --- memo, valid for one tracker session ---
   /// One memoized allocation lane per unfinished flow of a cached coflow.
   struct Lane {
     fabric::FlowId id = 0;
@@ -98,16 +136,13 @@ class FvdfScheduler final : public sched::Scheduler {
     bool has_xmit = false;  ///< any non-beta lane (member of xmit_index_)
     std::vector<Lane> lanes;
   };
-  const sched::DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  sched::RoundFlows flows_;
   std::vector<CachedCoflow> cache_;  ///< by dense coflow id
-  sched::RankIndex index_;
-  /// Subset of index_ (same keys) holding only coflows with at least one
-  /// transmitting lane. The disposal/backfill walks run over this index and
-  /// stop at port exhaustion, so their cost is O(coflows that can still
-  /// receive bandwidth), not O(resident coflows). Beta-only coflows never
-  /// touch headroom, so skipping them leaves the walk order's grants
-  /// bit-identical to the full path's all-coflow walk.
+  /// Rank order of the coflows with at least one transmitting lane. The
+  /// disposal/backfill walks run over this index and stop at port
+  /// exhaustion, so their cost is O(coflows that can still receive
+  /// bandwidth), not O(resident coflows). Beta-only coflows never touch
+  /// headroom, so leaving them out changes no grant.
   sched::RankIndex xmit_index_;
   /// Persistent per-flow beta switches, mirrored from the cached lanes and
   /// bulk-installed into each round's Allocation (set_compress_all). Spares

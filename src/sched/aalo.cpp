@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace swallow::sched {
 
@@ -24,49 +23,14 @@ std::size_t AaloScheduler::queue_of(common::Bytes sent) const {
 }
 
 fabric::Allocation AaloScheduler::schedule(const SchedContext& ctx) {
-  if (ctx.tracker != nullptr && ctx.sink == nullptr)
-    return schedule_incremental(ctx);
-  return schedule_full(ctx);
-}
-
-fabric::Allocation AaloScheduler::schedule_full(const SchedContext& ctx) {
-  // Attained service per coflow: bytes already on the wire.
-  std::unordered_map<fabric::CoflowId, common::Bytes> sent;
-  sent.reserve(ctx.coflows.size());
-  for (const fabric::Flow* f : ctx.flows) sent[f->coflow] += f->sent;
-
-  // Order coflows by (queue, arrival, id): strict priority across queues,
-  // FIFO within a queue.
-  std::vector<fabric::Coflow*> order = ctx.coflows;
-  std::stable_sort(
-      order.begin(), order.end(),
-      [&](const fabric::Coflow* a, const fabric::Coflow* b) {
-        const std::size_t qa = queue_of(sent[a->id]);
-        const std::size_t qb = queue_of(sent[b->id]);
-        if (qa != qb) return qa < qb;
-        if (a->arrival != b->arrival) return a->arrival < b->arrival;
-        return a->id < b->id;
-      });
-
-  std::vector<fabric::CoflowId> ids;
-  ids.reserve(order.size());
-  for (const fabric::Coflow* c : order) ids.push_back(c->id);
-  return fabric::strict_priority(order_flows_by_coflow(ctx, ids),
-                                 *ctx.fabric);
-}
-
-fabric::Allocation AaloScheduler::schedule_incremental(
-    const SchedContext& ctx) {
-  const DirtyTracker& tracker = *ctx.tracker;
-  if (bound_tracker_ != ctx.tracker || session_ != tracker.session()) {
-    bound_tracker_ = ctx.tracker;
-    session_ = tracker.session();
+  if (flows_.bind(ctx)) {
     index_.clear();
     cache_.clear();
     for (const fabric::Coflow* c : ctx.coflows) refresh_coflow(ctx, *c);
   } else {
     // Aalo has no priority class, so any dirt — including key-only marks
     // from a shared engine feed — just re-derives the queue level.
+    const DirtyTracker& tracker = *ctx.tracker;
     for (const fabric::CoflowId id : tracker.dirty()) {
       const fabric::Coflow* c = tracker.coflow(id);
       if (c == nullptr) continue;
@@ -78,13 +42,14 @@ fabric::Allocation AaloScheduler::schedule_incremental(
       refresh_coflow(ctx, *c);
     }
   }
-  ctx.tracker->consume();
+  if (ctx.tracker != nullptr) ctx.tracker->consume();
 
-  // Concatenating the cached flow lists in index order reproduces the full
-  // path's order_flows_by_coflow sequence: coflows by (queue, arrival, id),
-  // flows within a coflow by ascending flow id.
+  // Strict priority over the cached flow lists concatenated in index
+  // order: coflows by (queue, arrival, id) — strict priority across
+  // queues, FIFO within a queue — and flows within a coflow by ascending
+  // flow id.
   ordered_.clear();
-  ordered_.reserve(tracker.flow_count());
+  ordered_.reserve(flows_.flow_count());
   index_.for_each([&](fabric::CoflowId id) {
     const Cached& cc = cache_[id];
     ordered_.insert(ordered_.end(), cc.flows.begin(), cc.flows.end());
@@ -96,19 +61,16 @@ void AaloScheduler::refresh_coflow(const SchedContext& ctx,
                                    const fabric::Coflow& c) {
   if (c.id >= cache_.size()) cache_.resize(c.id + 1);
   Cached& cc = cache_[c.id];
-  cc.valid = true;
   cc.flows.clear();
-  const DirtyTracker& tracker = *ctx.tracker;
-  // Attained service sums over every unfinished flow — stalled ones
-  // included, exactly like the full path's pass over ctx.flows — while the
-  // output flow list additionally filters stalled flows, matching
-  // transmittable_flows.
+  // Attained service (bytes already on the wire) sums over every
+  // unfinished flow, stalled ones included, while the output flow list
+  // filters stalled flows, matching transmittable_flows.
   common::Bytes sent = 0;
   for (const fabric::FlowId fid : c.flows) {
-    const fabric::Flow& f = tracker.flow(fid);
-    if (f.done()) continue;
-    sent += f.sent;
-    if (!link_stalled(f, *ctx.fabric)) cc.flows.push_back(&f);
+    const fabric::Flow* f = flows_.live(fid);
+    if (f == nullptr) continue;
+    sent += f->sent;
+    if (!link_stalled(*f, *ctx.fabric)) cc.flows.push_back(f);
   }
   if (cc.flows.empty()) {
     index_.erase(c.id);

@@ -6,7 +6,9 @@
 // indexed by the bytes they have already transmitted: a coflow starts in
 // the highest-priority queue and is demoted each time its sent bytes cross
 // the next geometric threshold. Scheduling is strict priority across
-// queues and FIFO within a queue, work-conserving.
+// queues and FIFO within a queue, work-conserving. Queue levels stay
+// memoized in a RankIndex; each decision point re-derives only the coflows
+// the context's DirtyTracker names (every coflow when it has none).
 #pragma once
 
 #include <cstdint>
@@ -38,20 +40,16 @@ class AaloScheduler final : public Scheduler {
   std::size_t queue_of(common::Bytes sent) const;
 
  private:
-  fabric::Allocation schedule_full(const SchedContext& ctx);
-  fabric::Allocation schedule_incremental(const SchedContext& ctx);
   void refresh_coflow(const SchedContext& ctx, const fabric::Coflow& c);
 
   Config config_;
 
-  // --- incremental state, valid for one tracker session ---
+  // --- memo, valid for one tracker session ---
   struct Cached {
-    bool valid = false;
     /// Unfinished, unstalled flows, in coflow flow-id order.
     std::vector<const fabric::Flow*> flows;
   };
-  const DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  RoundFlows flows_;
   std::vector<Cached> cache_;  ///< by dense coflow id
   RankIndex index_;            ///< primary key: queue level (exact integer)
   std::vector<const fabric::Flow*> ordered_;  ///< per-round output scratch

@@ -4,24 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
-
 namespace swallow::sched {
-
-namespace {
-
-std::uint64_t stamp_of(const std::vector<std::uint64_t>& v,
-                       fabric::CoflowId id) {
-  return id < v.size() ? v[id] : 0;
-}
-
-void set_stamp(std::vector<std::uint64_t>& v, fabric::CoflowId id,
-               std::uint64_t round) {
-  if (id >= v.size()) v.resize(id + 1, 0);
-  v[id] = round;
-}
-
-}  // namespace
 
 DeadlineFvdfScheduler::DeadlineFvdfScheduler(DeadlineFvdfOptions options)
     : options_(options) {}
@@ -99,167 +82,24 @@ DeadlineFvdfScheduler::SloRank DeadlineFvdfScheduler::classify(
 }
 
 fabric::Allocation DeadlineFvdfScheduler::schedule(const SchedContext& ctx) {
-  ++round_;
-  const std::uint64_t prev = round_ - 1;
   if (!seen_degraded_ && ctx.fabric->degraded()) {
     seen_degraded_ = true;
     // Entering fault fallback reclassifies every coflow, not just the ones
-    // the capacity change dirtied: force the incremental path through its
-    // session rebuild so no cached band survives the regime switch.
-    bound_tracker_ = nullptr;
+    // the capacity change dirtied: force a rebuild so no cached band
+    // survives the regime switch.
+    flows_.reset();
   }
+  upgrade_.begin_round(ctx, options_.base.upgrade && options_.base.online);
 
-  // Upgrade (Pseudocode 3), verbatim from FvdfScheduler: age only coflows
-  // that got no service out of the previous decision, at coflow events.
-  if (options_.base.upgrade && options_.base.online && ctx.coflow_event) {
-    for (fabric::Coflow* c : ctx.coflows) {
-      if (stamp_of(seen_round_, c->id) != prev ||
-          stamp_of(served_round_, c->id) == prev)
-        continue;
-      if (c->priority < 1.0) c->priority = 1.0;
-      c->priority *= core::kPriorityLogBase;
-      if (ctx.tracker != nullptr) ctx.tracker->priority_changed(c->id);
-      if (ctx.sink != nullptr) {
-        obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "priority_upgrade",
-                          "dfvdf",
-                          obs::Args()
-                              .add("coflow", std::int64_t(c->id))
-                              .add("priority", c->priority)
-                              .str());
-        ctx.sink->registry().counter("dfvdf.priority_upgrades").add();
-      }
-    }
-  }
-
-  const bool incremental = ctx.tracker != nullptr && ctx.sink == nullptr;
-  fabric::Allocation alloc =
-      incremental ? schedule_incremental(ctx) : schedule_full(ctx);
-
-  for (const fabric::Coflow* c : ctx.coflows)
-    set_stamp(seen_round_, c->id, round_);
-  for (const fabric::Flow* f : ctx.flows)
-    if (alloc.rate(f->id) > 0 || alloc.compress(f->id))
-      set_stamp(served_round_, f->coflow, round_);
-  return alloc;
-}
-
-fabric::Allocation DeadlineFvdfScheduler::schedule_full(
-    const SchedContext& ctx) {
-  const SchedContext* use = &ctx;
-  SchedContext local;
-  if (!options_.base.compression) {
-    local = ctx;
-    local.codec = nullptr;
-    use = &local;
-  }
-  const SchedContext& sctx = *use;
-
-  std::vector<core::CoflowEstimate> estimates = core::time_calculation(
-      sctx, options_.base.online, options_.base.force_compression);
-
-  any_deadline_ = false;
-  for (const fabric::Coflow* c : sctx.coflows) {
-    if (c->has_deadline() && c->slo != fabric::SloClass::kRejected) {
-      any_deadline_ = true;
-      break;
-    }
-  }
-
-  core::EvalEnv nc_env = core::eval_env(sctx);
-  nc_env.codec = nullptr;
-
-  struct Ranked {
-    core::CoflowEstimate* est;
-    SloRank rank;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(estimates.size());
-  for (core::CoflowEstimate& est : estimates) {
-    if (est.coflow->slo == fabric::SloClass::kRejected) continue;
-    bool has_beta = false;
-    for (std::size_t i = 0; i < est.beta.size(); ++i) has_beta |= est.beta[i];
-    auto gamma_nc = [&est, &nc_env]() {
-      common::Seconds g = 0;
-      for (const fabric::Flow* f : est.flows)
-        g = std::max(g, core::evaluate_flow(nc_env, *f, false).fct);
-      return g;
-    };
-    SloRank rank =
-        classify(*est.coflow, est.gamma, has_beta, sctx.now, gamma_nc);
-    if (rank.degrade)
-      for (std::size_t i = 0; i < est.beta.size(); ++i) est.beta[i] = false;
-    ranked.push_back(Ranked{&est, rank});
-  }
-  // (band, primary, arrival, id): with zero finite deadlines every entry is
-  // band 2 with primary = adjusted Gamma, which is FVDF's exact sort.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const Ranked& a, const Ranked& b) {
-                     if (a.rank.band != b.rank.band)
-                       return a.rank.band < b.rank.band;
-                     if (a.rank.primary != b.rank.primary)
-                       return a.rank.primary < b.rank.primary;
-                     if (a.est->coflow->arrival != b.est->coflow->arrival)
-                       return a.est->coflow->arrival < b.est->coflow->arrival;
-                     return a.est->coflow->id < b.est->coflow->id;
-                   });
-
-  fabric::Allocation alloc;
-  fabric::PortHeadroom headroom(*sctx.fabric);
-  for (const Ranked& rk : ranked) {
-    const core::CoflowEstimate& est = *rk.est;
-    // Feasible deadline coflows (band 1) are paced, Varys-style: dispose
-    // over the remaining slack (less one slice of safety margin) instead of
-    // over Gamma, so a deadline coflow takes only the rate it needs and the
-    // freed capacity serves later-deadline and best-effort work. EDF then
-    // decides only who wins when the *needed* rates contend. The max with
-    // Gamma keeps the ASAP floor once the slack tightens to the bound.
-    common::Seconds dispose = std::max(rk.rank.gamma, sctx.slice);
-    if (rk.rank.band == 1)
-      dispose = std::max(dispose,
-                         rk.est->coflow->deadline - sctx.now - sctx.slice);
-    for (std::size_t i = 0; i < est.flows.size(); ++i) {
-      const fabric::Flow* f = est.flows[i];
-      if (est.beta[i]) {
-        alloc.set_compress(f->id, true);
-        alloc.set_rate(f->id, 0.0);
-        continue;
-      }
-      const common::Bps want = f->volume() / dispose;
-      const common::Bps r = std::min(want, headroom.available(*f));
-      alloc.set_rate(f->id, r);
-      headroom.consume(*f, r);
-    }
-  }
-  if (options_.base.backfill) {
-    for (const Ranked& rk : ranked) {
-      const core::CoflowEstimate& est = *rk.est;
-      for (std::size_t i = 0; i < est.flows.size(); ++i) {
-        if (est.beta[i]) continue;
-        const fabric::Flow* f = est.flows[i];
-        const common::Bps extra = headroom.available(*f);
-        if (extra <= 0) continue;
-        alloc.set_rate(f->id, alloc.rate(f->id) + extra);
-        headroom.consume(*f, extra);
-      }
-    }
-  }
-  return alloc;
-}
-
-fabric::Allocation DeadlineFvdfScheduler::schedule_incremental(
-    const SchedContext& ctx) {
-  const DirtyTracker& tracker = *ctx.tracker;
   core::EvalEnv env = core::eval_env(ctx);
   if (!options_.base.compression) env.codec = nullptr;
   core::EvalEnv nc_env = env;
   nc_env.codec = nullptr;
 
-  if (bound_tracker_ != ctx.tracker || session_ != tracker.session()) {
-    bound_tracker_ = ctx.tracker;
-    session_ = tracker.session();
+  if (flows_.bind(ctx)) {
     for (RankIndex& idx : xmit_) idx.clear();
     cache_.clear();
-    beta_.assign(tracker.flow_count(), 0);
+    beta_.assign(flows_.flow_count(), 0);
     horizon_heap_ = {};
     horizon_round_.clear();
     deadline_resident_ = 0;
@@ -280,6 +120,7 @@ fabric::Allocation DeadlineFvdfScheduler::schedule_incremental(
     }
     need_global_rekey_ = false;  // rebuild classified everything coherently
   } else {
+    const DirtyTracker& tracker = *ctx.tracker;
     any_deadline_ = deadline_resident_ > 0;
     for (const fabric::CoflowId id : tracker.dirty()) {
       const fabric::Coflow* c = tracker.coflow(id);
@@ -306,51 +147,53 @@ fabric::Allocation DeadlineFvdfScheduler::schedule_incremental(
     const fabric::CoflowId id = horizon_heap_.top().second;
     horizon_heap_.pop();
     if (id >= cache_.size() || !cache_[id].valid) continue;
-    if (stamp_of(horizon_round_, id) == round_) continue;
-    set_stamp(horizon_round_, id, round_);
+    if (horizon_round_.get(id) == upgrade_.round()) continue;
+    horizon_round_.set(id, upgrade_.round());
     horizon_due_.push_back(id);
   }
   for (const fabric::CoflowId id : horizon_due_) {
-    const fabric::Coflow* c = tracker.coflow(id);
-    if (c == nullptr || c->completed() ||
-        c->slo == fabric::SloClass::kRejected) {
+    const fabric::Coflow& c = *cache_[id].coflow;
+    if (c.completed() || c.slo == fabric::SloClass::kRejected) {
       drop_coflow(id);
       continue;
     }
-    refresh_coflow(ctx, env, nc_env, *c);
+    refresh_coflow(ctx, env, nc_env, c);
   }
 
   if (need_global_rekey_) {
-    rekey_all(ctx);
+    rekey_all();
     need_global_rekey_ = false;
   }
-  ctx.tracker->consume();
+  if (ctx.tracker != nullptr) ctx.tracker->consume();
 
   // Volume disposal over the memoized lanes, walking bands 0..3; each band
-  // index yields the batch path's (primary, arrival, id) sequence, and the
-  // band-major walk reproduces its four-way sort exactly. Beta switches
+  // index is ordered (primary, arrival, id), so the band-major walk visits
+  // coflows in the unique (band, primary, arrival, id) order. Beta switches
   // install in one bulk copy; the walks stop at port exhaustion.
   fabric::Allocation alloc;
-  alloc.reserve(tracker.flow_count());
+  alloc.reserve(flows_.flow_count());
   alloc.set_compress_all(beta_);
   fabric::PortHeadroom headroom(*ctx.fabric);
   bool more = true;
   for (int b = 0; b < kNumBands && more; ++b) {
     xmit_[b].for_each_while([&](fabric::CoflowId id) {
       const CachedCoflow& cc = cache_[id];
-      // Band 1 is deadline-paced: the disposal horizon depends on `now`, so
-      // the want is computed live at walk time (identical expression to the
-      // batch path — cached wants would go stale between refreshes). Other
-      // bands replay the memoized Gamma-paced wants.
+      // Feasible deadline coflows (band 1) are paced, Varys-style: dispose
+      // over the remaining slack (less one slice of safety margin) instead
+      // of over Gamma, so a deadline coflow takes only the rate it needs
+      // and the freed capacity serves later-deadline and best-effort work.
+      // The max with Gamma keeps the ASAP floor once the slack tightens.
+      // The horizon depends on `now`, so band-1 wants are computed live at
+      // walk time; other bands replay the memoized Gamma-paced wants.
       const bool live_want = b == 1;
       common::Seconds dispose = 0;
       if (live_want)
         dispose = std::max(std::max(cc.gamma, ctx.slice),
-                           tracker.coflow(id)->deadline - ctx.now - ctx.slice);
+                           cc.coflow->deadline - ctx.now - ctx.slice);
       for (const Lane& l : cc.lanes) {
         if (l.beta) continue;
         const common::Bps want =
-            live_want ? tracker.flow(l.id).volume() / dispose : l.want;
+            live_want ? flows_.flow(l.id).volume() / dispose : l.want;
         const common::Bps r =
             std::min(want, headroom.available(l.src, l.dst));
         if (r > 0) {
@@ -379,6 +222,7 @@ fabric::Allocation DeadlineFvdfScheduler::schedule_incremental(
       });
     }
   }
+  upgrade_.end_round(ctx, alloc);
   return alloc;
 }
 
@@ -403,36 +247,39 @@ void DeadlineFvdfScheduler::refresh_coflow(const SchedContext& ctx,
     if (++deadline_resident_ == 1) need_global_rekey_ = true;
     any_deadline_ = true;
   }
-  set_stamp(horizon_round_, c.id, round_);
+  horizon_round_.set(c.id, upgrade_.round());
+  cc.coflow = &c;
 
-  const DirtyTracker& tracker = *ctx.tracker;
   common::Seconds gamma_beta = 0;
   bool has_beta = false;
   for (const fabric::FlowId fid : c.flows) {
-    const fabric::Flow& f = tracker.flow(fid);
-    if (f.done()) continue;
+    const fabric::Flow* f = flows_.live(fid);
+    if (f == nullptr) continue;
     const core::FlowEval ev =
-        core::evaluate_flow(env, f, options_.base.force_compression);
+        core::evaluate_flow(env, *f, options_.base.force_compression);
+    if (ctx.sink != nullptr) [[unlikely]]
+      core::trace_beta_decision(ctx.sink, ctx.now, *f, ev.beta, ev.fct);
     gamma_beta = std::max(gamma_beta, ev.fct);  // Eq. 8
-    cc.lanes.push_back(Lane{fid, f.src, f.dst, ev.beta, 0.0});
+    cc.lanes.push_back(Lane{fid, f->src, f->dst, ev.beta, 0.0});
     has_beta |= ev.beta;
   }
   if (cc.lanes.empty()) {
     if (was_valid) xmit_[old_band].erase(c.id);
     return;
   }
-  // Same flow order as the batch path's est.flows (c.flows, done-skipped),
-  // so Gamma_nc folds to the same bits on both paths.
-  auto gamma_nc = [&c, &tracker, &nc_env]() {
+  // Same flow order as the Gamma fold above (c.flows, finished skipped), so
+  // Gamma_nc folds deterministically.
+  auto gamma_nc = [this, &c, &nc_env]() {
     common::Seconds g = 0;
-    for (const fabric::FlowId fid : c.flows) {
-      const fabric::Flow& f = tracker.flow(fid);
-      if (f.done()) continue;
-      g = std::max(g, core::evaluate_flow(nc_env, f, false).fct);
-    }
+    for (const fabric::FlowId fid : c.flows)
+      if (const fabric::Flow* f = flows_.live(fid))
+        g = std::max(g, core::evaluate_flow(nc_env, *f, false).fct);
     return g;
   };
   const SloRank rank = classify(c, gamma_beta, has_beta, ctx.now, gamma_nc);
+  if (ctx.sink != nullptr) [[unlikely]]
+    core::trace_coflow_estimate(ctx.sink, ctx.now, c, rank.gamma,
+                                rank.primary);
   cc.gamma = rank.gamma;
   cc.horizon = rank.horizon;
   if (rank.degrade)
@@ -449,7 +296,7 @@ void DeadlineFvdfScheduler::refresh_coflow(const SchedContext& ctx,
   cc.band = rank.band;
   const common::Seconds g = std::max(cc.gamma, ctx.slice);
   for (Lane& l : cc.lanes)
-    if (!l.beta) l.want = tracker.flow(l.id).volume() / g;
+    if (!l.beta) l.want = flows_.flow(l.id).volume() / g;
   install(c);
   if (cc.horizon < fabric::kNoDeadline)
     horizon_heap_.push({cc.horizon, c.id});
@@ -469,13 +316,9 @@ void DeadlineFvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
   install(c);
 }
 
-void DeadlineFvdfScheduler::rekey_all(const SchedContext& ctx) {
-  for (fabric::CoflowId id = 0; id < cache_.size(); ++id) {
-    if (!cache_[id].valid) continue;
-    const fabric::Coflow* c = ctx.tracker->coflow(id);
-    if (c == nullptr) continue;
-    rekey_coflow(*c);
-  }
+void DeadlineFvdfScheduler::rekey_all() {
+  for (const CachedCoflow& cc : cache_)
+    if (cc.valid) rekey_coflow(*cc.coflow);
 }
 
 void DeadlineFvdfScheduler::install(const fabric::Coflow& c) {
@@ -514,25 +357,16 @@ void DeadlineFvdfScheduler::drop_coflow(fabric::CoflowId id) {
 }
 
 void DeadlineFvdfScheduler::save_state(recovery::StateWriter& w) const {
-  w.u64(round_);
-  w.u64(seen_round_.size());
-  for (const std::uint64_t s : seen_round_) w.u64(s);
-  w.u64(served_round_.size());
-  for (const std::uint64_t s : served_round_) w.u64(s);
+  upgrade_.save_state(w);
   w.u64(seen_degraded_ ? 1 : 0);
 }
 
 void DeadlineFvdfScheduler::restore_state(recovery::StateReader& r) {
-  round_ = r.u64();
-  seen_round_.resize(r.count("dfvdf seen stamps"));
-  for (std::uint64_t& s : seen_round_) s = r.u64();
-  served_round_.resize(r.count("dfvdf served stamps"));
-  for (std::uint64_t& s : served_round_) s = r.u64();
+  upgrade_.restore_state(r);
   seen_degraded_ = r.u64() != 0;
   // Same contract as FvdfScheduler::restore_state: everything else is
   // session-keyed derived state, rebuilt on the first post-restore round.
-  bound_tracker_ = nullptr;
-  session_ = 0;
+  flows_.reset();
   for (RankIndex& idx : xmit_) idx.clear();
   cache_.clear();
   beta_.clear();

@@ -35,12 +35,13 @@
 // FVDF's exact rank key and the allocation is bit-for-bit identical to
 // FvdfScheduler — the zero-deadline A/B in CI enforces this.
 //
-// Both scheduling paths exist, mirroring FvdfScheduler: a batch path
-// (sort-all every round) and an incremental path over per-band rank indexes
-// driven by the DirtyTracker, plus a deadline horizon heap that wakes a
-// coflow for reclassification when time alone (not an event) is about to
-// flip its band — band 1 -> 3 when the shrinking slack crosses Gamma, band
-// 3 -> 2 at expiry. The two paths produce identical allocations (test_slo).
+// One scheduling path, mirroring FvdfScheduler: per-band rank indexes over
+// memoized Γ, driven by the DirtyTracker (every coflow dirty when the
+// context has none), plus a deadline horizon heap that wakes a coflow for
+// reclassification when time alone (not an event) is about to flip its
+// band — band 1 -> 3 when the shrinking slack crosses Gamma, band 3 -> 2 at
+// expiry. test_slo checks the allocations against a naive per-round
+// recompute that lives in tests/.
 #pragma once
 
 #include <cstdint>
@@ -104,8 +105,6 @@ class DeadlineFvdfScheduler final : public Scheduler {
                    GammaNcFn&& gamma_nc) const;
   bool starved(const fabric::Coflow& c) const;
 
-  fabric::Allocation schedule_full(const SchedContext& ctx);
-  fabric::Allocation schedule_incremental(const SchedContext& ctx);
   void refresh_coflow(const SchedContext& ctx, const core::EvalEnv& env,
                       const core::EvalEnv& nc_env, const fabric::Coflow& c);
   /// Re-derives the rank key (and the band-0/2 promotion) from cached
@@ -114,18 +113,15 @@ class DeadlineFvdfScheduler final : public Scheduler {
   /// Re-keys every cached coflow. Runs when the resident-deadline count
   /// crosses zero: band-0 eligibility is global, so every band-0/2 key can
   /// move. Gammas are untouched.
-  void rekey_all(const SchedContext& ctx);
+  void rekey_all();
   void drop_coflow(fabric::CoflowId id);
   void install(const fabric::Coflow& c);
 
   DeadlineFvdfOptions options_;
 
-  // --- starvation bookkeeping, identical to FvdfScheduler ---
-  std::uint64_t round_ = 0;
-  std::vector<std::uint64_t> seen_round_;
-  std::vector<std::uint64_t> served_round_;
+  core::PriorityUpgrade upgrade_{"dfvdf"};
 
-  // --- incremental state, valid for one tracker session ---
+  // --- memo, valid for one tracker session ---
   struct Lane {
     fabric::FlowId id = 0;
     fabric::PortId src = 0;
@@ -134,6 +130,7 @@ class DeadlineFvdfScheduler final : public Scheduler {
     common::Bps want = 0;
   };
   struct CachedCoflow {
+    const fabric::Coflow* coflow = nullptr;  ///< set while valid
     common::Seconds gamma = 0;  ///< effective Gamma backing the rank key
     common::Seconds arrival = 0;
     common::Seconds horizon = fabric::kNoDeadline;
@@ -143,19 +140,18 @@ class DeadlineFvdfScheduler final : public Scheduler {
     bool counted = false;  ///< contributes to deadline_resident_
     std::vector<Lane> lanes;
   };
-  const DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  RoundFlows flows_;
   std::vector<CachedCoflow> cache_;  ///< by dense coflow id
   /// Transmitting coflows per band, each ordered (primary, arrival, id);
-  /// walking bands 0..3 reproduces the batch path's unique sort order.
+  /// walking bands 0..3 yields the unique (band, primary, arrival, id)
+  /// order.
   RankIndex xmit_[kNumBands];
   std::vector<unsigned char> beta_;  ///< by dense flow id
   /// Resident coflows carrying a finite deadline; band-0 promotion exists
-  /// only while this is nonzero (the batch path's any_deadline scan).
+  /// only while this is nonzero.
   std::size_t deadline_resident_ = 0;
   /// Whether any resident coflow carries a finite deadline, as of the
-  /// current classification point. The batch path scans ctx.coflows; the
-  /// incremental path mirrors deadline_resident_ > 0.
+  /// current classification point (deadline_resident_ > 0).
   bool any_deadline_ = false;
   bool need_global_rekey_ = false;
   /// Sticky: the fabric has been degraded at some scheduling round of this
@@ -172,7 +168,7 @@ class DeadlineFvdfScheduler final : public Scheduler {
                       std::vector<std::pair<common::Seconds, fabric::CoflowId>>,
                       std::greater<>>
       horizon_heap_;
-  std::vector<std::uint64_t> horizon_round_;  ///< by dense coflow id
+  core::RoundStamps horizon_round_;
   std::vector<fabric::CoflowId> horizon_due_;  ///< scratch for the pop loop
 };
 

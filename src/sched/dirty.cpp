@@ -97,4 +97,20 @@ void DirtyTracker::consume() {
   dirty_.clear();
 }
 
+bool RoundFlows::bind(const SchedContext& ctx) {
+  tracker_ = ctx.tracker;
+  if (tracker_ != nullptr) {
+    if (session_ == tracker_->session()) return false;
+    session_ = tracker_->session();
+    return true;
+  }
+  session_ = 0;
+  table_.clear();
+  for (const fabric::Flow* f : ctx.flows) {
+    if (f->id >= table_.size()) table_.resize(f->id + 1, nullptr);
+    table_[f->id] = f;
+  }
+  return true;
+}
+
 }  // namespace swallow::sched

@@ -25,6 +25,7 @@
 
 #include "cpu/cpu_model.hpp"
 #include "fabric/coflow.hpp"
+#include "sched/scheduler.hpp"
 
 namespace swallow::sched {
 
@@ -88,8 +89,8 @@ class DirtyTracker {
   DirtyLevel level(fabric::CoflowId c) const {
     return c < level_.size() ? level_[c] : DirtyLevel::kClean;
   }
-  /// Clears the dirty set. Single consumer: a scheduler that skips a round
-  /// (e.g. the traced fallback path) simply leaves the set to accumulate.
+  /// Clears the dirty set. Single consumer: a scheduler that never reads
+  /// the set (a baseline without memoized state) leaves it to accumulate.
   void consume();
 
   // ---- introspection (tests) ----
@@ -123,6 +124,43 @@ class DirtyTracker {
   std::vector<double> cpu_headroom_;
   std::vector<char> cpu_gate_;
   bool cpu_sampled_ = false;
+};
+
+/// A dirty-set scheduler's flow lookup and memo binding for one round.
+/// With a tracker in the context, flows come from the engine's dense table
+/// and the memo stays valid for the tracker's session. Without one
+/// (hand-built contexts, bench twin worlds) every round is a rebuild —
+/// every coflow dirty — and flows resolve through a round-local id table
+/// built from ctx.flows; a flow absent from ctx.flows reads as finished.
+class RoundFlows {
+ public:
+  /// Binds this round's context. True when the scheduler must rebuild its
+  /// memo from ctx.coflows: there is no tracker, or the memo was built
+  /// against another tracker session (a new or restored run).
+  bool bind(const SchedContext& ctx);
+  /// Forgets the bound session, so the next bind() asks for a rebuild.
+  void reset() { session_ = 0; }
+
+  /// The flow by id; it must be known to this round.
+  const fabric::Flow& flow(fabric::FlowId id) const {
+    return tracker_ != nullptr ? tracker_->flow(id) : *table_[id];
+  }
+  /// The flow if this round can schedule it (known and unfinished).
+  const fabric::Flow* live(fabric::FlowId id) const {
+    const fabric::Flow* f = tracker_ != nullptr ? &tracker_->flow(id)
+                            : id < table_.size() ? table_[id]
+                                                 : nullptr;
+    return f != nullptr && !f->done() ? f : nullptr;
+  }
+  /// One past the largest flow id this round can resolve.
+  std::size_t flow_count() const {
+    return tracker_ != nullptr ? tracker_->flow_count() : table_.size();
+  }
+
+ private:
+  const DirtyTracker* tracker_ = nullptr;
+  std::uint64_t session_ = 0;  ///< 0: no session bound (ids start at 1)
+  std::vector<const fabric::Flow*> table_;  ///< tracker-less rounds only
 };
 
 }  // namespace swallow::sched

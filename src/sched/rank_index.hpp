@@ -8,8 +8,8 @@
 // coflows a dirty set touches, plus ordered iteration for admission. A full
 // sort and an ordered walk of this index therefore produce the *same
 // sequence* (the id tiebreak makes the order unique), which is what lets
-// the incremental paths reproduce the full-recompute allocations
-// bit-for-bit.
+// the schedulers reproduce a naive per-round sort-and-allocate (the
+// test-only reference) bit-for-bit.
 #pragma once
 
 #include <cstddef>

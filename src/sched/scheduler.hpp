@@ -35,23 +35,11 @@ struct SchedContext {
   std::vector<const fabric::Flow*> flows;
   /// Arrived, uncompleted coflows. Mutable: FVDF updates priority classes.
   std::vector<fabric::Coflow*> coflows;
-  /// Optional coflow grouping of `flows`: when non-empty it has
-  /// coflows.size() + 1 entries and the unfinished flows of coflows[i] are
-  /// exactly flows[coflow_flow_offsets[i], coflow_flow_offsets[i+1]).
-  /// The simulation engine fills this for free (it already walks coflow by
-  /// coflow), letting core::time_calculation skip its per-round hash-map
-  /// rebuild. Hand-built contexts may leave it empty; consumers must fall
-  /// back to grouping by Flow::coflow themselves.
-  std::vector<std::size_t> coflow_flow_offsets;
-  bool grouped() const {
-    return coflow_flow_offsets.size() == coflows.size() + 1;
-  }
   /// Resets the per-round vectors while keeping their capacity, so one
   /// context object can be reused across scheduling rounds.
   void clear_round() {
     flows.clear();
     coflows.clear();
-    coflow_flow_offsets.clear();
   }
   /// Codec available for compression; nullptr disables compression globally.
   const codec::CodecModel* codec = nullptr;
@@ -61,14 +49,14 @@ struct SchedContext {
   bool coflow_event = true;
   /// Observability sink for per-decision trace events (Γ_C, priority
   /// classes, β switches, starvation promotions). Null disables tracing at
-  /// the cost of one branch per site.
+  /// the cost of one branch per site. Attaching a sink changes what is
+  /// logged, never what is computed.
   obs::Sink* sink = nullptr;
-  /// Incremental-scheduling event feed (dirty.hpp), owned by the simulation
-  /// engine. Null for hand-built contexts and the slice-stepped reference
-  /// path, in which case schedulers run their historical full-recompute
-  /// path. Schedulers also fall back to full recompute while `sink` is set
-  /// (the traced path emits per-coflow estimates, which only the batch
-  /// TimeCalculation produces); the unconsumed dirty set simply accumulates.
+  /// Dirty-set event feed (dirty.hpp), owned by the simulation engine in
+  /// both engine modes. FVDF, SEBF, AALO and DEADLINE-FVDF re-evaluate only
+  /// the coflows it names. Hand-built contexts may leave it null: those
+  /// schedulers then treat every coflow as dirty on every call (the same
+  /// code path, rebuilt from scratch).
   DirtyTracker* tracker = nullptr;
   /// Scratch for transmittable_flows(): reused across rounds so the stall
   /// filter stops allocating once its capacity stabilizes.
@@ -86,9 +74,9 @@ class Scheduler {
   /// starvation round stamps; session-keyed incremental caches (rank
   /// indexes, Γ memos, β tables, horizon heaps) are deliberately excluded:
   /// they are rebuilt from scratch when the scheduler sees the restored
-  /// run's fresh DirtyTracker session, and the PR 6 invariant (incremental
-  /// ≡ full recompute, bit for bit) makes the rebuild byte-equivalent to
-  /// the warm caches. Stateless schedulers inherit these no-ops.
+  /// run's fresh DirtyTracker session, and a rebuild is byte-equivalent to
+  /// the warm caches (test_incremental checks both against a naive
+  /// recompute). Stateless schedulers inherit these no-ops.
   /// restore_state must also drop any live incremental bindings so a
   /// reused instance cannot serve stale-session state.
   virtual void save_state(recovery::StateWriter& w) const { (void)w; }

@@ -3,9 +3,9 @@
 // coflow's flows get MADD rates (all finish together at Gamma), residual
 // capacity backfills the remaining coflows in the same order.
 //
-// With a DirtyTracker in the context (and no trace sink) the scheduler keeps
-// per-coflow Gamma memoized in a RankIndex and re-derives only dirty coflows
-// per decision point; allocations stay bit-identical to the full recompute.
+// Per-coflow Gamma stays memoized in a RankIndex and each decision point
+// re-derives only the coflows the context's DirtyTracker names (every
+// coflow when the context has none).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,16 @@
 
 namespace swallow::sched {
 
+/// Effective bottleneck Gamma = max over ports of remaining load / current
+/// capacity; zero-capacity ports carry no usable load and are skipped.
+/// `in_load`/`out_load` are per-port scratch. Out of line (noinline) so
+/// every caller — the scheduler and the test-only reference — runs one
+/// instantiation with identical FP contraction.
+common::Seconds coflow_bottleneck_time(
+    const std::vector<const fabric::Flow*>& flows,
+    const fabric::Fabric& fabric, std::vector<common::Bytes>& in_load,
+    std::vector<common::Bytes>& out_load);
+
 class SebfScheduler final : public Scheduler {
  public:
   /// `backfill` off is the ablation knob (bench_ablation_backfill).
@@ -27,22 +37,18 @@ class SebfScheduler final : public Scheduler {
   fabric::Allocation schedule(const SchedContext& ctx) override;
 
  private:
-  fabric::Allocation schedule_full(const SchedContext& ctx);
-  fabric::Allocation schedule_incremental(const SchedContext& ctx);
   void refresh_coflow(const SchedContext& ctx, const fabric::Coflow& c);
 
   bool backfill_;
 
-  // --- incremental state, valid for one tracker session ---
+  // --- memo, valid for one tracker session ---
   struct Cached {
     common::Seconds gamma = 0;
-    bool valid = false;
-    /// Unfinished, unstalled flows, in coflow flow-id order (the engine's
-    /// context order, so MADD's FP accumulation matches the full path).
+    /// Unfinished, unstalled flows, in coflow flow-id order (fixes MADD's
+    /// FP accumulation order).
     std::vector<const fabric::Flow*> flows;
   };
-  const DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  RoundFlows flows_;
   std::vector<Cached> cache_;  ///< by dense coflow id
   RankIndex index_;
   std::vector<common::Bytes> in_load_, out_load_;  ///< per-port scratch

@@ -309,7 +309,6 @@ class Engine {
         live(fabric_in),
         admit_on(config_in.admission.enabled),
         admission(config_in.admission, fabric_in),
-        track(event_mode && config_in.incremental_sched),
         tracker(fabric_in.num_ports()),
         sink(config_in.sink) {
     // ---- Build flow/coflow state (ids are dense indices). ----
@@ -363,11 +362,11 @@ class Engine {
     decided.assign(flows.size(), 0);
     seg.assign(flows.size(), FlowSeg{});
 
-    // ---- Incremental-scheduling event feed (DESIGN.md section 11). ----
+    // ---- Dirty-set event feed (DESIGN.md section 11), both modes. ----
     // flows is reserved up front, so the bound pointer stays valid for the
     // whole run (and across a snapshot restore, which only overwrites the
     // flows' mutable pools in place).
-    if (track) tracker.bind_flows(flows.data(), flows.size());
+    tracker.bind_flows(flows.data(), flows.size());
 
     // ---- Segment state. ----
     // Time is always seg_base + j * slice (never accumulated), so both
@@ -384,7 +383,7 @@ class Engine {
     ctx.slice = config.slice;
     ctx.codec = config.codec;
     ctx.sink = sink;
-    ctx.tracker = track ? &tracker : nullptr;
+    ctx.tracker = &tracker;
   }
 
   Metrics run();
@@ -431,7 +430,7 @@ class Engine {
       if (m == prev) continue;
       journal_event(recovery::JournalType::kCapacityChange, now, p, 0, m);
       live.set_port_multiplier(p, m);
-      if (track) tracker.port_capacity_changed(p);
+      tracker.port_capacity_changed(p);
       ++dstats.capacity_changes;
       if (m == 0.0) ++dstats.link_failures;
       need_schedule = true;
@@ -464,7 +463,7 @@ class Engine {
     f.compressed_pending = 0;
     f.completion = when;
     need_schedule = true;
-    if (track) tracker.coflow_changed(f.coflow);
+    tracker.coflow_changed(f.coflow);
     if (sink != nullptr) [[unlikely]]
       ColdEmit::flow_complete(sink, when, std::int64_t(f.id),
                               std::int64_t(sc.trace_id), when - f.arrival);
@@ -510,7 +509,7 @@ class Engine {
       ++sstats.shed_midflight;
       // The scheduler sees a coflow whose flows are all done and drops it
       // from its memoized rank state.
-      if (track) tracker.coflow_changed(sc.state.id);
+      tracker.coflow_changed(sc.state.id);
     } else {
       ++sstats.rejected;
     }
@@ -661,14 +660,11 @@ class Engine {
     ctx.clear_round();
     ctx.now = slice_time(seg_j);
     ctx.coflows.reserve(active.size());
-    ctx.coflow_flow_offsets.reserve(active.size() + 1);
     for (const std::size_t ci : active) {
       ctx.coflows.push_back(&coflows[ci].state);
-      ctx.coflow_flow_offsets.push_back(ctx.flows.size());
       for (const fabric::FlowId fid : coflows[ci].state.flows)
         if (!flows[fid].done()) ctx.flows.push_back(&flows[fid]);
     }
-    ctx.coflow_flow_offsets.push_back(ctx.flows.size());
   }
 
   // ---- Crash-fault tolerance (DESIGN.md section 13). ----
@@ -696,7 +692,6 @@ class Engine {
   fabric::Fabric live;
   const bool admit_on;
   core::AdmissionController admission;
-  const bool track;
   sched::DirtyTracker tracker;
   obs::Sink* const sink;
 
@@ -770,7 +765,6 @@ std::uint64_t Engine::compute_fingerprint() const {
   fp.mix(sched.name());
   fp.mix(config.slice);
   fp.mix(std::uint64_t(event_mode));
-  fp.mix(std::uint64_t(config.incremental_sched));
   fp.mix(std::uint64_t(config.codec != nullptr));
   if (config.codec != nullptr) {
     fp.mix(config.codec->name);
@@ -845,11 +839,10 @@ void Engine::setup_recovery() {
       // The restored run owns a fresh DirtyTracker session: re-register
       // the active coflows and let the schedulers rebuild their memoized
       // rank state from scratch on first contact (byte-equivalent to the
-      // incremental state the crashed run carried — the invariant
-      // test_incremental pins).
-      if (track)
-        for (const std::size_t ci : active)
-          tracker.coflow_arrived(&coflows[ci].state);
+      // warm memo the crashed run carried — the invariant test_recovery
+      // pins).
+      for (const std::size_t ci : active)
+        tracker.coflow_arrived(&coflows[ci].state);
     }
     if (journal_on_) {
       recovery::JournalScan scan;
@@ -1272,7 +1265,7 @@ Metrics Engine::run() {
           push_expiry(sc.state.deadline, ci);
       }
       active.push_back(ci);
-      if (track) tracker.coflow_arrived(&sc.state);
+      tracker.coflow_arrived(&sc.state);
       need_schedule = true;
       coflow_event = true;
     }
@@ -1374,7 +1367,7 @@ Metrics Engine::run() {
       // The cached Γ terms read CPU headroom through Eq. 3/7; sampling here
       // (value-compared per port) dirties exactly the coflows sourced at
       // ports whose headroom or compress gate moved since the last round.
-      if (track) tracker.sample_cpu(cpu, ctx.now);
+      tracker.sample_cpu(cpu, ctx.now);
       if (sink != nullptr) [[unlikely]]
         ColdEmit::schedule_round(sink, t, round, sched.name(),
                                  std::int64_t(ctx.coflows.size()),
@@ -1409,7 +1402,7 @@ Metrics Engine::run() {
         // terms are stale by the next decision point. Zero-rate flows do
         // not move — in a saturated fabric this keeps the dirty set near
         // O(ports served), not O(coflows).
-        if (track && (new_rate > kTiny || new_compress))
+        if (new_rate > kTiny || new_compress)
           tracker.flow_progressed(f->coflow);
       }
       need_schedule = false;
@@ -1543,7 +1536,7 @@ Metrics Engine::run() {
             // a pending flow_progressed mark, so this re-mark is redundant
             // today — kept so the dirty feed stays correct even if marks
             // are ever consumed between here and that round.
-            if (track) tracker.flow_progressed(f.coflow);
+            tracker.flow_progressed(f.coflow);
             if (sink != nullptr) [[unlikely]]
               ColdEmit::compression_done(sink, start, std::int64_t(f.id),
                                          std::int64_t(sc.trace_id),

@@ -50,15 +50,6 @@ struct SimConfig {
   common::Seconds slice = common::kDefaultSlice;
   /// Time-advance strategy; output is byte-identical across modes.
   EngineMode engine_mode = EngineMode::kEventDriven;
-  /// Feed the schedulers a dirty-set tracker so they re-rank only coflows
-  /// whose inputs changed since the previous decision point (DESIGN.md
-  /// section 11), instead of recomputing every Γ from scratch each round.
-  /// Event-driven mode only; the slice-stepped reference always runs the
-  /// full recompute, so mode parity (test_engine_parity) doubles as the
-  /// byte-identity oracle for the incremental paths. Allocations — and
-  /// therefore Metrics — are bit-for-bit identical either way; this knob
-  /// exists for A/B benchmarking (bench_engine_scale) and bisection.
-  bool incremental_sched = true;
   /// Codec model handed to the scheduler; nullptr disables compression.
   const codec::CodecModel* codec = nullptr;
   /// Abort the run if simulated time passes this point (safety net).

@@ -1,15 +1,19 @@
 // FVDF core tests: the volume-disposal equations (1-3), expected FCT
-// (Eq. 7), TimeCalculation/Gamma_C (Eq. 8), the compression-strategy truth
-// table (Pseudocode 1), priority upgrade (Pseudocode 3) and the full
-// allocation (Pseudocode 2).
+// (Eq. 7), TimeCalculation/Gamma_C (Eq. 8, read back from the scheduler's
+// coflow_estimate trace events), the compression-strategy truth table
+// (Pseudocode 1), priority upgrade (Pseudocode 3) and the full allocation
+// (Pseudocode 2).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/compression_strategy.hpp"
 #include "core/fvdf.hpp"
 #include "core/online.hpp"
 #include "cpu/cpu_model.hpp"
+#include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace swallow::core {
 namespace {
@@ -169,38 +173,62 @@ class FvdfContext : public ::testing::Test {
   fabric::Coflow c1_, c2_;
 };
 
-TEST_F(FvdfContext, TimeCalculationComputesGammaPerCoflow) {
-  auto ctx = context(nullptr);
-  const auto estimates = time_calculation(ctx, false);
-  ASSERT_EQ(estimates.size(), 2u);
+// One scheduling round of `variant` with a Tracer attached; the
+// coflow_estimate events it logs carry each coflow's Γ_C and rank key.
+struct TracedRound {
+  fabric::Allocation alloc;
+  std::map<fabric::CoflowId, double> gamma;
+  std::map<fabric::CoflowId, double> key;
+  std::size_t betas = 0;  ///< beta_decision events with beta = true
+};
+
+TracedRound traced_round(sched::SchedContext ctx, const char* variant) {
+  obs::Tracer tracer;
+  ctx.sink = &tracer;
+  TracedRound out;
+  out.alloc = make_fvdf(variant)->schedule(ctx);
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.name != "coflow_estimate" && ev.name != "beta_decision") continue;
+    const obs::JsonValue args = obs::parse_json(ev.args);
+    if (ev.name == "coflow_estimate") {
+      const auto id =
+          static_cast<fabric::CoflowId>(args.find("coflow")->number);
+      out.gamma[id] = args.find("gamma")->number;
+      out.key[id] = args.find("key")->number;
+    } else if (ev.name == "beta_decision" && args.find("beta")->boolean) {
+      ++out.betas;
+    }
+  }
+  return out;
+}
+
+TEST_F(FvdfContext, EstimatesGammaPerCoflow) {
+  const TracedRound r = traced_round(context(nullptr), "FVDF");
+  ASSERT_EQ(r.gamma.size(), 2u);
   // Without compression Gamma_C = max flow volume / B (up to the slice
   // term which cancels): C1 -> 4, C2 -> 3.
-  EXPECT_NEAR(estimates[0].gamma, 4.0, 0.02);
-  EXPECT_NEAR(estimates[1].gamma, 3.0, 0.02);
-  for (const auto& est : estimates)
-    for (const bool beta : est.beta) EXPECT_FALSE(beta);
+  EXPECT_NEAR(r.gamma.at(1), 4.0, 0.02);
+  EXPECT_NEAR(r.gamma.at(2), 3.0, 0.02);
+  EXPECT_EQ(r.betas, 0u);
 }
 
-TEST_F(FvdfContext, TimeCalculationEnablesCompression) {
-  auto ctx = context(&kUnitCodec);
-  const auto estimates = time_calculation(ctx, false);
-  for (const auto& est : estimates)
-    for (const bool beta : est.beta) EXPECT_TRUE(beta);
+TEST_F(FvdfContext, EstimatesEnableCompression) {
+  const TracedRound r = traced_round(context(&kUnitCodec), "FVDF");
+  EXPECT_EQ(r.betas, flows_.size());  // beta set on every flow
   // Gamma shrinks: compressed volume ~ half.
-  EXPECT_LT(estimates[0].gamma, 4.0);
+  EXPECT_LT(r.gamma.at(1), 4.0);
 }
 
-TEST_F(FvdfContext, OnlineModeDividesByPriority) {
+TEST_F(FvdfContext, OnlineKeyDividesGammaByPriority) {
   c1_.priority = 10.0;
-  auto ctx = context(nullptr);
-  const auto estimates = time_calculation(ctx, true);
-  EXPECT_NEAR(estimates[0].adjusted_gamma, estimates[0].gamma / 10.0, 1e-9);
-  EXPECT_NEAR(estimates[1].adjusted_gamma, estimates[1].gamma, 1e-9);
+  const TracedRound r = traced_round(context(nullptr), "FVDF");
+  EXPECT_NEAR(r.key.at(1), r.gamma.at(1) / 10.0, 1e-9);
+  EXPECT_NEAR(r.key.at(2), r.gamma.at(2), 1e-9);
 }
 
 TEST_F(FvdfContext, AllocateServesShortestGammaFirst) {
   auto ctx = context(nullptr);
-  const fabric::Allocation a = fvdf_allocate(ctx, false);
+  const fabric::Allocation a = traced_round(ctx, "FVDF").alloc;
   // C2 (Gamma 3) first: its flows get their volume/Gamma rates; port B
   // leftover backfills f1.
   EXPECT_GT(a.rate(3), 0.5);
@@ -210,7 +238,7 @@ TEST_F(FvdfContext, AllocateServesShortestGammaFirst) {
 
 TEST_F(FvdfContext, AllocateGivesCompressingFlowsZeroRate) {
   auto ctx = context(&kUnitCodec);
-  const fabric::Allocation a = fvdf_allocate(ctx, false);
+  const fabric::Allocation a = traced_round(ctx, "FVDF").alloc;
   for (const auto* f : ctx.flows) {
     EXPECT_TRUE(a.compress(f->id));
     EXPECT_DOUBLE_EQ(a.rate(f->id), 0.0);
@@ -221,30 +249,64 @@ TEST_F(FvdfContext, PriorityInversionFlipsServiceOrder) {
   // Give C1 (the larger coflow) a huge priority class: it must now be
   // served ahead of C2 on the contended ports.
   c1_.priority = 100.0;
-  auto ctx = context(nullptr);
-  const fabric::Allocation a = fvdf_allocate(ctx, true);
+  const fabric::Allocation a = traced_round(context(nullptr), "FVDF").alloc;
   EXPECT_NEAR(a.rate(1), 1.0, 1e-6);  // f1 beats f3 on port B
 }
 
-TEST(Upgrade, MultipliesEveryPriorityByLogBase) {
+// One full round in which nobody is served: every coflow of the context
+// waits, so the next coflow-event round ages all of them.
+void unserved_round(PriorityUpgrade& upgrade, const sched::SchedContext& ctx) {
+  upgrade.begin_round(ctx, /*enabled=*/true);
+  upgrade.end_round(ctx, fabric::Allocation{});
+}
+
+TEST(Upgrade, MultipliesEveryWaitingPriorityByLogBase) {
   fabric::Coflow a, b;
+  a.id = 0;
+  b.id = 1;
   a.priority = 1.0;
   b.priority = 2.0;
   sched::SchedContext ctx;
   ctx.coflows = {&a, &b};
-  upgrade_priorities(ctx);
+  PriorityUpgrade upgrade("fvdf");
+  unserved_round(upgrade, ctx);  // round 1: nobody has waited yet
+  EXPECT_DOUBLE_EQ(a.priority, 1.0);
+  unserved_round(upgrade, ctx);
   EXPECT_DOUBLE_EQ(a.priority, 1.2);
   EXPECT_DOUBLE_EQ(b.priority, 2.4);
-  upgrade_priorities(ctx);
+  unserved_round(upgrade, ctx);
   EXPECT_DOUBLE_EQ(a.priority, 1.44);
+}
+
+TEST(Upgrade, ClampsBelowOneBeforeMultiplying) {
+  fabric::Coflow c;
+  c.priority = 0.25;
+  sched::SchedContext ctx;
+  ctx.coflows = {&c};
+  PriorityUpgrade upgrade("fvdf");
+  unserved_round(upgrade, ctx);
+  unserved_round(upgrade, ctx);
+  EXPECT_DOUBLE_EQ(c.priority, kPriorityLogBase);
 }
 
 TEST(Upgrade, GrowsExponentially) {
   fabric::Coflow c;
   sched::SchedContext ctx;
   ctx.coflows = {&c};
-  for (int i = 0; i < 50; ++i) upgrade_priorities(ctx);
+  PriorityUpgrade upgrade("fvdf");
+  for (int i = 0; i < 51; ++i) unserved_round(upgrade, ctx);
   EXPECT_NEAR(c.priority, std::pow(1.2, 50), 1e-3);
+}
+
+TEST(Upgrade, OnlyCoflowEventsAge) {
+  fabric::Coflow c;
+  sched::SchedContext ctx;
+  ctx.coflows = {&c};
+  ctx.coflow_event = false;
+  PriorityUpgrade upgrade("fvdf");
+  for (int i = 0; i < 5; ++i) unserved_round(upgrade, ctx);
+  EXPECT_DOUBLE_EQ(c.priority, 1.0);
+  EXPECT_EQ(upgrade.round(), 5u);
 }
 
 TEST(FvdfFactory, VariantsAndOptions) {

@@ -1,15 +1,16 @@
-// Incremental scheduling (DESIGN.md section 11): byte-identity against the
-// full recompute, plus unit coverage of the dirty-set tracker and the rank
+// Incremental scheduling (DESIGN.md section 11): byte-identity against a
+// naive reference, plus unit coverage of the dirty-set tracker and the rank
 // index.
 //
-// The engine runs the same event-driven sequence twice — once with the
-// DirtyTracker feed (memoized Γ, rank-index admission) and once with
-// incremental_sched off (historical full recompute per round) — and every
-// Metrics record must match with exact FP equality. The randomized sweep
-// crosses schedulers with degradation, quantized completions and
-// non-constant CPU providers, which together exercise every dirty rule:
-// arrivals, flow completions, compression-finished, capacity multipliers,
-// CPU headroom changes and priority upgrades.
+// The engine runs the same event-driven sequence twice — once under the
+// production scheduler (DirtyTracker feed, memoized Γ, rank-index walks) and
+// once under its reference twin from reference_sched.hpp (full stable_sort
+// recompute every round) — and every Metrics record must match with exact
+// FP equality. The randomized sweep crosses schedulers with degradation,
+// quantized completions and non-constant CPU providers, which together
+// exercise every dirty rule: arrivals, flow completions,
+// compression-finished, capacity multipliers, CPU headroom changes and
+// priority upgrades.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
+#include "reference_sched.hpp"
 #include "sched/dirty.hpp"
 #include "sched/rank_index.hpp"
 #include "sim/experiment.hpp"
@@ -45,10 +47,11 @@ workload::Trace make_trace(std::uint64_t seed, std::size_t coflows,
 sim::Metrics run_once(const workload::Trace& trace,
                       const fabric::Fabric& fabric,
                       const cpu::CpuProvider& cpu, const std::string& name,
-                      sim::SimConfig config, bool incremental) {
+                      sim::SimConfig config, bool reference) {
   config.engine_mode = sim::EngineMode::kEventDriven;
-  config.incremental_sched = incremental;
-  auto sched = sim::make_scheduler(name);  // fresh: schedulers are stateful
+  // Fresh each run: schedulers are stateful.
+  auto sched = reference ? reference::make_reference(name)
+                         : sim::make_scheduler(name);
   return sim::run_simulation(trace, fabric, cpu, *sched, config);
 }
 
@@ -84,23 +87,23 @@ void expect_identical(const sim::Metrics& a, const sim::Metrics& b,
   EXPECT_EQ(a.degradation.compression_flips, b.degradation.compression_flips);
 }
 
-void expect_incremental_identity(const workload::Trace& trace,
-                                 const fabric::Fabric& fabric,
-                                 const cpu::CpuProvider& cpu,
-                                 const std::string& name,
-                                 const sim::SimConfig& config,
-                                 const std::string& label) {
-  const sim::Metrics inc = run_once(trace, fabric, cpu, name, config, true);
-  const sim::Metrics full = run_once(trace, fabric, cpu, name, config, false);
-  expect_identical(inc, full, label);
+void expect_reference_identity(const workload::Trace& trace,
+                               const fabric::Fabric& fabric,
+                               const cpu::CpuProvider& cpu,
+                               const std::string& name,
+                               const sim::SimConfig& config,
+                               const std::string& label) {
+  const sim::Metrics prod = run_once(trace, fabric, cpu, name, config, false);
+  const sim::Metrics ref = run_once(trace, fabric, cpu, name, config, true);
+  expect_identical(prod, ref, label);
 }
 
 TEST(IncrementalIdentity, RandomizedSweep) {
   // Schedulers x degradation x quantized completions, two seeds each. FVDF
   // covers priority upgrades and the compression dirty rules; SEBF and AALO
   // cover the non-FVDF index paths.
-  const std::vector<std::string> names = {"FVDF", "FVDF-NC", "FVDF-BLIND",
-                                          "SEBF", "AALO"};
+  const std::vector<std::string> names = {
+      "FVDF", "FVDF-NC", "FVDF-BLIND", "FVDF-NOBACKFILL", "SEBF", "AALO"};
   for (const std::uint64_t seed : {3ull, 11ull}) {
     const workload::Trace trace = make_trace(seed, 24, 12);
     const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
@@ -122,8 +125,8 @@ TEST(IncrementalIdentity, RandomizedSweep) {
               name + " seed=" + std::to_string(seed) +
               " degrade=" + (degrade ? "1" : "0") +
               " quantize=" + (quantize ? "1" : "0");
-          expect_incremental_identity(trace, fabric, cpu, name, config,
-                                      label);
+          expect_reference_identity(trace, fabric, cpu, name, config,
+                                    label);
         }
       }
     }
@@ -144,10 +147,12 @@ TEST(IncrementalIdentity, WindowedCpuHeavyFailures) {
   config.degradation.rate = 0.2;
   config.degradation.seed = 29;
   config.degradation.failure_fraction = 0.4;
-  expect_incremental_identity(trace, fabric, cpu, "FVDF", config,
-                              "windowed cpu, heavy failures");
-  expect_incremental_identity(trace, fabric, cpu, "SEBF", config,
-                              "windowed cpu, heavy failures, sebf");
+  expect_reference_identity(trace, fabric, cpu, "FVDF", config,
+                            "windowed cpu, heavy failures");
+  expect_reference_identity(trace, fabric, cpu, "SEBF", config,
+                            "windowed cpu, heavy failures, sebf");
+  expect_reference_identity(trace, fabric, cpu, "AALO", config,
+                            "windowed cpu, heavy failures, aalo");
 }
 
 TEST(IncrementalIdentity, BurstyCpu) {
@@ -161,10 +166,155 @@ TEST(IncrementalIdentity, BurstyCpu) {
   const cpu::BurstyCpu cpu(bc);
   sim::SimConfig config;
   config.codec = &codec::default_codec_model();
-  expect_incremental_identity(trace, fabric, cpu, "FVDF", config,
-                              "bursty cpu");
-  expect_incremental_identity(trace, fabric, cpu, "FVDF-BLIND", config,
-                              "bursty cpu, blind");
+  expect_reference_identity(trace, fabric, cpu, "FVDF", config,
+                            "bursty cpu");
+  expect_reference_identity(trace, fabric, cpu, "FVDF-BLIND", config,
+                            "bursty cpu, blind");
+  expect_reference_identity(trace, fabric, cpu, "DEADLINE-FVDF", config,
+                            "bursty cpu, deadline-fvdf");
+}
+
+// Twin hand-built worlds driven in lockstep: one scheduler sees a
+// DirtyTracker fed every drain, the other sees no tracker and so rebuilds
+// from scratch each call. Same code path either way, so every allocation
+// must match bit for bit.
+struct LockstepWorld {
+  fabric::Fabric fabric{8, common::mbps(100)};
+  cpu::ConstantCpu cpu{0.9};
+  std::vector<fabric::Flow> flows;
+  std::vector<fabric::Coflow> coflows;
+  sched::DirtyTracker tracker{8};
+  sched::SchedContext ctx;
+
+  explicit LockstepWorld(bool tracked) {
+    std::uint64_t lcg = 7;
+    auto next = [&lcg] {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      return lcg >> 33;
+    };
+    flows.reserve(120);
+    for (fabric::CoflowId c = 0; c < 40; ++c) {
+      fabric::Coflow co;
+      co.id = c;
+      co.arrival = 0.01 * static_cast<double>(c % 7);
+      // Deadlines spread over the run: DEADLINE-FVDF's bands flip with time
+      // alone (feasible -> deferred -> expired), not just with events.
+      if (c % 3 != 1) co.deadline = 1.0 + 0.5 * static_cast<double>(c);
+      for (int w = 0; w < 3; ++w) {
+        fabric::Flow f;
+        f.id = flows.size();
+        f.coflow = c;
+        f.src = static_cast<fabric::PortId>(next() % 8);
+        f.dst = static_cast<fabric::PortId>(next() % 8);
+        f.original_bytes = 1e6 + static_cast<double>(next() % 100) * 1e6;
+        f.raw_remaining = f.original_bytes;
+        co.flows.push_back(f.id);
+        flows.push_back(f);
+      }
+      coflows.push_back(co);
+    }
+    ctx.fabric = &fabric;
+    ctx.cpu = &cpu;
+    ctx.codec = &codec::default_codec_model();
+    if (tracked) {
+      tracker.bind_flows(flows.data(), flows.size());
+      for (const fabric::Coflow& c : coflows) tracker.coflow_arrived(&c);
+      ctx.tracker = &tracker;
+    }
+  }
+
+  // Drains every served flow by what one 0.5 s segment would move, then
+  // rebuilds the round's flow list; every third round is a coflow event.
+  void advance(const fabric::Allocation& a, int round) {
+    for (fabric::Flow& f : flows) {
+      if (f.done() || (a.rate(f.id) <= 0 && !a.compress(f.id))) continue;
+      const double moved = a.compress(f.id) ? 2e6 : a.rate(f.id) * 0.5;
+      f.raw_remaining = std::max(0.0, f.raw_remaining - moved);
+      f.sent += moved;
+      if (ctx.tracker != nullptr) tracker.flow_progressed(f.coflow);
+    }
+    ctx.now = 0.5 * static_cast<double>(round);
+    ctx.coflow_event = round % 3 == 0;
+    ctx.clear_round();
+    for (fabric::Coflow& c : coflows) {
+      bool live = false;
+      for (const fabric::FlowId fid : c.flows)
+        if (!flows[fid].done()) {
+          ctx.flows.push_back(&flows[fid]);
+          live = true;
+        }
+      if (live) ctx.coflows.push_back(&c);
+    }
+  }
+};
+
+TEST(IncrementalIdentity, TrackerlessRebuildMatchesTrackedRounds) {
+  for (const std::string name :
+       {"FVDF", "FVDF-BLIND", "SEBF", "AALO", "DEADLINE-FVDF"}) {
+    SCOPED_TRACE(name);
+    LockstepWorld tracked(true), bare(false);
+    auto s_tracked = sim::make_scheduler(name);
+    auto s_bare = sim::make_scheduler(name);
+    fabric::Allocation a, b;
+    for (int round = 0; round < 40; ++round) {
+      tracked.advance(a, round);
+      bare.advance(b, round);
+      a = s_tracked->schedule(tracked.ctx);
+      b = s_bare->schedule(bare.ctx);
+      for (const fabric::Flow& f : tracked.flows) {
+        ASSERT_EQ(a.rate(f.id), b.rate(f.id)) << "round " << round;
+        ASSERT_EQ(a.compress(f.id), b.compress(f.id)) << "round " << round;
+      }
+    }
+  }
+}
+
+TEST(IncrementalIdentity, ExpiryAloneMovesAnUnservedDeadlineCoflow) {
+  // An infeasible deadline coflow parked in band 3 behind a best-effort
+  // elephant is never served, so no event dirties it. Only DEADLINE-FVDF's
+  // horizon heap can move it to band 2 at expiry, where its small Γ ranks
+  // it ahead of the elephant. With and without a tracker alike.
+  for (const bool tracked : {true, false}) {
+    SCOPED_TRACE(tracked ? "tracked" : "tracker-less");
+    const fabric::Fabric fabric(2, common::mbps(100));
+    const cpu::ConstantCpu cpu(0.9);
+    std::vector<fabric::Flow> flows(2);
+    std::vector<fabric::Coflow> coflows(2);
+    for (fabric::FlowId i = 0; i < 2; ++i) {
+      flows[i].id = i;
+      flows[i].coflow = i;
+      flows[i].src = 0;
+      flows[i].dst = 1;
+      flows[i].original_bytes = i == 0 ? 1e9 : 1e6;
+      flows[i].raw_remaining = flows[i].original_bytes;
+      coflows[i].id = i;
+      coflows[i].flows = {i};
+    }
+    coflows[1].deadline = 0.02;  // Γ ≈ 0.08 s: infeasible from the start
+    sched::DirtyTracker tracker(2);
+    sched::SchedContext ctx;
+    ctx.fabric = &fabric;
+    ctx.cpu = &cpu;
+    ctx.flows = {&flows[0], &flows[1]};
+    ctx.coflows = {&coflows[0], &coflows[1]};
+    if (tracked) {
+      tracker.bind_flows(flows.data(), flows.size());
+      for (const fabric::Coflow& c : coflows) tracker.coflow_arrived(&c);
+      ctx.tracker = &tracker;
+    }
+    auto sched = sim::make_scheduler("DEADLINE-FVDF");
+    fabric::Allocation a = sched->schedule(ctx);
+    EXPECT_GT(a.rate(0), 0.0);
+    EXPECT_EQ(a.rate(1), 0.0);  // parked in band 3
+
+    flows[0].raw_remaining -= a.rate(0) * 0.5;
+    if (tracked) tracker.flow_progressed(0);
+    ctx.now = 0.5;
+    ctx.coflow_event = false;
+    a = sched->schedule(ctx);
+    EXPECT_GT(a.rate(1), 0.0);  // expired: band 2, shortest Γ first
+    EXPECT_EQ(a.rate(0), 0.0);
+  }
 }
 
 // ---- DirtyTracker unit tests ----

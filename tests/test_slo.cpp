@@ -4,12 +4,12 @@
 // The two identity contracts guarded here:
 //   1. Zero deadlines: DEADLINE-FVDF is bit-for-bit FVDF (every coflow lands
 //      in the best-effort band whose key is FVDF's exact sort key), across
-//      both engine modes and both scheduling paths.
-//   2. With deadlines: the incremental (dirty-set + horizon-heap) path is
-//      bit-for-bit the full recompute, and the event-driven engine is
-//      bit-for-bit the slice-stepped reference — including admission
-//      verdicts and mid-flight shedding, which are engine-level and priced
-//      at mode-independent instants.
+//      both engine modes and against the naive reference schedulers.
+//   2. With deadlines: the production scheduler (dirty set + horizon heap)
+//      is bit-for-bit the naive per-round recompute of reference_sched.hpp,
+//      and the event-driven engine is bit-for-bit the slice-stepped
+//      reference — including admission verdicts and mid-flight shedding,
+//      which are engine-level and priced at mode-independent instants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 
 #include "core/admission.hpp"
 #include "cpu/cpu_model.hpp"
+#include "reference_sched.hpp"
 #include "sim/experiment.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -50,10 +51,11 @@ sim::Metrics run_cfg(const workload::Trace& trace,
                      const fabric::Fabric& fabric,
                      const cpu::CpuProvider& cpu, const std::string& name,
                      sim::SimConfig config, sim::EngineMode mode,
-                     bool incremental) {
+                     bool reference = false) {
   config.engine_mode = mode;
-  config.incremental_sched = incremental;
-  auto sched = sim::make_scheduler(name);  // fresh: schedulers are stateful
+  // Fresh each run: schedulers are stateful.
+  auto sched = reference ? reference::make_reference(name)
+                         : sim::make_scheduler(name);
   return sim::run_simulation(trace, fabric, cpu, *sched, config);
 }
 
@@ -277,19 +279,19 @@ TEST(SloIdentity, ZeroDeadlinesMatchesFvdfBitForBit) {
     }
     const std::string label = degrade ? " degraded" : "";
     using sim::EngineMode;
-    for (const auto& [mode, inc, tag] :
-         {std::tuple{EngineMode::kEventDriven, true, "event+inc"},
-          std::tuple{EngineMode::kEventDriven, false, "event+full"},
+    for (const auto& [mode, ref, tag] :
+         {std::tuple{EngineMode::kEventDriven, false, "event"},
+          std::tuple{EngineMode::kEventDriven, true, "event+reference"},
           std::tuple{EngineMode::kSliceStepped, false, "slice"}}) {
       expect_identical(
-          run_cfg(trace, fabric, cpu, "FVDF", config, mode, inc),
-          run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config, mode, inc),
+          run_cfg(trace, fabric, cpu, "FVDF", config, mode, ref),
+          run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config, mode, ref),
           std::string(tag) + label);
     }
   }
 }
 
-TEST(SloIdentity, IncrementalAndModeParityWithDeadlines) {
+TEST(SloIdentity, ReferenceAndModeParityWithDeadlines) {
   // The hard one: deadlines + admission + shedding + degradation + quantize.
   // Crosses the horizon heap (feasibility flips over time), the admission
   // preemption points and the expiry caps against both oracles.
@@ -312,17 +314,17 @@ TEST(SloIdentity, IncrementalAndModeParityWithDeadlines) {
         const std::string label = "seed=" + std::to_string(seed) +
                                   " admit=" + (admit ? "1" : "0") +
                                   " degrade=" + (degrade ? "1" : "0");
-        const sim::Metrics inc =
+        const sim::Metrics prod =
+            run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
+                    sim::EngineMode::kEventDriven);
+        const sim::Metrics ref =
             run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
                     sim::EngineMode::kEventDriven, true);
-        const sim::Metrics full =
-            run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                    sim::EngineMode::kEventDriven, false);
         const sim::Metrics slice =
             run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                    sim::EngineMode::kSliceStepped, false);
-        expect_identical(inc, full, label + " inc-vs-full");
-        expect_identical(inc, slice, label + " event-vs-slice");
+                    sim::EngineMode::kSliceStepped);
+        expect_identical(prod, ref, label + " production-vs-reference");
+        expect_identical(prod, slice, label + " event-vs-slice");
       }
     }
   }
@@ -341,9 +343,9 @@ TEST(SloBehavior, AdmissionIsDeterministic) {
   config.admission.enabled = true;
   config.max_time = 72000.0;
   const auto a = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                         sim::EngineMode::kEventDriven, true);
+                         sim::EngineMode::kEventDriven);
   const auto b = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                         sim::EngineMode::kEventDriven, true);
+                         sim::EngineMode::kEventDriven);
   expect_identical(a, b, "replay");
   // Accounting invariants: every deadline arrival got exactly one verdict,
   // and the rejected flags in the records match the counters.
@@ -370,9 +372,9 @@ TEST(SloBehavior, MetFractionDoesNotDegradeAtLowLoadAndWinsUnderLoad) {
     const workload::Trace trace =
         deadline_trace(41, 30, 10, 0.7, interarrival);
     const auto fvdf = run_cfg(trace, fabric, cpu, "FVDF", config,
-                              sim::EngineMode::kEventDriven, true);
+                              sim::EngineMode::kEventDriven);
     const auto dfvdf = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                               sim::EngineMode::kEventDriven, true);
+                               sim::EngineMode::kEventDriven);
     EXPECT_GE(dfvdf.deadline_met_fraction(), fvdf.deadline_met_fraction())
         << "interarrival=" << interarrival;
   }
@@ -393,7 +395,7 @@ TEST(SloBehavior, MetFractionMonotoneVsLoad) {
     const workload::Trace trace =
         deadline_trace(43, 30, 10, 0.8, interarrival);
     const auto m = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                           sim::EngineMode::kEventDriven, true);
+                           sim::EngineMode::kEventDriven);
     fractions.push_back(m.deadline_met_fraction());
   }
   EXPECT_GE(fractions.front(), fractions.back());
@@ -424,7 +426,7 @@ TEST(SloBehavior, ShedExpiredDropsDoomedVolume) {
   config.admission.enabled = true;
   config.admission.reject_margin = 100.0;  // let it in, watch it expire
   const auto m = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                         sim::EngineMode::kEventDriven, true);
+                         sim::EngineMode::kEventDriven);
   EXPECT_EQ(m.slo.shed_midflight, 1u);
   EXPECT_GT(m.slo.shed_bytes, 0.0);
   ASSERT_EQ(m.coflows.size(), 1u);
@@ -469,10 +471,10 @@ TEST(SloBehavior, MetFractionUnderDegradationAtLeastFvdf) {
     config.degradation.seed = 19;
     config.degradation.failure_fraction = 0.25;
     const auto fvdf = run_cfg(trace, fabric, cpu, "FVDF", config,
-                              sim::EngineMode::kEventDriven, true);
+                              sim::EngineMode::kEventDriven);
     config.admission.enabled = true;
     const auto dfvdf = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                               sim::EngineMode::kEventDriven, true);
+                               sim::EngineMode::kEventDriven);
     EXPECT_GE(dfvdf.deadline_met_fraction(), fvdf.deadline_met_fraction())
         << "degradation rate=" << rate;
   }
@@ -493,7 +495,7 @@ TEST(SloBehavior, DegradationRecheckRecoversDeferred) {
   config.degradation.failure_fraction = 0.4;
   config.max_time = 72000.0;
   const auto m = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
-                         sim::EngineMode::kEventDriven, true);
+                         sim::EngineMode::kEventDriven);
   EXPECT_EQ(m.slo.with_deadline,
             m.slo.admitted + m.slo.degraded + m.slo.deferred + m.slo.rejected);
   std::size_t resolved = 0;

@@ -3,9 +3,12 @@
 // output is well-formed JSON with monotonically ordered timestamps, matched
 // B/E pairs per (pid, tid) track, and the scheduler-decision events the
 // observability layer promises (Γ_C estimates, β decisions, arrivals,
-// completions) for every scheduling round.
+// completions) for every coflow a round re-evaluates. Also checks that
+// tracing never changes the simulated outcome.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -123,34 +126,105 @@ TEST_F(TraceExport, DurationEventsFormMatchedPairs) {
   EXPECT_GT(pairs, 0);  // sim.schedule / fvdf.allocate scopes fired
 }
 
-TEST_F(TraceExport, SchedulerDecisionEventsCoverEveryRound) {
-  // Each scheduling round that saw live coflows must log Γ_C (gamma),
-  // priority, the effective key, and per-flow β decisions at that instant.
-  std::set<double> estimate_ts, beta_ts;
+TEST_F(TraceExport, SchedulerDecisionEventsCoverEveryReevaluation) {
+  // The scheduler logs Γ_C (gamma), priority, the rank key and per-flow β
+  // decisions for exactly the coflows a round re-evaluates. Every arrival
+  // is re-evaluated by the round that activates it, and every estimate
+  // belongs to some scheduling round.
+  std::vector<double> round_ts;
+  for (const obs::JsonValue* ev : events_named("schedule_round"))
+    round_ts.push_back(ev->find("ts")->number);
+  ASSERT_FALSE(round_ts.empty());
+  const std::set<double> rounds(round_ts.begin(), round_ts.end());
+
+  std::map<std::int64_t, std::set<double>> estimated;  // coflow -> ts
   for (const obs::JsonValue* ev : events_named("coflow_estimate")) {
     const obs::JsonValue* args = ev->find("args");
     ASSERT_NE(args, nullptr);
     EXPECT_NE(args->find("gamma"), nullptr);
     EXPECT_NE(args->find("priority"), nullptr);
     EXPECT_NE(args->find("key"), nullptr);
-    estimate_ts.insert(ev->find("ts")->number);
+    const double ts = ev->find("ts")->number;
+    EXPECT_TRUE(rounds.count(ts)) << "estimate outside a round at ts " << ts;
+    estimated[std::int64_t(args->find("coflow")->number)].insert(ts);
   }
+  std::size_t betas = 0;
   for (const obs::JsonValue* ev : events_named("beta_decision")) {
     EXPECT_NE(ev->find("args")->find("beta"), nullptr);
-    beta_ts.insert(ev->find("ts")->number);
+    EXPECT_TRUE(rounds.count(ev->find("ts")->number));
+    ++betas;
   }
-  EXPECT_FALSE(estimate_ts.empty());
-  EXPECT_FALSE(beta_ts.empty());
+  EXPECT_GT(betas, 0u);
 
-  int covered_rounds = 0;
-  for (const obs::JsonValue* ev : events_named("schedule_round")) {
-    if (ev->find("args")->find("coflows")->number < 1) continue;
-    const double ts = ev->find("ts")->number;
-    EXPECT_TRUE(estimate_ts.count(ts)) << "round at ts " << ts;
-    EXPECT_TRUE(beta_ts.count(ts)) << "round at ts " << ts;
-    ++covered_rounds;
+  // Trace coflow ids are the engine's dense indices in trace order; the
+  // activating round is the first one at or after the arrival instant.
+  for (std::size_t i = 0; i < trace_.coflows.size(); ++i) {
+    const double arrival = obs::sim_ts(trace_.coflows[i].arrival);
+    const auto it = std::lower_bound(round_ts.begin(), round_ts.end(),
+                                     arrival - 1e-3);
+    ASSERT_NE(it, round_ts.end()) << "coflow " << i;
+    EXPECT_TRUE(estimated[std::int64_t(i)].count(*it))
+        << "coflow " << i << " not estimated at its arrival round " << *it;
   }
-  EXPECT_GT(covered_rounds, 0);
+}
+
+TEST(TraceIdentity, TracingChangesNoMetrics) {
+  // Attaching a sink changes what is logged, never what is computed: every
+  // Metrics record of a traced run equals the untraced run's, bit for bit.
+  workload::GeneratorConfig gen;
+  gen.num_ports = 8;
+  gen.num_coflows = 24;
+  gen.mean_interarrival = 0.3;
+  gen.size_lo = 1e5;
+  gen.size_hi = 2e8;
+  gen.size_alpha = 0.2;
+  gen.width_hi = 4;
+  gen.seed = 13;
+  gen.deadline_fraction = 0.6;
+  gen.deadline_ref_bandwidth = common::mbps(150);
+  const workload::Trace trace = workload::generate_trace(gen);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
+  const cpu::ConstantCpu cpu(0.85);
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+  config.utilization_sample_period = 0.5;
+  config.max_time = 72000.0;
+  config.admission.enabled = true;
+  config.degradation.rate = 0.1;
+  config.degradation.seed = 5;
+  for (const std::string name :
+       {"FVDF", "FVDF-BLIND", "SEBF", "AALO", "DEADLINE-FVDF"}) {
+    SCOPED_TRACE(name);
+    obs::Tracer tracer;
+    sim::SimConfig traced = config;
+    traced.sink = &tracer;
+    const sim::Metrics a = sim::run_simulation(
+        trace, fabric, cpu, *sim::make_scheduler(name), config);
+    const sim::Metrics b = sim::run_simulation(
+        trace, fabric, cpu, *sim::make_scheduler(name), traced);
+    EXPECT_GT(tracer.size(), 0u);
+    ASSERT_EQ(a.flows.size(), b.flows.size());
+    for (std::size_t i = 0; i < a.flows.size(); ++i) {
+      EXPECT_EQ(a.flows[i].completion, b.flows[i].completion) << "flow " << i;
+      EXPECT_EQ(a.flows[i].wire_bytes, b.flows[i].wire_bytes) << "flow " << i;
+    }
+    ASSERT_EQ(a.coflows.size(), b.coflows.size());
+    for (std::size_t i = 0; i < a.coflows.size(); ++i) {
+      EXPECT_EQ(a.coflows[i].completion, b.coflows[i].completion) << i;
+      EXPECT_EQ(a.coflows[i].wire_bytes, b.coflows[i].wire_bytes) << i;
+      EXPECT_EQ(a.coflows[i].rejected, b.coflows[i].rejected) << i;
+    }
+    ASSERT_EQ(a.utilization.size(), b.utilization.size());
+    for (std::size_t i = 0; i < a.utilization.size(); ++i)
+      EXPECT_EQ(a.utilization[i].egress_utilization,
+                b.utilization[i].egress_utilization)
+          << "sample " << i;
+    EXPECT_EQ(a.degradation.compression_flips,
+              b.degradation.compression_flips);
+    EXPECT_EQ(a.slo.admitted, b.slo.admitted);
+    EXPECT_EQ(a.slo.shed_midflight, b.slo.shed_midflight);
+    EXPECT_EQ(a.slo.shed_bytes, b.slo.shed_bytes);
+  }
 }
 
 TEST_F(TraceExport, LifecycleEventsMatchSimulationOutcome) {
