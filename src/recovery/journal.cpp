@@ -1,8 +1,10 @@
 #include "recovery/journal.hpp"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "codec/frame.hpp"
 
@@ -11,21 +13,11 @@ namespace swallow::recovery {
 namespace {
 
 constexpr std::size_t kFrameHeader = 4 + 8;  // u32 len + u64 checksum
-// A record payload is seq,type,time,a,b,x — 41 bytes today. Anything
-// wildly larger is corruption, not a future format; cap it so a flipped
-// length byte cannot drive a giant allocation.
+constexpr std::size_t kPayload = 8 + 1 + 8 + 8 + 8 + 8;  // seq,type,time,a,b,x
+// A record payload is kPayload bytes today. Anything wildly larger is
+// corruption, not a future format; cap it so a flipped length byte cannot
+// drive a giant allocation.
 constexpr std::uint32_t kMaxPayload = 4096;
-
-}  // namespace
-
-void encode_record(StateWriter& w, const JournalRecord& rec) {
-  w.u64(rec.seq);
-  w.u8(static_cast<std::uint8_t>(rec.type));
-  w.f64(rec.time);
-  w.u64(rec.a);
-  w.u64(rec.b);
-  w.f64(rec.x);
-}
 
 JournalRecord decode_record(StateReader& r) {
   JournalRecord rec;
@@ -43,6 +35,8 @@ JournalRecord decode_record(StateReader& r) {
   return rec;
 }
 
+}  // namespace
+
 const char* journal_type_name(JournalType type) {
   switch (type) {
     case JournalType::kArrival: return "arrival";
@@ -56,7 +50,7 @@ const char* journal_type_name(JournalType type) {
   return "unknown";
 }
 
-JournalWriter::~JournalWriter() { close(); }
+JournalWriter::~JournalWriter() { abandon(); }
 
 void JournalWriter::open(const std::string& path) {
   close();
@@ -69,24 +63,32 @@ void JournalWriter::open(const std::string& path) {
 
 void JournalWriter::append(const JournalRecord& rec) {
   if (!file_) throw RecoveryError("journal: append on closed writer");
-  StateWriter payload;
-  encode_record(payload, rec);
-  StateWriter framed;
-  framed.u32(static_cast<std::uint32_t>(payload.size()));
-  framed.u64(codec::checksum64(payload.buffer()));
-  framed.bytes(payload.buffer());
-  const auto& buf = framed.buffer();
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size() ||
+  std::uint8_t frame[kFrameHeader + kPayload];
+  std::uint8_t* const payload = frame + kFrameHeader;
+  store_le(payload, rec.seq);
+  payload[8] = static_cast<std::uint8_t>(rec.type);
+  store_le(payload + 9, std::bit_cast<std::uint64_t>(rec.time));
+  store_le(payload + 17, rec.a);
+  store_le(payload + 25, rec.b);
+  store_le(payload + 33, std::bit_cast<std::uint64_t>(rec.x));
+  store_le(frame, static_cast<std::uint32_t>(kPayload));
+  store_le(frame + 4, codec::checksum64({payload, kPayload}));
+  if (std::fwrite(frame, 1, sizeof frame, file_) != sizeof frame ||
       std::fflush(file_) != 0)
     throw RecoveryError("journal: write to '" + path_ +
                         "' failed: " + std::strerror(errno));
 }
 
 void JournalWriter::close() {
-  if (file_) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  if (!file_) return;
+  std::FILE* f = std::exchange(file_, nullptr);
+  if (std::fclose(f) != 0)
+    throw RecoveryError("journal: closing '" + path_ +
+                        "' failed: " + std::strerror(errno));
+}
+
+void JournalWriter::abandon() {
+  if (file_) std::fclose(std::exchange(file_, nullptr));
 }
 
 JournalScan read_journal(const std::string& path) {

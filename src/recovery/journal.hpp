@@ -12,9 +12,12 @@
 // (crash between append and apply) is harmless: the regenerated stream
 // reproduces it exactly.
 //
-// On-disk layout, per record:
-//   u32le payload_len | u64le checksum64(payload) | payload bytes
-// A reader stops cleanly at the first truncated or checksum-failing
+// On-disk layout, per record (53 bytes today; tools/count_journal.py and
+// existing journals depend on it):
+//   u32le payload_len (41) | u64le checksum64(payload) |
+//   payload: u64le seq | u8 type | f64le time | u64le a | u64le b | f64le x
+// The writer builds each frame in a stack array, so an append allocates
+// nothing. A reader stops cleanly at the first truncated or checksum-failing
 // record (torn tail from a crash mid-append); corruption strictly before
 // the tail still throws, because a torn *middle* cannot be produced by a
 // crash and indicates real damage.
@@ -68,7 +71,12 @@ class JournalWriter {
   /// Appends one record and flushes. Throws RecoveryError on I/O failure.
   void append(const JournalRecord& rec);
 
+  /// Closes the file; throws RecoveryError if the close reports a write
+  /// error. No-op when not open.
   void close();
+  /// Closes without checking, for paths that are already failing (an
+  /// injected crash, the destructor).
+  void abandon();
 
  private:
   std::FILE* file_ = nullptr;
@@ -92,11 +100,6 @@ JournalScan read_journal(const std::string& path);
 /// No-op when the file is already clean. Throws RecoveryError on I/O
 /// failure.
 void truncate_torn_tail(const std::string& path, const JournalScan& scan);
-
-/// Serializes one record into `w` / parses one from `r` (payload bytes
-/// only; framing is the writer/reader's job). Exposed for tests.
-void encode_record(StateWriter& w, const JournalRecord& rec);
-JournalRecord decode_record(StateReader& r);
 
 const char* journal_type_name(JournalType type);
 

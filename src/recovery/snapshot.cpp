@@ -6,7 +6,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "codec/codec.hpp"
 #include "codec/frame.hpp"
 
 namespace swallow::recovery {
@@ -17,6 +16,8 @@ namespace {
 
 constexpr std::uint8_t kMagic[4] = {'S', 'W', 'S', 'N'};
 constexpr std::size_t kHeaderSize = 4 + 8 + 4 + 8;  // magic|seq|version|fpr
+constexpr std::size_t kVersionOffset = 4 + 8;
+constexpr std::size_t kChecksumSize = 8;
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -30,6 +31,28 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
     data.insert(data.end(), chunk, chunk + n);
   std::fclose(f);
   return data;
+}
+
+bool is_snapshot_name(const std::string& name) {
+  return name.starts_with("snap-") && name.ends_with(".swsnap");
+}
+
+/// Deletes every published snapshot older than the newest one that
+/// precedes `published`, leaving `published` and one fallback. A failed
+/// delete only leaves an extra file behind, so errors are ignored.
+void prune_older(const fs::path& dir, const std::string& published) {
+  std::error_code ec;
+  std::vector<std::string> older;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    // Names embed a zero-padded seq, so name order is seq order.
+    std::string name = entry.path().filename().string();
+    if (is_snapshot_name(name) && name < published)
+      older.push_back(std::move(name));
+  }
+  if (older.size() < 2) return;
+  std::sort(older.begin(), older.end());
+  older.pop_back();  // the fallback
+  for (const std::string& name : older) fs::remove(dir / name, ec);
 }
 
 }  // namespace
@@ -62,8 +85,15 @@ std::string snapshot_path(const std::string& dir, std::uint64_t seq) {
   return (fs::path(dir) / name).string();
 }
 
-void write_snapshot(const std::string& dir, const SnapshotMeta& meta,
-                    std::span<const std::uint8_t> payload,
+void begin_snapshot(StateWriter& image, const SnapshotMeta& meta) {
+  image.clear();
+  image.bytes(kMagic);
+  image.u64(meta.seq);
+  image.u32(meta.version);
+  image.u64(meta.fingerprint);
+}
+
+void write_snapshot(const std::string& dir, StateWriter& image,
                     SnapshotCrashHook* crash_hook) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -71,29 +101,29 @@ void write_snapshot(const std::string& dir, const SnapshotMeta& meta,
     throw RecoveryError("snapshot: cannot create directory '" + dir +
                         "': " + ec.message());
 
-  StateWriter out;
-  out.bytes(std::span<const std::uint8_t>(kMagic, 4));
-  out.u64(meta.seq);
-  out.u32(meta.version);
-  out.u64(meta.fingerprint);
-  // LZ framing keeps large engine states small on disk; the frame's
-  // per-block checksums are the corruption guard.
-  auto codec = codec::make_codec(codec::CodecKind::kLzFast);
-  out.bytes(codec::frame_compress(*codec, payload));
+  const std::uint64_t seq = [&] {
+    StateReader header(image.buffer());
+    header.u32();  // magic
+    return header.u64();
+  }();
+  image.u64(codec::checksum64(image.buffer()));
 
-  const std::string final_path = snapshot_path(dir, meta.seq);
+  const std::string final_path = snapshot_path(dir, seq);
   const std::string tmp_path = final_path + ".tmp";
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (!f)
     throw RecoveryError("snapshot: cannot create '" + tmp_path +
                         "': " + std::strerror(errno));
-  const auto& buf = out.buffer();
-  const bool wrote = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (!wrote || !flushed)
-    throw RecoveryError("snapshot: short write to '" + tmp_path +
-                        "': " + std::strerror(errno));
+  const auto bytes = image.buffer();
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  // fclose flushes the stdio buffer, and some filesystems report a failed
+  // write (EIO, ENOSPC, EDQUOT) only at close: such a file is short and
+  // must never be published.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed)
+    throw RecoveryError("snapshot: write to '" + tmp_path +
+                        "' failed: " + std::strerror(errno));
 
   if (crash_hook) crash_hook->on_tmp_written(tmp_path);
 
@@ -101,6 +131,7 @@ void write_snapshot(const std::string& dir, const SnapshotMeta& meta,
   if (ec)
     throw RecoveryError("snapshot: cannot publish '" + final_path +
                         "': " + ec.message());
+  prune_older(dir, fs::path(final_path).filename().string());
 }
 
 LoadedSnapshot read_snapshot(const std::string& path,
@@ -123,24 +154,27 @@ LoadedSnapshot read_snapshot(const std::string& path,
                             std::to_string(snap.meta.version) +
                             ", this build reads version " +
                             std::to_string(kSnapshotVersion),
-                        4 + 8);
+                        kVersionOffset);
   if (expected_fingerprint != 0 &&
       snap.meta.fingerprint != expected_fingerprint)
     throw RecoveryError(
         "snapshot: '" + path +
             "' was taken under a different configuration/trace "
             "(fingerprint mismatch)",
-        4 + 8 + 4);
+        kVersionOffset + 4);
+  if (data.size() < kHeaderSize + kChecksumSize)
+    throw RecoveryError("snapshot: '" + path + "' truncated before checksum",
+                        data.size());
 
-  std::span<const std::uint8_t> frame(data.data() + r.offset(),
-                                      data.size() - r.offset());
-  try {
-    snap.payload = codec::frame_decompress(frame);
-  } catch (const codec::CodecError& e) {
+  const std::span<const std::uint8_t> bytes(data);
+  const std::size_t body = data.size() - kChecksumSize;
+  if (StateReader(bytes.subspan(body)).u64() !=
+      codec::checksum64(bytes.first(body)))
     throw RecoveryError("snapshot: '" + path +
-                            "' payload frame is corrupt: " + e.what(),
-                        r.offset());
-  }
+                            "' fails its checksum (torn, truncated or "
+                            "corrupted)",
+                        body);
+  snap.payload.assign(data.begin() + kHeaderSize, data.begin() + body);
   return snap;
 }
 
@@ -152,8 +186,7 @@ std::optional<LoadedSnapshot> load_latest_snapshot(
   std::vector<std::string> candidates;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("snap-") && name.ends_with(".swsnap"))
+    if (is_snapshot_name(entry.path().filename().string()))
       candidates.push_back(entry.path().string());
   }
   // Names embed zero-padded seq, so lexicographic descending = newest

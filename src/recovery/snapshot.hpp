@@ -1,22 +1,27 @@
 // Versioned, checksummed snapshot files.
 //
-// A snapshot wraps an opaque state payload (produced by the engine's or
-// the runtime master's save_state) in the codec frame container, which
-// gives per-block checksum64 (XXH64) guards and transparent compression
-// for free:
+// A snapshot stores an opaque state payload (produced by the engine's or
+// the runtime master's save_state) raw, behind a fixed header and ahead of
+// one XXH64 trailer:
 //
-//   'S''W''S''N' | u32le version | u64le config_fingerprint |
-//   codec::frame(payload)
+//   'S''W''S''N' | u64le seq | u32le version | u64le config_fingerprint |
+//   payload | u64le checksum64(every preceding byte)
+//
+// The payload is not compressed. Eq. 3's test (compress only when
+// R·(1−ξ) > B) fails for a checkpoint: the LZ codec shrinks engine state at
+// a rate well below what a page-cache write absorbs, so compressing only
+// moved CPU time onto every checkpoint (DESIGN.md section 13).
 //
 // The config fingerprint hashes everything that must match between the
 // saving and restoring run (trace, scheduler, SimConfig knobs); restoring
 // against a different configuration is a semantic error, caught up front
 // instead of as silent divergence. Writes are atomic (tmp file + rename),
-// so a crash mid-snapshot leaves either no file or a complete one — and a
-// directory of `snap-<seq>.swsnap` files is scanned newest-first, skipping
-// invalid entries, so a torn or corrupted newest snapshot falls back to
-// the previous (or to a cold start, which determinism makes equally
-// correct, merely slower).
+// so a crash mid-snapshot leaves either no file or a complete one. After a
+// publish, snapshots older than the previous one are deleted: a directory
+// keeps the newest `snap-<seq>.swsnap` and one fallback, which the loader
+// scans newest-first, skipping invalid entries, so a torn or corrupted
+// newest snapshot falls back to the previous (or to a cold start, which
+// determinism makes equally correct, merely slower).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +33,10 @@
 
 namespace swallow::recovery {
 
-// Version 2: frame blocks are guarded by XXH64 instead of FNV-1a, so a
-// version-1 file is refused here instead of failing its block checksums.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// Version 3: raw payload under one whole-file XXH64. Version 1 (LZ frame,
+// FNV-1a blocks) and version 2 (LZ frame, XXH64 blocks) files are refused
+// at the version field, before their fingerprint or body is looked at.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;          // checkpoint sequence number
@@ -45,17 +51,25 @@ struct SnapshotCrashHook {
   virtual void on_tmp_written(const std::string& tmp_path) = 0;
 };
 
-/// Writes `payload` as snapshot file `dir/snap-<seq>.swsnap` atomically.
-/// Throws RecoveryError on I/O failure. `crash_hook`, when set, fires
-/// after the tmp file hits disk but before the rename (so a hook that
-/// throws models a crash mid-snapshot: the tmp file is left behind, the
-/// published name never appears).
-void write_snapshot(const std::string& dir, const SnapshotMeta& meta,
-                    std::span<const std::uint8_t> payload,
+/// Starts a snapshot image: clears `image` and writes the header for
+/// `meta`. What the caller serializes into `image` next is the payload,
+/// in place, so a checkpoint copies its state exactly once.
+void begin_snapshot(StateWriter& image, const SnapshotMeta& meta);
+
+/// Appends the checksum to an image begun by begin_snapshot and publishes
+/// it as `dir/snap-<seq>.swsnap` atomically, then deletes the published
+/// snapshots older than the previous one. Throws RecoveryError on I/O
+/// failure, including a failed close, before anything is renamed.
+/// `crash_hook`, when set, fires after the tmp file hits disk but before
+/// the rename (so a hook that throws models a crash mid-snapshot: the tmp
+/// file is left behind, the published name never appears).
+void write_snapshot(const std::string& dir, StateWriter& image,
                     SnapshotCrashHook* crash_hook = nullptr);
 
-/// Parses one snapshot file; throws RecoveryError (with offset where
-/// meaningful) on truncation, corruption, or version/fingerprint skew.
+/// Parses one snapshot file. Checks the magic, the version (offset 12),
+/// the fingerprint, then the checksum, which also catches truncation,
+/// trailing bytes and a flipped `seq`; throws RecoveryError (with offset
+/// where meaningful) on the first failure.
 /// `expected_fingerprint` of 0 skips the fingerprint check.
 struct LoadedSnapshot {
   SnapshotMeta meta;

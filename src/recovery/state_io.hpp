@@ -4,14 +4,19 @@
 // byte stream. Doubles travel as their IEEE-754 bit patterns (bit_cast to
 // u64), so every simulated-time instant, byte pool and rate restores to
 // the exact value it was saved from — the foundation of the kill-anywhere
-// byte-identity contract (DESIGN.md section 13). The reader is fully
-// bounds-checked: any truncated, oversized or type-skewed input surfaces
-// as a typed RecoveryError carrying the byte offset, never as UB (the
-// loader fuzz tests in test_recovery run this under ASan/UBSan).
+// byte-identity contract (DESIGN.md section 13). The writer stores through
+// a cursor into a buffer that only grows, and clear() rewinds it, so a
+// writer reused across checkpoints stops allocating once it has held the
+// largest state. The reader is fully bounds-checked: any truncated,
+// oversized or type-skewed input surfaces as a typed RecoveryError
+// carrying the byte offset, never as UB (the loader fuzz tests in
+// test_recovery run this under ASan/UBSan).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -42,32 +47,54 @@ class RecoveryError : public std::runtime_error {
   std::uint64_t offset_;
 };
 
+/// Stores `v` little-endian at `at`. On a little-endian host this is one
+/// memcpy, which compilers turn into a single store; byte-at-a-time stores
+/// through a `uint8_t*` may alias anything, so each forces reloads.
+template <class T>
+void store_le(std::uint8_t* at, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i)
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 /// Appends little-endian primitives to a growing byte buffer.
 class StateWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-  }
+  void u8(std::uint8_t v) { *claim(1) = v; }
+  void u32(std::uint32_t v) { store_le(claim(4), v); }
+  void u64(std::uint64_t v) { store_le(claim(8), v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
   void bytes(std::span<const std::uint8_t> data) {
-    out_.insert(out_.end(), data.begin(), data.end());
+    if (!data.empty())
+      std::memcpy(claim(data.size()), data.data(), data.size());
   }
 
-  const std::vector<std::uint8_t>& buffer() const { return out_; }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  /// Rewinds to empty, keeping the buffer for the next round of writes.
+  void clear() { size_ = 0; }
+
+  std::span<const std::uint8_t> buffer() const { return {buf_.data(), size_}; }
+  std::size_t size() const { return size_; }
 
  private:
-  std::vector<std::uint8_t> out_;
+  /// Advances the cursor by `n` bytes and returns where they go.
+  std::uint8_t* claim(std::size_t n) {
+    if (buf_.size() - size_ < n)
+      buf_.resize(std::max({std::size_t{256}, 2 * buf_.size(), size_ + n}));
+    std::uint8_t* at = buf_.data() + size_;
+    size_ += n;
+    return at;
+  }
+
+  std::vector<std::uint8_t> buf_;  // capacity; bytes past size_ are stale
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked reader over a byte span; throws RecoveryError (with the

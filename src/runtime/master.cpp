@@ -328,12 +328,13 @@ std::uint64_t Master::config_fingerprint() const {
 }
 
 void Master::checkpoint(const std::string& dir, std::uint64_t seq) const {
-  recovery::StateWriter w;
-  save_state(w);
   recovery::SnapshotMeta meta;
   meta.seq = seq;
   meta.fingerprint = config_fingerprint();
-  recovery::write_snapshot(dir, meta, w.buffer());
+  recovery::StateWriter image;
+  recovery::begin_snapshot(image, meta);
+  save_state(image);
+  recovery::write_snapshot(dir, image);
   if (sink_ != nullptr)
     sink_->registry().counter("recovery.master_snapshots").add(1);
 }

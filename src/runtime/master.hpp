@@ -89,7 +89,7 @@ class Master {
   void restore_state(recovery::StateReader& r);
 
   /// Publishes a checksummed `snap-<seq>.swsnap` of save_state() in `dir`
-  /// (atomic tmp+rename, LZ-framed; see recovery/snapshot.hpp).
+  /// (atomic tmp+rename, newest two kept; see recovery/snapshot.hpp).
   void checkpoint(const std::string& dir, std::uint64_t seq) const;
   /// Loads the newest usable snapshot in `dir` (fingerprint-checked
   /// against this master's configuration) into this master. Returns false

@@ -744,6 +744,8 @@ class Engine {
   // ---- Recovery state (process-local, never serialized). ----
   recovery::JournalWriter journal_;
   std::string journal_path_;
+  /// Snapshot file image, reused by every checkpoint of the run.
+  recovery::StateWriter snap_image_;
   /// Journal suffix a restored run verifies its regenerated events against.
   std::deque<recovery::JournalRecord> verify_;
   std::uint64_t journal_seq_ = 0;
@@ -904,7 +906,7 @@ void Engine::journal_event(recovery::JournalType type, common::Seconds time,
 }
 
 void Engine::do_crash(const std::string& where) {
-  journal_.close();
+  journal_.abandon();
   if (crash_ != nullptr && crash_->torn_tail_bytes > 0 && journal_on_) {
     // Model an append that only partially reached the disk.
     namespace fs = std::filesystem;
@@ -924,8 +926,11 @@ void Engine::checkpoint(common::Seconds t) {
   // snapshot file exists, so a crash mid-snapshot leaves a journal the
   // previous snapshot's replay can still verify end-to-end.
   journal_event(recovery::JournalType::kCheckpoint, t, round);
-  recovery::StateWriter w;
-  save_state(w);
+  recovery::SnapshotMeta meta;
+  meta.seq = round;
+  meta.fingerprint = fingerprint_;
+  recovery::begin_snapshot(snap_image_, meta);
+  save_state(snap_image_);
   ++snap_attempts_;
   struct CrashingHook : recovery::SnapshotCrashHook {
     Engine* engine = nullptr;
@@ -937,13 +942,11 @@ void Engine::checkpoint(common::Seconds t) {
   hook.engine = this;
   const bool crash_here = crash_ != nullptr && crash_->kill_mid_snapshot > 0 &&
                           snap_attempts_ == crash_->kill_mid_snapshot;
-  recovery::SnapshotMeta meta;
-  meta.seq = round;
-  meta.fingerprint = fingerprint_;
-  recovery::write_snapshot(config.recovery.dir, meta, w.buffer(),
+  recovery::write_snapshot(config.recovery.dir, snap_image_,
                            crash_here ? &hook : nullptr);
   if (sink != nullptr) [[unlikely]]
-    ColdEmit::snapshot_written(sink, t, round, std::int64_t(w.size()));
+    ColdEmit::snapshot_written(sink, t, round,
+                               std::int64_t(snap_image_.size()));
 }
 
 void Engine::save_state(recovery::StateWriter& w) const {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -465,7 +466,7 @@ TEST(MasterRecovery, RestoreStateRejectsMalformedBytes) {
   original.alloc(original.scheduling({ref}));
   recovery::StateWriter w;
   original.save_state(w);
-  const std::vector<std::uint8_t>& bytes = w.buffer();
+  const std::span<const std::uint8_t> bytes = w.buffer();
   for (std::size_t len = 0; len < bytes.size(); len += 5) {
     const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
     Master victim = make_master(config);

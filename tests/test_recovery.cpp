@@ -11,6 +11,7 @@
 // ASan/UBSan/TSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -19,8 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "codec/codec.hpp"
 #include "codec/codec_model.hpp"
+#include "codec/frame.hpp"
 #include "cpu/cpu_model.hpp"
+#include "obs/trace.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/recovery.hpp"
 #include "recovery/snapshot.hpp"
@@ -172,6 +176,18 @@ sim::Metrics kill_and_recover(const workload::Trace& trace,
   config.recovery.crash = nullptr;
   config.recovery.restore = true;
   return run_once(trace, fabric, cpu, name, config);
+}
+
+std::vector<std::uint8_t> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -407,21 +423,94 @@ TEST(RecoveryCrash, PersistenceDoesNotPerturbTheSimulation) {
   EXPECT_TRUE(std::filesystem::exists(dir.journal()));
 }
 
+/// Rounds of the checkpoints a journal records, in order.
+std::vector<std::uint64_t> checkpoint_rounds(const std::string& journal) {
+  std::vector<std::uint64_t> rounds;
+  for (const recovery::JournalRecord& rec :
+       recovery::read_journal(journal).records)
+    if (rec.type == recovery::JournalType::kCheckpoint) rounds.push_back(rec.a);
+  return rounds;
+}
+
+std::vector<std::string> snapshot_files(const TempDir& dir) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path))
+    if (entry.path().extension() == ".swsnap")
+      files.push_back(entry.path().string());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(RecoveryCrash, KeepsNewestTwoAndFallsBackPastACorruptNewest) {
+  const workload::Trace trace = make_trace(97, 16, 6);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
+  const cpu::ConstantCpu cpu(0.85);
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+  const sim::Metrics clean = run_once(trace, fabric, cpu, "FVDF", config);
+  const std::uint64_t events =
+      count_events(trace, fabric, cpu, "FVDF", config);
+
+  // An uninterrupted journaled run leaves exactly its two newest snapshots.
+  {
+    TempDir dir;
+    config.recovery.dir = dir.str();
+    config.recovery.checkpoint_every = 4;
+    run_once(trace, fabric, cpu, "FVDF", config);
+    const std::vector<std::uint64_t> rounds = checkpoint_rounds(dir.journal());
+    ASSERT_GE(rounds.size(), 3u) << "too few checkpoints to prune any";
+    EXPECT_EQ(snapshot_files(dir),
+              (std::vector<std::string>{
+                  recovery::snapshot_path(dir.str(), rounds.end()[-2]),
+                  recovery::snapshot_path(dir.str(), rounds.back())}));
+  }
+
+  // Crash late, corrupt one payload byte of the newest snapshot, restore.
+  TempDir dir;
+  config.recovery.dir = dir.str();
+  config.recovery.checkpoint_every = 4;
+  recovery::CrashPlan plan;
+  plan.kill_at_event = events;
+  config.recovery.crash = &plan;
+  ASSERT_FALSE(try_run(trace, fabric, cpu, "FVDF", config).has_value());
+  const std::vector<std::uint64_t> rounds = checkpoint_rounds(dir.journal());
+  ASSERT_GE(rounds.size(), 3u);
+  const std::string newest =
+      recovery::snapshot_path(dir.str(), rounds.back());
+  const std::uint64_t older = rounds.end()[-2];
+  ASSERT_EQ(snapshot_files(dir),
+            (std::vector<std::string>{
+                recovery::snapshot_path(dir.str(), older), newest}));
+  std::vector<std::uint8_t> bytes = slurp(newest);
+  bytes[24 + (bytes.size() - 32) / 2] ^= 0x10;
+  spit(newest, bytes);
+
+  // The restore must load the older snapshot and then verify every journal
+  // record written after that snapshot's checkpoint marker.
+  const recovery::JournalScan journal = recovery::read_journal(dir.journal());
+  std::uint64_t suffix = 0;
+  for (const recovery::JournalRecord& rec : journal.records)
+    if (rec.type == recovery::JournalType::kCheckpoint && rec.a == older)
+      suffix = journal.records.size() - (rec.seq + 1);
+  ASSERT_GT(suffix, 0u);
+  obs::Tracer tracer;
+  config.recovery.crash = nullptr;
+  config.recovery.restore = true;
+  config.sink = &tracer;
+  const sim::Metrics recovered = run_once(trace, fabric, cpu, "FVDF", config);
+  std::vector<std::string> restores;
+  for (const obs::TraceEvent& ev : tracer.events())
+    if (ev.name == "restore") restores.push_back(ev.args);
+  EXPECT_EQ(restores, (std::vector<std::string>{
+                          "{\"seq\":" + std::to_string(older) +
+                          ",\"journal_suffix\":" + std::to_string(suffix) +
+                          "}"}));
+  expect_identical(recovered, clean, "restore past a corrupt newest snapshot");
+}
+
 // ---------------------------------------------------------------------------
 // Loader hardening: corrupted inputs are typed errors, never UB
 // ---------------------------------------------------------------------------
-
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
-}
-
-void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
 
 TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
   TempDir dir;
@@ -430,16 +519,19 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
   recovery::SnapshotMeta meta;
   meta.seq = 7;
   meta.fingerprint = 0x1234abcd;
-  recovery::write_snapshot(dir.str(), meta, payload.buffer());
+  recovery::StateWriter image;
+  recovery::begin_snapshot(image, meta);
+  image.bytes(payload.buffer());
+  recovery::write_snapshot(dir.str(), image);
   const std::string path = recovery::snapshot_path(dir.str(), 7);
   const std::vector<std::uint8_t> valid = slurp(path);
-  ASSERT_GT(valid.size(), 32u);
+  ASSERT_EQ(valid.size(), 24 + payload.size() + 8);
 
   // Sanity: the untouched file parses and checks its fingerprint.
   const recovery::LoadedSnapshot back =
       recovery::read_snapshot(path, meta.fingerprint);
   EXPECT_EQ(back.meta.seq, 7u);
-  EXPECT_EQ(back.payload, payload.buffer());
+  EXPECT_TRUE(std::ranges::equal(back.payload, payload.buffer()));
   EXPECT_THROW(recovery::read_snapshot(path, meta.fingerprint + 1),
                recovery::RecoveryError);
 
@@ -451,17 +543,22 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
         << "truncated to " << len;
   }
 
-  // Bit flips either fail typed or (if they miss every checksummed bit in
-  // a colliding way) parse — anything else, including UB under the
-  // sanitizers, is a failure.
-  for (std::size_t off = 0; off < valid.size(); off += 5) {
-    std::vector<std::uint8_t> flipped = valid;
-    flipped[off] ^= std::uint8_t(1u << (off % 8));
-    spit(mangled, flipped);
-    try {
-      (void)recovery::read_snapshot(mangled, meta.fingerprint);
-    } catch (const recovery::RecoveryError&) {
-      // expected shape
+  // So must trailing bytes.
+  std::vector<std::uint8_t> longer = valid;
+  longer.push_back(0);
+  spit(mangled, longer);
+  EXPECT_THROW(recovery::read_snapshot(mangled), recovery::RecoveryError);
+
+  // Every single-bit flip anywhere in the file, header and checksum
+  // included, must fail typed, even with the fingerprint check off: the
+  // whole-file checksum covers `seq` and the fingerprint too.
+  for (std::size_t off = 0; off < valid.size(); ++off) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> flipped = valid;
+      flipped[off] ^= std::uint8_t(1u << bit);
+      spit(mangled, flipped);
+      EXPECT_THROW(recovery::read_snapshot(mangled), recovery::RecoveryError)
+          << "bit " << bit << " of byte " << off;
     }
   }
 
@@ -478,12 +575,29 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
   }
 
   // A version-1 file (FNV-1a block checksums) is refused at its version
-  // field, before any block checksum is compared.
+  // field, before any checksum is compared.
   skewed[12] = 1;
   spit(mangled, skewed);
   try {
     (void)recovery::read_snapshot(mangled);
     FAIL() << "version-1 snapshot accepted";
+  } catch (const recovery::RecoveryError& e) {
+    EXPECT_EQ(e.offset(), 12u);
+  }
+
+  // So is a version-2 file: the same header over an LZ frame of the
+  // payload, with no whole-file checksum.
+  recovery::StateWriter v2;
+  v2.bytes(std::span(valid).first(12));  // magic, seq
+  v2.u32(2);
+  v2.u64(meta.fingerprint);
+  const auto lz = codec::make_codec(codec::CodecKind::kLzFast);
+  v2.bytes(codec::frame_compress(*lz, payload.buffer()));
+  const std::span<const std::uint8_t> v2_bytes = v2.buffer();
+  spit(mangled, {v2_bytes.begin(), v2_bytes.end()});
+  try {
+    (void)recovery::read_snapshot(mangled, meta.fingerprint);
+    FAIL() << "version-2 snapshot accepted";
   } catch (const recovery::RecoveryError& e) {
     EXPECT_EQ(e.offset(), 12u);
   }
@@ -540,11 +654,41 @@ TEST(RecoveryFuzz, JournalLoaderSurvivesTruncationAndBitFlips) {
   }
 }
 
+TEST(RecoveryJournal, RecordBytesArePinned) {
+  // The on-disk record format that existing journals and
+  // tools/count_journal.py rely on, pinned byte for byte.
+  recovery::JournalRecord rec;
+  rec.seq = 0x0102030405060708ull;
+  rec.type = recovery::JournalType::kAdmissionVerdict;
+  rec.time = 1.5;
+  rec.a = 42;
+  rec.b = 3;
+  rec.x = -0.25;
+  TempDir dir;
+  recovery::JournalWriter w;
+  w.open(dir.journal());
+  w.append(rec);
+  w.close();
+  const std::vector<std::uint8_t> golden = {
+      0x29, 0x00, 0x00, 0x00,                          // u32le 41
+      0x87, 0x6b, 0x65, 0x6a, 0xe5, 0xee, 0x55, 0xbc,  // XXH64 of payload
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq
+      0x05,                                            // kAdmissionVerdict
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // time 1.5
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // a 42
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // b 3
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0xbf,  // x -0.25
+  };
+  EXPECT_EQ(slurp(dir.journal()), golden);
+  const recovery::JournalScan scan = recovery::read_journal(dir.journal());
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0], rec);
+}
+
 TEST(RecoveryFuzz, StateReaderRejectsImplausibleCounts) {
   recovery::StateWriter w;
   w.u64(~std::uint64_t{0});  // count far beyond the remaining bytes
-  const std::vector<std::uint8_t> bytes = w.buffer();
-  recovery::StateReader r(bytes);
+  recovery::StateReader r(w.buffer());
   try {
     (void)r.count("fuzz");
     FAIL() << "implausible count accepted";
