@@ -122,17 +122,19 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
   // (arrival, id). Compressing flows use the CPU this round (rate 0, ports
   // left to others); their beta switches install in one bulk copy.
   // Transmitting flows get the rate that finishes them inside Γ_C, capped
-  // by residual headroom; later coflows see what is left. The walks stop at
+  // by residual headroom; later coflows see what is left. The walk stops at
   // port exhaustion: once every ingress (or every egress) port is drained
   // all remaining grants are exactly zero — the rate an unset flow reports.
   fabric::Allocation alloc;
   alloc.reserve(flows_.flow_count());
   alloc.set_compress_all(beta_);
   fabric::PortHeadroom headroom(*ctx.fabric);
+  walked_.clear();
   xmit_index_.for_each_while([&](fabric::CoflowId id) {
     const CachedCoflow& cc = cache_[id];
     for (const Lane& l : cc.lanes) {
       if (l.beta) continue;
+      walked_.push_back(&l);
       const common::Bps r =
           std::min(l.want, headroom.available(l.src, l.dst));
       if (r > 0) {
@@ -142,22 +144,22 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
     }
     return !headroom.exhausted();
   });
-  if (options_.backfill && !headroom.exhausted()) {
-    // Work conservation: top transmitting flows up in coflow order.
-    xmit_index_.for_each_while([&](fabric::CoflowId id) {
-      const CachedCoflow& cc = cache_[id];
-      for (const Lane& l : cc.lanes) {
-        if (l.beta) continue;
-        const common::Bps extra = headroom.available(l.src, l.dst);
-        if (extra <= 0) continue;
-        alloc.set_rate(l.id, alloc.rate(l.id) + extra);
-        headroom.consume(l.src, l.dst, extra);
-      }
-      return !headroom.exhausted();
-    });
-  }
+  if (options_.backfill) backfill(walked_, headroom, alloc);
   upgrade_.end_round(ctx, alloc);
   return alloc;
+}
+
+void backfill(const std::vector<const FvdfLane*>& walked,
+              fabric::PortHeadroom& headroom, fabric::Allocation& alloc) {
+  if (headroom.exhausted()) return;
+  for (const FvdfLane* l : walked) {
+    const common::Bps extra = headroom.available(l->src, l->dst);
+    if (extra <= 0) continue;
+    alloc.set_rate(l->id, alloc.rate(l->id) + extra);
+    headroom.consume(l->src, l->dst, extra);
+    // Past exhaustion every grant is exactly zero.
+    if (headroom.exhausted()) return;
+  }
 }
 
 void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,

@@ -82,6 +82,26 @@ class PriorityUpgrade {
   RoundStamps served_;
 };
 
+/// One memoized allocation lane per unfinished flow of a cached coflow, as
+/// FvdfScheduler and DeadlineFvdfScheduler keep them.
+struct FvdfLane {
+  fabric::FlowId id = 0;
+  fabric::PortId src = 0;
+  fabric::PortId dst = 0;
+  bool beta = false;
+  /// Disposal rate f.V / max(Γ, slice), cached at refresh time so the
+  /// admission walk is pure table lookups. Meaningless when beta.
+  common::Bps want = 0;
+};
+
+/// Work conservation (the backfill pass): tops the transmitting
+/// lanes up with the residual headroom, in the order the round's disposal
+/// walk visited them. A disposal walk that stopped short of port
+/// exhaustion visited every transmitting lane, so `walked` is the whole
+/// rank order; one that stopped at exhaustion leaves nothing to grant.
+void backfill(const std::vector<const FvdfLane*>& walked,
+              fabric::PortHeadroom& headroom, fabric::Allocation& alloc);
+
 struct FvdfOptions {
   bool online = true;            ///< divide Gamma_C by the priority class
   bool upgrade = true;           ///< run Upgrade at every event
@@ -119,16 +139,7 @@ class FvdfScheduler final : public sched::Scheduler {
   PriorityUpgrade upgrade_{"fvdf"};
 
   // --- memo, valid for one tracker session ---
-  /// One memoized allocation lane per unfinished flow of a cached coflow.
-  struct Lane {
-    fabric::FlowId id = 0;
-    fabric::PortId src = 0;
-    fabric::PortId dst = 0;
-    bool beta = false;
-    /// Disposal rate f.V / max(Γ, slice), cached at refresh time so the
-    /// admission walk is pure table lookups. Meaningless when beta.
-    common::Bps want = 0;
-  };
+  using Lane = FvdfLane;
   struct CachedCoflow {
     common::Seconds gamma = 0;  ///< Eq. 8, before the priority division
     common::Seconds arrival = 0;
@@ -139,11 +150,15 @@ class FvdfScheduler final : public sched::Scheduler {
   sched::RoundFlows flows_;
   std::vector<CachedCoflow> cache_;  ///< by dense coflow id
   /// Rank order of the coflows with at least one transmitting lane. The
-  /// disposal/backfill walks run over this index and stop at port
-  /// exhaustion, so their cost is O(coflows that can still receive
-  /// bandwidth), not O(resident coflows). Beta-only coflows never touch
-  /// headroom, so leaving them out changes no grant.
+  /// disposal walk runs over this index and stops at port exhaustion, so
+  /// its cost is O(coflows that can still receive bandwidth), not
+  /// O(resident coflows). Beta-only coflows never touch headroom, so
+  /// leaving them out changes no grant.
   sched::RankIndex xmit_index_;
+  /// The transmitting lanes the round's disposal walk visited, in visit
+  /// order: the backfill pass replays this list instead of walking the
+  /// index again. Reused across rounds.
+  std::vector<const Lane*> walked_;
   /// Persistent per-flow beta switches, mirrored from the cached lanes and
   /// bulk-installed into each round's Allocation (set_compress_all). Spares
   /// the O(compressing flows) per-round set_compress loop.

@@ -257,6 +257,35 @@ TEST(RecoveryMatrix, KillAnywhereUnderDegradation) {
   }
 }
 
+TEST(RecoveryMatrix, RestoreInsideALinkFailureKeepsTheStallCensus) {
+  // Every kill point, one snapshot per round, on a fabric whose episodes
+  // are all link failures: many restores land while a failed link pins
+  // idle flows. A restored run re-snapshots its segment without a round,
+  // so the stall census that round counted must come back with the
+  // segment's member list.
+  const workload::Trace trace = make_trace(61, 12, 6);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
+  const cpu::ConstantCpu cpu(0.85);
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+  config.degradation.rate = 0.3;
+  config.degradation.seed = 4;
+  config.degradation.failure_fraction = 1.0;
+  config.degradation.flap_fraction = 0.0;
+  const sim::Metrics clean = run_once(trace, fabric, cpu, "FVDF", config);
+  ASSERT_GT(clean.degradation.stalled_flow_slices, 0u);
+  const std::uint64_t events =
+      count_events(trace, fabric, cpu, "FVDF", config);
+  for (std::uint64_t kill = 1; kill <= events; ++kill) {
+    recovery::CrashPlan plan;
+    plan.kill_at_event = kill;
+    const std::string label = "stall/kill=" + std::to_string(kill);
+    const sim::Metrics recovered =
+        kill_and_recover(trace, fabric, cpu, "FVDF", config, plan, 1, label);
+    expect_identical(recovered, clean, label);
+  }
+}
+
 TEST(RecoveryMatrix, KillAnywhereDeadlinesAdmissionShedding) {
   const workload::Trace trace = make_trace(53, 18, 6, /*deadline=*/0.6);
   const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
