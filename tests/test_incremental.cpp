@@ -273,47 +273,52 @@ TEST(IncrementalIdentity, ExpiryAloneMovesAnUnservedDeadlineCoflow) {
   // An infeasible deadline coflow parked in band 3 behind a best-effort
   // elephant is never served, so no event dirties it. Only DEADLINE-FVDF's
   // horizon heap can move it to band 2 at expiry, where its small Γ ranks
-  // it ahead of the elephant. With and without a tracker alike.
-  for (const bool tracked : {true, false}) {
-    SCOPED_TRACE(tracked ? "tracked" : "tracker-less");
-    const fabric::Fabric fabric(2, common::mbps(100));
-    const cpu::ConstantCpu cpu(0.9);
-    std::vector<fabric::Flow> flows(2);
-    std::vector<fabric::Coflow> coflows(2);
-    for (fabric::FlowId i = 0; i < 2; ++i) {
-      flows[i].id = i;
-      flows[i].coflow = i;
-      flows[i].src = 0;
-      flows[i].dst = 1;
-      flows[i].original_bytes = i == 0 ? 1e9 : 1e6;
-      flows[i].raw_remaining = flows[i].original_bytes;
-      coflows[i].id = i;
-      coflows[i].flows = {i};
-    }
-    coflows[1].deadline = 0.02;  // Γ ≈ 0.08 s: infeasible from the start
-    sched::DirtyTracker tracker(2);
-    sched::SchedContext ctx;
-    ctx.fabric = &fabric;
-    ctx.cpu = &cpu;
-    ctx.flows = {&flows[0], &flows[1]};
-    ctx.coflows = {&coflows[0], &coflows[1]};
-    if (tracked) {
-      tracker.bind_flows(flows.data(), flows.size());
-      for (const fabric::Coflow& c : coflows) tracker.coflow_arrived(&c);
-      ctx.tracker = &tracker;
-    }
-    auto sched = sim::make_scheduler("DEADLINE-FVDF");
-    fabric::Allocation a = sched->schedule(ctx);
-    EXPECT_GT(a.rate(0), 0.0);
-    EXPECT_EQ(a.rate(1), 0.0);  // parked in band 3
+  // it ahead of the elephant. With and without a tracker alike. A 5 ms
+  // deadline expires inside the first round's slice, so the horizon that
+  // round's refresh arms must survive the round's own pop loop.
+  for (const double deadline : {0.02, 0.005}) {
+    for (const bool tracked : {true, false}) {
+      SCOPED_TRACE(std::string(tracked ? "tracked" : "tracker-less") +
+                   " deadline " + std::to_string(deadline));
+      const fabric::Fabric fabric(2, common::mbps(100));
+      const cpu::ConstantCpu cpu(0.9);
+      std::vector<fabric::Flow> flows(2);
+      std::vector<fabric::Coflow> coflows(2);
+      for (fabric::FlowId i = 0; i < 2; ++i) {
+        flows[i].id = i;
+        flows[i].coflow = i;
+        flows[i].src = 0;
+        flows[i].dst = 1;
+        flows[i].original_bytes = i == 0 ? 1e9 : 1e6;
+        flows[i].raw_remaining = flows[i].original_bytes;
+        coflows[i].id = i;
+        coflows[i].flows = {i};
+      }
+      coflows[1].deadline = deadline;  // Γ ≈ 0.08 s: infeasible at once
+      sched::DirtyTracker tracker(2);
+      sched::SchedContext ctx;
+      ctx.fabric = &fabric;
+      ctx.cpu = &cpu;
+      ctx.flows = {&flows[0], &flows[1]};
+      ctx.coflows = {&coflows[0], &coflows[1]};
+      if (tracked) {
+        tracker.bind_flows(flows.data(), flows.size());
+        for (const fabric::Coflow& c : coflows) tracker.coflow_arrived(&c);
+        ctx.tracker = &tracker;
+      }
+      auto sched = sim::make_scheduler("DEADLINE-FVDF");
+      fabric::Allocation a = sched->schedule(ctx);
+      EXPECT_GT(a.rate(0), 0.0);
+      EXPECT_EQ(a.rate(1), 0.0);  // parked in band 3
 
-    flows[0].raw_remaining -= a.rate(0) * 0.5;
-    if (tracked) tracker.flow_progressed(0);
-    ctx.now = 0.5;
-    ctx.coflow_event = false;
-    a = sched->schedule(ctx);
-    EXPECT_GT(a.rate(1), 0.0);  // expired: band 2, shortest Γ first
-    EXPECT_EQ(a.rate(0), 0.0);
+      flows[0].raw_remaining -= a.rate(0) * 0.5;
+      if (tracked) tracker.flow_progressed(0);
+      ctx.now = 0.5;
+      ctx.coflow_event = false;
+      a = sched->schedule(ctx);
+      EXPECT_GT(a.rate(1), 0.0);  // expired: band 2, shortest Γ first
+      EXPECT_EQ(a.rate(0), 0.0);
+    }
   }
 }
 
