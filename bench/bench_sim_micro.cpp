@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the scheduling hot paths: the
 // rate solvers and each scheduler's full decision on a loaded fabric, plus
-// an end-to-end engine run (in both engine modes). These bound how short a
+// an end-to-end engine run (in both engine modes) and the engine's walk
+// over a degradation schedule's capacity changes. These bound how short a
 // real deployment's scheduling slice could be (the paper discusses 10 ms).
 //
 // With SWALLOW_BENCH_JSON set, appends one JSON line mapping each
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
+#include "fabric/degradation.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sched/dirty.hpp"
@@ -144,6 +146,31 @@ void BM_EngineRun(benchmark::State& state, sim::EngineMode mode) {
   }
 }
 
+// The engine's walk over a degrading fabric's capacity changes: at each
+// change instant every port's multiplier, then the next change. A 64-port
+// schedule at rate 0.05 over 520 simulated seconds changes 5,769 times,
+// the pattern one benchmark/run.py replay-slo-journal replay drives. Each
+// iteration starts from a newly built schedule.
+void BM_CapacityEventWalk(benchmark::State& state) {
+  constexpr std::size_t kPorts = 64;
+  fabric::DegradationConfig config;
+  config.rate = 0.05;
+  config.seed = 7;
+  std::size_t changes = 0;
+  for (auto _ : state) {
+    fabric::DegradationSchedule schedule(config, kPorts);
+    double sum = 0.0;
+    changes = 0;
+    for (double t = 0.0; t <= 520.0; t = schedule.next_change_after(t)) {
+      for (fabric::PortId p = 0; p < kPorts; ++p)
+        sum += schedule.multiplier_at(p, t);
+      ++changes;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetLabel(std::to_string(changes) + " changes");
+}
+
 BENCHMARK_CAPTURE(BM_SchedulerDecision, FVDF, "FVDF")
     ->Arg(32)->Arg(256)->Arg(4096)->Arg(32768)->MinTime(0.05);
 BENCHMARK_CAPTURE(BM_SchedulerDecision, SEBF, "SEBF")
@@ -161,6 +188,7 @@ BENCHMARK_CAPTURE(BM_EngineRun, event, sim::EngineMode::kEventDriven)
     ->Arg(20)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 BENCHMARK_CAPTURE(BM_EngineRun, slice, sim::EngineMode::kSliceStepped)
     ->Arg(20)->Unit(benchmark::kMillisecond)->MinTime(0.05);
+BENCHMARK(BM_CapacityEventWalk)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
 /// Console output as usual, plus one (name, per-iteration real ms) record
 /// per run for the JSON trail.

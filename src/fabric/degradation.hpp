@@ -21,6 +21,11 @@
 // everything about that epoch's episode. Queries are therefore
 // order-independent and runs are bit-reproducible for a given seed,
 // regardless of how the engine interleaves them.
+//
+// Each port keeps a window of the epochs it has already generated, holding
+// only the epochs that start an episode. Queries walk that window instead
+// of regenerating every (port, epoch) stream, so a forward walk generates
+// each epoch once; the window is a cache, never part of the answer.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +78,8 @@ struct DegradationEpisode {
   common::Seconds end = 0;
   double multiplier = 1.0;
   DegradationKind kind = DegradationKind::kBrownout;
+
+  bool operator==(const DegradationEpisode&) const = default;
 };
 
 class DegradationSchedule {
@@ -85,29 +92,57 @@ class DegradationSchedule {
   const DegradationConfig& config() const { return config_; }
   std::size_t num_ports() const { return num_ports_; }
 
+  // The queries below are not const: they move the port windows. Their
+  // answers depend on the arguments alone, never on earlier queries.
+
   /// Effective multiplier of port `p` at time `t`: the min over all
   /// episodes active at `t` (overlapping episodes compound to the worst).
-  double multiplier_at(PortId p, common::Seconds t) const;
+  double multiplier_at(PortId p, common::Seconds t);
 
   /// First instant strictly after `t` at which any port's multiplier can
   /// change (episode start, flap toggle, or recovery). +infinity when the
   /// schedule is disabled or nothing fires within the scan horizon.
-  common::Seconds next_change_after(common::Seconds t) const;
+  common::Seconds next_change_after(common::Seconds t);
 
   /// Episodes of port `p` that overlap [t0, t1), in start order. Exposed
   /// for tests and the degradation bench's reporting.
   std::vector<DegradationEpisode> episodes(PortId p, common::Seconds t0,
-                                           common::Seconds t1) const;
+                                           common::Seconds t1);
+
+  // ---- introspection (tests) ----
+  /// Episodes currently held across all port windows.
+  std::size_t cached_cells() const;
 
  private:
+  /// An epoch that starts an episode.
+  struct Cell {
+    std::int64_t epoch = 0;
+    DegradationEpisode episode;
+  };
+  /// The epochs [lo, hi) of one port generated so far; `cells` holds the
+  /// non-empty ones in epoch order.
+  struct Window {
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    std::vector<Cell> cells;
+  };
+
   std::optional<DegradationEpisode> episode_in_epoch(PortId p,
                                                      std::int64_t e) const;
-  common::Seconds next_change_for_port(PortId p, common::Seconds t) const;
+  /// Port p's window starting at epoch max(lo, 0): cells below it are
+  /// dropped, and a start below the window (or past its end) restarts it
+  /// there.
+  Window& window_from(PortId p, std::int64_t lo);
+  /// Generates the window's next epoch.
+  void grow(PortId p, Window& w);
+  common::Seconds next_change_for_port(PortId p, common::Seconds t);
 
   DegradationConfig config_;
   std::size_t num_ports_ = 0;
   /// Epochs an episode can reach back from (ceil(max_duration / epoch)).
   std::int64_t lookback_epochs_ = 0;
+  /// One per port; empty when the schedule is disabled.
+  std::vector<Window> windows_;
 };
 
 }  // namespace swallow::fabric

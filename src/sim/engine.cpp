@@ -690,7 +690,8 @@ class Engine {
   sched::Scheduler& sched;
   const SimConfig& config;
   const bool event_mode;
-  const fabric::DegradationSchedule degrade;
+  // Fixed by the config; only its cache of generated episodes changes.
+  fabric::DegradationSchedule degrade;
   const bool degrade_on;
   // `live` is the engine's mutable view of the fabric: nominal capacities
   // scaled by the degradation schedule's per-port multipliers. Schedulers,

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
+#include "common/rng.hpp"
 #include "core/online.hpp"
 #include "fabric/degradation.hpp"
 #include "obs/trace.hpp"
@@ -66,7 +68,7 @@ std::vector<std::string> all_scheduler_names() {
 }
 
 TEST(DegradationSchedule, DisabledIsIdentity) {
-  const fabric::DegradationSchedule schedule({}, 4);
+  fabric::DegradationSchedule schedule({}, 4);
   EXPECT_FALSE(schedule.enabled());
   for (fabric::PortId p = 0; p < 4; ++p)
     for (double t = 0; t < 20.0; t += 0.7)
@@ -100,8 +102,8 @@ TEST(DegradationSchedule, RejectsInvalidConfigs) {
 }
 
 TEST(DegradationSchedule, DeterministicAndOrderIndependent) {
-  const fabric::DegradationSchedule a(heavy_config(7), 8);
-  const fabric::DegradationSchedule b(heavy_config(7), 8);
+  fabric::DegradationSchedule a(heavy_config(7), 8);
+  fabric::DegradationSchedule b(heavy_config(7), 8);
 
   // Same seed: identical multipliers. `a` is queried forward in time and
   // `b` backward, so agreement also proves query-order independence.
@@ -118,7 +120,7 @@ TEST(DegradationSchedule, DeterministicAndOrderIndependent) {
   EXPECT_EQ(forward, backward);
 
   // Different seed: the schedules diverge somewhere.
-  const fabric::DegradationSchedule c(heavy_config(8), 8);
+  fabric::DegradationSchedule c(heavy_config(8), 8);
   bool differs = false;
   for (double t = 0; t < 10.0 && !differs; t += 0.13)
     for (fabric::PortId p = 0; p < 8 && !differs; ++p)
@@ -127,7 +129,7 @@ TEST(DegradationSchedule, DeterministicAndOrderIndependent) {
 }
 
 TEST(DegradationSchedule, MultiplierConstantBetweenChanges) {
-  const fabric::DegradationSchedule schedule(heavy_config(3), 4);
+  fabric::DegradationSchedule schedule(heavy_config(3), 4);
   double t = 0.0;
   for (int step = 0; step < 50; ++step) {
     const double next = schedule.next_change_after(t);
@@ -150,7 +152,7 @@ TEST(DegradationSchedule, MultiplierConstantBetweenChanges) {
 }
 
 TEST(DegradationSchedule, EpisodesMatchMultipliers) {
-  const fabric::DegradationSchedule schedule(heavy_config(11), 6);
+  fabric::DegradationSchedule schedule(heavy_config(11), 6);
   bool saw_failure = false, saw_brownout = false;
   for (fabric::PortId p = 0; p < 6; ++p) {
     for (const auto& e : schedule.episodes(p, 0.0, 30.0)) {
@@ -173,6 +175,87 @@ TEST(DegradationSchedule, EpisodesMatchMultipliers) {
   }
   EXPECT_TRUE(saw_failure);
   EXPECT_TRUE(saw_brownout);
+}
+
+// The port windows cache episodes, never answers. One schedule is queried
+// along the engine's walk (every port's multiplier at each change instant,
+// then the next change), then backward over the same instants, then at
+// seeded random times; each answer must equal, bit for bit, what a schedule
+// built for that one query answers. The configs cover overlapping failures
+// and brownouts, flaps only, and a rate so sparse that next_change_after
+// scans hundreds of epochs past the lookback. A 20,000-epoch walk then
+// checks that the cache stays bounded.
+TEST(DegradationSchedule, CachedAnswersMatchFreshSchedules) {
+  fabric::DegradationConfig flap_only = heavy_config(23);
+  flap_only.failure_fraction = 0.0;
+  flap_only.flap_fraction = 1.0;
+  fabric::DegradationConfig sparse = issue_config();
+  sparse.rate = 0.002;
+  constexpr std::size_t kPorts = 6;
+
+  for (const auto& [name, config, horizon] :
+       {std::tuple{"heavy", heavy_config(5), 60.0},
+        std::tuple{"flap-only", flap_only, 60.0},
+        std::tuple{"sparse", sparse, 6000.0}}) {
+    SCOPED_TRACE(name);
+    fabric::DegradationSchedule cached(config, kPorts);
+    const auto fresh = [&config = config] {
+      return fabric::DegradationSchedule(config, kPorts);
+    };
+    const auto expect_fresh_multipliers = [&](double t) {
+      for (fabric::PortId p = 0; p < kPorts; ++p)
+        EXPECT_EQ(cached.multiplier_at(p, t), fresh().multiplier_at(p, t))
+            << "port " << p << " at t=" << t;
+    };
+    const auto expect_fresh_episodes = [&](double t0, double t1) {
+      for (fabric::PortId p = 0; p < kPorts; ++p)
+        EXPECT_EQ(cached.episodes(p, t0, t1), fresh().episodes(p, t0, t1))
+            << "port " << p << " over [" << t0 << ", " << t1 << ")";
+    };
+
+    std::vector<double> walk;
+    for (double t = 0.0; t <= horizon;) {
+      walk.push_back(t);
+      expect_fresh_multipliers(t);
+      const double next = cached.next_change_after(t);
+      ASSERT_EQ(next, fresh().next_change_after(t)) << "at t=" << t;
+      ASSERT_GT(next, t);
+      ASSERT_TRUE(std::isfinite(next));
+      expect_fresh_episodes(t, next);
+      t = next;
+    }
+    ASSERT_GT(walk.size(), 50u);
+
+    for (auto it = walk.rbegin(); it != walk.rend(); ++it) {
+      expect_fresh_multipliers(*it);
+      EXPECT_EQ(cached.next_change_after(*it), fresh().next_change_after(*it));
+      expect_fresh_episodes(*it, *it + 3 * config.epoch);
+    }
+
+    common::Rng rng(99);
+    for (int i = 0; i < 1000; ++i) {
+      const double t = rng.uniform(0.0, horizon);
+      expect_fresh_multipliers(t);
+      EXPECT_EQ(cached.next_change_after(t), fresh().next_change_after(t))
+          << "at t=" << t;
+      expect_fresh_episodes(t, t + rng.uniform(0.0, 4 * config.epoch));
+    }
+
+    // Memory depends on the window, not on the run's length: along a long
+    // forward walk a port holds at most one episode per epoch of the
+    // lookback and the current epoch, plus the next one its scan stopped at.
+    fabric::DegradationSchedule long_walk(config, kPorts);
+    const auto lookback = static_cast<std::size_t>(
+        std::ceil(config.max_duration / config.epoch));
+    std::size_t most = 0, changes = 0;
+    for (double t = 0.0; t <= 20000 * config.epoch;
+         t = long_walk.next_change_after(t), ++changes) {
+      for (fabric::PortId p = 0; p < kPorts; ++p) long_walk.multiplier_at(p, t);
+      most = std::max(most, long_walk.cached_cells());
+    }
+    EXPECT_GT(changes, 100u);
+    EXPECT_LE(most, kPorts * (lookback + 2));
+  }
 }
 
 // The acceptance property: under seeded degradation every scheduler in the
@@ -228,8 +311,7 @@ TEST(DegradationEngine, IssueRateCompletesAndCounts) {
   // port early enough to overlap the run.
   for (std::uint64_t seed = 1; seed <= 256; ++seed) {
     config.degradation.seed = seed;
-    const fabric::DegradationSchedule probe(config.degradation,
-                                            trace.num_ports);
+    fabric::DegradationSchedule probe(config.degradation, trace.num_ports);
     bool early = false;
     for (fabric::PortId p = 0; p < trace.num_ports && !early; ++p)
       early = !probe.episodes(p, 0.0, 2.0).empty();
