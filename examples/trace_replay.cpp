@@ -10,7 +10,7 @@
 //   ./trace_replay --degrade-rate=0.05 --degrade-seed=7   (replay the same
 //       trace against a degrading fabric: seeded link failures/brownouts;
 //       rate 0 — the default — is byte-identical to the static fabric)
-//   ./trace_replay --deadline-fraction=0.7 --scheduler=DEADLINE-FVDF \
+//   ./trace_replay --deadline-fraction=0.7 --scheduler=DEADLINE-FVDF
 //       --admission   (generate SLO deadlines on 70% of coflows, schedule
 //       them deadline-aware, and gate arrivals through admission control
 //       with expiry shedding; see DESIGN.md section 12)

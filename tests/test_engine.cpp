@@ -241,7 +241,8 @@ TEST(Engine, EmptyTraceYieldsEmptyMetrics) {
 // table. The inputs come from an embedded text trace, not from the
 // generators, so no digest depends on the C library's math functions. They
 // do assume IEEE-754 doubles evaluated without fused multiply-add
-// contraction, as on the x86-64 builds they were captured with.
+// contraction, as on the x86-64 builds they were captured with; the
+// top-level CMakeLists.txt enforces that with -ffp-contract=off.
 
 // 26 coflows on 8 ports, 14 of them with deadlines, arriving over 3.1 s
 // with about 1.5 times the bytes the 100 Mbps fabric carries in that time,
