@@ -3,6 +3,7 @@
 // the Scala snippet line by line — hook, aggregate, add, scheduling, alloc,
 // push on the mapper side, pull on the reducer side, remove at the end —
 // with real bytes moving through real compression over rate-limited links.
+#include <atomic>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -33,9 +34,9 @@ int main(int argc, char** argv) {
   config.codec_model = codec::CodecModel{"swlz", 500.0 * common::kMB,
                                          1500.0 * common::kMB, 0.45};
   // Chunked codec data plane (DESIGN.md §14): --chunk-bytes sets the SWF2
-  // chunk size blocks are split at (0 = legacy serial SWF1 frames);
-  // --codec-threads sizes the worker pool every transfer's encode/decode
-  // jobs share (0 = auto: min(4, hardware threads)).
+  // chunk size blocks are split at (must be positive); --codec-threads
+  // sizes the worker pool every transfer's encode/decode jobs share
+  // (0 = auto: min(4, hardware threads)).
   config.chunk_bytes = static_cast<std::size_t>(flags.get_int(
       "chunk-bytes", static_cast<long>(codec::kDefaultChunkBytes)));
   config.codec_threads =
@@ -91,18 +92,20 @@ int main(int argc, char** argv) {
 
   // Senders: for (receiver <- reduceExecutors) sc.push(...)
   // Receivers: for (sender <- mapExecutors) sc.pull(...)
+  std::atomic<bool> failed{false};
   {
     std::vector<std::jthread> tasks;
     RtFlowId flow = 1;
     std::size_t index = 0;
     for (WorkerId mapper : {0u, 1u}) {
       for (WorkerId reducer : {2u, 3u}) {
-        tasks.emplace_back([&sc, coflow_ref, flow, mapper, reducer,
+        tasks.emplace_back([&sc, &failed, coflow_ref, flow, mapper, reducer,
                             payload = partitions[index]] {
           try {
             sc.push(coflow_ref, flow, payload, mapper, reducer);
           } catch (const ShuffleError& e) {
             std::cout << "push failed: " << e.what() << '\n';
+            failed = true;
           }
         });
         ++flow;
@@ -110,7 +113,7 @@ int main(int argc, char** argv) {
       }
     }
     for (WorkerId reducer : {2u, 3u}) {
-      tasks.emplace_back([&sc, coflow_ref, reducer] {
+      tasks.emplace_back([&sc, &failed, coflow_ref, reducer] {
         // Each reducer pulls the two blocks addressed to it.
         for (RtFlowId flow = 1; flow <= 4; ++flow) {
           const bool mine = (flow % 2 == 1) == (reducer == 2);
@@ -121,6 +124,7 @@ int main(int argc, char** argv) {
                       << flow << " (" << data.size() << " bytes)\n";
           } catch (const ShuffleError& e) {
             std::cout << "pull failed: " << e.what() << '\n';
+            failed = true;
           }
         }
       });
@@ -152,5 +156,5 @@ int main(int argc, char** argv) {
   if (tracer != nullptr && obs::write_trace_from_flags(flags, *tracer))
     std::cout << "trace: " << tracer->size() << " events -> "
               << flags.get("trace-out", "") << '\n';
-  return 0;
+  return failed ? 1 : 0;
 }

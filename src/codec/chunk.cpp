@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstring>
 
-#include "codec/frame.hpp"
+#include "codec/checksum.hpp"
 #include "codec/throughput.hpp"
 #include "codec/varint.hpp"
 #include "obs/profile.hpp"
@@ -31,8 +31,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Never wraps, even for a forged raw_size near 2^64: the header bound in
+// parse_chunk_header relies on it.
 std::size_t chunk_count(std::size_t raw, std::size_t chunk_bytes) {
-  return raw == 0 ? 0 : (raw + chunk_bytes - 1) / chunk_bytes;
+  return raw == 0 ? 0 : raw / chunk_bytes + (raw % chunk_bytes != 0);
 }
 
 unsigned default_pool_threads(unsigned requested) {
@@ -239,6 +241,14 @@ ChunkHeader parse_chunk_header(std::span<const std::uint8_t> frame) {
   h.chunk_bytes = static_cast<std::size_t>(read_varint(frame, h.pos));
   if (h.chunk_bytes == 0 && h.raw_size > 0)
     throw CodecError("chunk: zero chunk size in header");
+  // Every record is at least 11 bytes (id, 1-byte varint, checksum and a
+  // non-empty container), so a header claiming more chunks than the rest of
+  // the frame can hold is corrupt. Rejecting it here keeps a flipped
+  // raw_size byte from sizing a multi-gigabyte output buffer.
+  constexpr std::size_t kMinRecordBytes = 1 + 1 + 8 + 1;
+  if (chunk_count(h.raw_size, h.chunk_bytes) >
+      (frame.size() - h.pos) / kMinRecordBytes)
+    throw CodecError("chunk: header claims more chunks than the frame holds");
   return h;
 }
 
@@ -252,7 +262,7 @@ struct ChunkRef {
 };
 
 // Decodes one record's container straight into `out` and verifies the
-// checksum. Shared by the one-shot walker and the streaming decoder.
+// checksum.
 void decode_chunk(std::span<const std::uint8_t> container,
                   std::uint8_t record_id, std::uint64_t checksum,
                   std::span<std::uint8_t> out, std::size_t index,
@@ -355,118 +365,6 @@ std::size_t chunk_decompressed_size(std::span<const std::uint8_t> frame) {
 bool is_chunk_frame(std::span<const std::uint8_t> data) {
   return data.size() >= sizeof(kChunkMagic) &&
          std::memcmp(data.data(), kChunkMagic, sizeof(kChunkMagic)) == 0;
-}
-
-// ---- ChunkDecoder ----
-
-ChunkDecoder::ChunkDecoder(ChunkPool* pool, ThroughputLedger* ledger)
-    : pool_(pool), ledger_(ledger) {
-  if (pool_ != nullptr && pool_->size() == 0) pool_ = nullptr;
-}
-
-ChunkDecoder::~ChunkDecoder() { wait_idle(); }
-
-void ChunkDecoder::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return inflight_ == 0; });
-}
-
-void ChunkDecoder::dispatch(std::size_t index, Buffer record,
-                            std::size_t raw_off, std::size_t raw_len) {
-  // Record layout past the id byte was already validated by the caller;
-  // re-derive the container view here so the job owns its bytes.
-  auto run = [this, index, raw_off, raw_len](const Buffer& rec) {
-    std::size_t pos = 1;
-    const auto stored = static_cast<std::size_t>(read_varint(rec, pos));
-    const std::uint64_t checksum = read_u64le(rec.data() + pos);
-    pos += 8;
-    decode_chunk(std::span<const std::uint8_t>(rec).subspan(pos, stored),
-                 rec[0], checksum,
-                 std::span<std::uint8_t>(out_).subspan(raw_off, raw_len),
-                 index, ledger_);
-  };
-  if (pool_ == nullptr) {
-    run(record);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++inflight_;
-  }
-  pool_->submit([this, run = std::move(run), rec = std::move(record)] {
-    std::exception_ptr e;
-    try {
-      run(rec);
-    } catch (...) {
-      e = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (e && !error_) error_ = e;
-    if (--inflight_ == 0) cv_.notify_all();
-  });
-}
-
-void ChunkDecoder::feed(std::span<const std::uint8_t> bytes) {
-  pending_.insert(pending_.end(), bytes.begin(), bytes.end());
-
-  if (!header_parsed_) {
-    // The header needs at most magic + two max-size varints; parse as soon
-    // as a full parse succeeds (varints are self-terminating).
-    try {
-      const ChunkHeader h = parse_chunk_header(pending_);
-      raw_size_ = h.raw_size;
-      chunk_bytes_ = h.chunk_bytes;
-      num_chunks_ = chunk_count(raw_size_, chunk_bytes_);
-      out_.assign(raw_size_, 0);
-      pending_.erase(pending_.begin(), pending_.begin() + h.pos);
-      header_parsed_ = true;
-    } catch (const CodecError&) {
-      // Distinguish "not enough bytes yet" from a genuinely bad magic.
-      if (pending_.size() >= sizeof(kChunkMagic) && !is_chunk_frame(pending_))
-        throw;
-      if (pending_.size() >= sizeof(kChunkMagic) + 2 * kMaxVarintBytes) throw;
-      return;
-    }
-  }
-
-  // Extract complete records.
-  while (next_chunk_ < num_chunks_) {
-    std::size_t pos = 0;
-    if (pending_.size() < 1) return;
-    std::size_t stored = 0;
-    try {
-      pos = 1;
-      stored = static_cast<std::size_t>(read_varint(pending_, pos));
-    } catch (const CodecError&) {
-      if (pending_.size() >= 1 + kMaxVarintBytes) throw;
-      return;  // varint still arriving
-    }
-    const std::size_t record_size = pos + 8 + stored;
-    if (pending_.size() < record_size) return;  // record still arriving
-
-    Buffer record(pending_.begin(), pending_.begin() + record_size);
-    pending_.erase(pending_.begin(), pending_.begin() + record_size);
-    const std::size_t raw_off = next_chunk_ * chunk_bytes_;
-    const std::size_t raw_len = std::min(chunk_bytes_, raw_size_ - raw_off);
-    dispatch(next_chunk_, std::move(record), raw_off, raw_len);
-    ++next_chunk_;
-  }
-  if (next_chunk_ == num_chunks_ && !pending_.empty())
-    throw CodecError("chunk: trailing garbage");
-}
-
-bool ChunkDecoder::done() const {
-  return header_parsed_ && next_chunk_ == num_chunks_ && pending_.empty();
-}
-
-Buffer ChunkDecoder::take() {
-  wait_idle();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error_) std::rethrow_exception(error_);
-  }
-  if (!done()) throw CodecError("chunk: truncated record");
-  return std::move(out_);
 }
 
 }  // namespace swallow::codec

@@ -1,6 +1,6 @@
-// Chunk-parallel frame container: the multi-chunk extension of the SWF1
-// frame (frame.hpp) that the runtime data plane uses to overlap compression
-// with transmission (PAPER.md Eq. 1/2: codec time hides behind wire time).
+// Chunk-parallel frame container (SWF2), the one wire-frame format of the
+// runtime data plane. Blocks split into chunks so compression overlaps
+// transmission (PAPER.md Eq. 1/2: codec time hides behind wire time).
 //
 // A payload is split at fixed deterministic boundaries (`chunk_bytes`,
 // default 256 KiB). Each chunk compresses independently into a
@@ -17,19 +17,16 @@
 //
 // The per-record codec id (redundant with the container's own leading id
 // byte, and cross-checked against it on decode) makes every record
-// self-describing, so a receiver can decode chunks as they land without
-// the frame header in hand.
+// self-describing: the header names no codec, and each record names the
+// one that decodes it.
 //
-// Three access patterns:
+// Two access patterns:
 //   - chunk_compress / chunk_decompress: one-shot whole-buffer calls, fanned
 //     across a ChunkPool when one is supplied.
 //   - ChunkEncoder: pull-based streaming producer. next() yields the header,
 //     then each record in order; a bounded window of chunks encodes ahead on
 //     the pool while the caller transmits the piece it just pulled
 //     (compress-while-transmitting).
-//   - ChunkDecoder: push-based streaming consumer. feed() accepts arbitrary
-//     splits of the wire bytes and dispatches each completed record to the
-//     pool the moment its last byte lands.
 #pragma once
 
 #include <condition_variable>
@@ -132,46 +129,6 @@ class ChunkEncoder {
   std::vector<Slot> slots_;
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
-};
-
-/// Streaming chunk consumer: feed() arbitrary splits of the container; each
-/// record decodes (on the pool when given one) as soon as its last byte
-/// arrives. take() blocks for in-flight decodes, verifies the stream is
-/// complete, and returns the payload. Errors (checksum mismatch, torn
-/// records, trailing garbage) surface as CodecError from feed() or take().
-class ChunkDecoder {
- public:
-  explicit ChunkDecoder(ChunkPool* pool = nullptr,
-                        ThroughputLedger* ledger = nullptr);
-  ~ChunkDecoder();
-
-  ChunkDecoder(const ChunkDecoder&) = delete;
-  ChunkDecoder& operator=(const ChunkDecoder&) = delete;
-
-  void feed(std::span<const std::uint8_t> bytes);
-  /// All bytes of a well-formed frame consumed and every chunk dispatched?
-  /// (In-flight decodes may still be running; take() joins them.)
-  bool done() const;
-  Buffer take();
-
- private:
-  void dispatch(std::size_t index, Buffer record, std::size_t raw_off,
-                std::size_t raw_len);
-  void wait_idle();
-
-  ChunkPool* pool_;
-  ThroughputLedger* ledger_;
-  Buffer pending_;  // bytes fed but not yet consumed by a complete record
-  Buffer out_;
-  bool header_parsed_ = false;
-  std::size_t raw_size_ = 0;
-  std::size_t chunk_bytes_ = 0;
-  std::size_t num_chunks_ = 0;
-  std::size_t next_chunk_ = 0;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int inflight_ = 0;
-  std::exception_ptr error_;
 };
 
 /// One-shot helpers. With a pool, every chunk encodes/decodes concurrently;

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <utility>
 
-#include "codec/frame.hpp"
+#include "codec/checksum.hpp"
 
 namespace swallow::recovery {
 

@@ -6,7 +6,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "codec/frame.hpp"
+#include "codec/checksum.hpp"
 
 namespace swallow::recovery {
 

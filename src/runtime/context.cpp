@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "codec/frame.hpp"
 #include "codec/null_codec.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -20,10 +19,11 @@ Cluster::Cluster(const ClusterConfig& config)
       injector_(config.fault, &fault_counters_, config.sink) {
   if (config.num_workers == 0)
     throw std::invalid_argument("Cluster: zero workers");
+  if (config.chunk_bytes == 0)
+    throw std::invalid_argument("Cluster: zero chunk_bytes");
   fault_counters_.set_sink(config.sink);
-  if (config.chunk_bytes > 0)
-    chunk_pool_ = std::make_unique<codec::ChunkPool>(config.codec_threads,
-                                                     config.sink);
+  chunk_pool_ = std::make_unique<codec::ChunkPool>(config.codec_threads,
+                                                   config.sink);
   ledger_.set_sink(config.sink);
   workers_.reserve(config.num_workers);
   for (std::size_t i = 0; i < config.num_workers; ++i) {
@@ -173,8 +173,9 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
   Worker& receiver = cluster_->worker(edst);
 
   // blockId encodes the flow: the master keyed its decision on it. Blocks
-  // travel as checksummed frames (codec/frame.hpp), so wire corruption is
-  // detected at pull time rather than silently reducing garbage.
+  // travel as checksummed SWF2 chunk frames (codec/chunk.hpp), so wire
+  // corruption is detected at pull time rather than silently reducing
+  // garbage.
   const FlowDecision decision = cluster_->master().decision_of(block);
   const std::size_t chunk_bytes = cluster_->config().chunk_bytes;
   const codec::NullCodec null;
@@ -189,14 +190,14 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
     throw codec::CodecError("injected codec failure");
 
   codec::Buffer wire;
-  if (chunk_bytes > 0) {
+  {
     // Pipelined chunked path (DESIGN.md §14): chunk N crosses the NIC
     // limiters while chunk N+1 encodes on the shared pool, overlapping the
     // paper's compression and transmission stages inside one block. The
     // SWF2 framing is deterministic (byte-identical to the one-shot serial
     // encode), and corrupt injection is a pure function of
     // (seed, kind, block, attempt), so flipping bytes on the assembled
-    // wire after transfer is equivalent to the legacy corrupt-then-send.
+    // wire after transfer is equivalent to corrupt-then-send.
     codec::ChunkEncoder enc(chosen, data, chunk_bytes,
                             cluster_->chunk_pool(), &cluster_->ledger());
     obs::ProfileScope scope(cluster_->sink(), "runtime.push.transfer",
@@ -218,29 +219,6 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
     wire.shrink_to_fit();
     if (injector.inject(FaultKind::kCorrupt, block, attempt))
       injector.corrupt(wire, block, attempt);
-  } else {
-    {
-      obs::ProfileScope scope(cluster_->sink(), "runtime.push.compress",
-                              "runtime");
-      wire = codec::frame_compress(chosen, data);
-    }
-
-    // Size the transfer buffer to the payload (receive buffers hold exactly
-    // what crossed the wire, which is what compression shrinks).
-    wire.shrink_to_fit();
-
-    if (injector.inject(FaultKind::kCorrupt, block, attempt))
-      injector.corrupt(wire, block, attempt);
-
-    {
-      obs::ProfileScope scope(cluster_->sink(), "runtime.push.transfer",
-                              "runtime");
-      const std::uint64_t rank = cluster_->master().rank_of(ref);
-      const PortGate::Ticket ticket = sender.egress_gate().acquire(rank);
-      sender.egress().acquire(wire.size());
-      receiver.ingress().acquire(wire.size());
-      sender.egress_gate().release(ticket);
-    }
   }
 
   // Straggler: the frame crossed the NICs but dawdles before landing.
@@ -362,15 +340,8 @@ codec::Buffer SwallowContext::pull(CoflowRef ref, BlockId block, WorkerId dst,
     try {
       obs::ProfileScope scope(cluster_->sink(), "runtime.pull.decompress",
                               "runtime");
-      // Blocks land as SWF2 chunk frames on the chunked path (chunks decode
-      // concurrently on the shared pool) or SWF1 frames on the legacy path;
-      // retransmits after a config change may carry either, so dispatch on
-      // the magic rather than on the current config.
-      if (codec::is_chunk_frame(*wire))
-        data = codec::chunk_decompress(*wire, cluster_->chunk_pool(),
-                                       &cluster_->ledger());
-      else
-        data = codec::frame_decompress(*wire);
+      data = codec::chunk_decompress(*wire, cluster_->chunk_pool(),
+                                     &cluster_->ledger());
     } catch (const codec::CodecError&) {
       // Wire corruption caught by the frame checksums: count it against
       // the flow (the degradation ladder flips persistent offenders to

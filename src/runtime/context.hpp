@@ -36,7 +36,7 @@ struct ClusterConfig {
   codec::CodecModel codec_model = codec::default_codec_model();
   /// Chunk size for the pipelined codec data plane (DESIGN.md §14): blocks
   /// travel as SWF2 chunk frames, chunk N transmitting while chunk N+1
-  /// encodes. 0 falls back to the serial SWF1 frame path.
+  /// encodes. Must be positive.
   std::size_t chunk_bytes = codec::kDefaultChunkBytes;
   /// Codec worker threads shared by all transfers (0 = auto: min(4, hw)).
   unsigned codec_threads = 0;
@@ -61,8 +61,8 @@ class Cluster {
   const codec::Codec& codec() const { return *codec_; }
   obs::Sink* sink() const { return config_.sink; }
 
-  /// Shared codec worker pool (null when chunk_bytes == 0: legacy SWF1
-  /// serial path). All transfers' encode/decode jobs multiplex onto it.
+  /// Shared codec worker pool. All transfers' encode/decode jobs
+  /// multiplex onto it.
   codec::ChunkPool* chunk_pool() { return chunk_pool_.get(); }
   /// Measured per-chunk codec throughput; calibrate() turns it into a
   /// CodecModel for the sim/gate side.

@@ -157,9 +157,9 @@ bool FaultInjector::inject(FaultKind kind, BlockId block, int attempt) {
 
 void FaultInjector::corrupt(std::span<std::uint8_t> wire, BlockId block,
                             int attempt) const {
-  // Frame layout: 4-byte magic, then codec id / sizes / checksums / payload.
-  // Flip one byte past the magic so decoding proceeds far enough to hit the
-  // per-block validation instead of dying on is_frame().
+  // Frame layout: 4-byte magic, then sizes / codec ids / checksums /
+  // payload. Flip one byte past the magic so decoding proceeds far enough
+  // to hit the per-record validation instead of dying on is_chunk_frame().
   constexpr std::size_t kMagicBytes = 4;
   if (wire.size() <= kMagicBytes) return;
   const std::uint64_t h = mix64(config_.seed, 0x5bd1e995, block,

@@ -5,7 +5,7 @@
 // gives the in-process runtime the same adversity — deterministically.
 // A FaultInjector decides per (fault kind, block, attempt) from a seeded
 // xoshiro stream whether to drop a block in flight, corrupt its wire frame
-// (exercising the checksums of codec/frame.hpp), stall the transfer,
+// (exercising the checksums of codec/chunk.hpp), stall the transfer,
 // fail the codec call, or kill a worker at a configured point. Decisions
 // are pure functions of (seed, kind, block, attempt), so runs are
 // bit-reproducible regardless of thread interleaving.

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "codec/frame.hpp"
+#include "codec/checksum.hpp"
 #include "obs/profile.hpp"
 
 namespace swallow::runtime {

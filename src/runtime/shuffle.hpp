@@ -42,8 +42,7 @@ struct ShuffleReport {
   bool verified = false;  ///< every block matched its pre-shuffle checksum
 
   /// Measured per-chunk codec throughput over the job (deltas of the
-  /// cluster ThroughputLedger; zero on the legacy SWF1 path, which does
-  /// not record per-chunk samples).
+  /// cluster ThroughputLedger).
   double encode_mbps = 0;          ///< raw MB/s through the encoders
   double decode_mbps = 0;          ///< raw MB/s through the decoders
   std::size_t chunks_encoded = 0;  ///< SWF2 chunk records produced

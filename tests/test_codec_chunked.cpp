@@ -1,11 +1,11 @@
 // Chunk-parallel container tests (DESIGN.md section 14): round-trip fuzz
 // over random chunk geometries (including 1-byte chunks and chunks larger
 // than the payload) for every codec kind, byte-identity of pool-parallel
-// output against the serial reference path, streaming encoder/decoder
-// equivalence under arbitrary wire splits, and the corruption battery —
-// torn frames, flipped bytes, forged codec ids — all of which must surface
-// as typed CodecError, never as a wrong payload. The CI TSan job runs this
-// binary to race-check the pool/encoder/decoder handoffs.
+// output against the serial reference path, streaming encoder equivalence
+// with the one-shot call, and the corruption battery — torn frames,
+// flipped bytes, forged codec ids — all of which must surface as typed
+// CodecError, never as a wrong payload. The CI TSan job runs this binary
+// to race-check the pool/encoder handoffs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,6 +102,19 @@ TEST(ChunkDeterminism, ThreadCountNeverChangesBytes) {
   }
 }
 
+TEST(ChunkGeometry, SmallChunksAddPerRecordOverhead) {
+  // Many small chunks vs few big ones: both round-trip, and the smaller
+  // chunks pay for their extra records (and shorter LZ history) in size.
+  Rng rng(9);
+  const Buffer payload = run_bytes(200000, rng);
+  const auto codec = make_codec(CodecKind::kLzBalanced);
+  const Buffer small_chunks = chunk_compress(*codec, payload, 4 * 1024);
+  const Buffer big_chunks = chunk_compress(*codec, payload, 128 * 1024);
+  EXPECT_EQ(chunk_decompress(small_chunks), payload);
+  EXPECT_EQ(chunk_decompress(big_chunks), payload);
+  EXPECT_GT(small_chunks.size(), big_chunks.size());
+}
+
 // ---- random-geometry fuzz ----
 
 TEST(ChunkFuzz, RandomGeometriesRoundTrip) {
@@ -170,40 +183,6 @@ TEST(ChunkEncoder_, SerialInlinePathMatchesPool) {
     wire.insert(wire.end(), piece.begin(), piece.end());
   }
   EXPECT_EQ(wire, chunk_compress(*codec, payload, 8 * 1024));
-}
-
-// ---- streaming decoder under arbitrary wire splits ----
-
-TEST(ChunkDecoder_, ArbitraryFeedSplitsReassemble) {
-  Rng rng(31);
-  const Buffer payload = mixed_bytes(120000, rng, 0.2);
-  const auto codec = make_codec(CodecKind::kLzFast);
-  const Buffer frame = chunk_compress(*codec, payload, 12 * 1024);
-  ChunkPool pool(4);
-  for (int trial = 0; trial < 8; ++trial) {
-    ChunkDecoder dec(trial % 2 == 0 ? &pool : nullptr);
-    std::size_t pos = 0;
-    while (pos < frame.size()) {
-      const auto step = static_cast<std::size_t>(
-          std::min<std::uint64_t>(rng.uniform_int(1, 4096),
-                                  frame.size() - pos));
-      dec.feed(std::span<const std::uint8_t>(frame).subspan(pos, step));
-      pos += step;
-    }
-    EXPECT_TRUE(dec.done());
-    EXPECT_EQ(dec.take(), payload) << "trial " << trial;
-  }
-}
-
-TEST(ChunkDecoder_, ByteAtATime) {
-  Rng rng(32);
-  const Buffer payload = mixed_bytes(3000, rng, 0.5);
-  const auto codec = make_codec(CodecKind::kRle);
-  const Buffer frame = chunk_compress(*codec, payload, 512);
-  ChunkDecoder dec;
-  for (const std::uint8_t b : frame) dec.feed({&b, 1});
-  EXPECT_TRUE(dec.done());
-  EXPECT_EQ(dec.take(), payload);
 }
 
 // ---- decompress_into ----
@@ -279,6 +258,42 @@ TEST(ChunkCorruption, FlippedBytesThrow) {
   }
 }
 
+TEST(ChunkCorruption, EveryByteFlipThrowsOrDecodesExactly) {
+  // XOR 0xFF (the flip FaultInjector::corrupt makes) and 0x80 (a varint
+  // continuation bit) at every offset past the magic. Each decode must
+  // throw CodecError or return the exact payload: a flipped raw_size byte
+  // must not size a huge output buffer and escape as std::bad_alloc.
+  struct Case {
+    std::string name;
+    Buffer payload;
+    Buffer frame;
+  };
+  Case corpus{"corpus", {}, {}};
+  corpus.frame = corpus_frame(&corpus.payload);
+  std::vector<Case> cases{corpus};
+  Rng rng(53);
+  for (const CodecKind kind : all_codec_kinds()) {
+    Buffer payload = mixed_bytes(5000, rng, 0.3);
+    Buffer frame = chunk_compress(*make_codec(kind), payload);
+    cases.push_back({codec_kind_name(kind), std::move(payload),
+                     std::move(frame)});
+  }
+  for (const Case& c : cases) {
+    for (std::size_t pos = 4; pos < c.frame.size(); ++pos) {
+      for (const std::uint8_t mask : {0xff, 0x80}) {
+        Buffer frame = c.frame;
+        frame[pos] ^= mask;
+        try {
+          EXPECT_EQ(chunk_decompress(frame), c.payload)
+              << c.name << ": flip " << int{mask} << " at " << pos;
+        } catch (const CodecError&) {
+          // expected
+        }
+      }
+    }
+  }
+}
+
 TEST(ChunkCorruption, RecordCodecIdMismatch) {
   // Forge the first record's leading codec-id byte: the record cross-check
   // against the container's own id byte must reject it.
@@ -296,29 +311,6 @@ TEST(ChunkCorruption, ZeroChunkSizeRejected) {
   const Buffer payload = random_bytes(64, rng);
   const auto codec = make_codec(CodecKind::kNull);
   EXPECT_THROW(chunk_compress(*codec, payload, 0), CodecError);
-}
-
-TEST(ChunkCorruption, StreamingDecoderSurfacesCorruption) {
-  Buffer frame = corpus_frame();
-  frame[frame.size() / 2] ^= 0x10;
-  ChunkPool pool(2);
-  ChunkDecoder dec(&pool);
-  bool threw = false;
-  try {
-    dec.feed(frame);
-    dec.take();
-  } catch (const CodecError&) {
-    threw = true;
-  }
-  EXPECT_TRUE(threw);
-}
-
-TEST(ChunkCorruption, StreamingDecoderTruncatedTake) {
-  const Buffer frame = corpus_frame();
-  ChunkDecoder dec;
-  dec.feed(std::span<const std::uint8_t>(frame.data(), frame.size() - 3));
-  EXPECT_FALSE(dec.done());
-  EXPECT_THROW(dec.take(), CodecError);
 }
 
 }  // namespace

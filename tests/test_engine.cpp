@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "codec/frame.hpp"
+#include "codec/checksum.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 

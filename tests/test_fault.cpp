@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "codec/frame.hpp"
+#include "codec/chunk.hpp"
 #include "codec/null_codec.hpp"
 #include "recovery/state_io.hpp"
 #include "runtime/bus.hpp"
@@ -89,7 +89,7 @@ TEST(FaultInjector, CorruptionIsCaughtByFrameChecksums) {
   common::Rng rng(7);
   const codec::Buffer payload = codec::text_bytes(8 * 1024, rng);
   const codec::NullCodec null;
-  codec::Buffer wire = codec::frame_compress(null, payload);
+  codec::Buffer wire = codec::chunk_compress(null, payload);
   const codec::Buffer magic(wire.begin(), wire.begin() + 4);
 
   FaultConfig config;
@@ -100,7 +100,7 @@ TEST(FaultInjector, CorruptionIsCaughtByFrameChecksums) {
 
   // The magic survives so the corruption reaches the checksum machinery.
   EXPECT_EQ(codec::Buffer(wire.begin(), wire.begin() + 4), magic);
-  EXPECT_THROW(codec::frame_decompress(wire), codec::CodecError);
+  EXPECT_THROW(codec::chunk_decompress(wire), codec::CodecError);
 }
 
 TEST(Backoff, GrowsExponentiallyAndStaysBounded) {

@@ -444,6 +444,9 @@ TEST(Cluster, RejectsZeroWorkers) {
   ClusterConfig config;
   config.num_workers = 0;
   EXPECT_THROW(Cluster{config}, std::invalid_argument);
+  ClusterConfig no_chunks;
+  no_chunks.chunk_bytes = 0;
+  EXPECT_THROW(Cluster{no_chunks}, std::invalid_argument);
 }
 
 }  // namespace
