@@ -8,10 +8,12 @@
 // benchmark to its per-iteration real time in ms, in the same format the
 // run_all-based benches emit — tools/check_bench_regression.py consumes it.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -190,10 +192,28 @@ BENCHMARK_CAPTURE(BM_EngineRun, slice, sim::EngineMode::kSliceStepped)
     ->Arg(20)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 BENCHMARK(BM_CapacityEventWalk)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
+/// google-benchmark applies --benchmark_color only to the reporter it
+/// builds itself, so a custom reporter reads the flag here, before
+/// benchmark::Initialize consumes it. "auto" (the default) colours only a
+/// terminal, so piped output carries no ANSI escapes.
+bool console_color(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_color=";
+  std::string_view value = "auto";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(kFlag)) value = arg.substr(kFlag.size());
+  }
+  if (value == "auto") return isatty(STDOUT_FILENO) != 0;
+  return value != "false" && value != "no" && value != "off" && value != "0";
+}
+
 /// Console output as usual, plus one (name, per-iteration real ms) record
 /// per run for the JSON trail.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
+  explicit CapturingReporter(bool color)
+      : ConsoleReporter(color ? OO_ColorTabular : OO_Tabular) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred || run.iterations <= 0) continue;
@@ -215,9 +235,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
+  CapturingReporter reporter(console_color(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
   const char* path = std::getenv("SWALLOW_BENCH_JSON");

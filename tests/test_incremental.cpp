@@ -13,8 +13,13 @@
 // priority upgrades.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -172,6 +177,48 @@ TEST(IncrementalIdentity, BurstyCpu) {
                             "bursty cpu, blind");
   expect_reference_identity(trace, fabric, cpu, "DEADLINE-FVDF", config,
                             "bursty cpu, deadline-fvdf");
+}
+
+TEST(IncrementalIdentity, OverloadedTraceWithDenseReKeys) {
+  // The regime the rank index is built for, which the small traces above
+  // never reach: coflows arrive faster than the fabric drains them, so 50
+  // or more stay resident, and most transmitting coflows drain, and so
+  // re-key, every round (FVDF re-keys about 60% of its transmitting index
+  // per walk here, against about 40% on the replay-fvdf benchmark). Half
+  // carry deadlines, filling DEADLINE-FVDF's bands.
+  workload::GeneratorConfig gen;
+  gen.num_ports = 32;
+  gen.num_coflows = 200;
+  gen.mean_interarrival = 0.01;
+  gen.size_lo = 1e5;
+  gen.size_hi = 1e8;
+  gen.size_alpha = 0.15;
+  gen.width_lo = 1;
+  gen.width_hi = 4;
+  gen.deadline_fraction = 0.5;
+  gen.seed = 6;
+  const workload::Trace trace = workload::generate_trace(gen);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(100));
+  const cpu::ConstantCpu cpu(0.9);
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+  config.max_time = 72000.0;
+  for (const std::string name : {"FVDF", "SEBF", "AALO", "DEADLINE-FVDF"}) {
+    const sim::Metrics prod = run_once(trace, fabric, cpu, name, config,
+                                       false);
+    const sim::Metrics ref = run_once(trace, fabric, cpu, name, config, true);
+    expect_identical(prod, ref, name + " overloaded");
+    // The trace must stay overloaded: count the coflows resident at each
+    // arrival.
+    std::size_t peak = 0;
+    for (const sim::CoflowRecord& a : prod.coflows) {
+      std::size_t resident = 0;
+      for (const sim::CoflowRecord& c : prod.coflows)
+        if (c.arrival <= a.arrival && a.arrival < c.completion) ++resident;
+      peak = std::max(peak, resident);
+    }
+    EXPECT_GE(peak, 50u) << name;
+  }
 }
 
 // Twin hand-built worlds driven in lockstep: one scheduler sees a
@@ -504,6 +551,106 @@ TEST(RankIndex, InfinityKeysRankLastAndTieById) {
   std::vector<fabric::CoflowId> ids;
   index.for_each([&](fabric::CoflowId id) { ids.push_back(id); });
   EXPECT_EQ(ids, (std::vector<fabric::CoflowId>{3, 4, 6}));
+}
+
+TEST(RankIndex, MatchesOrderedSetOracleUnderRandomOperations) {
+  // Seeded random operations over a sparse id range, mirrored into a
+  // std::set oracle. Updates pile up between walks, so each walk settles a
+  // mix of inserts, re-keys (also to the current key, and away and back),
+  // erases (also of absent ids), erase-then-reinsert and clear().
+  const double inf = std::numeric_limits<double>::infinity();
+  const double primaries[] = {0.0, 0.5, 1.0, 1.0, 2.5, inf, inf};
+  constexpr fabric::CoflowId kMaxId = 5 * 63 + 2;
+  std::mt19937_64 rng(1234);
+  auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  auto random_id = [&] { return 5 * pick(64) + 2; };  // 2, 7, ..., 317
+  auto random_key = [&](fabric::CoflowId id) {
+    // Few distinct primaries and arrivals: ties on both are common.
+    return sched::CoflowRankKey{primaries[pick(7)],
+                                0.25 * static_cast<double>(pick(4)), id};
+  };
+
+  sched::RankIndex index;
+  std::set<sched::CoflowRankKey> oracle;
+  std::map<fabric::CoflowId, sched::CoflowRankKey> current;
+  auto set_key = [&](fabric::CoflowId id, const sched::CoflowRankKey& key) {
+    index.insert_or_update(id, key);
+    if (const auto it = current.find(id); it != current.end())
+      oracle.erase(it->second);
+    oracle.insert(key);
+    current[id] = key;
+  };
+  auto erase = [&](fabric::CoflowId id) {
+    index.erase(id);
+    if (const auto it = current.find(id); it != current.end()) {
+      oracle.erase(it->second);
+      current.erase(it);
+    }
+  };
+  auto present_id = [&] {
+    auto it = current.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(pick(current.size())));
+    return it->first;
+  };
+
+  int walks = 0;
+  for (int step = 0; step < 6000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::uint64_t op = pick(20);
+    if (op < 6) {  // insert, or re-key to a (usually) new key
+      const fabric::CoflowId id = random_id();
+      set_key(id, random_key(id));
+    } else if (op < 8 && !current.empty()) {  // re-key to the current key
+      const fabric::CoflowId id = present_id();
+      set_key(id, current[id]);
+    } else if (op < 10 && !current.empty()) {  // away and back before a walk
+      const fabric::CoflowId id = present_id();
+      const sched::CoflowRankKey old = current[id];
+      set_key(id, random_key(id));
+      set_key(id, old);
+    } else if (op < 12 && !current.empty()) {  // erase a present id
+      erase(present_id());
+    } else if (op < 13) {  // erase an absent id, maybe past the table
+      const fabric::CoflowId id = pick(2) != 0 ? random_id() + 1 : kMaxId + 9;
+      erase(id);
+    } else if (op < 15 && !current.empty()) {  // erase, then re-insert
+      const fabric::CoflowId id = present_id();
+      const sched::CoflowRankKey key = pick(2) != 0 ? current[id]
+                                                    : random_key(id);
+      erase(id);
+      set_key(id, key);
+    } else if (op == 15 && pick(8) == 0) {  // clear with updates pending
+      std::vector<fabric::CoflowId> pending;
+      for (int j = 0; j < 3; ++j) {
+        pending.push_back(random_id());
+        set_key(pending.back(), random_key(pending.back()));
+      }
+      index.clear();
+      oracle.clear();
+      current.clear();
+      for (const fabric::CoflowId id : pending) set_key(id, random_key(id));
+    } else if (op >= 16) {  // walk, in full or stopped at a random position
+      ++walks;
+      std::vector<fabric::CoflowId> want;
+      for (const sched::CoflowRankKey& k : oracle) want.push_back(k.id);
+      std::vector<fabric::CoflowId> got;
+      if (pick(2) != 0) {
+        index.for_each([&](fabric::CoflowId id) { got.push_back(id); });
+      } else {  // stop after a random number of ids, at least one
+        const std::size_t stop = 1 + pick(want.size() + 1);
+        if (stop < want.size()) want.resize(stop);
+        index.for_each_while([&](fabric::CoflowId id) {
+          got.push_back(id);
+          return got.size() < stop;
+        });
+      }
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(index.size(), oracle.size());
+      for (fabric::CoflowId id = 0; id <= kMaxId + 10; ++id)
+        ASSERT_EQ(index.contains(id), current.count(id) != 0) << "id " << id;
+    }
+  }
+  EXPECT_GT(walks, 1000);
 }
 
 }  // namespace
