@@ -170,8 +170,12 @@ int main(int argc, char** argv) {
   table.add_row({"avg FCT", common::fmt_double(m.avg_fct(), 3) + " s"});
   table.add_row({"avg CCT", common::fmt_double(m.avg_cct(), 3) + " s"});
   table.add_row({"avg JCT", common::fmt_double(m.avg_jct(), 3) + " s"});
-  table.add_row({"p95 CCT",
-                 common::fmt_double(m.cct_cdf().quantile(0.95), 3) + " s"});
+  // An empty trace, or one whose every coflow was rejected or shed, has no
+  // CCT quantile.
+  const common::Cdf ccts = m.cct_cdf();
+  const std::string p95 =
+      ccts.empty() ? "n/a" : common::fmt_double(ccts.quantile(0.95), 3) + " s";
+  table.add_row({"p95 CCT", p95});
   table.add_row({"makespan", common::fmt_double(m.makespan(), 3) + " s"});
   table.add_row({"bytes offered", common::fmt_bytes(m.total_original_bytes())});
   table.add_row({"bytes on wire", common::fmt_bytes(m.total_wire_bytes())});

@@ -26,6 +26,8 @@ constexpr double kTiny = 1e-12;
 /// Consecutive zero-progress slices tolerated before declaring deadlock.
 constexpr std::int64_t kMaxStalledSlices = 100000;
 constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
+constexpr common::Seconds kForever =
+    std::numeric_limits<common::Seconds>::infinity();
 
 struct SimCoflow {
   fabric::Coflow state;
@@ -372,6 +374,10 @@ class Engine {
     // modes land on bit-identical boundary timestamps.
     seg_base = coflows.empty() ? 0.0 : coflows[arrival_order[0]].state.arrival;
     window_start = seg_base;
+    // An episode may already cover the first arrival, so the first boundary
+    // samples the degradation schedule. A restore overwrites this with the
+    // snapshot's cursor.
+    if (degrade_on) next_capacity_change = seg_base;
     for (fabric::PortId p = 0; p < fabric.num_ports(); ++p)
       egress_capacity_total += fabric.egress_capacity(p);
 
@@ -398,19 +404,88 @@ class Engine {
     return seg_base + static_cast<double>(j) * config.slice;
   }
 
-  common::Seconds next_expiry() {
-    while (!expiry.empty()) {
-      const std::size_t ci = expiry.front().second;
-      if (coflows[ci].state.completed() ||
-          coflows[ci].state.slo == fabric::SloClass::kRejected) {
-        std::pop_heap(expiry.begin(), expiry.end(),
-                      std::greater<ExpiryEntry>{});
-        expiry.pop_back();
-        continue;
-      }
-      return expiry.front().first;
+  // The timed preemption sources. The loop top fires each at the first
+  // boundary that reaches it (the sample flush at the loop bottom, on the
+  // boundary the advance lands on), and the event horizon stops there.
+  enum Source : std::uint8_t {
+    kMaxTime, kCapacityChange, kArrival,
+    kDeadlineExpiry, kCpuPromise, kSampleFlush
+  };
+  static constexpr Source kSources[] = {kMaxTime,    kCapacityChange,
+                                        kArrival,    kDeadlineExpiry,
+                                        kCpuPromise, kSampleFlush};
+
+  // When source `s` next fires; kForever while nothing is pending.
+  common::Seconds source_time(Source s) {
+    switch (s) {
+      case kMaxTime:
+        return config.max_time;
+      case kCapacityChange:
+        return next_capacity_change;  // kForever on a static fabric
+      case kArrival:
+        return next_arrival < arrival_order.size()
+                   ? coflows[arrival_order[next_arrival]].state.arrival
+                   : kForever;
+      case kDeadlineExpiry:
+        return admit_on ? next_expiry() : kForever;
+      case kCpuPromise:
+        return seg_cpu_T;
+      case kSampleFlush:
+        return config.utilization_sample_period > 0
+                   ? window_start + config.utilization_sample_period
+                   : kForever;
     }
-    return std::numeric_limits<common::Seconds>::infinity();
+    return kForever;
+  }
+
+  // Whether boundary `b` reaches source `s`, pending at `at`: the one test
+  // behind both the loop top and the horizon. The forms are the ones the
+  // pinned digests were captured with; the sample flush compares the
+  // elapsed window with the period, not `b` with `at`.
+  bool reached(Source s, common::Seconds at, common::Seconds b) const {
+    switch (s) {
+      case kMaxTime:
+        return b > at;
+      case kCpuPromise:
+        return b >= at;
+      case kSampleFlush:
+        return b - window_start >= config.utilization_sample_period;
+      case kCapacityChange:
+      case kArrival:
+      case kDeadlineExpiry:
+        break;
+    }
+    return at <= b + kTiny;
+  }
+
+  bool due(Source s, common::Seconds b) {
+    const common::Seconds at = source_time(s);
+    return std::isfinite(at) && reached(s, at, b);
+  }
+
+  // Zero progress is a stall, not a deadlock, while an idle flow waits on a
+  // failed link and the schedule holds a capacity change that may bring it
+  // back (max_time still backstops the run).
+  bool waiting_on_failed_link() const {
+    return seg_stall_count > 0 && std::isfinite(next_capacity_change);
+  }
+
+  bool finished(std::size_t ci) const {
+    return coflows[ci].state.completed() ||
+           coflows[ci].state.slo == fabric::SloClass::kRejected;
+  }
+
+  // Drops completed and shed coflows from the active set, keeping order.
+  void retire_finished() {
+    std::erase_if(active, [&](std::size_t ci) { return finished(ci); });
+  }
+
+  common::Seconds next_expiry() {
+    while (!expiry.empty() && finished(expiry.front().second)) {
+      std::pop_heap(expiry.begin(), expiry.end(), std::greater<ExpiryEntry>{});
+      expiry.pop_back();
+    }
+    return expiry.empty() ? kForever : expiry.front().first;
   }
 
   void push_expiry(common::Seconds deadline, std::size_t ci) {
@@ -554,9 +629,8 @@ class Engine {
   // first window takes all bytes moved since the last flush, later windows
   // (idle stretches) are zero — no per-period catch-up loop.
   void maybe_sample(common::Seconds now) {
-    if (config.utilization_sample_period <= 0) return;
+    if (!due(kSampleFlush, now)) return;
     const common::Seconds p = config.utilization_sample_period;
-    if (now - window_start < p) return;
     const double sent_total = cumulative_sent();
     std::uint64_t n = static_cast<std::uint64_t>((now - window_start) / p);
     while (n > 0 &&
@@ -607,7 +681,7 @@ class Engine {
     ++seg_epoch;
     seg_min_event_j = kNoEvent;
     seg_progress_step = 0;
-    seg_cpu_T = std::numeric_limits<common::Seconds>::infinity();
+    seg_cpu_T = kForever;
     seg_has_blocked = false;
     for (const fabric::FlowId fid : seg_flows) {
       fabric::Flow& f = flows[fid];
@@ -728,7 +802,7 @@ class Engine {
   std::uint64_t seg_min_event_j = kNoEvent;
   double seg_progress_step = 0;       // bytes disposed per interior slice
   std::uint64_t seg_stall_count = 0;  // idle flows pinned on a failed link
-  common::Seconds seg_cpu_T = std::numeric_limits<common::Seconds>::infinity();
+  common::Seconds seg_cpu_T = kForever;
   bool seg_has_blocked = false;  // compress flow with no CPU: resample ASAP
 
   common::Seconds window_start = 0;
@@ -748,8 +822,7 @@ class Engine {
   std::vector<char> decided;
   std::uint64_t round = 0;   // scheduling rounds, for trace correlation
   std::uint64_t slices = 0;  // advanced slices, reported via the registry
-  common::Seconds next_capacity_change =
-      std::numeric_limits<common::Seconds>::infinity();
+  common::Seconds next_capacity_change = kForever;
   sched::SchedContext ctx;
 
   // ---- Recovery state (process-local, never serialized). ----
@@ -766,7 +839,6 @@ class Engine {
   std::uint64_t ckpt_every_ = 0;
   std::uint64_t restored_seq_ = 0;
   bool journal_on_ = false;
-  bool restored_ = false;
   const recovery::CrashPlan* crash_ = nullptr;
 };
 
@@ -847,7 +919,6 @@ void Engine::setup_recovery() {
     if (snap.has_value()) {
       recovery::StateReader r(snap->payload);
       restore_state(r);
-      restored_ = true;
       restored_seq_ = snap->meta.seq;
       // The restored run owns a fresh DirtyTracker session: re-register
       // the active coflows and let the schedulers rebuild their memoized
@@ -1210,22 +1281,13 @@ void Engine::restore_state(recovery::StateReader& r) {
 Metrics Engine::run() {
   setup_recovery();
 
-  if (!restored_ && degrade_on) {
-    // An episode may already cover the first arrival. Runs after recovery
-    // setup so the initial capacity events hit the journal too; a restored
-    // run skips it — its multipliers and schedule cursor come from the
-    // snapshot.
-    apply_capacity(seg_base);
-    next_capacity_change = degrade.next_change_after(seg_base);
-  }
-
   while (completed + rejected < coflows.size()) {
     const common::Seconds t = slice_time(seg_j);
-    if (t > config.max_time) throw SimError("sim: exceeded max_time");
+    if (due(kMaxTime, t)) throw SimError("sim: exceeded max_time");
 
     // Apply capacity changes due by this boundary. Sampling the schedule's
     // absolute state at `t` also catches up after idle-time jumps.
-    if (degrade_on && next_capacity_change <= t + kTiny) {
+    if (due(kCapacityChange, t)) {
       apply_capacity(t);
       next_capacity_change = degrade.next_change_after(t);
     }
@@ -1234,8 +1296,7 @@ Metrics Engine::run() {
     // SLO layer is on. Verdicts are priced at the coflow's own arrival
     // instant against the live fabric — both mode-independent quantities,
     // so event and slice engines reach identical decisions.
-    while (next_arrival < arrival_order.size() &&
-           coflows[arrival_order[next_arrival]].state.arrival <= t + kTiny) {
+    while (due(kArrival, t)) {
       const std::size_t ci = arrival_order[next_arrival];
       SimCoflow& sc = coflows[ci];
       ++next_arrival;
@@ -1294,7 +1355,7 @@ Metrics Engine::run() {
 
     if (active.empty()) {
       if (next_arrival >= arrival_order.size()) break;  // nothing left
-      seg_base = coflows[arrival_order[next_arrival]].state.arrival;
+      seg_base = source_time(kArrival);
       seg_j = 0;
       seg_valid = false;
       continue;
@@ -1307,16 +1368,16 @@ Metrics Engine::run() {
     // mode-independent. Expiry shedding must also fold first: zeroing a
     // shed flow's pools under a live snapshot would be undone by the next
     // materialize.
-    const bool shed_due = admit_on && next_expiry() <= t + kTiny;
-    const bool cpu_fold_due = seg_valid && seg_j > 0 && t >= seg_cpu_T;
+    const bool shed_due = due(kDeadlineExpiry, t);
+    const bool cpu_fold_due = seg_valid && seg_j > 0 && due(kCpuPromise, t);
     if (seg_valid && (need_schedule || cpu_fold_due || shed_due))
       materialize_segment();
 
     if (shed_due) {
       // Shed every coflow whose deadline passed by this boundary (the
-      // event mode caps each segment at the next expiry, so both modes
-      // shed at the same first boundary at-or-past the deadline).
-      while (next_expiry() <= t + kTiny) {
+      // event horizon stops at the next expiry, so both modes shed at the
+      // same first boundary at-or-past the deadline).
+      while (due(kDeadlineExpiry, t)) {
         const std::size_t ci = expiry.front().second;
         std::pop_heap(expiry.begin(), expiry.end(),
                       std::greater<ExpiryEntry>{});
@@ -1325,16 +1386,8 @@ Metrics Engine::run() {
         need_schedule = true;
         coflow_event = true;
       }
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [&](std::size_t ci) {
-                                    return coflows[ci].state.slo ==
-                                           fabric::SloClass::kRejected;
-                                  }),
-                   active.end());
-      if (active.empty()) {
-        if (next_arrival >= arrival_order.size()) break;
-        continue;  // top-of-loop idle jump re-bases time at the next arrival
-      }
+      retire_finished();
+      if (active.empty()) continue;  // the loop top exits or re-bases
     }
 
     // Capacity-change re-pricing: arrival verdicts were priced against the
@@ -1370,16 +1423,8 @@ Metrics Engine::run() {
           sc.state.slo = fabric::SloClass::kDeferred;
       }
       if (!outcome.shed.empty()) {
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t ci) {
-                                      return coflows[ci].state.slo ==
-                                             fabric::SloClass::kRejected;
-                                    }),
-                     active.end());
-        if (active.empty()) {
-          if (next_arrival >= arrival_order.size()) break;
-          continue;  // idle jump re-bases at the next arrival
-        }
+        retire_finished();
+        if (active.empty()) continue;  // the loop top exits or re-bases
       }
     }
 
@@ -1399,7 +1444,7 @@ Metrics Engine::run() {
         obs::ProfileScope scope(sink, "sim.schedule");
         alloc = sched.schedule(ctx);
       }
-      if (config.validate_allocations && !feasible(alloc, ctx.flows, live))
+      if (!feasible(alloc, ctx.flows, live))
         throw SimError("sim: scheduler " + sched.name() +
                        " violated port capacities");
       seg_flows.clear();
@@ -1451,73 +1496,28 @@ Metrics Engine::run() {
     }
 
     // ---- Advance k slices in one closed-form step. ----
-    // Interior boundaries are provably eventless: each cap below stops the
-    // batch at the first boundary where an arrival, capacity change, flow
-    // event, sample flush, CPU re-read, stall verdict or max_time check is
-    // due. The slice-stepped reference simply pins k = 1 and therefore
-    // visits every boundary — evaluating the same formulas either way.
+    // Interior boundaries are provably eventless: the batch stops at the
+    // first boundary where a flow event is due, a timed source is reached
+    // (by the test the loop top fires it with) or the stall verdict is due.
+    // The slice-stepped reference simply pins k = 1 and therefore visits
+    // every boundary — evaluating the same formulas either way.
     obs::ProfileScope advance_scope(sink, "sim.advance", "prof",
                                     /*emit_events=*/false);
     std::uint64_t k = 1;
     if (event_mode) {
       std::uint64_t cap =
           seg_min_event_j == kNoEvent ? kNoEvent : seg_min_event_j - seg_j;
-      if (next_arrival < arrival_order.size()) {
-        const common::Seconds arr =
-            coflows[arrival_order[next_arrival]].state.arrival;
+      for (const Source s : kSources) {
+        const common::Seconds at = source_time(s);
+        if (!std::isfinite(at)) continue;
         cap = std::min(
             cap, first_true_near(
-                     (arr - seg_base) / config.slice - double(seg_j),
+                     (at - seg_base) / config.slice - double(seg_j),
                      [&](std::uint64_t n) {
-                       return arr <= slice_time(seg_j + n) + kTiny;
+                       return reached(s, at, slice_time(seg_j + n));
                      }));
       }
-      if (degrade_on && std::isfinite(next_capacity_change))
-        cap = std::min(
-            cap,
-            first_true_near(
-                (next_capacity_change - seg_base) / config.slice -
-                    double(seg_j),
-                [&](std::uint64_t n) {
-                  return next_capacity_change <= slice_time(seg_j + n) + kTiny;
-                }));
-      if (admit_on) {
-        const common::Seconds nx = next_expiry();
-        if (std::isfinite(nx))
-          cap = std::min(
-              cap, first_true_near(
-                       (nx - seg_base) / config.slice - double(seg_j),
-                       [&](std::uint64_t n) {
-                         return nx <= slice_time(seg_j + n) + kTiny;
-                       }));
-      }
-      if (config.utilization_sample_period > 0)
-        cap = std::min(
-            cap, first_true_near(
-                     (window_start + config.utilization_sample_period -
-                      seg_base) /
-                             config.slice -
-                         double(seg_j),
-                     [&](std::uint64_t n) {
-                       return slice_time(seg_j + n) - window_start >=
-                              config.utilization_sample_period;
-                     }));
-      if (std::isfinite(seg_cpu_T))
-        cap = std::min(
-            cap, first_true_near(
-                     (seg_cpu_T - seg_base) / config.slice - double(seg_j),
-                     [&](std::uint64_t n) {
-                       return slice_time(seg_j + n) >= seg_cpu_T;
-                     }));
-      cap = std::min(
-          cap, first_true_near(
-                   (config.max_time - seg_base) / config.slice -
-                       double(seg_j) + 1.0,
-                   [&](std::uint64_t n) {
-                     return slice_time(seg_j + n) > config.max_time;
-                   }));
-      if (seg_progress_step <= kTiny &&
-          !(seg_stall_count > 0 && std::isfinite(next_capacity_change)))
+      if (seg_progress_step <= kTiny && !waiting_on_failed_link())
         cap = std::min(
             cap, static_cast<std::uint64_t>(kMaxStalledSlices - stalled + 1));
       if (seg_has_blocked) cap = 1;
@@ -1578,15 +1578,7 @@ Metrics Engine::run() {
       }
     }
     if (seg_has_blocked) need_schedule = true;
-
-    // Drop completed (and, belt-and-suspenders, shed) coflows.
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t ci) {
-                                  return coflows[ci].state.completed() ||
-                                         coflows[ci].state.slo ==
-                                             fabric::SloClass::kRejected;
-                                }),
-                 active.end());
+    retire_finished();
 
     // Stall accounting, k slices at once: interior slices of a segment all
     // dispose the same seg_progress_step bytes, and a slice with a flow
@@ -1594,10 +1586,7 @@ Metrics Engine::run() {
     // so the per-slice verdicts are segment-constant.
     dstats.stalled_flow_slices += seg_stall_count * k;
     if (seg_progress_step <= kTiny && !active.empty()) {
-      if (seg_stall_count > 0 && std::isfinite(next_capacity_change)) {
-        // Every idle flow is pinned behind a failed link and the schedule
-        // holds a future capacity change: a legitimate stall that must not
-        // trip the deadlock detector (max_time still backstops the run).
+      if (waiting_on_failed_link()) {
         stalled = 0;
       } else {
         stalled += static_cast<std::int64_t>(k);
@@ -1707,6 +1696,8 @@ Metrics run_simulation(const workload::Trace& trace,
                        const cpu::CpuProvider& cpu, sched::Scheduler& sched,
                        const SimConfig& config) {
   if (config.slice <= 0) throw std::invalid_argument("sim: non-positive slice");
+  if (!std::isfinite(config.slice))
+    throw std::invalid_argument("sim: non-finite slice");
   if (fabric.num_ports() < trace.num_ports)
     throw std::invalid_argument("sim: fabric smaller than trace needs");
   Engine engine(trace, fabric, cpu, sched, config);

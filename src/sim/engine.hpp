@@ -33,13 +33,14 @@ namespace swallow::sim {
 /// How run_simulation advances time between preemption points.
 enum class EngineMode {
   /// Fast-forward: between preemption points (arrival, flow/compression
-  /// completion, capacity change, CPU-headroom change, utilization-sample
-  /// boundary) rates and beta are constant, so the engine computes the
-  /// earliest next event analytically and applies the intervening slices'
-  /// progress in one closed-form bulk update. Metrics are byte-identical
-  /// to kSliceStepped: both modes evaluate the same canonical per-segment
-  /// formulas, the event mode just skips the interior slice boundaries
-  /// where nothing can change (see DESIGN.md section 10).
+  /// completion, capacity change, deadline expiry, CPU-headroom change,
+  /// utilization-sample boundary, the max_time guard) rates and beta are
+  /// constant, so the engine computes the earliest next event analytically
+  /// and applies the intervening slices' progress in one closed-form bulk
+  /// update. Metrics are byte-identical to kSliceStepped: both modes
+  /// evaluate the same canonical per-segment formulas, the event mode just
+  /// skips the interior slice boundaries where nothing can change (see
+  /// DESIGN.md section 10).
   kEventDriven = 0,
   /// The historical reference stepper: one slice at a time. Kept for A/B
   /// parity testing and as a bisection aid.
@@ -54,8 +55,6 @@ struct SimConfig {
   const codec::CodecModel* codec = nullptr;
   /// Abort the run if simulated time passes this point (safety net).
   common::Seconds max_time = 1e7;
-  /// Validate every allocation against port capacities (throws on breach).
-  bool validate_allocations = true;
   /// Sample fabric-wide egress utilization every this many seconds into
   /// Metrics::utilization (0 disables sampling).
   common::Seconds utilization_sample_period = 0;

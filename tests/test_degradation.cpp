@@ -260,8 +260,9 @@ TEST(DegradationSchedule, CachedAnswersMatchFreshSchedules) {
 
 // The acceptance property: under seeded degradation every scheduler in the
 // registry completes every coflow — no hangs (bounded sim time), no
-// capacity violations (validate_allocations stays on), no negative
-// remaining volume (completion implies fully drained), sane timestamps.
+// capacity violations (the engine checks every allocation's feasibility),
+// no negative remaining volume (completion implies fully drained), sane
+// timestamps.
 TEST(DegradationEngine, EverySchedulerCompletesUnderDegradation) {
   const workload::Trace trace = small_trace(5);
   const fabric::Fabric fabric(trace.num_ports, 50.0 * 1024 * 1024);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -211,10 +212,17 @@ TEST(Engine, RejectsBadConfigs) {
   const fabric::Fabric small(1, 1.0);
   const cpu::ConstantCpu cpu(0.0);
   auto sched = make_scheduler("FIFO");
-  SimConfig config;
-  config.slice = 0.0;
-  EXPECT_THROW(run_simulation(trace, fabric, cpu, *sched, config),
-               std::invalid_argument);
+  // A NaN or infinite slice makes every boundary time NaN or infinite, so
+  // no arrival would ever be due.
+  for (const double slice : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    SimConfig config;
+    config.slice = slice;
+    EXPECT_THROW(run_simulation(trace, fabric, cpu, *sched, config),
+                 std::invalid_argument)
+        << "slice " << slice;
+  }
   EXPECT_THROW(run_simulation(trace, small, cpu, *sched, {}),
                std::invalid_argument);
 }
@@ -225,10 +233,20 @@ TEST(Engine, EmptyTraceYieldsEmptyMetrics) {
   const fabric::Fabric fabric(2, 1.0);
   const cpu::ConstantCpu cpu(0.0);
   auto sched = make_scheduler("FIFO");
-  const Metrics m = run_simulation(t, fabric, cpu, *sched, {});
-  EXPECT_TRUE(m.flows.empty());
-  EXPECT_TRUE(m.coflows.empty());
-  EXPECT_DOUBLE_EQ(m.avg_fct(), 0.0);
+  // Degraded, a run that never starts samples no capacity changes.
+  SimConfig degraded;
+  degraded.degradation.rate = 1.0;
+  for (const SimConfig& config : {SimConfig{}, degraded}) {
+    const Metrics m = run_simulation(t, fabric, cpu, *sched, config);
+    EXPECT_TRUE(m.flows.empty());
+    EXPECT_TRUE(m.coflows.empty());
+    EXPECT_TRUE(m.utilization.empty());
+    EXPECT_DOUBLE_EQ(m.avg_fct(), 0.0);
+    EXPECT_EQ(m.degradation.capacity_changes, 0u);
+    EXPECT_EQ(m.degradation.link_failures, 0u);
+    EXPECT_EQ(m.degradation.stalled_flow_slices, 0u);
+    EXPECT_EQ(m.degradation.compression_flips, 0u);
+  }
 }
 
 

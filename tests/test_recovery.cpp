@@ -29,6 +29,7 @@
 #include "recovery/snapshot.hpp"
 #include "recovery/state_io.hpp"
 #include "sched/registry.hpp"
+#include "shed_idle_cases.hpp"
 #include "sim/experiment.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -314,6 +315,47 @@ TEST(RecoveryMatrix, KillAnywhereDeadlinesAdmissionShedding) {
             "/slo/kill=" + std::to_string(kill);
         const sim::Metrics recovered = kill_and_recover(
             trace, fabric, cpu, name, config, plan, 2, label);
+        expect_identical(recovered, clean, label);
+      }
+    }
+  }
+}
+
+TEST(RecoveryMatrix, KillAnywhereAroundAShedThatEmptiesTheFabric) {
+  // A mid-flight shed (deadline expiry, capacity-change re-price) removes
+  // the last active coflow while another is still to arrive, and the
+  // engine idles to that arrival. Each case also runs without its last
+  // coflow, so the shed leaves nothing to arrive and the run ends there.
+  // Every kill point, one snapshot per round.
+  const fabric::Fabric fabric(2, shed_idle::kBandwidth);
+  const cpu::ConstantCpu cpu(0.9);
+  std::vector<shed_idle::Case> cases;
+  for (shed_idle::Case c :
+       {shed_idle::expiry_shed(), shed_idle::reprice_shed()}) {
+    cases.push_back(c);
+    c.trace.coflows.pop_back();
+    cases.push_back(c);
+  }
+  for (const shed_idle::Case& c : cases) {
+    for (const sim::EngineMode mode :
+         {sim::EngineMode::kEventDriven, sim::EngineMode::kSliceStepped}) {
+      sim::SimConfig config = c.config;
+      config.engine_mode = mode;
+      const sim::Metrics clean =
+          run_once(c.trace, fabric, cpu, c.scheduler, config);
+      ASSERT_EQ(clean.slo.shed_midflight, 1u);
+      const std::uint64_t events =
+          count_events(c.trace, fabric, cpu, c.scheduler, config);
+      for (std::uint64_t kill = 1; kill <= events; ++kill) {
+        recovery::CrashPlan plan;
+        plan.kill_at_event = kill;
+        const std::string label =
+            c.scheduler + "/" + std::to_string(c.trace.coflows.size()) +
+            " coflows" +
+            (mode == sim::EngineMode::kEventDriven ? "/event" : "/slice") +
+            "/kill=" + std::to_string(kill);
+        const sim::Metrics recovered = kill_and_recover(
+            c.trace, fabric, cpu, c.scheduler, config, plan, 1, label);
         expect_identical(recovered, clean, label);
       }
     }

@@ -20,7 +20,9 @@
 
 #include "core/admission.hpp"
 #include "cpu/cpu_model.hpp"
+#include "fabric/degradation.hpp"
 #include "reference_sched.hpp"
+#include "shed_idle_cases.hpp"
 #include "sim/experiment.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -405,37 +407,61 @@ TEST(SloBehavior, MetFractionMonotoneVsLoad) {
 TEST(SloBehavior, ShedExpiredDropsDoomedVolume) {
   // An impossible deadline that slips past the (loose) admission margin is
   // shed mid-flight: its volume stops consuming the fabric and its records
-  // stay incomplete.
-  workload::Trace trace;
-  trace.num_ports = 2;
-  workload::CoflowSpec c;
-  c.id = 0;
-  c.arrival = 0.0;
-  c.deadline = 0.5;  // 4 s of wire time against 0.5 s: hopeless
-  workload::FlowSpec f;
-  f.src = 0;
-  f.dst = 1;
-  f.bytes = common::mbps(100) * 4.0;
-  f.compressible = false;
-  c.flows.push_back(f);
-  trace.coflows.push_back(c);
-
-  const fabric::Fabric fabric(2, common::mbps(100));
+  // stay incomplete. The shed empties the fabric before the next arrival.
+  const shed_idle::Case c = shed_idle::expiry_shed();
+  const fabric::Fabric fabric(2, shed_idle::kBandwidth);
   const cpu::ConstantCpu cpu(0.9);
-  sim::SimConfig config;
-  config.admission.enabled = true;
-  config.admission.reject_margin = 100.0;  // let it in, watch it expire
-  const auto m = run_cfg(trace, fabric, cpu, "DEADLINE-FVDF", config,
+  const auto m = run_cfg(c.trace, fabric, cpu, c.scheduler, c.config,
                          sim::EngineMode::kEventDriven);
+  expect_identical(m,
+                   run_cfg(c.trace, fabric, cpu, c.scheduler, c.config,
+                           sim::EngineMode::kSliceStepped),
+                   "event-vs-slice");
   EXPECT_EQ(m.slo.shed_midflight, 1u);
   EXPECT_GT(m.slo.shed_bytes, 0.0);
-  ASSERT_EQ(m.coflows.size(), 1u);
+  ASSERT_EQ(m.coflows.size(), 2u);
   EXPECT_TRUE(m.coflows[0].rejected);
   EXPECT_FALSE(m.coflows[0].completed());
   EXPECT_EQ(m.deadlines_met(), 0u);
   // The shed happened at the first slice boundary past the deadline, not at
   // the natural 4-second completion: wire bytes stop near 0.5 s of service.
-  EXPECT_LT(m.coflows[0].wire_bytes, f.bytes * 0.2);
+  EXPECT_LT(m.coflows[0].wire_bytes,
+            c.trace.coflows[0].total_bytes() * 0.2);
+  // The later arrival has the fabric to itself.
+  ASSERT_TRUE(m.coflows[1].completed());
+  EXPECT_NEAR(m.coflows[1].completion - m.coflows[1].arrival,
+              c.trace.coflows[1].total_bytes() / shed_idle::kBandwidth,
+              1e-9);
+}
+
+TEST(SloBehavior, RepriceShedOfTheLastActiveCoflowIdlesToTheNextArrival) {
+  // A capacity-change re-price sheds the last active coflow while another
+  // is still to arrive (the case's comment gives the timeline).
+  const shed_idle::Case c = shed_idle::reprice_shed();
+  const fabric::Fabric fabric(2, shed_idle::kBandwidth);
+  const cpu::ConstantCpu cpu(0.9);
+  fabric::DegradationSchedule schedule(c.config.degradation, 2);
+  const common::Seconds first_change = schedule.next_change_after(0.0);
+  ASSERT_GT(first_change, 0.3);  // coflow 1 has completed
+  ASSERT_LT(first_change, 1.2);  // coflow 0's deadline
+  const auto m = run_cfg(c.trace, fabric, cpu, c.scheduler, c.config,
+                         sim::EngineMode::kEventDriven);
+  expect_identical(m,
+                   run_cfg(c.trace, fabric, cpu, c.scheduler, c.config,
+                           sim::EngineMode::kSliceStepped),
+                   "event-vs-slice");
+  EXPECT_EQ(m.slo.admitted, 1u);
+  EXPECT_EQ(m.slo.repriced_shed, 1u);
+  EXPECT_EQ(m.slo.shed_midflight, 1u);
+  ASSERT_EQ(m.coflows.size(), 3u);
+  EXPECT_TRUE(m.coflows[0].rejected);
+  EXPECT_LT(m.coflows[0].wire_bytes,
+            c.trace.coflows[0].total_bytes() * 0.5);
+  EXPECT_TRUE(m.coflows[1].completed());
+  ASSERT_TRUE(m.coflows[2].completed());
+  EXPECT_NEAR(m.coflows[2].completion - m.coflows[2].arrival,
+              c.trace.coflows[2].total_bytes() / shed_idle::kBandwidth,
+              1e-9);
 }
 
 TEST(SloBehavior, MetFractionUnderDegradationAtLeastFvdf) {
