@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/checksum.hpp"
 #include "codec/chunk.hpp"
 #include "codec/null_codec.hpp"
 #include "recovery/state_io.hpp"
@@ -474,6 +475,29 @@ TEST(MasterRecovery, RestoreStateRejectsMalformedBytes) {
     EXPECT_THROW(victim.restore_state(r), recovery::RecoveryError)
         << "truncated to " << len;
   }
+}
+
+TEST(MasterRecovery, StateBytesArePinned) {
+  // The master's state layout, pinned by digest: two coflows, one removed
+  // after its decisions were applied, one flow degraded and one failure
+  // short of it, so every table the state carries holds entries.
+  const ClusterConfig config = fault_config();
+  Master master = make_master(config);
+  const CoflowRef a = master.add(two_flow_coflow(100));
+  const CoflowRef b = master.add(two_flow_coflow(200));
+  const CoflowRef c = master.add(two_flow_coflow(300));
+  master.alloc(master.scheduling({a, b, c}));
+  master.record_flow_failure(101);
+  master.record_flow_failure(101);
+  master.record_flow_failure(200);
+  master.remove(c);
+  master.alloc(master.scheduling({b, a}));
+  ASSERT_EQ(master.degraded_flows(), 1u);
+
+  recovery::StateWriter w;
+  master.save_state(w);
+  EXPECT_EQ(w.size(), 436u);
+  EXPECT_EQ(codec::checksum64(w.buffer()), 0x0f0bc003df2b0295ull);
 }
 
 TEST(MasterRecovery, CheckpointIsFingerprintGuarded) {
