@@ -209,17 +209,10 @@ AdmissionController::RepriceOutcome AdmissionController::reprice(
     common::Seconds now,
     const std::function<const fabric::Coflow&(fabric::CoflowId)>& coflow_of) {
   RepriceOutcome out;
-  if (commitments_.empty()) return out;
-
-  // Sorted snapshot of the ids: the walk mutates commitments_ (demotions
-  // release), and unordered_map iteration order must never leak into
-  // verdicts — both engine modes must shed/demote the same coflows.
-  std::vector<fabric::CoflowId> ids;
-  ids.reserve(commitments_.size());
-  for (const auto& [id, c] : commitments_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  for (const fabric::CoflowId id : ids) {
+  // In coflow-id order, so both engine modes shed and demote the same
+  // coflows. A demotion releases only the commitment just visited.
+  for (auto it = commitments_.begin(); it != commitments_.end();) {
+    const fabric::CoflowId id = (it++)->first;
     const fabric::Coflow& coflow = coflow_of(id);
     const common::Seconds slack = coflow.deadline - now;
     // Already past its deadline at this boundary: the expiry ladder owns
@@ -300,70 +293,43 @@ void AdmissionController::release(fabric::CoflowId id) {
   commitments_.erase(it);
 }
 
-void AdmissionController::save_state(recovery::StateWriter& w) const {
-  auto save_side = [&w](const std::vector<std::vector<Demand>>& side) {
-    w.u64(side.size());
-    for (const std::vector<Demand>& port : side) {
-      w.u64(port.size());
-      for (const Demand& d : port) {
-        w.f64(d.deadline);
-        w.u64(d.coflow);
-        w.u64(d.flows.size());
-        for (const fabric::FlowId fid : d.flows) w.u64(fid);
-      }
-    }
+template <class Self, class IO>
+void AdmissionController::fields(Self& a, IO& io, std::size_t num_coflows,
+                                 std::size_t num_flows) {
+  const std::size_t ports = a.nominal_ingress_.size();
+  const auto side = [&](auto& committed, const char* what) {
+    io.expect(committed.size(), what);
+    for (auto& port : committed)
+      io.vec(port, "admission demand", [&](auto& d) {
+        io.f64(d.deadline);
+        io.index(d.coflow, num_coflows, "admission demand coflow");
+        io.vec(d.flows, "admission demand flow", [&](auto& fid) {
+          io.index(fid, num_flows, "admission demand flow");
+        });
+      });
   };
-  save_side(committed_ingress_);
-  save_side(committed_egress_);
-
-  std::vector<fabric::CoflowId> ids;
-  ids.reserve(commitments_.size());
-  for (const auto& [id, c] : commitments_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (const fabric::CoflowId id : ids) {
-    const Commitment& c = commitments_.at(id);
-    w.u64(id);
-    w.u64(c.ingress.size());
-    for (const fabric::PortId p : c.ingress) w.u64(p);
-    w.u64(c.egress.size());
-    for (const fabric::PortId p : c.egress) w.u64(p);
-  }
+  side(a.committed_ingress_, "admission ingress port count");
+  side(a.committed_egress_, "admission egress port count");
+  const auto port = [&](auto& p) {
+    io.index(p, ports, "admission commitment port");
+  };
+  io.map(a.commitments_, "admission commitment", [&](auto& id, auto& c) {
+    io.index(id, num_coflows, "admission commitment coflow");
+    io.vec(c.ingress, "commitment ingress port", port);
+    io.vec(c.egress, "commitment egress port", port);
+  });
 }
 
-void AdmissionController::restore_state(recovery::StateReader& r) {
-  auto restore_side = [&r](std::vector<std::vector<Demand>>& side,
-                           const char* what) {
-    const std::uint64_t ports = r.u64();
-    if (ports != side.size())
-      throw recovery::RecoveryError(
-          std::string("admission: snapshot has ") + std::to_string(ports) +
-          " " + what + " ports, controller has " +
-          std::to_string(side.size()));
-    for (std::vector<Demand>& port : side) {
-      port.resize(r.count("admission demands"));
-      for (Demand& d : port) {
-        d.deadline = r.f64();
-        d.coflow = r.u64();
-        d.flows.resize(r.count("admission demand flows"));
-        for (fabric::FlowId& fid : d.flows) fid = r.u64();
-      }
-    }
-  };
-  restore_side(committed_ingress_, "ingress");
-  restore_side(committed_egress_, "egress");
+void AdmissionController::save_state(recovery::StateWriter& w,
+                                     std::size_t num_coflows,
+                                     std::size_t num_flows) const {
+  fields(*this, w, num_coflows, num_flows);
+}
 
-  commitments_.clear();
-  const std::uint64_t n = r.count("admission commitments");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const fabric::CoflowId id = r.u64();
-    Commitment c;
-    c.ingress.resize(r.count("commitment ingress ports"));
-    for (fabric::PortId& p : c.ingress) p = r.u64();
-    c.egress.resize(r.count("commitment egress ports"));
-    for (fabric::PortId& p : c.egress) p = r.u64();
-    commitments_.emplace(id, std::move(c));
-  }
+void AdmissionController::restore_state(recovery::StateReader& r,
+                                        std::size_t num_coflows,
+                                        std::size_t num_flows) {
+  fields(*this, r, num_coflows, num_flows);
 }
 
 }  // namespace swallow::core

@@ -30,7 +30,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "codec/codec_model.hpp"
@@ -133,13 +133,16 @@ class AdmissionController {
   }
 
   /// Checkpoint/restore of the committed-demand tables (DESIGN.md section
-  /// 13). Per-port demand vectors serialize verbatim (their order is
-  /// deterministic: driven by the admit/release sequence); the commitment
-  /// map is written sorted by coflow id so the bytes are deterministic too.
-  /// restore_state throws recovery::RecoveryError when the port count does
-  /// not match this controller's fabric.
-  void save_state(recovery::StateWriter& w) const;
-  void restore_state(recovery::StateReader& r);
+  /// 13), one field list for both directions. Per-port demand vectors keep
+  /// their admit/release order; commitments are written in coflow-id
+  /// order. `num_coflows` and `num_flows` size the pools the caller indexes
+  /// with the ids held here. restore_state throws recovery::RecoveryError
+  /// when the port count does not match this controller's fabric or a
+  /// port, coflow or flow id falls outside its range.
+  void save_state(recovery::StateWriter& w, std::size_t num_coflows,
+                  std::size_t num_flows) const;
+  void restore_state(recovery::StateReader& r, std::size_t num_coflows,
+                     std::size_t num_flows);
 
  private:
   /// One admitted coflow's promised demand on one port: the flows crossing
@@ -174,6 +177,10 @@ class AdmissionController {
                    common::Seconds add_deadline, common::Bytes add_bytes,
                    common::Bps capacity, common::Seconds now) const;
 
+  template <class Self, class IO>
+  static void fields(Self& a, IO& io, std::size_t num_coflows,
+                     std::size_t num_flows);
+
   AdmissionConfig config_;
   std::vector<common::Bps> nominal_ingress_;
   std::vector<common::Bps> nominal_egress_;
@@ -186,7 +193,7 @@ class AdmissionController {
     std::vector<fabric::PortId> ingress;
     std::vector<fabric::PortId> egress;
   };
-  std::unordered_map<fabric::CoflowId, Commitment> commitments_;
+  std::map<fabric::CoflowId, Commitment> commitments_;
 
   // Scratch per-port byte loads, reset via the touched lists (decisions stay
   // O(flows of the coflow), not O(ports)).

@@ -12,17 +12,6 @@
 
 namespace swallow::core {
 
-void RoundStamps::save_state(recovery::StateWriter& w) const {
-  w.u64(v_.size());
-  for (const std::uint64_t s : v_) w.u64(s);
-}
-
-void RoundStamps::restore_state(recovery::StateReader& r,
-                                const std::string& what) {
-  v_.resize(r.count(what.c_str()));
-  for (std::uint64_t& s : v_) s = r.u64();
-}
-
 void PriorityUpgrade::begin_round(const sched::SchedContext& ctx,
                                   bool enabled) {
   ++round_;
@@ -62,18 +51,6 @@ void PriorityUpgrade::end_round(const sched::SchedContext& ctx,
   }
 }
 
-void PriorityUpgrade::save_state(recovery::StateWriter& w) const {
-  w.u64(round_);
-  seen_.save_state(w);
-  served_.save_state(w);
-}
-
-void PriorityUpgrade::restore_state(recovery::StateReader& r) {
-  round_ = r.u64();
-  seen_.restore_state(r, std::string(category_) + " seen stamps");
-  served_.restore_state(r, std::string(category_) + " served stamps");
-}
-
 FvdfScheduler::FvdfScheduler(FvdfOptions options) : options_(options) {}
 
 std::string FvdfScheduler::name() const {
@@ -86,7 +63,7 @@ std::string FvdfScheduler::name() const {
 }
 
 fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
-  upgrade_.begin_round(ctx, options_.upgrade && options_.online);
+  upgrade_.begin_round(ctx, options_.upgrade);
   obs::ProfileScope scope(ctx.sink, "fvdf.allocate");
   EvalEnv env = eval_env(ctx);
   if (!options_.compression) env.codec = nullptr;
@@ -208,7 +185,7 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
 
 double FvdfScheduler::rank_key(const fabric::Coflow& c,
                                common::Seconds gamma) const {
-  return options_.online ? gamma / std::max(c.priority, 1.0) : gamma;
+  return gamma / std::max(c.priority, 1.0);
 }
 
 void FvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
@@ -259,11 +236,11 @@ std::unique_ptr<sched::Scheduler> make_fvdf(const std::string& name) {
 }
 
 void FvdfScheduler::save_state(recovery::StateWriter& w) const {
-  upgrade_.save_state(w);
+  fields(*this, w);
 }
 
 void FvdfScheduler::restore_state(recovery::StateReader& r) {
-  upgrade_.restore_state(r);
+  fields(*this, r);
   // Drop the live memo: the restored run owns a fresh DirtyTracker
   // session, and schedule() rebuilds from scratch when it sees one.
   // Resetting here makes that unconditional even if a stale session id

@@ -38,8 +38,12 @@ class RoundStamps {
     v_[id] = round;
   }
   void clear() { v_.clear(); }
-  void save_state(recovery::StateWriter& w) const;
-  void restore_state(recovery::StateReader& r, const std::string& what);
+
+  /// Snapshot fields (recovery/state_io.hpp): the stamp table as is.
+  template <class Self, class IO>
+  static void fields(Self& s, IO& io, const char* what) {
+    io.vec(s.v_, what, [&](auto& stamp) { io.u64(stamp); });
+  }
 
  private:
   std::vector<std::uint64_t> v_;
@@ -69,8 +73,13 @@ class PriorityUpgrade {
   /// Rounds opened so far.
   std::uint64_t round() const { return round_; }
 
-  void save_state(recovery::StateWriter& w) const;
-  void restore_state(recovery::StateReader& r);
+  /// Snapshot fields: the round counter and both stamp tables.
+  template <class Self, class IO>
+  static void fields(Self& u, IO& io) {
+    io.u64(u.round_);
+    RoundStamps::fields(u.seen_, io, "seen stamp");
+    RoundStamps::fields(u.served_, io, "served stamp");
+  }
 
  private:
   const char* category_;
@@ -103,7 +112,6 @@ void backfill(const std::vector<const FvdfLane*>& walked,
               fabric::PortHeadroom& headroom, fabric::Allocation& alloc);
 
 struct FvdfOptions {
-  bool online = true;            ///< divide Gamma_C by the priority class
   bool upgrade = true;           ///< run Upgrade at every event
   bool compression = true;       ///< allow beta = 1 (ablation knob)
   bool backfill = true;          ///< work-conserving pass (ablation knob)
@@ -122,8 +130,6 @@ class FvdfScheduler final : public sched::Scheduler {
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
 
-  const FvdfOptions& options() const { return options_; }
-
  private:
   /// Re-evaluates a dirty coflow's flows (Eq. 7/8), refreshing its cache
   /// entry and its rank-index slot.
@@ -132,8 +138,13 @@ class FvdfScheduler final : public sched::Scheduler {
   /// Re-derives the rank key from cached Γ (key-only dirt: priority moved).
   void rekey_coflow(const fabric::Coflow& c);
   void drop_coflow(fabric::CoflowId id);
-  /// Γ_C divided by the priority class in online mode (Pseudocode 3).
+  /// Γ_C divided by the priority class (Pseudocode 3).
   double rank_key(const fabric::Coflow& c, common::Seconds gamma) const;
+
+  template <class Self, class IO>
+  static void fields(Self& s, IO& io) {
+    PriorityUpgrade::fields(s.upgrade_, io);
+  }
 
   FvdfOptions options_;
   PriorityUpgrade upgrade_{"fvdf"};

@@ -67,6 +67,14 @@ class Fabric {
   /// examples; configuration-time, so degradation does not move it).
   common::Bps min_capacity() const;
 
+  /// Snapshot fields (recovery/state_io.hpp, DESIGN.md section 13): the
+  /// port count, which a restore must match, then every port multiplier.
+  template <class Self, class IO>
+  static void fields(Self& f, IO& io) {
+    io.expect(f.multiplier_.size(), "port count");
+    for (auto& m : f.multiplier_) io.fraction(m, "port multiplier");
+  }
+
  private:
   std::vector<common::Bps> ingress_;  ///< nominal
   std::vector<common::Bps> egress_;   ///< nominal

@@ -53,12 +53,10 @@ struct RecoveryOptions {
   /// byte-identity of the simulation itself.
   std::uint64_t checkpoint_every = 0;
 
-  /// Directory for snapshot files and the event journal. Empty disables
-  /// all persistence (and restore).
+  /// Directory for snapshot files and the write-ahead event journal,
+  /// which every persisted run keeps. Empty disables all persistence (and
+  /// restore).
   std::string dir;
-
-  /// Maintain the write-ahead journal (requires `dir`).
-  bool journal = true;
 
   /// Start by restoring the newest valid snapshot in `dir` (cold start
   /// if none) and verify regenerated events against the journal suffix.
@@ -66,10 +64,6 @@ struct RecoveryOptions {
 
   /// Crash injection for tests/CI; not owned.
   const CrashPlan* crash = nullptr;
-
-  bool persistence_enabled() const {
-    return !dir.empty() && (checkpoint_every > 0 || journal);
-  }
 };
 
 }  // namespace swallow::recovery

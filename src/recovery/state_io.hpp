@@ -1,4 +1,4 @@
-// Byte-exact state serialization primitives for crash recovery.
+// Byte-exact state serialization for crash recovery.
 //
 // StateWriter/StateReader move POD values through a flat little-endian
 // byte stream. Doubles travel as their IEEE-754 bit patterns (bit_cast to
@@ -11,15 +11,44 @@
 // oversized or type-skewed input surfaces as a typed RecoveryError
 // carrying the byte offset, never as UB (the loader fuzz tests in
 // test_recovery run this under ASan/UBSan).
+//
+// Both classes speak one two-way field vocabulary: each call handles one
+// field, which StateWriter writes and StateReader reads back and checks.
+// A persisted object states its layout once, as a field list
+//
+//   template <class Self, class IO> static void fields(Self& s, IO& io);
+//
+// that save_state runs with (const T, StateWriter) and restore_state with
+// (T, StateReader). The list never asks which way it runs; bounds and
+// expected values it passes are evaluated both ways and bind only on read.
+//
+//   u8 u32 u64 f64 boolean      a scalar of that width (integers of any
+//                               type are cast to and from the width)
+//   tag("ABCD")                 a section tag; a misparse fails on it
+//   expect / expect_flag /      a count, flag or name the reader must
+//     expect_name               find equal to the restoring run's
+//   index(v, n)                 an index that must be below n
+//   enum_code(v, max)           a u8 enum code that must be at most max
+//   fraction(v)                 a double that must lie in [0, 1]
+//   vec(v, fn)                  a u64 size, then fn on every element
+//   map(m, fn)                  a u64 size, then fn(key, value) per entry
+//                               in key order; keys must ascend on read
+//   key(v, m)                   a u64 that must name a key of map m
+//   state(obj, bounds...)       a nested object through its own
+//                               save_state / restore_state
+//   end()                       no bytes may follow
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace swallow::recovery {
@@ -60,22 +89,67 @@ void store_le(std::uint8_t* at, T v) {
   }
 }
 
-/// Appends little-endian primitives to a growing byte buffer.
+/// Appends little-endian fields to a growing byte buffer.
 class StateWriter {
  public:
-  void u8(std::uint8_t v) { *claim(1) = v; }
-  void u32(std::uint32_t v) { store_le(claim(4), v); }
-  void u64(std::uint64_t v) { store_le(claim(8), v); }
+  template <std::integral T>
+  void u8(T v) {
+    *claim(1) = static_cast<std::uint8_t>(v);
+  }
+  template <std::integral T>
+  void u32(T v) {
+    store_le(claim(4), static_cast<std::uint32_t>(v));
+  }
+  template <std::integral T>
+  void u64(T v) {
+    store_le(claim(8), static_cast<std::uint64_t>(v));
+  }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
+    u32(s.size());
     bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
   void bytes(std::span<const std::uint8_t> data) {
     if (!data.empty())
       std::memcpy(claim(data.size()), data.data(), data.size());
   }
+
+  // ---- Two-way fields (see the file comment). ----
+  void tag(const char (&name)[5]) {
+    bytes({reinterpret_cast<const std::uint8_t*>(name), 4});
+  }
+  void expect(std::uint64_t v, const char*) { u64(v); }
+  void expect_flag(bool v, const char*) { boolean(v); }
+  void expect_name(const std::string& v, const char*) { str(v); }
+  template <std::integral T>
+  void index(T v, std::uint64_t, const char*) {
+    u64(v);
+  }
+  template <class E>
+  void enum_code(E v, E, const char*) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void fraction(double v, const char*) { f64(v); }
+  template <class T, class Fn>
+  void vec(const std::vector<T>& v, const char*, Fn&& each) {
+    u64(v.size());
+    for (const T& x : v) each(x);
+  }
+  template <class K, class V, class Fn>
+  void map(const std::map<K, V>& m, const char*, Fn&& each) {
+    u64(m.size());
+    for (const auto& [k, v] : m) each(k, v);
+  }
+  template <std::integral T, class Map>
+  void key(T v, const Map&, const char*) {
+    u64(v);
+  }
+  template <class T, class... Bounds>
+  void state(const T& obj, const Bounds&... bounds) {
+    obj.save_state(*this, bounds...);
+  }
+  void end() {}
 
   /// Rewinds to empty, keeping the buffer for the next round of writes.
   void clear() { size_ = 0; }
@@ -98,7 +172,8 @@ class StateWriter {
 };
 
 /// Bounds-checked reader over a byte span; throws RecoveryError (with the
-/// current offset) instead of reading past the end.
+/// current offset) instead of reading past the end or accepting a field
+/// that fails its check.
 class StateReader {
  public:
   explicit StateReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -145,6 +220,114 @@ class StateReader {
     return n;
   }
 
+  // ---- Two-way fields (see the file comment). ----
+  template <std::integral T>
+  void u8(T& v) {
+    v = static_cast<T>(u8());
+  }
+  template <std::integral T>
+  void u32(T& v) {
+    v = static_cast<T>(u32());
+  }
+  template <std::integral T>
+  void u64(T& v) {
+    v = static_cast<T>(u64());
+  }
+  void f64(double& v) { v = f64(); }
+  void boolean(bool& v) { v = boolean(); }
+  void tag(const char (&name)[5]) {
+    const std::size_t at = pos_;
+    need(4, "section tag");
+    if (std::memcmp(data_.data() + pos_, name, 4) != 0)
+      throw RecoveryError(std::string("recovery: expected section tag ") +
+                              name,
+                          at);
+    pos_ += 4;
+  }
+  void expect(std::uint64_t want, const char* what) {
+    const std::size_t at = pos_;
+    const std::uint64_t got = u64();
+    if (got != want)
+      mismatch(what, std::to_string(got), std::to_string(want), at);
+  }
+  void expect_flag(bool want, const char* what) {
+    const std::size_t at = pos_;
+    const bool got = boolean();
+    if (got != want)
+      mismatch(what, got ? "on" : "off", want ? "on" : "off", at);
+  }
+  void expect_name(const std::string& want, const char* what) {
+    const std::size_t at = pos_;
+    const std::string got = str();
+    if (got != want) mismatch(what, got, want, at);
+  }
+  template <std::integral T>
+  void index(T& v, std::uint64_t n, const char* what) {
+    const std::size_t at = pos_;
+    const std::uint64_t i = u64();
+    if (i >= n)
+      throw RecoveryError(std::string("recovery: ") + what + " " +
+                              std::to_string(i) + " out of range [0, " +
+                              std::to_string(n) + ")",
+                          at);
+    v = static_cast<T>(i);
+  }
+  template <class E>
+  void enum_code(E& v, E max, const char* what) {
+    const std::size_t at = pos_;
+    const std::uint8_t c = u8();
+    if (c > static_cast<std::uint8_t>(max))
+      throw RecoveryError(std::string("recovery: invalid ") + what + " " +
+                              std::to_string(c),
+                          at);
+    v = static_cast<E>(c);
+  }
+  void fraction(double& v, const char* what) {
+    const std::size_t at = pos_;
+    v = f64();
+    if (!(v >= 0.0 && v <= 1.0))  // also rejects NaN
+      throw RecoveryError(std::string("recovery: ") + what +
+                              " outside [0, 1]",
+                          at);
+  }
+  template <class T, class Fn>
+  void vec(std::vector<T>& v, const char* what, Fn&& each) {
+    v.resize(count(what));
+    for (T& x : v) each(x);
+  }
+  template <class K, class V, class Fn>
+  void map(std::map<K, V>& m, const char* what, Fn&& each) {
+    m.clear();
+    for (std::uint64_t n = count(what); n > 0; --n) {
+      const std::size_t at = pos_;
+      K k{};
+      V v{};
+      each(k, v);
+      if (!m.empty() && !(m.rbegin()->first < k))
+        throw RecoveryError(std::string("recovery: ") + what +
+                                " keys out of order",
+                            at);
+      m.emplace_hint(m.end(), std::move(k), std::move(v));
+    }
+  }
+  template <std::integral T, class Map>
+  void key(T& v, const Map& m, const char* what) {
+    const std::size_t at = pos_;
+    u64(v);
+    if (!m.contains(v))
+      throw RecoveryError(std::string("recovery: ") + what +
+                              " names an unknown key " + std::to_string(v),
+                          at);
+  }
+  template <class T, class... Bounds>
+  void state(T& obj, const Bounds&... bounds) {
+    obj.restore_state(*this, bounds...);
+  }
+  void end() {
+    if (!at_end())
+      throw RecoveryError("recovery: trailing bytes after state", pos_);
+  }
+
   std::size_t offset() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
@@ -155,6 +338,12 @@ class StateReader {
       throw RecoveryError(std::string("recovery: truncated stream reading ") +
                               what,
                           pos_);
+  }
+  [[noreturn]] static void mismatch(const char* what, const std::string& got,
+                                    const std::string& want, std::size_t at) {
+    throw RecoveryError(std::string("recovery: snapshot ") + what + " " +
+                            got + " does not match " + want,
+                        at);
   }
 
   std::span<const std::uint8_t> data_;

@@ -31,9 +31,8 @@ Master::Master(common::Bps nic_rate, codec::CodecModel codec,
 CoflowRef Master::add(CoflowInfo info) {
   std::lock_guard<std::mutex> lock(mutex_);
   const CoflowRef ref = next_ref_++;
-  info.ref = ref;
   for (const auto& f : info.flows) flow_owner_[f.flow_id] = ref;
-  coflows_[ref] = Entry{std::move(info), 1.0};
+  coflows_[ref] = Entry{std::move(info.flows), 1.0};
   return ref;
 }
 
@@ -41,7 +40,7 @@ void Master::remove(CoflowRef ref) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = coflows_.find(ref);
   if (it == coflows_.end()) return;
-  for (const auto& f : it->second.info.flows) {
+  for (const auto& f : it->second.flows) {
     decisions_.erase(f.flow_id);
     flow_owner_.erase(f.flow_id);
     flow_failures_.erase(f.flow_id);
@@ -71,7 +70,7 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
     entry.priority *= core::kPriorityLogBase;
 
     double gamma = 0;
-    for (const auto& f : entry.info.flows) {
+    for (const auto& f : entry.flows) {
       // Eq. 3 gate against the NIC bottleneck B. A degraded flow (repeated
       // codec/corruption failures) stays uncompressed no matter what the
       // gate says — re-scheduling must not resurrect the failing path.
@@ -205,112 +204,51 @@ std::size_t Master::rank_count() const {
   return ranks_.size();
 }
 
+template <class Self, class IO>
+void Master::fields(Self& m, IO& io) {
+  io.u64(m.next_ref_);
+  io.u64(m.degraded_count_);
+  io.map(m.coflows_, "master coflow", [&](auto& ref, auto& entry) {
+    io.index(ref, m.next_ref_, "master coflow ref");
+    io.f64(entry.priority);
+    io.vec(entry.flows, "master coflow flow", [&](auto& f) {
+      io.u64(f.flow_id);
+      io.u64(f.coflow);
+      io.u32(f.src);
+      io.u32(f.dst);
+      io.u64(f.bytes);
+      io.boolean(f.compressible);
+    });
+  });
+  io.map(m.ranks_, "master rank", [&](auto& ref, auto& rank) {
+    io.key(ref, m.coflows_, "master rank");
+    io.u64(rank);
+  });
+  io.map(m.decisions_, "master decision", [&](auto& flow, auto& d) {
+    io.u64(flow);
+    io.boolean(d.compress);
+    io.f64(d.rate);
+    io.boolean(d.degraded);
+  });
+  io.map(m.flow_owner_, "master flow owner", [&](auto& flow, auto& ref) {
+    io.u64(flow);
+    io.key(ref, m.coflows_, "master flow owner");
+  });
+  io.map(m.flow_failures_, "master flow failure", [&](auto& flow, auto& n) {
+    io.u64(flow);
+    io.u64(n);
+  });
+  io.end();
+}
+
 void Master::save_state(recovery::StateWriter& w) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  w.u64(next_ref_);
-  w.u64(degraded_count_);
-  w.u64(coflows_.size());
-  for (const auto& [ref, entry] : coflows_) {
-    w.u64(ref);
-    w.f64(entry.priority);
-    w.u64(entry.info.flows.size());
-    for (const FlowInfo& f : entry.info.flows) {
-      w.u64(f.flow_id);
-      w.u64(f.coflow);
-      w.u32(f.src);
-      w.u32(f.dst);
-      w.u64(f.bytes);
-      w.boolean(f.compressible);
-    }
-  }
-  w.u64(ranks_.size());
-  for (const auto& [ref, rank] : ranks_) {
-    w.u64(ref);
-    w.u64(rank);
-  }
-  w.u64(decisions_.size());
-  for (const auto& [flow, d] : decisions_) {
-    w.u64(flow);
-    w.boolean(d.compress);
-    w.f64(d.rate);
-    w.boolean(d.degraded);
-  }
-  w.u64(flow_owner_.size());
-  for (const auto& [flow, ref] : flow_owner_) {
-    w.u64(flow);
-    w.u64(ref);
-  }
-  w.u64(flow_failures_.size());
-  for (const auto& [flow, count] : flow_failures_) {
-    w.u64(flow);
-    w.u64(static_cast<std::uint64_t>(count));
-  }
+  fields(*this, w);
 }
 
 void Master::restore_state(recovery::StateReader& r) {
   std::lock_guard<std::mutex> lock(mutex_);
-  coflows_.clear();
-  ranks_.clear();
-  decisions_.clear();
-  flow_owner_.clear();
-  flow_failures_.clear();
-  next_ref_ = r.u64();
-  degraded_count_ = r.u64();
-  const std::uint64_t ncoflows = r.count("master coflows");
-  for (std::uint64_t i = 0; i < ncoflows; ++i) {
-    const CoflowRef ref = r.u64();
-    if (ref >= next_ref_)
-      throw recovery::RecoveryError(
-          "master: restored coflow ref outside the issued range", r.offset());
-    Entry entry;
-    entry.info.ref = ref;
-    entry.priority = r.f64();
-    const std::uint64_t nflows = r.count("master coflow flows");
-    entry.info.flows.reserve(nflows);
-    for (std::uint64_t k = 0; k < nflows; ++k) {
-      FlowInfo f;
-      f.flow_id = r.u64();
-      f.coflow = r.u64();
-      f.src = r.u32();
-      f.dst = r.u32();
-      f.bytes = r.u64();
-      f.compressible = r.boolean();
-      entry.info.flows.push_back(f);
-    }
-    coflows_[ref] = std::move(entry);
-  }
-  const std::uint64_t nranks = r.count("master ranks");
-  for (std::uint64_t i = 0; i < nranks; ++i) {
-    const CoflowRef ref = r.u64();
-    const std::uint64_t rank = r.u64();
-    if (coflows_.count(ref) == 0)
-      throw recovery::RecoveryError("master: rank for unknown coflow",
-                                    r.offset());
-    ranks_[ref] = rank;
-  }
-  const std::uint64_t ndecisions = r.count("master decisions");
-  for (std::uint64_t i = 0; i < ndecisions; ++i) {
-    const RtFlowId flow = r.u64();
-    FlowDecision d;
-    d.compress = r.boolean();
-    d.rate = r.f64();
-    d.degraded = r.boolean();
-    decisions_[flow] = d;
-  }
-  const std::uint64_t nowners = r.count("master flow owners");
-  for (std::uint64_t i = 0; i < nowners; ++i) {
-    const RtFlowId flow = r.u64();
-    const CoflowRef ref = r.u64();
-    if (coflows_.count(ref) == 0)
-      throw recovery::RecoveryError("master: flow owned by unknown coflow",
-                                    r.offset());
-    flow_owner_[flow] = ref;
-  }
-  const std::uint64_t nfailures = r.count("master flow failures");
-  for (std::uint64_t i = 0; i < nfailures; ++i) {
-    const RtFlowId flow = r.u64();
-    flow_failures_[flow] = static_cast<int>(r.u64());
-  }
+  fields(*this, r);
 }
 
 std::uint64_t Master::config_fingerprint() const {
@@ -344,9 +282,6 @@ bool Master::restore_from(const std::string& dir) {
   if (!snap) return false;
   recovery::StateReader r(snap->payload);
   restore_state(r);
-  if (!r.at_end())
-    throw recovery::RecoveryError("master: trailing bytes after state",
-                                  r.offset());
   if (sink_ != nullptr)
     sink_->registry().counter("recovery.master_restores").add(1);
   return true;
@@ -355,9 +290,8 @@ bool Master::restore_from(const std::string& dir) {
 void Master::restore_coflow(CoflowRef ref, CoflowInfo info) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (coflows_.count(ref) > 0) return;  // the snapshot already carried it
-  info.ref = ref;
   for (const auto& f : info.flows) flow_owner_[f.flow_id] = ref;
-  coflows_[ref] = Entry{std::move(info), 1.0};
+  coflows_[ref] = Entry{std::move(info.flows), 1.0};
   if (ref >= next_ref_) next_ref_ = ref + 1;
 }
 
@@ -371,8 +305,8 @@ std::vector<RtFlowId> Master::flows_of(CoflowRef ref) const {
   std::vector<RtFlowId> flows;
   const auto it = coflows_.find(ref);
   if (it == coflows_.end()) return flows;
-  flows.reserve(it->second.info.flows.size());
-  for (const auto& f : it->second.info.flows) flows.push_back(f.flow_id);
+  flows.reserve(it->second.flows.size());
+  for (const auto& f : it->second.flows) flows.push_back(f.flow_id);
   return flows;
 }
 

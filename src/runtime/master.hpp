@@ -18,7 +18,6 @@ namespace swallow::runtime {
 
 /// Aggregated coflow information (Table IV: output of aggregate()).
 struct CoflowInfo {
-  CoflowRef ref = 0;  ///< assigned by Master::add
   std::vector<FlowInfo> flows;
   std::size_t total_bytes() const;
 };
@@ -84,8 +83,8 @@ class Master {
   /// their priority classes, the applied rank order, per-flow decisions,
   /// ownership and failure counts — in deterministic (key-sorted) order.
   void save_state(recovery::StateWriter& w) const;
-  /// Rebuilds the bookkeeping from save_state bytes; throws RecoveryError
-  /// on malformed input. Replaces any existing state.
+  /// Rebuilds the bookkeeping from all of `r`'s save_state bytes; throws
+  /// RecoveryError on malformed input. Replaces any existing state.
   void restore_state(recovery::StateReader& r);
 
   /// Publishes a checksummed `snap-<seq>.swsnap` of save_state() in `dir`
@@ -119,9 +118,13 @@ class Master {
 
  private:
   struct Entry {
-    CoflowInfo info;
+    std::vector<FlowInfo> flows;
     double priority = 1.0;
   };
+
+  /// The snapshot layout, listed once for both directions.
+  template <class Self, class IO>
+  static void fields(Self& m, IO& io);
 
   bool degraded_locked(RtFlowId flow) const;
 

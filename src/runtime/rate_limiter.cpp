@@ -40,13 +40,6 @@ void RateLimiter::acquire(std::size_t bytes) {
   }
 }
 
-void RateLimiter::set_rate(common::Bps rate) {
-  if (rate <= 0) throw std::invalid_argument("RateLimiter: non-positive rate");
-  std::lock_guard<std::mutex> lock(mutex_);
-  refill_locked(Clock::now());
-  rate_ = rate;
-}
-
 common::Bps RateLimiter::rate() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return rate_;

@@ -18,8 +18,6 @@ class RateLimiter {
   /// Blocks until `bytes` tokens are available, then consumes them.
   void acquire(std::size_t bytes);
 
-  /// Updates the rate (master's alloc() path). Takes effect immediately.
-  void set_rate(common::Bps rate);
   common::Bps rate() const;
 
  private:

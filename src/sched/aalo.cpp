@@ -1,25 +1,16 @@
 #include "sched/aalo.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace swallow::sched {
 
-AaloScheduler::AaloScheduler() : AaloScheduler(Config{}) {}
-
-AaloScheduler::AaloScheduler(Config config) : config_(config) {
-  if (config_.first_threshold <= 0 || config_.threshold_factor <= 1.0 ||
-      config_.num_queues == 0)
-    throw std::invalid_argument("AaloScheduler: bad queue configuration");
-}
-
 std::size_t AaloScheduler::queue_of(common::Bytes sent) const {
-  common::Bytes threshold = config_.first_threshold;
-  for (std::size_t q = 0; q + 1 < config_.num_queues; ++q) {
+  common::Bytes threshold = kAaloFirstThreshold;
+  for (std::size_t q = 0; q + 1 < kAaloQueues; ++q) {
     if (sent < threshold) return q;
-    threshold *= config_.threshold_factor;
+    threshold *= kAaloThresholdFactor;
   }
-  return config_.num_queues - 1;
+  return kAaloQueues - 1;
 }
 
 fabric::Allocation AaloScheduler::schedule(const SchedContext& ctx) {

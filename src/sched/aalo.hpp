@@ -20,19 +20,15 @@
 
 namespace swallow::sched {
 
+/// First demotion threshold (bytes sent); Aalo's default is 10 MB.
+inline constexpr common::Bytes kAaloFirstThreshold = 10.0 * 1024 * 1024;
+/// Multiplier between consecutive queue thresholds (Aalo's E).
+inline constexpr double kAaloThresholdFactor = 10.0;
+/// Number of queues (the last one is unbounded).
+inline constexpr std::size_t kAaloQueues = 10;
+
 class AaloScheduler final : public Scheduler {
  public:
-  struct Config {
-    /// First demotion threshold (bytes sent); Aalo's default is 10 MB.
-    common::Bytes first_threshold = 10.0 * 1024 * 1024;
-    /// Multiplier between consecutive queue thresholds (Aalo's E).
-    double threshold_factor = 10.0;
-    /// Number of queues (the last one is unbounded).
-    std::size_t num_queues = 10;
-  };
-
-  AaloScheduler();  ///< Aalo defaults: 10 MB first threshold, E = 10
-  explicit AaloScheduler(Config config);
   std::string name() const override { return "AALO"; }
   fabric::Allocation schedule(const SchedContext& ctx) override;
 
@@ -41,8 +37,6 @@ class AaloScheduler final : public Scheduler {
 
  private:
   void refresh_coflow(const SchedContext& ctx, const fabric::Coflow& c);
-
-  Config config_;
 
   // --- memo, valid for one tracker session ---
   struct Cached {

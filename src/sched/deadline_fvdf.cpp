@@ -6,9 +6,6 @@
 
 namespace swallow::sched {
 
-DeadlineFvdfScheduler::DeadlineFvdfScheduler(DeadlineFvdfOptions options)
-    : options_(options) {}
-
 std::string DeadlineFvdfScheduler::name() const { return "DEADLINE-FVDF"; }
 
 bool DeadlineFvdfScheduler::starved(const fabric::Coflow& c) const {
@@ -16,7 +13,7 @@ bool DeadlineFvdfScheduler::starved(const fabric::Coflow& c) const {
   // in fault fallback there is no band 1, and promotion would only perturb
   // the plain FVDF order the fallback exists to reproduce.
   return any_deadline_ && !seen_degraded_ &&
-         c.priority >= options_.starvation_priority;
+         c.priority >= kStarvationPriority;
 }
 
 template <typename GammaNcFn>
@@ -46,15 +43,14 @@ DeadlineFvdfScheduler::SloRank DeadlineFvdfScheduler::classify(
   // the flag and keeps the full band ladder.
   if (!seen_degraded_ && c.has_deadline() && now < c.deadline) {
     const common::Seconds slack = c.deadline - now;
-    const double sf = options_.slack_factor;
-    if (g <= sf * slack) {
+    if (g <= kSlackFactor * slack) {
       r.band = 1;
     } else if (!uncompressed && has_beta) {
       // Mini shedding ladder, round-local: the compressed estimate misses
       // the deadline (the CPU bill or a throttled compressor is too slow),
       // but shipping raw still fits — degrade before deferring.
       const common::Seconds gnc = gamma_nc();
-      if (gnc <= sf * slack) {
+      if (gnc <= kSlackFactor * slack) {
         g = gnc;
         r.degrade = true;
         r.band = 1;
@@ -69,7 +65,7 @@ DeadlineFvdfScheduler::SloRank DeadlineFvdfScheduler::classify(
     // Band 1 flips to 3 when the shrinking slack crosses Gamma; band 3
     // flips to 2 at expiry. Both instants re-derive from classify at
     // refresh time, so a conservative (early) horizon is always safe.
-    r.horizon = r.band == 1 ? c.deadline - g / sf : c.deadline;
+    r.horizon = r.band == 1 ? c.deadline - g / kSlackFactor : c.deadline;
     return r;
   }
   // Best-effort, expired deadline, or fault fallback: plain FVDF order,
@@ -77,7 +73,7 @@ DeadlineFvdfScheduler::SloRank DeadlineFvdfScheduler::classify(
   // priority class says the coflow has waited long enough.
   r.band = starved(c) ? 0 : 2;
   r.gamma = g;
-  r.primary = options_.base.online ? g / std::max(c.priority, 1.0) : g;
+  r.primary = g / std::max(c.priority, 1.0);
   return r;
 }
 
@@ -89,10 +85,9 @@ fabric::Allocation DeadlineFvdfScheduler::schedule(const SchedContext& ctx) {
     // survives the regime switch.
     flows_.reset();
   }
-  upgrade_.begin_round(ctx, options_.base.upgrade && options_.base.online);
+  upgrade_.begin_round(ctx, /*enabled=*/true);
 
-  core::EvalEnv env = core::eval_env(ctx);
-  if (!options_.base.compression) env.codec = nullptr;
+  const core::EvalEnv env = core::eval_env(ctx);
   core::EvalEnv nc_env = env;
   nc_env.codec = nullptr;
 
@@ -222,7 +217,7 @@ fabric::Allocation DeadlineFvdfScheduler::schedule(const SchedContext& ctx) {
       return more;
     });
   }
-  if (options_.base.backfill) core::backfill(walked_, headroom, alloc);
+  core::backfill(walked_, headroom, alloc);
   upgrade_.end_round(ctx, alloc);
   return alloc;
 }
@@ -257,7 +252,7 @@ void DeadlineFvdfScheduler::refresh_coflow(const SchedContext& ctx,
     const fabric::Flow* f = flows_.live(fid);
     if (f == nullptr) continue;
     const core::FlowEval ev =
-        core::evaluate_flow(env, *f, options_.base.force_compression);
+        core::evaluate_flow(env, *f, /*force_compression=*/false);
     if (ctx.sink != nullptr) [[unlikely]]
       core::trace_beta_decision(ctx.sink, ctx.now, *f, ev.beta, ev.fct);
     gamma_beta = std::max(gamma_beta, ev.fct);  // Eq. 8
@@ -324,13 +319,9 @@ void DeadlineFvdfScheduler::rekey_all() {
 
 void DeadlineFvdfScheduler::install(const fabric::Coflow& c) {
   CachedCoflow& cc = cache_[c.id];
-  double primary;
-  if (cc.band == 1 || cc.band == 3) {
-    primary = c.deadline;
-  } else {
-    primary =
-        options_.base.online ? cc.gamma / std::max(c.priority, 1.0) : cc.gamma;
-  }
+  const double primary = cc.band == 1 || cc.band == 3
+                             ? c.deadline
+                             : cc.gamma / std::max(c.priority, 1.0);
   const CoflowRankKey key{primary, cc.arrival, c.id};
   if (cc.has_xmit)
     xmit_[cc.band].insert_or_update(c.id, key);
@@ -358,13 +349,11 @@ void DeadlineFvdfScheduler::drop_coflow(fabric::CoflowId id) {
 }
 
 void DeadlineFvdfScheduler::save_state(recovery::StateWriter& w) const {
-  upgrade_.save_state(w);
-  w.u64(seen_degraded_ ? 1 : 0);
+  fields(*this, w);
 }
 
 void DeadlineFvdfScheduler::restore_state(recovery::StateReader& r) {
-  upgrade_.restore_state(r);
-  seen_degraded_ = r.u64() != 0;
+  fields(*this, r);
   // Same contract as FvdfScheduler::restore_state: everything else is
   // session-keyed derived state, rebuilt on the first post-restore round.
   flows_.reset();

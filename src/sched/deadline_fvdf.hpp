@@ -4,7 +4,7 @@
 // ranked into four bands walked in order —
 //
 //   band 0  starvation-promoted best-effort coflows (priority class grew
-//           past `starvation_priority` while the deadline band monopolized
+//           past kStarvationPriority while the deadline band monopolized
 //           the fabric), FVDF order;
 //   band 1  deadline coflows whose Eq. 3/7/8 completion estimate (including
 //           compression CPU cost and current per-port capacity multipliers)
@@ -59,19 +59,17 @@
 
 namespace swallow::sched {
 
-struct DeadlineFvdfOptions {
-  core::FvdfOptions base;
-  /// A deadline coflow is feasible while Gamma <= slack_factor * slack.
-  double slack_factor = 1.0;
-  /// Priority class at which a starved band-2 coflow is promoted ahead of
-  /// the deadline band. The default is kPriorityLogBase^12: twelve
-  /// consecutive coflow events with zero service.
-  double starvation_priority = 8.916100448256;
-};
+/// A deadline coflow is feasible while Gamma <= kSlackFactor * slack.
+inline constexpr double kSlackFactor = 1.0;
+/// Priority class at which a starved band-2 coflow is promoted ahead of the
+/// deadline band: kPriorityLogBase^12, twelve consecutive coflow events
+/// with zero service.
+inline constexpr double kStarvationPriority = 8.916100448256;
 
+/// Runs FVDF's full configuration underneath: Upgrade, the Eq. 3
+/// compression gate and backfill all on.
 class DeadlineFvdfScheduler final : public Scheduler {
  public:
-  explicit DeadlineFvdfScheduler(DeadlineFvdfOptions options = {});
   std::string name() const override;
   fabric::Allocation schedule(const SchedContext& ctx) override;
 
@@ -82,10 +80,14 @@ class DeadlineFvdfScheduler final : public Scheduler {
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
 
-  const DeadlineFvdfOptions& options() const { return options_; }
-
  private:
   static constexpr int kNumBands = 4;
+
+  template <class Self, class IO>
+  static void fields(Self& s, IO& io) {
+    core::PriorityUpgrade::fields(s.upgrade_, io);
+    io.u64(s.seen_degraded_);
+  }
 
   /// One coflow's slot on the band ladder for the current instant.
   struct SloRank {
@@ -116,8 +118,6 @@ class DeadlineFvdfScheduler final : public Scheduler {
   void rekey_all();
   void drop_coflow(fabric::CoflowId id);
   void install(const fabric::Coflow& c);
-
-  DeadlineFvdfOptions options_;
 
   core::PriorityUpgrade upgrade_{"dfvdf"};
 

@@ -76,8 +76,10 @@ class Scheduler {
   /// they are rebuilt from scratch when the scheduler sees the restored
   /// run's fresh DirtyTracker session, and a rebuild is byte-equivalent to
   /// the warm caches (test_incremental checks both against a naive
-  /// recompute). Stateless schedulers inherit these no-ops.
-  /// restore_state must also drop any live incremental bindings so a
+  /// recompute). Stateless schedulers inherit these no-ops. A stateful
+  /// scheduler lists its fields once, in a field list both hooks run
+  /// (recovery/state_io.hpp), so the two directions cannot disagree;
+  /// restore_state then also drops any live incremental bindings so a
   /// reused instance cannot serve stale-session state.
   virtual void save_state(recovery::StateWriter& w) const { (void)w; }
   virtual void restore_state(recovery::StateReader& r) { (void)r; }

@@ -135,25 +135,6 @@ void materialize_flow(fabric::Flow& f, const FlowSeg& s, std::uint64_t j) {
   // kBlocked flows do not move.
 }
 
-/// Section tags for the snapshot payload: a skewed or truncated payload
-/// fails on a named section instead of silently misparsing.
-constexpr std::uint32_t tag4(char a, char b, char c, char d) {
-  return std::uint32_t(std::uint8_t(a)) |
-         (std::uint32_t(std::uint8_t(b)) << 8) |
-         (std::uint32_t(std::uint8_t(c)) << 16) |
-         (std::uint32_t(std::uint8_t(d)) << 24);
-}
-
-void expect_tag(recovery::StateReader& r, std::uint32_t want,
-                const char* name) {
-  const std::size_t at = r.offset();
-  if (r.u32() != want)
-    throw recovery::RecoveryError(
-        std::string("recovery: snapshot section tag mismatch, expected ") +
-            name,
-        at);
-}
-
 // Cold, out-of-line trace emitters: the Args machinery stays off the
 // round hot paths, which see only a null test when no sink is set.
 struct ColdEmit {
@@ -755,6 +736,9 @@ class Engine {
                      std::uint64_t a, std::uint64_t b = 0, double x = 0.0);
   [[noreturn]] void do_crash(const std::string& where);
   void checkpoint(common::Seconds t);
+  /// The snapshot payload, listed once for both directions.
+  template <class Self, class IO>
+  static void fields(Self& e, IO& io);
   void save_state(recovery::StateWriter& w) const;
   void restore_state(recovery::StateReader& r);
 
@@ -777,7 +761,7 @@ class Engine {
   sched::DirtyTracker tracker;
   obs::Sink* const sink;
 
-  // ---- Run state (everything save_state serializes or rederives). ----
+  // ---- Run state (what fields() lists or restore_state rederives). ----
   std::vector<fabric::Flow> flows;
   std::vector<SimCoflow> coflows;
   std::vector<std::size_t> arrival_order;
@@ -910,7 +894,7 @@ void Engine::setup_recovery() {
   fs::create_directories(opt.dir, ec);
   fingerprint_ = compute_fingerprint();
   ckpt_every_ = opt.checkpoint_every;
-  journal_on_ = opt.journal;
+  journal_on_ = true;
   journal_path_ = opt.dir + "/journal.swj";
   crash_ = opt.crash;
 
@@ -928,31 +912,29 @@ void Engine::setup_recovery() {
       for (const std::size_t ci : active)
         tracker.coflow_arrived(&coflows[ci].state);
     }
-    if (journal_on_) {
-      recovery::JournalScan scan;
-      if (fs::exists(journal_path_, ec))
-        scan = recovery::read_journal(journal_path_);
-      if (scan.torn) recovery::truncate_torn_tail(journal_path_, scan);
-      for (const recovery::JournalRecord& rec : scan.records)
-        if (rec.seq >= journal_seq_) verify_.push_back(rec);
-      if (!verify_.empty() && verify_.front().seq != journal_seq_) {
-        // The journal does not reach back to the snapshot's cursor (e.g. a
-        // rotated or separately damaged file). Determinism still yields a
-        // correct run, so drop the cross-check and restart the journal at
-        // the snapshot instead of failing the restore.
-        verify_.clear();
-        fs::remove(journal_path_, ec);
-      }
+    recovery::JournalScan scan;
+    if (fs::exists(journal_path_, ec))
+      scan = recovery::read_journal(journal_path_);
+    if (scan.torn) recovery::truncate_torn_tail(journal_path_, scan);
+    for (const recovery::JournalRecord& rec : scan.records)
+      if (rec.seq >= journal_seq_) verify_.push_back(rec);
+    if (!verify_.empty() && verify_.front().seq != journal_seq_) {
+      // The journal does not reach back to the snapshot's cursor (e.g. a
+      // rotated or separately damaged file). Determinism still yields a
+      // correct run, so drop the cross-check and restart the journal at
+      // the snapshot instead of failing the restore.
+      verify_.clear();
+      fs::remove(journal_path_, ec);
     }
     if (sink != nullptr)
       ColdEmit::restored(sink, seg_base, restored_seq_,
                          std::int64_t(verify_.size()));
-  } else if (journal_on_) {
+  } else {
     // Fresh run: a stale journal from a previous run in the same dir must
     // not be mistaken for this run's prefix.
     fs::remove(journal_path_, ec);
   }
-  if (journal_on_) journal_.open(journal_path_);
+  journal_.open(journal_path_);
 }
 
 void Engine::journal_event(recovery::JournalType type, common::Seconds time,
@@ -989,7 +971,7 @@ void Engine::journal_event(recovery::JournalType type, common::Seconds time,
 
 void Engine::do_crash(const std::string& where) {
   journal_.abandon();
-  if (crash_ != nullptr && crash_->torn_tail_bytes > 0 && journal_on_) {
+  if (crash_ != nullptr && crash_->torn_tail_bytes > 0) {
     // Model an append that only partially reached the disk.
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -1031,236 +1013,111 @@ void Engine::checkpoint(common::Seconds t) {
                                std::int64_t(snap_image_.size()));
 }
 
-void Engine::save_state(recovery::StateWriter& w) const {
-  // Only non-derivable state is serialized: everything keyed to the
+template <class Self, class IO>
+void Engine::fields(Self& e, IO& io) {
+  // Only non-derivable state is listed: everything keyed to the
   // DirtyTracker session (scheduler rank indexes, memoized Γ caches) is
   // rebuilt from this state on first contact, and the segment tables are
   // always settled (seg_valid == false) at a checkpoint fold point.
-  w.u32(tag4('E', 'N', 'G', 'N'));
-  w.u64(journal_seq_);
-  w.u64(round);
-  w.u64(slices);
-  w.u64(completed);
-  w.u64(rejected);
-  w.u64(next_arrival);
-  w.u64(static_cast<std::uint64_t>(stalled));
-  w.boolean(need_schedule);
-  w.boolean(coflow_event);
-  w.f64(seg_base);
-  w.u64(seg_j);
-  w.f64(window_start);
-  w.f64(window_sent_base);
-  w.f64(next_capacity_change);
+  io.tag("ENGN");
+  io.u64(e.journal_seq_);
+  io.u64(e.round);
+  io.u64(e.slices);
+  io.u64(e.completed);
+  io.u64(e.rejected);
+  io.index(e.next_arrival, e.arrival_order.size() + 1, "arrival cursor");
+  io.u64(e.stalled);
+  io.boolean(e.need_schedule);
+  io.boolean(e.coflow_event);
+  io.f64(e.seg_base);
+  io.u64(e.seg_j);
+  io.f64(e.window_start);
+  io.f64(e.window_sent_base);
+  io.f64(e.next_capacity_change);
 
-  w.u32(tag4('F', 'L', 'W', 'S'));
-  w.u64(flows.size());
-  for (const fabric::Flow& f : flows) {
-    w.f64(f.raw_remaining);
-    w.f64(f.compressed_pending);
-    w.f64(f.sent);
-    w.f64(f.sent_compressed);
-    w.f64(f.completion);
-    w.boolean(f.compress_enabled);
+  io.tag("FLWS");
+  io.expect(e.flows.size(), "flow count");
+  for (auto& f : e.flows) {
+    io.f64(f.raw_remaining);
+    io.f64(f.compressed_pending);
+    io.f64(f.sent);
+    io.f64(f.sent_compressed);
+    io.f64(f.completion);
+    io.boolean(f.compress_enabled);
   }
 
-  w.u32(tag4('R', 'A', 'T', 'E'));
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    w.f64(rate[i]);
-    w.u8(static_cast<std::uint8_t>(compress[i]));
-    w.u8(static_cast<std::uint8_t>(decided[i]));
+  io.tag("RATE");
+  for (std::size_t i = 0; i < e.flows.size(); ++i) {
+    io.f64(e.rate[i]);
+    io.u8(e.compress[i]);
+    io.u8(e.decided[i]);
   }
 
-  w.u32(tag4('C', 'O', 'F', 'L'));
-  w.u64(coflows.size());
-  for (const SimCoflow& sc : coflows) {
-    w.f64(sc.state.priority);
-    w.f64(sc.state.completion);
-    w.u8(static_cast<std::uint8_t>(sc.state.slo));
-    w.u64(sc.unfinished);
-    w.f64(sc.completion_max);
+  io.tag("COFL");
+  io.expect(e.coflows.size(), "coflow count");
+  for (auto& sc : e.coflows) {
+    io.f64(sc.state.priority);
+    io.f64(sc.state.completion);
+    io.enum_code(sc.state.slo, fabric::SloClass::kRejected, "SLO class");
+    io.index(sc.unfinished, sc.state.flows.size() + 1,
+             "unfinished flow count");
+    io.f64(sc.completion_max);
   }
 
-  w.u32(tag4('A', 'C', 'T', 'V'));
-  w.u64(active.size());
-  for (const std::size_t ci : active) w.u64(ci);
+  const std::size_t num_coflows = e.coflows.size();
+  io.tag("ACTV");
+  io.vec(e.active, "active coflow", [&](auto& ci) {
+    io.index(ci, num_coflows, "active coflow index");
+  });
 
-  w.u32(tag4('E', 'X', 'P', 'H'));
-  w.u64(expiry.size());
-  for (const ExpiryEntry& e : expiry) {
-    w.f64(e.first);
-    w.u64(e.second);
-  }
+  io.tag("EXPH");
+  io.vec(e.expiry, "expiry heap", [&](auto& entry) {
+    io.f64(entry.first);
+    io.index(entry.second, num_coflows, "expiry coflow index");
+  });
 
-  w.u32(tag4('F', 'A', 'B', 'R'));
-  w.u64(live.num_ports());
-  for (fabric::PortId p = 0; p < live.num_ports(); ++p)
-    w.f64(live.port_multiplier(p));
+  io.tag("FABR");
+  fabric::Fabric::fields(e.live, io);
 
-  w.u32(tag4('U', 'T', 'I', 'L'));
-  w.u64(samples.size());
-  for (const UtilizationSample& s : samples) {
-    w.f64(s.t);
-    w.f64(s.egress_utilization);
-  }
+  io.tag("UTIL");
+  io.vec(e.samples, "utilization sample", [&](auto& s) {
+    io.f64(s.t);
+    io.f64(s.egress_utilization);
+  });
 
-  w.u32(tag4('D', 'S', 'T', 'A'));
-  w.u64(dstats.capacity_changes);
-  w.u64(dstats.link_failures);
-  w.u64(dstats.stalled_flow_slices);
-  w.u64(dstats.compression_flips);
+  io.tag("DSTA");
+  io.u64(e.dstats.capacity_changes);
+  io.u64(e.dstats.link_failures);
+  io.u64(e.dstats.stalled_flow_slices);
+  io.u64(e.dstats.compression_flips);
 
-  w.u32(tag4('S', 'S', 'T', 'A'));
-  w.u64(sstats.with_deadline);
-  w.u64(sstats.admitted);
-  w.u64(sstats.degraded);
-  w.u64(sstats.deferred);
-  w.u64(sstats.rejected);
-  w.u64(sstats.shed_midflight);
-  w.f64(sstats.shed_bytes);
-  w.u64(sstats.repriced_shed);
-  w.u64(sstats.repriced_demoted);
+  io.tag("SSTA");
+  io.u64(e.sstats.with_deadline);
+  io.u64(e.sstats.admitted);
+  io.u64(e.sstats.degraded);
+  io.u64(e.sstats.deferred);
+  io.u64(e.sstats.rejected);
+  io.u64(e.sstats.shed_midflight);
+  io.f64(e.sstats.shed_bytes);
+  io.u64(e.sstats.repriced_shed);
+  io.u64(e.sstats.repriced_demoted);
 
-  w.u32(tag4('A', 'D', 'M', 'S'));
-  w.boolean(admit_on);
-  if (admit_on) admission.save_state(w);
+  io.tag("ADMS");
+  io.expect_flag(e.admit_on, "admission layer");
+  if (e.admit_on) io.state(e.admission, num_coflows, e.flows.size());
 
-  w.u32(tag4('S', 'C', 'H', 'D'));
-  w.str(sched.name());
-  sched.save_state(w);
+  io.tag("SCHD");
+  io.expect_name(e.sched.name(), "scheduler");
+  io.state(e.sched);
 
-  w.u32(tag4('E', 'N', 'D', '!'));
+  io.tag("END!");
+  io.end();
 }
 
+void Engine::save_state(recovery::StateWriter& w) const { fields(*this, w); }
+
 void Engine::restore_state(recovery::StateReader& r) {
-  expect_tag(r, tag4('E', 'N', 'G', 'N'), "ENGN");
-  journal_seq_ = r.u64();
-  round = r.u64();
-  slices = r.u64();
-  completed = r.u64();
-  rejected = r.u64();
-  next_arrival = r.u64();
-  if (next_arrival > arrival_order.size())
-    throw recovery::RecoveryError(
-        "recovery: snapshot arrival cursor out of range");
-  stalled = static_cast<std::int64_t>(r.u64());
-  need_schedule = r.boolean();
-  coflow_event = r.boolean();
-  seg_base = r.f64();
-  seg_j = r.u64();
-  window_start = r.f64();
-  window_sent_base = r.f64();
-  next_capacity_change = r.f64();
-
-  expect_tag(r, tag4('F', 'L', 'W', 'S'), "FLWS");
-  if (r.u64() != flows.size())
-    throw recovery::RecoveryError("recovery: snapshot flow count mismatch");
-  for (fabric::Flow& f : flows) {
-    f.raw_remaining = r.f64();
-    f.compressed_pending = r.f64();
-    f.sent = r.f64();
-    f.sent_compressed = r.f64();
-    f.completion = r.f64();
-    f.compress_enabled = r.boolean();
-  }
-
-  expect_tag(r, tag4('R', 'A', 'T', 'E'), "RATE");
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    rate[i] = r.f64();
-    compress[i] = static_cast<char>(r.u8());
-    decided[i] = static_cast<char>(r.u8());
-  }
-
-  expect_tag(r, tag4('C', 'O', 'F', 'L'), "COFL");
-  if (r.u64() != coflows.size())
-    throw recovery::RecoveryError("recovery: snapshot coflow count mismatch");
-  for (SimCoflow& sc : coflows) {
-    sc.state.priority = r.f64();
-    sc.state.completion = r.f64();
-    const std::uint8_t slo = r.u8();
-    if (slo > static_cast<std::uint8_t>(fabric::SloClass::kRejected))
-      throw recovery::RecoveryError(
-          "recovery: snapshot carries an invalid SLO class");
-    sc.state.slo = static_cast<fabric::SloClass>(slo);
-    sc.unfinished = r.u64();
-    if (sc.unfinished > sc.state.flows.size())
-      throw recovery::RecoveryError(
-          "recovery: snapshot unfinished count exceeds coflow width");
-    sc.completion_max = r.f64();
-  }
-
-  expect_tag(r, tag4('A', 'C', 'T', 'V'), "ACTV");
-  active.resize(r.count("active coflow"));
-  for (std::size_t& ci : active) {
-    ci = r.u64();
-    if (ci >= coflows.size())
-      throw recovery::RecoveryError(
-          "recovery: snapshot active index out of range");
-  }
-
-  expect_tag(r, tag4('E', 'X', 'P', 'H'), "EXPH");
-  expiry.resize(r.count("expiry heap"));
-  for (ExpiryEntry& e : expiry) {
-    e.first = r.f64();
-    e.second = r.u64();
-    if (e.second >= coflows.size())
-      throw recovery::RecoveryError(
-          "recovery: snapshot expiry index out of range");
-  }
-
-  expect_tag(r, tag4('F', 'A', 'B', 'R'), "FABR");
-  if (r.u64() != live.num_ports())
-    throw recovery::RecoveryError("recovery: snapshot port count mismatch");
-  for (fabric::PortId p = 0; p < live.num_ports(); ++p) {
-    const double m = r.f64();
-    if (!(m >= 0.0 && m <= 1.0))
-      throw recovery::RecoveryError(
-          "recovery: snapshot port multiplier out of range");
-    live.set_port_multiplier(p, m);
-  }
-
-  expect_tag(r, tag4('U', 'T', 'I', 'L'), "UTIL");
-  samples.resize(r.count("utilization sample"));
-  for (UtilizationSample& s : samples) {
-    s.t = r.f64();
-    s.egress_utilization = r.f64();
-  }
-
-  expect_tag(r, tag4('D', 'S', 'T', 'A'), "DSTA");
-  dstats.capacity_changes = r.u64();
-  dstats.link_failures = r.u64();
-  dstats.stalled_flow_slices = r.u64();
-  dstats.compression_flips = r.u64();
-
-  expect_tag(r, tag4('S', 'S', 'T', 'A'), "SSTA");
-  sstats.with_deadline = r.u64();
-  sstats.admitted = r.u64();
-  sstats.degraded = r.u64();
-  sstats.deferred = r.u64();
-  sstats.rejected = r.u64();
-  sstats.shed_midflight = r.u64();
-  sstats.shed_bytes = r.f64();
-  sstats.repriced_shed = r.u64();
-  sstats.repriced_demoted = r.u64();
-
-  expect_tag(r, tag4('A', 'D', 'M', 'S'), "ADMS");
-  if (r.boolean() != admit_on)
-    throw recovery::RecoveryError(
-        "recovery: snapshot admission layer on/off mismatch");
-  if (admit_on) admission.restore_state(r);
-
-  expect_tag(r, tag4('S', 'C', 'H', 'D'), "SCHD");
-  const std::string snap_sched = r.str();
-  if (snap_sched != sched.name())
-    throw recovery::RecoveryError("recovery: snapshot was taken under " +
-                                  snap_sched + ", restoring under " +
-                                  sched.name());
-  sched.restore_state(r);
-
-  expect_tag(r, tag4('E', 'N', 'D', '!'), "END!");
-  if (!r.at_end())
-    throw recovery::RecoveryError(
-        "recovery: trailing bytes after snapshot payload", r.offset());
-
+  fields(*this, r);
   // Snapshots are only cut at post-schedule fold points: the segment
   // tables restart empty and the next loop iteration re-snapshots at the
   // same boundary the crashed run did, without a round. So the member list
@@ -1603,7 +1460,7 @@ Metrics Engine::run() {
     maybe_sample(slice_time(seg_j));
   }
 
-  if (journal_on_ && !verify_.empty())
+  if (!verify_.empty())
     throw recovery::RecoveryError(
         "recovery: journal holds " + std::to_string(verify_.size()) +
         " record(s) the restored run never regenerated (next seq " +

@@ -133,12 +133,11 @@ class Fvdf final : public sched::Scheduler {
   std::string name() const override { return name_; }
 
   fabric::Allocation schedule(const sched::SchedContext& ctx) override {
-    aging_.before(ctx, o_.upgrade && o_.online);
+    aging_.before(ctx, o_.upgrade);
     std::vector<Estimate> est = estimate_all(
         ctx, env_for(ctx, o_.compression), o_.force_compression);
     for (Estimate& e : est) {
-      e.primary = o_.online ? e.gamma / std::max(e.coflow->priority, 1.0)
-                            : e.gamma;
+      e.primary = e.gamma / std::max(e.coflow->priority, 1.0);
       e.dispose = std::max(e.gamma, ctx.slice);
     }
     sort_estimates(est);
@@ -159,9 +158,8 @@ class DeadlineFvdf final : public sched::Scheduler {
 
   fabric::Allocation schedule(const sched::SchedContext& ctx) override {
     if (ctx.fabric->degraded()) fallback_ = true;
-    const core::FvdfOptions& base = o_.base;
-    aging_.before(ctx, base.upgrade && base.online);
-    const core::EvalEnv env = env_for(ctx, base.compression);
+    aging_.before(ctx, /*enabled=*/true);
+    const core::EvalEnv env = core::eval_env(ctx);
     core::EvalEnv nc_env = env;
     nc_env.codec = nullptr;
 
@@ -171,7 +169,7 @@ class DeadlineFvdf final : public sched::Scheduler {
           c->has_deadline() && c->slo != fabric::SloClass::kRejected;
 
     std::vector<Estimate> est =
-        estimate_all(ctx, env, base.force_compression);
+        estimate_all(ctx, env, /*force_compression=*/false);
     std::erase_if(est, [](const Estimate& e) {
       return e.coflow->slo == fabric::SloClass::kRejected;
     });
@@ -195,14 +193,13 @@ class DeadlineFvdf final : public sched::Scheduler {
       }
       if (!fallback_ && c.has_deadline() && ctx.now < c.deadline) {
         const common::Seconds slack = c.deadline - ctx.now;
-        const double sf = o_.slack_factor;
         e.band = 3;
-        if (g <= sf * slack) {
+        if (g <= sched::kSlackFactor * slack) {
           e.band = 1;
         } else if (!uncompressed && has_beta) {
           // Compressed misses, raw fits: degrade before deferring.
           const common::Seconds gnc = gamma_nc();
-          if (gnc <= sf * slack) {
+          if (gnc <= sched::kSlackFactor * slack) {
             g = gnc;
             degrade = true;
             e.band = 1;
@@ -211,9 +208,9 @@ class DeadlineFvdf final : public sched::Scheduler {
         e.primary = c.deadline;
       } else {
         const bool starved = any_deadline && !fallback_ &&
-                             c.priority >= o_.starvation_priority;
+                             c.priority >= sched::kStarvationPriority;
         e.band = starved ? 0 : 2;
-        e.primary = base.online ? g / std::max(c.priority, 1.0) : g;
+        e.primary = g / std::max(c.priority, 1.0);
       }
       if (degrade) std::fill(e.beta.begin(), e.beta.end(), false);
       e.dispose = std::max(g, ctx.slice);
@@ -221,13 +218,12 @@ class DeadlineFvdf final : public sched::Scheduler {
         e.dispose = std::max(e.dispose, c.deadline - ctx.now - ctx.slice);
     }
     sort_estimates(est);
-    const fabric::Allocation alloc = dispose(ctx, est, base.backfill);
+    const fabric::Allocation alloc = dispose(ctx, est, /*backfill=*/true);
     aging_.after(ctx, alloc);
     return alloc;
   }
 
  private:
-  sched::DeadlineFvdfOptions o_;
   bool fallback_ = false;  ///< sticky: a degraded round was seen
   Aging aging_;
 };
@@ -295,16 +291,14 @@ class Aalo final : public sched::Scheduler {
 
  private:
   // D-CLAS queue for `sent` bytes under Aalo's default geometric thresholds.
-  std::size_t queue_of(common::Bytes sent) const {
-    common::Bytes threshold = config_.first_threshold;
-    for (std::size_t q = 0; q + 1 < config_.num_queues; ++q) {
+  static std::size_t queue_of(common::Bytes sent) {
+    common::Bytes threshold = sched::kAaloFirstThreshold;
+    for (std::size_t q = 0; q + 1 < sched::kAaloQueues; ++q) {
       if (sent < threshold) return q;
-      threshold *= config_.threshold_factor;
+      threshold *= sched::kAaloThresholdFactor;
     }
-    return config_.num_queues - 1;
+    return sched::kAaloQueues - 1;
   }
-
-  sched::AaloScheduler::Config config_;
 };
 
 }  // namespace

@@ -94,12 +94,10 @@ TEST(RateLimiter, BurstPassesImmediately) {
   EXPECT_LT(seconds(t0, Clock::now()), 0.05);
 }
 
-TEST(RateLimiter, SetRateTakesEffect) {
-  RateLimiter limiter(1024, 1024);
-  limiter.set_rate(8 * 1024 * 1024);
-  EXPECT_DOUBLE_EQ(limiter.rate(), 8.0 * 1024 * 1024);
-  EXPECT_THROW(limiter.set_rate(0), std::invalid_argument);
+TEST(RateLimiter, RejectsNonPositiveRate) {
+  EXPECT_DOUBLE_EQ(RateLimiter(1024).rate(), 1024.0);
   EXPECT_THROW(RateLimiter(0), std::invalid_argument);
+  EXPECT_THROW(RateLimiter(-1), std::invalid_argument);
 }
 
 TEST(BlockStore, PutTakeRoundtrip) {

@@ -227,15 +227,6 @@ TEST(Aalo, QueueIndexFollowsGeometricThresholds) {
   EXPECT_EQ(aalo.queue_of(1e18), 9u);  // clamped to the last queue
 }
 
-TEST(Aalo, RejectsBadConfig) {
-  AaloScheduler::Config config;
-  config.threshold_factor = 1.0;
-  EXPECT_THROW(AaloScheduler{config}, std::invalid_argument);
-  config.threshold_factor = 10.0;
-  config.num_queues = 0;
-  EXPECT_THROW(AaloScheduler{config}, std::invalid_argument);
-}
-
 TEST(Aalo, FreshCoflowPreemptsHeavyHitter) {
   // The old coflow has transmitted past the first threshold; a fresh one,
   // regardless of its (unknown) size, sits in queue 0 and wins the port.
