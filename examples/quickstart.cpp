@@ -60,9 +60,11 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nFVDF = joint scheduling + compression (this paper);"
                " SEBF = Varys baseline.\n";
-  if (tracer != nullptr && obs::write_trace_from_flags(flags, *tracer))
+  if (tracer != nullptr) {
+    if (!obs::write_trace_from_flags(flags, *tracer)) return 1;
     std::cout << "\ntrace: " << tracer->size() << " events -> "
               << flags.get("trace-out", "")
               << " (open in https://ui.perfetto.dev)\n";
+  }
   return 0;
 }

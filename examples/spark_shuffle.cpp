@@ -153,8 +153,10 @@ int main(int argc, char** argv) {
               << " degraded flows\n";
   }
   obs::set_global_sink(nullptr);
-  if (tracer != nullptr && obs::write_trace_from_flags(flags, *tracer))
+  if (tracer != nullptr) {
+    if (!obs::write_trace_from_flags(flags, *tracer)) return 1;
     std::cout << "trace: " << tracer->size() << " events -> "
               << flags.get("trace-out", "") << '\n';
+  }
   return failed ? 1 : 0;
 }

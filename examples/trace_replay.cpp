@@ -29,9 +29,12 @@
 //   ./trace_replay --codec-threads=4 --chunk-bytes=262144   (calibrate the
 //       codec model against the real chunk-parallel data plane at this
 //       thread count and chunk size before replaying; see DESIGN.md §14)
-//   ./trace_replay --trace-out=/tmp/replay.json   (also record every
-//       scheduler decision as a Chrome trace; the metrics and CSVs are
+//   ./trace_replay --trace-out=/tmp/replay.json   (also record the newest
+//       2^20 events as a Chrome trace; the metrics and CSVs are
 //       byte-identical to the untraced replay)
+//
+// Exits 1 when an output file (--write_trace, --csv, --trace-out) cannot
+// be written.
 //
 // Scheduler names: sched::known_scheduler_list() — e.g. FVDF, FVDF-NC,
 // DEADLINE-FVDF, SEBF, AALO, FIFO, PER-FLOW-FAIR. Unknown names raise an
@@ -79,9 +82,15 @@ int main(int argc, char** argv) {
   }
 
   if (flags.has("write_trace")) {
-    std::ofstream out(flags.get("write_trace", ""));
+    const std::string path = flags.get("write_trace", "");
+    std::ofstream out(path);
     workload::write_trace(out, trace);
-    std::cout << "wrote trace to " << flags.get("write_trace", "") << "\n";
+    out.close();
+    if (!out) {
+      std::cerr << "cannot write trace to " << path << "\n";
+      return 1;
+    }
+    std::cout << "wrote trace to " << path << "\n";
     return 0;
   }
 
@@ -209,19 +218,33 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  bool wrote_all = true;
   if (flags.has("csv")) {
     const std::string base = flags.get("csv", "metrics");
-    std::ofstream flows_csv(base + ".flows.csv");
-    sim::write_flows_csv(flows_csv, m);
-    std::ofstream coflows_csv(base + ".coflows.csv");
-    sim::write_coflows_csv(coflows_csv, m);
-    std::ofstream util_csv(base + ".utilization.csv");
-    sim::write_utilization_csv(util_csv, m);
-    std::cout << "\nwrote " << base
-              << ".{flows,coflows,utilization}.csv\n";
+    const auto write_csv = [&](const std::string& path,
+                               void (*write)(std::ostream&,
+                                             const sim::Metrics&)) {
+      std::ofstream out(path);
+      write(out, m);
+      out.close();
+      if (!out) {
+        std::cerr << "cannot write " << path << "\n";
+        wrote_all = false;
+      }
+    };
+    write_csv(base + ".flows.csv", sim::write_flows_csv);
+    write_csv(base + ".coflows.csv", sim::write_coflows_csv);
+    write_csv(base + ".utilization.csv", sim::write_utilization_csv);
+    if (wrote_all)
+      std::cout << "\nwrote " << base
+                << ".{flows,coflows,utilization}.csv\n";
   }
-  if (tracer != nullptr && obs::write_trace_from_flags(flags, *tracer))
-    std::cout << "trace: " << tracer->size() << " events -> "
-              << flags.get("trace-out", "") << "\n";
-  return 0;
+  if (tracer != nullptr) {
+    if (obs::write_trace_from_flags(flags, *tracer))
+      std::cout << "trace: " << tracer->size() << " events -> "
+                << flags.get("trace-out", "") << "\n";
+    else
+      wrote_all = false;
+  }
+  return wrote_all ? 0 : 1;
 }

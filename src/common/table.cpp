@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -48,6 +49,15 @@ std::string fmt_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
+}
+
+Shortest::Shortest(double v) {
+  const bool integral = std::fabs(v) < 0x1p53 && v == std::trunc(v);
+  char* const end = buf_ + sizeof(buf_);
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf_, end, v, std::chars_format::fixed)
+               : std::to_chars(buf_, end, v);
+  size_ = static_cast<std::size_t>(r.ptr - buf_);
 }
 
 std::string fmt_percent(double fraction, int precision) {

@@ -4,6 +4,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace swallow::common {
@@ -29,5 +30,19 @@ std::string fmt_percent(double fraction, int precision = 2);  ///< 0.4841 -> "48
 std::string fmt_bytes(double bytes);       ///< human units: 1.5 MB, 2.3 GB...
 std::string fmt_speedup(double factor);    ///< 1.47 -> "1.47x"
 std::string fmt_int(double v);             ///< thousands separators: 79,913
+
+/// The shortest decimal that reads back as exactly `v` (std::to_chars),
+/// held in place so writing it allocates nothing; for files that must keep
+/// every bit. Integral values below 2^53 print without an exponent,
+/// non-finite ones as inf, -inf or nan.
+class Shortest {
+ public:
+  explicit Shortest(double v);
+  std::string_view view() const { return {buf_, size_}; }
+
+ private:
+  char buf_[32] = {};  // the longest, -2.2250738585072014e-308, takes 24
+  std::size_t size_ = 0;
+};
 
 }  // namespace swallow::common

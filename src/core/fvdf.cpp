@@ -39,24 +39,20 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
                                                      bool beta,
                                                      common::Seconds fct) {
   obs::emit_instant(sink, obs::sim_ts(now), "beta_decision", "fvdf",
-                    obs::Args()
-                        .add("flow", std::int64_t(f.id))
-                        .add("coflow", std::int64_t(f.coflow))
-                        .add("beta", beta)
-                        .add("expected_fct", fct)
-                        .str());
+                    {{"flow", f.id},
+                     {"coflow", f.coflow},
+                     {"beta", beta},
+                     {"expected_fct", fct}});
 }
 
 [[gnu::noinline, gnu::cold]] void trace_coflow_estimate(
     obs::Sink* sink, common::Seconds now, const fabric::Coflow& c,
     common::Seconds gamma, double key) {
   obs::emit_instant(sink, obs::sim_ts(now), "coflow_estimate", "fvdf",
-                    obs::Args()
-                        .add("coflow", std::int64_t(c.id))
-                        .add("gamma", gamma)
-                        .add("priority", c.priority)
-                        .add("key", key)
-                        .str());
+                    {{"coflow", c.id},
+                     {"gamma", gamma},
+                     {"priority", c.priority},
+                     {"key", key}});
 }
 
 [[gnu::noinline]] FlowEval evaluate_flow(const EvalEnv& env,

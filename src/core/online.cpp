@@ -17,23 +17,20 @@ void PriorityUpgrade::begin_round(const sched::SchedContext& ctx,
   ++round_;
   if (!enabled || !ctx.coflow_event) return;
   const std::uint64_t prev = round_ - 1;
+  std::uint64_t upgrades = 0;
   for (fabric::Coflow* c : ctx.coflows) {
     if (seen_.get(c->id) != prev || served_.get(c->id) == prev) continue;
     if (c->priority < 1.0) c->priority = 1.0;
     c->priority *= kPriorityLogBase;
+    ++upgrades;
     if (ctx.tracker != nullptr) ctx.tracker->priority_changed(c->id);
-    if (ctx.sink != nullptr) {
+    if (ctx.sink != nullptr)
       obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "priority_upgrade",
                         category_,
-                        obs::Args()
-                            .add("coflow", std::int64_t(c->id))
-                            .add("priority", c->priority)
-                            .str());
-      ctx.sink->registry()
-          .counter(std::string(category_) + ".priority_upgrades")
-          .add();
-    }
+                        {{"coflow", c->id}, {"priority", c->priority}});
   }
+  if (ctx.sink != nullptr && upgrades > 0)
+    ctx.sink->registry().counter(counter_).add(upgrades);
 }
 
 void PriorityUpgrade::end_round(const sched::SchedContext& ctx,

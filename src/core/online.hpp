@@ -60,8 +60,9 @@ class RoundStamps {
 class PriorityUpgrade {
  public:
   /// `category` names the trace category of the `priority_upgrade` events
-  /// and the `<category>.priority_upgrades` counter.
-  explicit PriorityUpgrade(const char* category) : category_(category) {}
+  /// and `counter` the registry counter of their count; both are literals.
+  PriorityUpgrade(const char* category, const char* counter)
+      : category_(category), counter_(counter) {}
 
   /// Opens a scheduling round; ages the waiting coflows when `enabled` and
   /// the round is a coflow event.
@@ -83,6 +84,7 @@ class PriorityUpgrade {
 
  private:
   const char* category_;
+  const char* counter_;
   // A coflow is waiting iff it was seen in the previous round and not
   // served there. Default stamps of 0 are safe: at round 1 both compare
   // equal to prev = 0, so nothing counts as waiting.
@@ -147,7 +149,7 @@ class FvdfScheduler final : public sched::Scheduler {
   }
 
   FvdfOptions options_;
-  PriorityUpgrade upgrade_{"fvdf"};
+  PriorityUpgrade upgrade_{"fvdf", "fvdf.priority_upgrades"};
 
   // --- memo, valid for one tracker session ---
   using Lane = FvdfLane;

@@ -15,7 +15,7 @@ std::unique_ptr<Tracer> tracer_from_flags(const common::Flags& flags);
 
 /// Writes `tracer`'s Chrome trace JSON to the --trace-out path. Failures
 /// are reported through the logging layer, not thrown; returns false so
-/// callers can suppress their success banner.
+/// callers exit nonzero.
 bool write_trace_from_flags(const common::Flags& flags, const Tracer& tracer);
 
 }  // namespace swallow::obs

@@ -6,11 +6,12 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/table.hpp"
+
 namespace swallow::obs {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void json_append_quoted(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -30,32 +31,26 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
-  return out;
+  out += '"';
 }
 
 std::string json_quote(std::string_view s) {
-  return '"' + json_escape(s) + '"';
+  std::string out;
+  json_append_quoted(out, s);
+  return out;
+}
+
+void json_append_number(std::string& out, double v) {
+  if (std::isfinite(v))
+    out += common::Shortest(v).view();
+  else
+    out += "null";
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  // Integers up to 2^53 print without a fraction; everything else uses the
-  // shortest representation that survives a round trip.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  if (std::strtod(buf, nullptr) == v) {
-    char shorter[32];
-    for (int prec = 6; prec < 17; ++prec) {
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-      if (std::strtod(shorter, nullptr) == v) return shorter;
-    }
-  }
-  return buf;
+  std::string out;
+  json_append_number(out, v);
+  return out;
 }
 
 namespace {

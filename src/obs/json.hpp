@@ -10,14 +10,14 @@
 
 namespace swallow::obs {
 
-/// Escapes `s` per RFC 8259 (no surrounding quotes).
-std::string json_escape(std::string_view s);
-
+/// Appends `s`, escaped per RFC 8259 and quoted, to `out`.
+void json_append_quoted(std::string& out, std::string_view s);
 /// `"escaped"` — `s` escaped and quoted.
 std::string json_quote(std::string_view s);
 
-/// Shortest round-trippable decimal for `v`; non-finite values become null
-/// (JSON has no NaN/Inf).
+/// Appends the shortest decimal that reads back as `v` (common::Shortest);
+/// non-finite values become null (JSON has no NaN/Inf).
+void json_append_number(std::string& out, double v);
 std::string json_number(double v);
 
 /// Parsed JSON document node. Containers preserve insertion order so

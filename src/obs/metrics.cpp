@@ -52,30 +52,39 @@ double Histogram::percentile(double p) const {
   return sorted[rank == 0 ? 0 : rank - 1];
 }
 
-std::vector<double> Histogram::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return samples_;
+namespace {
+
+template <class T>
+T& find_or_add(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
+               std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end())
+    it = map.emplace(std::string(name), std::make_unique<T>()).first;
+  return *it->second;
 }
 
-Counter& Registry::counter(const std::string& name) {
+}  // namespace
+
+Counter& Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
+  return find_or_add(counters_, name);
 }
 
-Gauge& Registry::gauge(const std::string& name) {
+Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
+  return find_or_add(gauges_, name);
 }
 
-Histogram& Registry::histogram(const std::string& name) {
+Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_add(histograms_, name);
+}
+
+Histogram& Registry::profile_histogram(const char* name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Histogram*& h = profile_histograms_[name];
+  if (h == nullptr) h = &find_or_add(histograms_, std::string("prof.") + name);
+  return *h;
 }
 
 void Registry::write_json(std::ostream& out) const {

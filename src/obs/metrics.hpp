@@ -1,7 +1,8 @@
 // Thread-safe metrics registry: named counters, gauges and histograms with
 // JSON export. Instruments are created on first use and live as long as the
 // registry; references handed out stay valid, so hot paths can cache them
-// and update lock-free (counters/gauges are single atomics).
+// and update lock-free (counters/gauges are single atomics). Lookups take a
+// string_view, so finding an existing instrument builds no string.
 #pragma once
 
 #include <atomic>
@@ -11,6 +12,8 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace swallow::obs {
@@ -49,7 +52,6 @@ class Histogram {
   double max() const;  ///< 0 when empty
   /// Nearest-rank percentile, p in [0, 100]; 0 when empty.
   double percentile(double p) const;
-  std::vector<double> samples() const;
 
  private:
   mutable std::mutex mutex_;
@@ -63,9 +65,12 @@ class Histogram {
 /// is stable for the registry's lifetime.
 class Registry {
  public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  Histogram& histogram(std::string_view name);
+  /// Histogram "prof.<name>" of a ProfileScope. `name` must be a static
+  /// string: it is resolved once per pointer, so no scope builds a name.
+  Histogram& profile_histogram(const char* name);
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,
   /// max,p50,p95,p99}}} — keys sorted, so output is deterministic.
@@ -73,10 +78,14 @@ class Registry {
   void write_json(std::ostream& out) const;
 
  private:
+  template <class T>
+  using Map = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Histogram> histograms_;
+  std::unordered_map<const char*, Histogram*> profile_histograms_;
 };
 
 }  // namespace swallow::obs

@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <chrono>
-#include <string>
 
 namespace swallow::obs {
 
@@ -12,34 +11,20 @@ double wall_now_us() {
       .count();
 }
 
-void ProfileScope::begin() {
-  start_us_ = wall_now_us();
-  if (!emit_events_) return;
-  TraceEvent ev;
-  ev.name = name_;
-  ev.cat = cat_;
-  ev.ph = 'B';
-  ev.ts = start_us_;
-  ev.pid = kWallPid;
-  ev.tid = current_thread_tid();
-  sink_->record(std::move(ev));
-}
-
 void ProfileScope::end() {
-  const double end_us = wall_now_us();
+  const double dur = wall_now_us() - start_us_;
   if (emit_events_) {
     TraceEvent ev;
     ev.name = name_;
     ev.cat = cat_;
-    ev.ph = 'E';
-    ev.ts = end_us;
+    ev.ph = 'X';
+    ev.ts = start_us_;
+    ev.dur = dur;
     ev.pid = kWallPid;
     ev.tid = current_thread_tid();
-    sink_->record(std::move(ev));
+    sink_->record(ev);
   }
-  sink_->registry()
-      .histogram(std::string("prof.") + name_)
-      .record(end_us - start_us_);
+  sink_->registry().profile_histogram(name_).record(dur);
 }
 
 }  // namespace swallow::obs

@@ -1,8 +1,8 @@
 // RAII wall-clock profiling scopes (steady_clock). A scope with a null sink
 // does nothing: no clock read, no allocation — safe to drop into hot paths
-// unconditionally. With a sink attached it emits a B/E event pair on the
-// wall-clock track and records the duration (µs) into the sink registry's
-// "prof.<name>" histogram.
+// unconditionally. With a sink attached it records one 'X' span on the
+// wall-clock track when the scope ends and the duration (µs) into the sink
+// registry's "prof.<name>" histogram.
 #pragma once
 
 #include "obs/trace.hpp"
@@ -14,16 +14,16 @@ double wall_now_us();
 
 class ProfileScope {
  public:
-  /// `name`/`cat` must outlive the scope (string literals in practice).
+  /// `name`/`cat` must outlive the sink (string literals in practice).
   /// `emit_events` false keeps only the histogram — for per-slice scopes
-  /// whose B/E pairs would swamp the trace.
+  /// whose spans would swamp the trace.
   ///
   /// Ctor/dtor are inline so the null-sink case compiles down to a single
   /// predictable branch at the call site — no function call on hot paths.
   explicit ProfileScope(Sink* sink, const char* name,
                         const char* cat = "prof", bool emit_events = true)
       : sink_(sink), name_(name), cat_(cat), emit_events_(emit_events) {
-    if (sink_ != nullptr) [[unlikely]] begin();
+    if (sink_ != nullptr) [[unlikely]] start_us_ = wall_now_us();
   }
   ~ProfileScope() {
     if (sink_ != nullptr) [[unlikely]] end();
@@ -33,8 +33,7 @@ class ProfileScope {
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-  void begin();  // out of line: clock read + B event
-  void end();    // out of line: E event + histogram record
+  void end();  // out of line: clock read, X span, histogram record
 
   Sink* sink_;
   const char* name_;

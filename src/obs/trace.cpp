@@ -1,7 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <atomic>
+#include <cassert>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "obs/json.hpp"
@@ -12,62 +16,79 @@ namespace {
 
 std::atomic<Sink*> g_sink{nullptr};
 
-void write_event_json(std::ostream& out, const TraceEvent& ev) {
-  out << "{\"name\":" << json_quote(ev.name) << ",\"cat\":"
-      << json_quote(ev.cat) << ",\"ph\":\"" << ev.ph
-      << "\",\"ts\":" << json_number(ev.ts) << ",\"pid\":" << ev.pid
-      << ",\"tid\":" << ev.tid;
-  if (ev.ph == 'X') out << ",\"dur\":" << json_number(ev.dur);
-  if (ev.ph == 'i') out << ",\"s\":\"g\"";  // global-scope instant marker
-  if (!ev.args.empty()) out << ",\"args\":" << ev.args;
-  out << '}';
+void append_event(std::string& out, const TraceEvent& ev) {
+  out += "{\"name\":";
+  json_append_quoted(out, ev.name);
+  out += ",\"cat\":";
+  json_append_quoted(out, ev.cat);
+  out += ",\"ph\":\"";
+  out += ev.ph;
+  out += "\",\"ts\":";
+  json_append_number(out, ev.ts);
+  out += ",\"pid\":" + std::to_string(ev.pid);
+  out += ",\"tid\":" + std::to_string(ev.tid);
+  if (ev.ph == 'X') {
+    out += ",\"dur\":";
+    json_append_number(out, ev.dur);
+  }
+  if (ev.ph == 'i') out += ",\"s\":\"g\"";  // global-scope instant marker
+  for (std::size_t i = 0; i < kMaxArgs && ev.args[i].key != nullptr; ++i) {
+    out += i == 0 ? ",\"args\":{" : ",";
+    json_append_quoted(out, ev.args[i].key);
+    out += ':';
+    std::visit(
+        [&out](auto v) {
+          using T = decltype(v);
+          if constexpr (std::is_same_v<T, bool>)
+            out += v ? "true" : "false";
+          else if constexpr (std::is_same_v<T, const char*>)
+            json_append_quoted(out, v);
+          else if constexpr (std::is_same_v<T, double>)
+            json_append_number(out, v);
+          else
+            out += std::to_string(v);
+        },
+        ev.args[i].value);
+  }
+  if (ev.args[0].key != nullptr) out += '}';
+  out += '}';
+}
+
+// The record both exports lead with: how many older events the ring
+// overwrote.
+TraceEvent dropped_record(std::size_t dropped) {
+  return {.name = "dropped_events", .cat = "__metadata", .ph = 'M',
+          .args = {Arg{"count", dropped}}};
+}
+
+// Exports write their text in chunks of about this size, so an export
+// holds one small buffer instead of the whole document.
+constexpr std::size_t kChunkBytes = 1 << 16;
+
+void flush(std::ostream& out, std::string& buf) {
+  out << buf;
+  buf.clear();
 }
 
 }  // namespace
 
-Args& Args::add(std::string_view key, double v) {
-  if (!body_.empty()) body_ += ',';
-  body_ += json_quote(key) + ':' + json_number(v);
-  return *this;
+const char* Sink::intern(std::string_view s) {
+  std::lock_guard<std::mutex> lock(intern_mutex_);
+  return interned_.emplace(s).first->c_str();
 }
 
-Args& Args::add(std::string_view key, std::int64_t v) {
-  if (!body_.empty()) body_ += ',';
-  body_ += json_quote(key) + ':' + std::to_string(v);
-  return *this;
+Tracer::Tracer(std::size_t max_events) : max_events_(max_events) {
+  if (max_events == 0)
+    throw std::invalid_argument("obs: Tracer needs room for one event");
 }
 
-Args& Args::add(std::string_view key, std::uint64_t v) {
-  if (!body_.empty()) body_ += ',';
-  body_ += json_quote(key) + ':' + std::to_string(v);
-  return *this;
-}
-
-Args& Args::add(std::string_view key, bool v) {
-  if (!body_.empty()) body_ += ',';
-  body_ += json_quote(key) + ':' + (v ? "true" : "false");
-  return *this;
-}
-
-Args& Args::add(std::string_view key, std::string_view v) {
-  if (!body_.empty()) body_ += ',';
-  body_ += json_quote(key) + ':' + json_quote(v);
-  return *this;
-}
-
-std::string Args::str() const {
-  return body_.empty() ? std::string() : '{' + body_ + '}';
-}
-
-Tracer::Tracer(std::size_t max_events) : max_events_(max_events) {}
-
-void Tracer::record(TraceEvent event) {
+void Tracer::record(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (events_.size() >= max_events_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  if (events_.size() == max_events_) {
+    events_.pop_front();
+    ++dropped_;
   }
-  events_.push_back(std::move(event));
+  events_.push_back(event);
 }
 
 std::size_t Tracer::size() const {
@@ -75,56 +96,73 @@ std::size_t Tracer::size() const {
   return events_.size();
 }
 
+std::size_t Tracer::dropped() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return dropped_;
+}
+
 std::vector<TraceEvent> Tracer::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  return {events_.begin(), events_.end()};
 }
 
 void Tracer::write_chrome_trace(std::ostream& out) const {
-  const std::vector<TraceEvent> snapshot = events();
-  std::vector<std::size_t> order(snapshot.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return snapshot[a].ts < snapshot[b].ts;
-                   });
-  out << "{\"traceEvents\":[";
-  // Named tracks so Perfetto labels the two timebases.
-  out << R"({"name":"process_name","cat":"__metadata","ph":"M","ts":0,"pid":)"
-      << kSimPid << R"(,"tid":0,"args":{"name":"simulated-time"}},)";
-  out << R"({"name":"process_name","cat":"__metadata","ph":"M","ts":0,"pid":)"
-      << kWallPid << R"(,"tid":0,"args":{"name":"wall-clock"}})";
-  for (const std::size_t i : order) {
-    out << ',';
-    write_event_json(out, snapshot[i]);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // (ts, record index) pairs sort by ts with ties in record order.
+  std::vector<std::pair<double, std::size_t>> order(events_.size());
+  for (std::size_t i = 0; i < events_.size(); ++i)
+    order[i] = {events_[i].ts, i};
+  std::sort(order.begin(), order.end());
+
+  // Named tracks so Perfetto labels the two timebases, then the dropped
+  // count.
+  std::string buf = "{\"traceEvents\":[";
+  append_event(buf, {.name = "process_name", .cat = "__metadata", .ph = 'M',
+                     .args = {Arg{"name", "simulated-time"}}});
+  buf += ',';
+  append_event(buf, {.name = "process_name", .cat = "__metadata", .ph = 'M',
+                     .pid = kWallPid, .args = {Arg{"name", "wall-clock"}}});
+  buf += ',';
+  append_event(buf, dropped_record(dropped_));
+  for (const auto& [ts, i] : order) {
+    buf += ',';
+    append_event(buf, events_[i]);
+    if (buf.size() >= kChunkBytes) flush(out, buf);
   }
-  out << "]}";
-  const std::size_t lost = dropped();
-  if (lost > 0)
-    common::log_warn("obs: tracer dropped ", lost,
-                     " events (buffer cap reached); raise Tracer max_events");
-  common::log_info("obs: exported ", snapshot.size(), " trace events");
+  buf += "]}";
+  flush(out, buf);
+  if (dropped_ > 0)
+    common::log_warn("obs: tracer dropped the oldest ", dropped_,
+                     " events (ring of ", max_events_, " full)");
+  common::log_info("obs: exported ", events_.size(), " trace events");
 }
 
 void Tracer::write_jsonl(std::ostream& out) const {
-  for (const TraceEvent& ev : events()) {
-    write_event_json(out, ev);
-    out << '\n';
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::string buf;
+  append_event(buf, dropped_record(dropped_));
+  buf += '\n';
+  for (const TraceEvent& ev : events_) {
+    append_event(buf, ev);
+    buf += '\n';
+    if (buf.size() >= kChunkBytes) flush(out, buf);
   }
+  flush(out, buf);
 }
 
-void emit_instant(Sink* sink, double ts_us, std::string name, std::string cat,
-                  std::string args, std::uint32_t pid, std::uint32_t tid) {
+void emit_instant(Sink* sink, double ts_us, const char* name, const char* cat,
+                  std::initializer_list<Arg> args, std::uint32_t pid,
+                  std::uint32_t tid) {
   if (sink == nullptr) return;
+  assert(args.size() <= kMaxArgs);
   TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 'i';
+  ev.name = name;
+  ev.cat = cat;
   ev.ts = ts_us;
   ev.pid = pid;
   ev.tid = tid;
-  ev.args = std::move(args);
-  sink->record(std::move(ev));
+  std::copy_n(args.begin(), std::min(args.size(), kMaxArgs), ev.args.begin());
+  sink->record(ev);
 }
 
 std::uint32_t current_thread_tid() {

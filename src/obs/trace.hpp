@@ -3,18 +3,27 @@
 // A Sink receives TraceEvents and owns a metrics Registry; instrumentation
 // sites hold an optional `Sink*` and do nothing when it is null (one branch,
 // no allocation, no locking — the disabled-path guarantee DESIGN.md's
-// Observability section documents). The bundled Tracer buffers events in
-// memory and exports Chrome trace_event JSON (loadable in Perfetto or
-// chrome://tracing) plus a JSONL stream for scripted analysis.
+// Observability section documents). A TraceEvent is a fixed-size record of
+// static names and typed argument slots, so recording one copies no string.
+// The bundled Tracer keeps the newest events in a ring, and its two
+// exporters are the only code that writes trace JSON: Chrome trace_event
+// JSON (loadable in Perfetto or chrome://tracing) and a JSONL stream.
 //
 // Two timelines coexist, separated by pid: kSimPid carries simulated time
 // (1 µs = 1 simulated µs), kWallPid carries wall-clock profiling scopes.
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <cstdint>
+#include <deque>
+#include <initializer_list>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -28,33 +37,38 @@ inline constexpr std::uint32_t kWallPid = 2;  ///< wall-clock track
 /// Converts simulated seconds to trace microseconds.
 inline double sim_ts(double seconds) { return seconds * 1e6; }
 
+/// One typed argument of a TraceEvent. The key, and a string value, must
+/// outlive the sink: a literal, or a string from Sink::intern.
+struct Arg {
+  using Value =
+      std::variant<std::int64_t, std::uint64_t, double, bool, const char*>;
+
+  const char* key = nullptr;  ///< null marks an unused slot
+  Value value;
+
+  Arg() = default;
+  Arg(const char* k, bool v) : key(k), value(v) {}
+  Arg(const char* k, double v) : key(k), value(v) {}
+  Arg(const char* k, const char* v) : key(k), value(v) {}
+  template <std::signed_integral T>
+  Arg(const char* k, T v) : key(k), value(std::int64_t{v}) {}
+  template <std::unsigned_integral T>
+  Arg(const char* k, T v) : key(k), value(std::uint64_t{v}) {}
+};
+
+inline constexpr std::size_t kMaxArgs = 5;
+
+/// A fixed-size trace record. It owns no memory: names, categories, keys
+/// and string values are static strings.
 struct TraceEvent {
-  std::string name;
-  std::string cat;
-  char ph = 'i';  ///< 'B'/'E' duration pair, 'X' complete, 'i' instant
-  double ts = 0;  ///< microseconds (simulated or wall, per pid)
+  const char* name = "";
+  const char* cat = "";
+  char ph = 'i';  ///< 'X' complete span, 'i' instant
+  double ts = 0;  ///< microseconds (simulated or wall, per pid); 'X' start
   double dur = 0;  ///< 'X' only
   std::uint32_t pid = kSimPid;
   std::uint32_t tid = 0;
-  std::string args;  ///< preformatted JSON object ("{...}"), may be empty
-};
-
-/// Builds the preformatted args object of a TraceEvent. Only used on the
-/// enabled path, so its allocations never tax an untraced run.
-class Args {
- public:
-  Args& add(std::string_view key, double v);
-  Args& add(std::string_view key, std::int64_t v);
-  Args& add(std::string_view key, std::uint64_t v);
-  Args& add(std::string_view key, int v) {
-    return add(key, static_cast<std::int64_t>(v));
-  }
-  Args& add(std::string_view key, bool v);
-  Args& add(std::string_view key, std::string_view v);
-  std::string str() const;  ///< "{...}"; "" when no keys were added
-
- private:
-  std::string body_;
+  std::array<Arg, kMaxArgs> args{};  ///< filled from the front
 };
 
 /// Receiver of trace events. Implementations must tolerate concurrent
@@ -62,48 +76,55 @@ class Args {
 class Sink {
  public:
   virtual ~Sink() = default;
-  virtual void record(TraceEvent event) = 0;
+  virtual void record(const TraceEvent& event) = 0;
+
+  /// A copy of `s` that lives as long as the sink, for a string argument
+  /// that is not a literal. Intern once per run, never per event.
+  const char* intern(std::string_view s);
 
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
 
  private:
   Registry registry_;
+  std::mutex intern_mutex_;
+  std::set<std::string> interned_;
 };
 
-/// In-memory sink with bounded buffering and the two exporters. Overflow
-/// drops events (counted, reported through the logging layer at export).
+/// In-memory sink: a ring that keeps the newest `max_events` records and
+/// counts the older ones it overwrote. Both exporters lead with a
+/// `dropped_events` metadata record carrying that count.
 class Tracer final : public Sink {
  public:
   static constexpr std::size_t kDefaultMaxEvents = 1 << 20;
 
+  /// Throws std::invalid_argument when `max_events` is 0.
   explicit Tracer(std::size_t max_events = kDefaultMaxEvents);
 
-  void record(TraceEvent event) override;
+  void record(const TraceEvent& event) override;
 
   std::size_t size() const;
-  std::size_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::vector<TraceEvent> events() const;  ///< snapshot, record order
+  std::size_t dropped() const;
+  std::vector<TraceEvent> events() const;  ///< snapshot, oldest first
 
-  /// {"traceEvents":[...]} with events sorted by ts (stable, so same-ts
-  /// events keep record order and B/E pairs stay nested per tid).
+  /// {"traceEvents":[...]}: the two process_name records, the dropped
+  /// count, then the events sorted by ts (ties keep record order).
   void write_chrome_trace(std::ostream& out) const;
-  /// One event object per line, record order.
+  /// The dropped count, then one event object per line, record order.
   void write_jsonl(std::ostream& out) const;
 
  private:
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> events_;
+  std::deque<TraceEvent> events_;
   std::size_t max_events_;
-  std::atomic<std::size_t> dropped_{0};
+  std::size_t dropped_ = 0;
 };
 
-/// Emits an instant event; no-op when `sink` is null.
-void emit_instant(Sink* sink, double ts_us, std::string name, std::string cat,
-                  std::string args = {}, std::uint32_t pid = kSimPid,
-                  std::uint32_t tid = 0);
+/// Records an instant event with up to kMaxArgs args; no-op when `sink` is
+/// null.
+void emit_instant(Sink* sink, double ts_us, const char* name, const char* cat,
+                  std::initializer_list<Arg> args = {},
+                  std::uint32_t pid = kSimPid, std::uint32_t tid = 0);
 
 /// Small dense id for the calling thread (1, 2, ... in first-use order);
 /// used as the Chrome tid of wall-clock events.

@@ -62,11 +62,8 @@ void Cluster::kill_worker(WorkerId id) {
   if (config_.sink != nullptr) {
     config_.sink->registry().counter("runtime.worker_kills").add(1);
     obs::emit_instant(config_.sink, obs::wall_now_us(), "fault.worker_kill",
-                      "fault",
-                      obs::Args()
-                          .add("worker", static_cast<std::uint64_t>(id))
-                          .str(),
-                      obs::kWallPid, obs::current_thread_tid());
+                      "fault", {{"worker", id}}, obs::kWallPid,
+                      obs::current_thread_tid());
   }
 }
 
@@ -108,11 +105,8 @@ bool Cluster::restore_master(const std::string& dir) {
     config_.sink->registry().counter("recovery.master_failovers").add(1);
     obs::emit_instant(config_.sink, obs::wall_now_us(), "master_failover",
                       "recovery",
-                      obs::Args()
-                          .add("snapshot", from_snapshot)
-                          .add("reregistered",
-                               static_cast<std::uint64_t>(rebuilt.size()))
-                          .str(),
+                      {{"snapshot", from_snapshot},
+                       {"reregistered", rebuilt.size()}},
                       obs::kWallPid, obs::current_thread_tid());
   }
   return from_snapshot;

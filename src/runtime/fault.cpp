@@ -144,13 +144,13 @@ bool FaultInjector::fires(FaultKind kind, BlockId block, int attempt) const {
 bool FaultInjector::inject(FaultKind kind, BlockId block, int attempt) {
   if (!fires(kind, block, attempt)) return false;
   if (counters_ != nullptr) counters_->on_injected(kind);
+  static constexpr const char* kEventNames[] = {
+      "fault.drop", "fault.corrupt", "fault.stall", "fault.codec_fail",
+      "fault.worker_kill"};
   if (sink_ != nullptr)
     obs::emit_instant(sink_, obs::wall_now_us(),
-                      std::string("fault.") + fault_kind_name(kind), "fault",
-                      obs::Args()
-                          .add("block", block)
-                          .add("attempt", attempt)
-                          .str(),
+                      kEventNames[static_cast<std::uint8_t>(kind)], "fault",
+                      {{"block", block}, {"attempt", attempt}},
                       obs::kWallPid, obs::current_thread_tid());
   return true;
 }

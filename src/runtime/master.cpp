@@ -91,23 +91,19 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
       if (sink_ != nullptr)
         obs::emit_instant(sink_, obs::wall_now_us(), "beta_decision",
                           "runtime",
-                          obs::Args()
-                              .add("flow", f.flow_id)
-                              .add("coflow", ref)
-                              .add("beta", beta)
-                              .str(),
+                          {{"flow", f.flow_id},
+                           {"coflow", ref},
+                           {"beta", beta}},
                           obs::kWallPid, obs::current_thread_tid());
     }
     scored.push_back({ref, gamma / entry.priority});
     if (sink_ != nullptr)
       obs::emit_instant(sink_, obs::wall_now_us(), "coflow_estimate",
                         "runtime",
-                        obs::Args()
-                            .add("coflow", ref)
-                            .add("gamma", gamma)
-                            .add("priority", entry.priority)
-                            .add("key", gamma / entry.priority)
-                            .str(),
+                        {{"coflow", ref},
+                         {"gamma", gamma},
+                         {"priority", entry.priority},
+                         {"key", gamma / entry.priority}},
                         obs::kWallPid, obs::current_thread_tid());
   }
 
@@ -174,11 +170,8 @@ int Master::record_flow_failure(RtFlowId flow) {
     if (sink_ != nullptr) {
       sink_->registry().counter("runtime.degraded_flows").add(1);
       obs::emit_instant(sink_, obs::wall_now_us(), "flow_degraded", "fault",
-                        obs::Args()
-                            .add("flow", flow)
-                            .add("failures", count)
-                            .str(),
-                        obs::kWallPid, obs::current_thread_tid());
+                        {{"flow", flow}, {"failures", count}}, obs::kWallPid,
+                        obs::current_thread_tid());
     }
   }
   return count;

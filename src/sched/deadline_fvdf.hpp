@@ -119,7 +119,7 @@ class DeadlineFvdfScheduler final : public Scheduler {
   void drop_coflow(fabric::CoflowId id);
   void install(const fabric::Coflow& c);
 
-  core::PriorityUpgrade upgrade_{"dfvdf"};
+  core::PriorityUpgrade upgrade_{"dfvdf", "dfvdf.priority_upgrades"};
 
   // --- memo, valid for one tracker session ---
   using Lane = core::FvdfLane;

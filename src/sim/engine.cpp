@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -135,138 +136,9 @@ void materialize_flow(fabric::Flow& f, const FlowSeg& s, std::uint64_t j) {
   // kBlocked flows do not move.
 }
 
-// Cold, out-of-line trace emitters: the Args machinery stays off the
-// round hot paths, which see only a null test when no sink is set.
-struct ColdEmit {
-  [[gnu::noinline, gnu::cold]] static void flow_complete(
-      obs::Sink* sink, common::Seconds when, std::int64_t flow,
-      std::int64_t coflow, common::Seconds fct) {
-    obs::emit_instant(sink, obs::sim_ts(when), "flow_complete", "sim",
-                      obs::Args()
-                          .add("flow", flow)
-                          .add("coflow", coflow)
-                          .add("fct", fct)
-                          .str());
-  }
-  [[gnu::noinline, gnu::cold]] static void coflow_complete(
-      obs::Sink* sink, common::Seconds when, std::int64_t coflow,
-      common::Seconds cct) {
-    obs::emit_instant(sink, obs::sim_ts(when), "coflow_complete", "sim",
-                      obs::Args()
-                          .add("coflow", coflow)
-                          .add("cct", cct)
-                          .str());
-    sink->registry().counter("sim.coflows_completed").add();
-  }
-  [[gnu::noinline, gnu::cold]] static void coflow_arrival(
-      obs::Sink* sink, common::Seconds when, std::int64_t coflow,
-      std::int64_t width) {
-    obs::emit_instant(sink, obs::sim_ts(when), "coflow_arrival", "sim",
-                      obs::Args()
-                          .add("coflow", coflow)
-                          .add("width", width)
-                          .str());
-    sink->registry().counter("sim.coflows_arrived").add();
-  }
-  [[gnu::noinline, gnu::cold]] static void schedule_round(
-      obs::Sink* sink, common::Seconds now, std::uint64_t round,
-      const std::string& scheduler, std::int64_t coflows,
-      std::int64_t flows) {
-    obs::emit_instant(sink, obs::sim_ts(now), "schedule_round", "sim",
-                      obs::Args()
-                          .add("round", round)
-                          .add("scheduler", scheduler)
-                          .add("coflows", coflows)
-                          .add("flows", flows)
-                          .str());
-  }
-  [[gnu::noinline, gnu::cold]] static void preemption(obs::Sink* sink,
-                                                      common::Seconds now,
-                                                      std::int64_t flow,
-                                                      std::int64_t coflow) {
-    obs::emit_instant(sink, obs::sim_ts(now), "preemption", "sim",
-                      obs::Args()
-                          .add("flow", flow)
-                          .add("coflow", coflow)
-                          .str());
-  }
-  [[gnu::noinline, gnu::cold]] static void capacity_change(
-      obs::Sink* sink, common::Seconds when, std::int64_t port,
-      double old_multiplier, double new_multiplier, double ingress_bps,
-      double egress_bps) {
-    obs::emit_instant(sink, obs::sim_ts(when), "capacity_change", "fabric",
-                      obs::Args()
-                          .add("port", port)
-                          .add("old_multiplier", old_multiplier)
-                          .add("multiplier", new_multiplier)
-                          .add("ingress_bps", ingress_bps)
-                          .add("egress_bps", egress_bps)
-                          .str());
-    if (new_multiplier == 0.0)
-      obs::emit_instant(sink, obs::sim_ts(when), "link_down", "fabric",
-                        obs::Args().add("port", port).str());
-    else if (old_multiplier == 0.0)
-      obs::emit_instant(sink, obs::sim_ts(when), "link_up", "fabric",
-                        obs::Args().add("port", port).str());
-  }
-  [[gnu::noinline, gnu::cold]] static void admission_verdict(
-      obs::Sink* sink, common::Seconds when, std::int64_t coflow,
-      const char* verdict, const char* reason, common::Seconds slack) {
-    obs::emit_instant(sink, obs::sim_ts(when), "admission_verdict", "slo",
-                      obs::Args()
-                          .add("coflow", coflow)
-                          .add("verdict", verdict)
-                          .add("reason", reason)
-                          .add("slack", slack)
-                          .str());
-  }
-  [[gnu::noinline, gnu::cold]] static void coflow_rejected(
-      obs::Sink* sink, common::Seconds when, std::int64_t coflow,
-      bool midflight, common::Bytes shed) {
-    obs::emit_instant(sink, obs::sim_ts(when),
-                      midflight ? "coflow_shed" : "coflow_rejected", "slo",
-                      obs::Args()
-                          .add("coflow", coflow)
-                          .add("shed_bytes", shed)
-                          .str());
-    sink->registry()
-        .counter(midflight ? "slo.coflows_shed" : "slo.coflows_rejected")
-        .add();
-  }
-  [[gnu::noinline, gnu::cold]] static void compression_done(
-      obs::Sink* sink, common::Seconds now, std::int64_t flow,
-      std::int64_t coflow, common::Bytes compressed) {
-    obs::emit_instant(sink, obs::sim_ts(now), "compression_done", "sim",
-                      obs::Args()
-                          .add("flow", flow)
-                          .add("coflow", coflow)
-                          .add("compressed_bytes", compressed)
-                          .str());
-  }
-  [[gnu::noinline, gnu::cold]] static void snapshot_written(
-      obs::Sink* sink, common::Seconds when, std::uint64_t seq,
-      std::int64_t bytes) {
-    obs::emit_instant(sink, obs::sim_ts(when), "snapshot", "recovery",
-                      obs::Args()
-                          .add("seq", std::int64_t(seq))
-                          .add("bytes", bytes)
-                          .str());
-    sink->registry().counter("recovery.snapshots").add();
-  }
-  [[gnu::noinline, gnu::cold]] static void restored(
-      obs::Sink* sink, common::Seconds when, std::uint64_t seq,
-      std::int64_t journal_suffix) {
-    obs::emit_instant(sink, obs::sim_ts(when), "restore", "recovery",
-                      obs::Args()
-                          .add("seq", std::int64_t(seq))
-                          .add("journal_suffix", journal_suffix)
-                          .str());
-    sink->registry().counter("recovery.restores").add();
-    sink->registry()
-        .gauge("recovery.journal_suffix")
-        .set(static_cast<double>(journal_suffix));
-  }
-};
+obs::Counter* counter_or_null(obs::Sink* sink, std::string_view name) {
+  return sink != nullptr ? &sink->registry().counter(name) : nullptr;
+}
 
 /// The engine, refactored from the historical single-function stepper into
 /// a resumable object: every bit of run state is a member, so a checkpoint
@@ -292,7 +164,11 @@ class Engine {
         admit_on(config_in.admission.enabled),
         admission(config_in.admission, fabric_in),
         tracker(fabric_in.num_ports()),
-        sink(config_in.sink) {
+        sink(config_in.sink),
+        sched_name(sink != nullptr ? sink->intern(sched_in.name()) : nullptr),
+        rounds_counter(counter_or_null(sink, "sim.schedule_rounds")),
+        arrived_counter(counter_or_null(sink, "sim.coflows_arrived")),
+        completed_counter(counter_or_null(sink, "sim.coflows_completed")) {
     // ---- Build flow/coflow state (ids are dense indices). ----
     flows.reserve(trace.total_flows());
     coflows.reserve(trace.coflows.size());
@@ -491,10 +367,18 @@ class Engine {
       need_schedule = true;
       coflow_event = true;
       if (admit_on) reprice_due = true;
-      if (sink != nullptr) [[unlikely]]
-        ColdEmit::capacity_change(sink, now, std::int64_t(p), prev, m,
-                                  live.ingress_capacity(p),
-                                  live.egress_capacity(p));
+      if (sink != nullptr) [[unlikely]] {
+        const double ts = obs::sim_ts(now);
+        obs::emit_instant(sink, ts, "capacity_change", "fabric",
+                          {{"port", p}, {"old_multiplier", prev},
+                           {"multiplier", m},
+                           {"ingress_bps", live.ingress_capacity(p)},
+                           {"egress_bps", live.egress_capacity(p)}});
+        if (m == 0.0)
+          obs::emit_instant(sink, ts, "link_down", "fabric", {{"port", p}});
+        else if (prev == 0.0)
+          obs::emit_instant(sink, ts, "link_up", "fabric", {{"port", p}});
+      }
     }
   }
 
@@ -520,8 +404,9 @@ class Engine {
     need_schedule = true;
     tracker.coflow_changed(f.coflow);
     if (sink != nullptr) [[unlikely]]
-      ColdEmit::flow_complete(sink, when, std::int64_t(f.id),
-                              std::int64_t(sc.trace_id), when - f.arrival);
+      obs::emit_instant(
+          sink, obs::sim_ts(when), "flow_complete", "sim",
+          {{"flow", f.id}, {"coflow", sc.trace_id}, {"fct", when - f.arrival}});
     sc.completion_max = std::max(sc.completion_max, when);
     if (--sc.unfinished == 0) {
       journal_event(recovery::JournalType::kCoflowComplete, sc.completion_max,
@@ -530,10 +415,13 @@ class Engine {
       ++completed;
       coflow_event = true;
       if (admit_on) admission.release(sc.state.id);
-      if (sink != nullptr) [[unlikely]]
-        ColdEmit::coflow_complete(sink, sc.state.completion,
-                                  std::int64_t(sc.trace_id),
-                                  sc.state.completion - sc.state.arrival);
+      if (sink != nullptr) [[unlikely]] {
+        obs::emit_instant(sink, obs::sim_ts(sc.state.completion),
+                          "coflow_complete", "sim",
+                          {{"coflow", sc.trace_id},
+                           {"cct", sc.state.completion - sc.state.arrival}});
+        completed_counter->add();
+      }
     }
   }
 
@@ -569,9 +457,14 @@ class Engine {
       ++sstats.rejected;
     }
     admission.release(sc.state.id);
-    if (sink != nullptr) [[unlikely]]
-      ColdEmit::coflow_rejected(sink, when, std::int64_t(sc.trace_id),
-                                midflight, shed);
+    if (sink != nullptr) [[unlikely]] {
+      obs::emit_instant(sink, obs::sim_ts(when),
+                        midflight ? "coflow_shed" : "coflow_rejected", "slo",
+                        {{"coflow", sc.trace_id}, {"shed_bytes", shed}});
+      sink->registry()
+          .counter(midflight ? "slo.coflows_shed" : "slo.coflows_rejected")
+          .add();
+    }
   }
 
   // Writes every live snapshot member back into its flow's pools at the
@@ -760,6 +653,13 @@ class Engine {
   core::AdmissionController admission;
   sched::DirtyTracker tracker;
   obs::Sink* const sink;
+  // What the per-event trace sites take from the sink, resolved once: the
+  // scheduler's name for schedule_round and the counters bumped per round,
+  // arrival and completion. Null without a sink.
+  const char* const sched_name;
+  obs::Counter* const rounds_counter;
+  obs::Counter* const arrived_counter;
+  obs::Counter* const completed_counter;
 
   // ---- Run state (what fields() lists or restore_state rederives). ----
   std::vector<fabric::Flow> flows;
@@ -926,9 +826,15 @@ void Engine::setup_recovery() {
       verify_.clear();
       fs::remove(journal_path_, ec);
     }
-    if (sink != nullptr)
-      ColdEmit::restored(sink, seg_base, restored_seq_,
-                         std::int64_t(verify_.size()));
+    if (sink != nullptr) {
+      obs::emit_instant(sink, obs::sim_ts(seg_base), "restore", "recovery",
+                        {{"seq", restored_seq_},
+                         {"journal_suffix", verify_.size()}});
+      sink->registry().counter("recovery.restores").add();
+      sink->registry()
+          .gauge("recovery.journal_suffix")
+          .set(static_cast<double>(verify_.size()));
+    }
   } else {
     // Fresh run: a stale journal from a previous run in the same dir must
     // not be mistaken for this run's prefix.
@@ -1008,9 +914,11 @@ void Engine::checkpoint(common::Seconds t) {
                           snap_attempts_ == crash_->kill_mid_snapshot;
   recovery::write_snapshot(config.recovery.dir, snap_image_,
                            crash_here ? &hook : nullptr);
-  if (sink != nullptr) [[unlikely]]
-    ColdEmit::snapshot_written(sink, t, round,
-                               std::int64_t(snap_image_.size()));
+  if (sink != nullptr) [[unlikely]] {
+    obs::emit_instant(sink, obs::sim_ts(t), "snapshot", "recovery",
+                      {{"seq", round}, {"bytes", snap_image_.size()}});
+    sink->registry().counter("recovery.snapshots").add();
+  }
 }
 
 template <class Self, class IO>
@@ -1159,10 +1067,12 @@ Metrics Engine::run() {
       ++next_arrival;
       journal_event(recovery::JournalType::kArrival, sc.state.arrival,
                     sc.trace_id, sc.state.flows.size());
-      if (sink != nullptr) [[unlikely]]
-        ColdEmit::coflow_arrival(sink, sc.state.arrival,
-                                 std::int64_t(sc.trace_id),
-                                 std::int64_t(sc.state.flows.size()));
+      if (sink != nullptr) [[unlikely]] {
+        obs::emit_instant(
+            sink, obs::sim_ts(sc.state.arrival), "coflow_arrival", "sim",
+            {{"coflow", sc.trace_id}, {"width", sc.state.flows.size()}});
+        arrived_counter->add();
+      }
       if (admit_on && sc.state.has_deadline()) {
         ++sstats.with_deadline;
         const core::AdmissionDecision d = admission.admit(
@@ -1174,10 +1084,12 @@ Metrics Engine::run() {
         if (sink != nullptr) [[unlikely]] {
           static constexpr const char* kVerdictNames[] = {"admit", "degrade",
                                                           "defer", "reject"};
-          ColdEmit::admission_verdict(
-              sink, sc.state.arrival, std::int64_t(sc.trace_id),
-              kVerdictNames[static_cast<std::uint8_t>(d.verdict)], d.reason,
-              sc.state.deadline - sc.state.arrival);
+          obs::emit_instant(
+              sink, obs::sim_ts(sc.state.arrival), "admission_verdict", "slo",
+              {{"coflow", sc.trace_id},
+               {"verdict", kVerdictNames[static_cast<std::uint8_t>(d.verdict)]},
+               {"reason", d.reason},
+               {"slack", sc.state.deadline - sc.state.arrival}});
         }
         if (d.verdict == core::AdmissionVerdict::kReject) {
           // Dropped at the door: never enters the active set, the tracker
@@ -1292,10 +1204,13 @@ Metrics Engine::run() {
       // (value-compared per port) dirties exactly the coflows sourced at
       // ports whose headroom or compress gate moved since the last round.
       tracker.sample_cpu(cpu, ctx.now);
-      if (sink != nullptr) [[unlikely]]
-        ColdEmit::schedule_round(sink, t, round, sched.name(),
-                                 std::int64_t(ctx.coflows.size()),
-                                 std::int64_t(ctx.flows.size()));
+      if (sink != nullptr) [[unlikely]] {
+        obs::emit_instant(sink, obs::sim_ts(t), "schedule_round", "sim",
+                          {{"round", round}, {"scheduler", sched_name},
+                           {"coflows", ctx.coflows.size()},
+                           {"flows", ctx.flows.size()}});
+        rounds_counter->add();
+      }
       fabric::Allocation alloc;
       {
         obs::ProfileScope scope(sink, "sim.schedule");
@@ -1314,8 +1229,9 @@ Metrics Engine::run() {
         // compression) was preempted by a shorter coflow.
         if (sink != nullptr && rate[f->id] > kTiny && new_rate <= kTiny &&
             !new_compress) [[unlikely]]
-          ColdEmit::preemption(sink, t, std::int64_t(f->id),
-                               std::int64_t(coflows[f->coflow].trace_id));
+          obs::emit_instant(
+              sink, obs::sim_ts(t), "preemption", "sim",
+              {{"flow", f->id}, {"coflow", coflows[f->coflow].trace_id}});
         // An Eq. 3 decision that reversed while raw volume remains: the
         // bottleneck B moved across the R_eff * (1 - xi) threshold (both
         // directions happen under brownouts and recoveries).
@@ -1336,8 +1252,6 @@ Metrics Engine::run() {
       need_schedule = false;
       coflow_event = false;
       ++round;
-      if (sink != nullptr)
-        sink->registry().counter("sim.schedule_rounds").add();
       // Post-schedule fold point: the segment is settled (seg_valid just
       // went false above) and nothing is pending, so re-entering the loop
       // top from this state replays the rest of the iteration identically.
@@ -1421,9 +1335,10 @@ Metrics Engine::run() {
           // are ever consumed between here and that round.
           tracker.flow_progressed(f.coflow);
           if (sink != nullptr) [[unlikely]]
-            ColdEmit::compression_done(sink, start, std::int64_t(f.id),
-                                       std::int64_t(sc.trace_id),
-                                       f.compressed_pending);
+            obs::emit_instant(sink, obs::sim_ts(start), "compression_done",
+                              "sim",
+                              {{"flow", f.id}, {"coflow", sc.trace_id},
+                               {"compressed_bytes", f.compressed_pending}});
           if (f.done()) {
             // Degenerate codec (ratio ~ 0) removed the whole volume.
             const double d_prev = s.d0 -

@@ -1,5 +1,7 @@
 // CSV export of simulation metrics, for plotting outside the repo
-// (gnuplot/pandas). One row per flow / coflow / utilization sample.
+// (gnuplot/pandas). One row per flow / coflow / utilization sample. Doubles
+// print at round-trip precision (common::Shortest), so two runs whose CSVs
+// are byte-equal computed the same doubles.
 #pragma once
 
 #include <iosfwd>

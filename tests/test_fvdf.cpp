@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "core/compression_strategy.hpp"
 #include "core/fvdf.hpp"
@@ -174,7 +176,7 @@ class FvdfContext : public ::testing::Test {
 };
 
 // One scheduling round of `variant` with a Tracer attached; the
-// coflow_estimate events it logs carry each coflow's Γ_C and rank key.
+// coflow_estimate events it exports carry each coflow's Γ_C and rank key.
 struct TracedRound {
   fabric::Allocation alloc;
   std::map<fabric::CoflowId, double> gamma;
@@ -187,15 +189,19 @@ TracedRound traced_round(sched::SchedContext ctx, const char* variant) {
   ctx.sink = &tracer;
   TracedRound out;
   out.alloc = make_fvdf(variant)->schedule(ctx);
-  for (const obs::TraceEvent& ev : tracer.events()) {
-    if (ev.name != "coflow_estimate" && ev.name != "beta_decision") continue;
-    const obs::JsonValue args = obs::parse_json(ev.args);
-    if (ev.name == "coflow_estimate") {
+  std::ostringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  std::istringstream lines(jsonl.str());
+  for (std::string line; std::getline(lines, line);) {
+    const obs::JsonValue ev = obs::parse_json(line);
+    const std::string& name = ev.find("name")->string;
+    const obs::JsonValue* args = ev.find("args");
+    if (name == "coflow_estimate") {
       const auto id =
-          static_cast<fabric::CoflowId>(args.find("coflow")->number);
-      out.gamma[id] = args.find("gamma")->number;
-      out.key[id] = args.find("key")->number;
-    } else if (ev.name == "beta_decision" && args.find("beta")->boolean) {
+          static_cast<fabric::CoflowId>(args->find("coflow")->number);
+      out.gamma[id] = args->find("gamma")->number;
+      out.key[id] = args->find("key")->number;
+    } else if (name == "beta_decision" && args->find("beta")->boolean) {
       ++out.betas;
     }
   }
@@ -268,7 +274,7 @@ TEST(Upgrade, MultipliesEveryWaitingPriorityByLogBase) {
   b.priority = 2.0;
   sched::SchedContext ctx;
   ctx.coflows = {&a, &b};
-  PriorityUpgrade upgrade("fvdf");
+  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
   unserved_round(upgrade, ctx);  // round 1: nobody has waited yet
   EXPECT_DOUBLE_EQ(a.priority, 1.0);
   unserved_round(upgrade, ctx);
@@ -283,7 +289,7 @@ TEST(Upgrade, ClampsBelowOneBeforeMultiplying) {
   c.priority = 0.25;
   sched::SchedContext ctx;
   ctx.coflows = {&c};
-  PriorityUpgrade upgrade("fvdf");
+  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
   unserved_round(upgrade, ctx);
   unserved_round(upgrade, ctx);
   EXPECT_DOUBLE_EQ(c.priority, kPriorityLogBase);
@@ -293,7 +299,7 @@ TEST(Upgrade, GrowsExponentially) {
   fabric::Coflow c;
   sched::SchedContext ctx;
   ctx.coflows = {&c};
-  PriorityUpgrade upgrade("fvdf");
+  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
   for (int i = 0; i < 51; ++i) unserved_round(upgrade, ctx);
   EXPECT_NEAR(c.priority, std::pow(1.2, 50), 1e-3);
 }
@@ -303,7 +309,7 @@ TEST(Upgrade, OnlyCoflowEventsAge) {
   sched::SchedContext ctx;
   ctx.coflows = {&c};
   ctx.coflow_event = false;
-  PriorityUpgrade upgrade("fvdf");
+  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
   for (int i = 0; i < 5; ++i) unserved_round(upgrade, ctx);
   EXPECT_DOUBLE_EQ(c.priority, 1.0);
   EXPECT_EQ(upgrade.round(), 5u);

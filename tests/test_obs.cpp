@@ -1,10 +1,21 @@
 // Unit tests for the observability layer: registry instruments under
-// concurrency, histogram percentiles, tracer buffering and overflow, the
-// disabled-path no-ops, JSON helpers, and the pluggable log sink.
+// concurrency, histogram percentiles, the tracer's typed records and its
+// ring of newest events, profiling spans, the disabled-path no-ops, JSON
+// helpers, and the pluggable log sink.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -94,23 +105,83 @@ TEST(Registry, JsonExportRoundTrips) {
   EXPECT_DOUBLE_EQ(lat->find("max")->number, 20);
 }
 
-TEST(Tracer, RecordsAndSnapshots) {
+TEST(Tracer, RecordsTypedArgs) {
   Tracer tracer;
-  emit_instant(&tracer, 5.0, "hello", "test",
-               Args().add("k", std::int64_t(1)).str());
+  emit_instant(&tracer, 5.0, "hello", "test", {{"k", 1}});
   ASSERT_EQ(tracer.size(), 1u);
   const TraceEvent ev = tracer.events().front();
-  EXPECT_EQ(ev.name, "hello");
+  EXPECT_EQ(std::string_view(ev.name), "hello");
   EXPECT_EQ(ev.ph, 'i');
   EXPECT_DOUBLE_EQ(ev.ts, 5.0);
-  EXPECT_EQ(ev.args, "{\"k\":1}");
+  EXPECT_EQ(std::string_view(ev.args[0].key), "k");
+  EXPECT_EQ(std::get<std::int64_t>(ev.args[0].value), 1);
+  EXPECT_EQ(ev.args[1].key, nullptr);
 }
 
-TEST(Tracer, OverflowDropsAndCounts) {
+// Every line of a JSONL export, parsed.
+std::vector<JsonValue> jsonl_lines(const Tracer& tracer) {
+  std::ostringstream oss;
+  tracer.write_jsonl(oss);
+  std::istringstream iss(oss.str());
+  std::vector<JsonValue> lines;
+  for (std::string line; std::getline(iss, line);)
+    lines.push_back(parse_json(line));
+  return lines;
+}
+
+TEST(Tracer, RingKeepsTheNewestEventsAndExportsTheDroppedCount) {
   Tracer tracer(/*max_events=*/2);
   for (int i = 0; i < 5; ++i) emit_instant(&tracer, i, "e", "test");
   EXPECT_EQ(tracer.size(), 2u);
   EXPECT_EQ(tracer.dropped(), 3u);
+  const std::vector<TraceEvent> kept = tracer.events();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_DOUBLE_EQ(kept[0].ts, 3);
+  EXPECT_DOUBLE_EQ(kept[1].ts, 4);
+
+  const std::vector<JsonValue> lines = jsonl_lines(tracer);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].find("name")->string, "dropped_events");
+  EXPECT_DOUBLE_EQ(lines[0].find("args")->find("count")->number, 3);
+  EXPECT_DOUBLE_EQ(lines[1].find("ts")->number, 3);
+  EXPECT_DOUBLE_EQ(lines[2].find("ts")->number, 4);
+
+  std::ostringstream chrome;
+  tracer.write_chrome_trace(chrome);
+  const JsonValue doc = parse_json(chrome.str());
+  std::vector<double> instants;
+  double dropped = -1;
+  for (const JsonValue& ev : doc.find("traceEvents")->array) {
+    if (ev.find("name")->string == "dropped_events")
+      dropped = ev.find("args")->find("count")->number;
+    if (ev.find("ph")->string == "i") instants.push_back(ev.find("ts")->number);
+  }
+  EXPECT_DOUBLE_EQ(dropped, 3);
+  EXPECT_EQ(instants, (std::vector<double>{3, 4}));
+}
+
+TEST(Tracer, RejectsAnEmptyRing) {
+  EXPECT_THROW(Tracer(0), std::invalid_argument);
+}
+
+TEST(Tracer, ConcurrentRecordsFillTheRing) {
+  constexpr std::size_t kCap = 64;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  Tracer tracer(kCap);
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&tracer, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        emit_instant(&tracer, i, "e", "test", {{"thread", t}});
+    });
+  threads.clear();  // join
+  EXPECT_EQ(tracer.size(), kCap);
+  EXPECT_EQ(tracer.dropped(), kThreads * kPerThread - kCap);
+  for (const TraceEvent& ev : tracer.events()) {  // whole records only
+    EXPECT_EQ(std::string_view(ev.args[0].key), "thread");
+    EXPECT_LT(std::get<std::int64_t>(ev.args[0].value), kThreads);
+  }
 }
 
 TEST(Tracer, NullSinkPathIsANoOp) {
@@ -118,16 +189,15 @@ TEST(Tracer, NullSinkPathIsANoOp) {
   ProfileScope scope(nullptr, "ignored");  // must not crash or allocate
 }
 
-TEST(ProfileScope, EmitsMatchedPairAndHistogram) {
+TEST(ProfileScope, RecordsOneCompleteSpanAndHistogram) {
   Tracer tracer;
   { ProfileScope scope(&tracer, "work", "test"); }
   const std::vector<TraceEvent> events = tracer.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].ph, 'B');
-  EXPECT_EQ(events[1].ph, 'E');
-  EXPECT_EQ(events[0].name, "work");
-  EXPECT_EQ(events[0].tid, events[1].tid);
-  EXPECT_GE(events[1].ts, events[0].ts);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].ph, 'X');
+  EXPECT_EQ(std::string_view(events[0].name), "work");
+  EXPECT_EQ(events[0].pid, kWallPid);
+  EXPECT_GE(events[0].dur, 0);
   EXPECT_EQ(tracer.registry().histogram("prof.work").count(), 1u);
 }
 
@@ -138,44 +208,84 @@ TEST(ProfileScope, HistogramOnlyModeEmitsNoEvents) {
   EXPECT_EQ(tracer.registry().histogram("prof.quiet").count(), 1u);
 }
 
-TEST(Tracer, JsonlLinesParse) {
-  Tracer tracer;
-  emit_instant(&tracer, 1, "a", "test");
-  emit_instant(&tracer, 2, "b", "test", Args().add("x", 3.5).str());
-  std::ostringstream oss;
-  tracer.write_jsonl(oss);
-  std::istringstream iss(oss.str());
-  std::string line;
-  int lines = 0;
-  while (std::getline(iss, line)) {
-    const JsonValue ev = parse_json(line);
-    ASSERT_TRUE(ev.is_object());
-    EXPECT_NE(ev.find("name"), nullptr);
-    ++lines;
+TEST(ProfileScope, SpansPastTheCapExportComplete) {
+  // A ring that overflows mid-nesting still exports only whole spans: each
+  // scope is one 'X' record, so no begin can lose its end.
+  Tracer tracer(/*max_events=*/3);
+  for (int i = 0; i < 10; ++i) {
+    ProfileScope outer(&tracer, "outer", "test");
+    ProfileScope inner(&tracer, "inner", "test");
   }
-  EXPECT_EQ(lines, 2);
+  EXPECT_EQ(tracer.dropped(), 17u);
+  std::ostringstream oss;
+  tracer.write_chrome_trace(oss);
+  const JsonValue doc = parse_json(oss.str());
+  std::size_t spans = 0;
+  for (const JsonValue& ev : doc.find("traceEvents")->array) {
+    const std::string& ph = ev.find("ph")->string;
+    if (ph == "M") continue;
+    EXPECT_EQ(ph, "X");
+    EXPECT_GE(ev.find("dur")->number, 0);
+    ++spans;
+  }
+  EXPECT_EQ(spans, 3u);
+  EXPECT_EQ(tracer.registry().histogram("prof.outer").count(), 10u);
 }
 
-TEST(Args, BuildsJsonObjects) {
-  EXPECT_EQ(Args().str(), "");
-  const std::string json = Args()
-                               .add("a", std::int64_t(-2))
-                               .add("b", true)
-                               .add("c", std::string_view("x\"y"))
-                               .add("d", 1.5)
-                               .str();
-  const JsonValue doc = parse_json(json);
-  EXPECT_DOUBLE_EQ(doc.find("a")->number, -2);
-  EXPECT_TRUE(doc.find("b")->boolean);
-  EXPECT_EQ(doc.find("c")->string, "x\"y");
-  EXPECT_DOUBLE_EQ(doc.find("d")->number, 1.5);
+TEST(Tracer, ExportsEveryArgType) {
+  Tracer tracer;
+  const char* name = tracer.intern(std::string("FVDF") + "-NC");
+  EXPECT_EQ(tracer.intern("FVDF-NC"), name);  // one copy per string
+  emit_instant(&tracer, 1, "a", "test",
+               {{"i", -2},
+                {"u", std::numeric_limits<std::uint64_t>::max()},
+                {"d", 1.5},
+                {"b", true},
+                {"s", name}});
+  emit_instant(&tracer, 2, "b", "test", {{"q", "x\"y"}});
+  const std::vector<JsonValue> lines = jsonl_lines(tracer);
+  ASSERT_EQ(lines.size(), 3u);
+  const JsonValue& a = *lines[1].find("args");
+  ASSERT_EQ(a.object.size(), 5u);
+  EXPECT_EQ(a.object[0].first, "i");
+  EXPECT_DOUBLE_EQ(a.find("i")->number, -2);
+  EXPECT_DOUBLE_EQ(a.find("u")->number, 18446744073709551615.0);
+  EXPECT_DOUBLE_EQ(a.find("d")->number, 1.5);
+  EXPECT_TRUE(a.find("b")->boolean);
+  EXPECT_EQ(a.find("s")->string, "FVDF-NC");
+  EXPECT_EQ(lines[2].find("args")->find("q")->string, "x\"y");
 }
 
 TEST(Json, EscapeAndNumbers) {
-  EXPECT_EQ(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+  EXPECT_EQ(json_quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
   EXPECT_EQ(json_number(3), "3");
+  EXPECT_EQ(json_number(1e6), "1000000");
   EXPECT_EQ(json_number(-0.5), "-0.5");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(Json, NumbersRoundTripBitForBit) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, -1241.5773912949446,
+      std::numeric_limits<double>::denorm_min(), 1e-310, -4.9e-320,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 1e300, -1e300, 1e-300, -1e-300,
+      9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+      -9007199254740992.0, 9007199254740993.0 * 2, 1e21, 123456789.0};
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> uniform(-1e6, 1e6);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(uniform(rng));
+    const double any = std::bit_cast<double>(rng());
+    if (std::isfinite(any)) values.push_back(any);
+  }
+  for (const double v : values) {
+    const std::string text = json_number(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr)),
+              std::bit_cast<std::uint64_t>(v))
+        << text;
+  }
 }
 
 TEST(Json, ParserRejectsMalformedInput) {

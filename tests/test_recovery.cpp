@@ -19,6 +19,7 @@
 #include <fstream>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -572,13 +573,17 @@ TEST(RecoveryCrash, KeepsNewestTwoAndFallsBackPastACorruptNewest) {
   config.recovery.restore = true;
   config.sink = &tracer;
   const sim::Metrics recovered = run_once(trace, fabric, cpu, "FVDF", config);
+  std::ostringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  std::istringstream lines(jsonl.str());
   std::vector<std::string> restores;
-  for (const obs::TraceEvent& ev : tracer.events())
-    if (ev.name == "restore") restores.push_back(ev.args);
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("\"name\":\"restore\"") != std::string::npos)
+      restores.push_back(line.substr(line.find("\"args\":")));
   EXPECT_EQ(restores, (std::vector<std::string>{
-                          "{\"seq\":" + std::to_string(older) +
+                          "\"args\":{\"seq\":" + std::to_string(older) +
                           ",\"journal_suffix\":" + std::to_string(suffix) +
-                          "}"}));
+                          "}}"}));
   expect_identical(recovered, clean, "restore past a corrupt newest snapshot");
 }
 

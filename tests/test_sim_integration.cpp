@@ -4,6 +4,8 @@
 // about (1 - xi), and the priority upgrade prevents starvation.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "obs/trace.hpp"
 #include "sim/experiment.hpp"
 
@@ -133,9 +135,10 @@ TEST_F(SimIntegration, TracerObservesExactlyWhatMetricsRecord) {
 
   std::size_t arrivals = 0, coflow_completions = 0, flow_completions = 0;
   for (const obs::TraceEvent& ev : tracer.events()) {
-    if (ev.name == "coflow_arrival") ++arrivals;
-    if (ev.name == "coflow_complete") ++coflow_completions;
-    if (ev.name == "flow_complete") ++flow_completions;
+    const std::string_view name = ev.name;
+    if (name == "coflow_arrival") ++arrivals;
+    if (name == "coflow_complete") ++coflow_completions;
+    if (name == "flow_complete") ++flow_completions;
   }
   EXPECT_EQ(arrivals, m.coflows.size());
   EXPECT_EQ(coflow_completions, m.coflows.size());

@@ -1,10 +1,11 @@
 // Golden-file style validation of the Chrome trace_event export: run a real
 // FVDF simulation with a Tracer attached, write the trace, and assert the
-// output is well-formed JSON with monotonically ordered timestamps, matched
-// B/E pairs per (pid, tid) track, and the scheduler-decision events the
-// observability layer promises (Γ_C estimates, β decisions, arrivals,
-// completions) for every coflow a round re-evaluates. Also checks that
-// tracing never changes the simulated outcome.
+// output is well-formed JSON with monotonically ordered timestamps, complete
+// 'X' profiling spans on the wall-clock track, the dropped-count record, and
+// the scheduler-decision events the observability layer promises (Γ_C
+// estimates, β decisions, arrivals, completions) for every coflow a round
+// re-evaluates. Also checks that tracing never changes the simulated
+// outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -91,6 +91,11 @@ TEST_F(TraceExport, WellFormedChromeTraceEnvelope) {
     process_names.insert(m->find("args")->find("name")->string);
   EXPECT_TRUE(process_names.count("simulated-time"));
   EXPECT_TRUE(process_names.count("wall-clock"));
+
+  // The file states how many events the ring overwrote: none here.
+  const auto dropped = events_named("dropped_events");
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(dropped[0]->find("args")->find("count")->number, 0.0);
 }
 
 TEST_F(TraceExport, TimestampsMonotonicallyOrdered) {
@@ -103,27 +108,20 @@ TEST_F(TraceExport, TimestampsMonotonicallyOrdered) {
   }
 }
 
-TEST_F(TraceExport, DurationEventsFormMatchedPairs) {
-  // Per-(pid, tid) track, 'B' and 'E' must nest like parentheses with
-  // matching names — this is what makes the trace loadable in Perfetto.
-  std::map<std::pair<double, double>, std::vector<std::string>> stacks;
-  int pairs = 0;
+TEST_F(TraceExport, ProfilingSpansAreCompleteRecords) {
+  // Every profiling scope is one 'X' span on the wall-clock track with a
+  // non-negative duration, so no begin can lose its end in the file.
+  std::set<std::string> names;
   for (const obs::JsonValue& ev : doc_.find("traceEvents")->array) {
     const std::string& ph = ev.find("ph")->string;
-    if (ph != "B" && ph != "E") continue;
-    auto& stack = stacks[{ev.find("pid")->number, ev.find("tid")->number}];
-    if (ph == "B") {
-      stack.push_back(ev.find("name")->string);
-    } else {
-      ASSERT_FALSE(stack.empty()) << "'E' without opening 'B'";
-      EXPECT_EQ(stack.back(), ev.find("name")->string);
-      stack.pop_back();
-      ++pairs;
-    }
+    EXPECT_TRUE(ph == "M" || ph == "i" || ph == "X") << ph;
+    if (ph != "X") continue;
+    EXPECT_EQ(ev.find("pid")->number, obs::kWallPid);
+    EXPECT_GE(ev.find("dur")->number, 0.0);
+    names.insert(ev.find("name")->string);
   }
-  for (const auto& [track, stack] : stacks)
-    EXPECT_TRUE(stack.empty()) << "unclosed 'B' on tid " << track.second;
-  EXPECT_GT(pairs, 0);  // sim.schedule / fvdf.allocate scopes fired
+  EXPECT_TRUE(names.count("sim.schedule"));
+  EXPECT_TRUE(names.count("fvdf.allocate"));
 }
 
 TEST_F(TraceExport, SchedulerDecisionEventsCoverEveryReevaluation) {
@@ -259,9 +257,12 @@ TEST_F(TraceExport, JsonlExportParsesLineByLine) {
   while (std::getline(iss, line)) {
     const obs::JsonValue ev = obs::parse_json(line);
     ASSERT_TRUE(ev.is_object());
+    if (lines == 0) {
+      EXPECT_EQ(ev.find("name")->string, "dropped_events");
+    }
     ++lines;
   }
-  EXPECT_EQ(lines, tracer_.size());
+  EXPECT_EQ(lines, tracer_.size() + 1);  // the dropped count, then events
 }
 
 }  // namespace
