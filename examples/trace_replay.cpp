@@ -34,13 +34,15 @@
 //       byte-identical to the untraced replay)
 //
 // Exits 1 when an output file (--write_trace, --csv, --trace-out) cannot
-// be written.
+// be written or --scheduler names no registered scheduler.
 //
 // Scheduler names: sched::known_scheduler_list() — e.g. FVDF, FVDF-NC,
-// DEADLINE-FVDF, SEBF, AALO, FIFO, PER-FLOW-FAIR. Unknown names raise an
-// error listing every registered scheduler.
+// DEADLINE-FVDF, SEBF, AALO, FIFO, PFF, FAIR. An unknown name exits 1 with
+// an error listing every registered scheduler.
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 
 #include "codec/chunk.hpp"
 #include "codec/synth_data.hpp"
@@ -94,7 +96,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string name = flags.get("scheduler", "FVDF");
+  std::unique_ptr<sched::Scheduler> scheduler;
+  try {
+    scheduler = sim::make_scheduler(flags.get("scheduler", "FVDF"));
+  } catch (const std::out_of_range& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   const common::Bps bandwidth =
       common::mbps(flags.get_double("bandwidth_mbps", 100));
   const fabric::Fabric fabric(trace.num_ports, bandwidth);
@@ -162,7 +170,6 @@ int main(int argc, char** argv) {
   if (crash.enabled()) config.recovery.crash = &crash;
   config.sink = tracer.get();
 
-  const auto scheduler = sim::make_scheduler(name);
   sim::Metrics m;
   try {
     m = sim::run_simulation(trace, fabric, cpu, *scheduler, config);

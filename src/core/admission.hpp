@@ -7,9 +7,9 @@
 // bounds (the coflow alone on the *current* fabric): optimistic on purpose —
 // a coflow that cannot make its deadline even alone is hopeless under any
 // schedule, so rejecting it can only free capacity for feasible work. The
-// mid-flight counterpart (defer/expire under contention) lives in the
-// deadline scheduler (sched/deadline_fvdf.hpp); expiry shedding lives in the
-// engine.
+// mid-flight counterpart (defer/expire under contention) lives in
+// DEADLINE-FVDF's band ladder (core/online.hpp); expiry shedding lives in
+// the engine.
 //
 // Best-effort starvation protection: admitted deadline coflows commit
 // port-level (deadline, bytes) demand. An arrival passes the share guard

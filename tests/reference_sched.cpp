@@ -8,7 +8,6 @@
 
 #include "core/online.hpp"
 #include "sched/aalo.hpp"
-#include "sched/deadline_fvdf.hpp"
 #include "sched/sebf.hpp"
 
 namespace swallow::reference {
@@ -126,10 +125,18 @@ core::EvalEnv env_for(const sched::SchedContext& ctx, bool compression) {
   return env;
 }
 
+// The plain FVDF variants: full FVDF with at most one ablation switched
+// off (or, for BLIND, the Eq. 3 gate bypassed).
+struct FvdfAblation {
+  bool upgrade = true;
+  bool compression = true;
+  bool backfill = true;
+  bool force_compression = false;
+};
+
 class Fvdf final : public sched::Scheduler {
  public:
-  Fvdf(std::string name, core::FvdfOptions o)
-      : name_(std::move(name)), o_(o) {}
+  Fvdf(std::string name, FvdfAblation o) : name_(std::move(name)), o_(o) {}
   std::string name() const override { return name_; }
 
   fabric::Allocation schedule(const sched::SchedContext& ctx) override {
@@ -148,7 +155,7 @@ class Fvdf final : public sched::Scheduler {
 
  private:
   std::string name_;
-  core::FvdfOptions o_;
+  FvdfAblation o_;
   Aging aging_;
 };
 
@@ -194,12 +201,12 @@ class DeadlineFvdf final : public sched::Scheduler {
       if (!fallback_ && c.has_deadline() && ctx.now < c.deadline) {
         const common::Seconds slack = c.deadline - ctx.now;
         e.band = 3;
-        if (g <= sched::kSlackFactor * slack) {
+        if (g <= core::kSlackFactor * slack) {
           e.band = 1;
         } else if (!uncompressed && has_beta) {
           // Compressed misses, raw fits: degrade before deferring.
           const common::Seconds gnc = gamma_nc();
-          if (gnc <= sched::kSlackFactor * slack) {
+          if (gnc <= core::kSlackFactor * slack) {
             g = gnc;
             degrade = true;
             e.band = 1;
@@ -208,7 +215,7 @@ class DeadlineFvdf final : public sched::Scheduler {
         e.primary = c.deadline;
       } else {
         const bool starved = any_deadline && !fallback_ &&
-                             c.priority >= sched::kStarvationPriority;
+                             c.priority >= core::kStarvationPriority;
         e.band = starved ? 0 : 2;
         e.primary = g / std::max(c.priority, 1.0);
       }
@@ -304,7 +311,7 @@ class Aalo final : public sched::Scheduler {
 }  // namespace
 
 std::unique_ptr<sched::Scheduler> make_reference(const std::string& name) {
-  core::FvdfOptions o;
+  FvdfAblation o;
   if (name == "FVDF") return std::make_unique<Fvdf>(name, o);
   if (name == "FVDF-NC") {
     o.compression = false;

@@ -16,6 +16,7 @@
 #include "cpu/cpu_model.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "sched/registry.hpp"
 
 namespace swallow::core {
 namespace {
@@ -320,7 +321,35 @@ TEST(FvdfFactory, VariantsAndOptions) {
   EXPECT_EQ(make_fvdf("fvdf-nc")->name(), "FVDF-NC");
   EXPECT_EQ(make_fvdf("FVDF-NOUPGRADE")->name(), "FVDF-NOUPGRADE");
   EXPECT_EQ(make_fvdf("FVDF-NOBACKFILL")->name(), "FVDF-NOBACKFILL");
+  EXPECT_EQ(make_fvdf("dfvdf")->name(), "DEADLINE-FVDF");
+  // Every FVDF-family registry name round-trips through the one table.
+  for (const std::string& name : sched::core_scheduler_names())
+    EXPECT_EQ(make_fvdf(name)->name(), name);
   EXPECT_THROW(make_fvdf("SEBF"), std::out_of_range);
+}
+
+TEST_F(FvdfContext, OnlyDeadlineFvdfReadsDeadlinesAndSloClasses) {
+  // A coflow admission degraded keeps compressing under the plain
+  // variants, and a deadline moves nothing; DEADLINE-FVDF forces the
+  // degraded coflow's β to 0.
+  const auto ctx = context(&kUnitCodec);
+  for (const std::string& name : sched::core_scheduler_names()) {
+    SCOPED_TRACE(name);
+    c1_.slo = fabric::SloClass::kBestEffort;
+    c2_.deadline = fabric::kNoDeadline;
+    const fabric::Allocation blind = make_fvdf(name)->schedule(ctx);
+    c1_.slo = fabric::SloClass::kDegraded;
+    c2_.deadline = 0.5;
+    const fabric::Allocation slo = make_fvdf(name)->schedule(ctx);
+    const bool deadline_aware = name == "DEADLINE-FVDF";
+    for (const fabric::FlowId fid : c1_.flows)
+      EXPECT_EQ(slo.compress(fid), !deadline_aware && blind.compress(fid));
+    if (deadline_aware) continue;
+    for (const fabric::Flow* f : ctx.flows) {
+      EXPECT_EQ(slo.rate(f->id), blind.rate(f->id));
+      EXPECT_EQ(slo.compress(f->id), blind.compress(f->id));
+    }
+  }
 }
 
 TEST_F(FvdfContext, ServedCoflowsDoNotAge) {
