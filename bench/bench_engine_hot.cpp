@@ -5,7 +5,7 @@
 // produce bit-identical headline metrics (the parity contract of DESIGN.md
 // section 10), and reports the wall-clock speedup of the fast-forward
 // engine. Then measures run_batch scaling by replaying the event-mode
-// battery serially and across the work-stealing pool.
+// battery serially and across the thread pool.
 //
 // Flags: --coflows=N (trace size, default 40), --runs=N (battery size,
 // default 6), --threads=N (pool width, default hardware), --seed=N.
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
       "bench_engine_hot",
       "Engine hot path: event-driven fast-forward vs the slice-stepped\n"
       "reference (same binary, same traces, bit-identical metrics), and\n"
-      "run_batch scaling across the work-stealing pool.");
+      "run_batch scaling across the thread pool.");
 
   std::vector<workload::Trace> traces;
   traces.reserve(runs);

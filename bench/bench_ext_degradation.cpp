@@ -12,6 +12,8 @@
 // sim::run_batch (--threads=N, default hardware); results land in rate
 // order regardless of thread count, so the table and JSON output are
 // byte-identical to the old serial loop.
+#include <stdexcept>
+
 #include "bench_common.hpp"
 #include "sim/run_batch.hpp"
 
@@ -23,6 +25,12 @@ int main(int argc, char** argv) {
   const auto degrade_seed =
       static_cast<std::uint64_t>(flags.get_int("degrade_seed", 11));
   const std::string name = flags.get("scheduler", "FVDF");
+  try {
+    sim::make_scheduler(name);  // an unknown name fails here, not mid-sweep
+  } catch (const std::out_of_range& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   sim::BatchOptions batch;
   batch.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
 

@@ -75,7 +75,7 @@ void BM_SchedulerDecision(benchmark::State& state,
   auto ctx = world.context();
   for (auto _ : state) {
     const fabric::Allocation a = sched->schedule(ctx);
-    benchmark::DoNotOptimize(a.flow_count());
+    benchmark::DoNotOptimize(a);
   }
   state.SetLabel(std::to_string(ctx.flows.size()) + " flows");
 }
@@ -110,7 +110,7 @@ void BM_SchedulerDecisionIncremental(benchmark::State& state,
       tracker.flow_progressed(c.id);
     }
     const fabric::Allocation a = sched->schedule(ctx);
-    benchmark::DoNotOptimize(a.flow_count());
+    benchmark::DoNotOptimize(a);
   }
   state.SetLabel(std::to_string(ctx.flows.size()) + " flows");
 }
@@ -122,7 +122,7 @@ void BM_MaxMinFair(benchmark::State& state) {
   for (auto _ : state) {
     const fabric::Allocation a =
         fabric::weighted_max_min(ctx.flows, weights, world.fabric);
-    benchmark::DoNotOptimize(a.flow_count());
+    benchmark::DoNotOptimize(a);
   }
 }
 

@@ -36,7 +36,7 @@
 // Exits 1 when an output file (--write_trace, --csv, --trace-out) cannot
 // be written or --scheduler names no registered scheduler.
 //
-// Scheduler names: sched::known_scheduler_list() — e.g. FVDF, FVDF-NC,
+// Scheduler names: sim::scheduler_names() — e.g. FVDF, FVDF-NC,
 // DEADLINE-FVDF, SEBF, AALO, FIFO, PFF, FAIR. An unknown name exits 1 with
 // an error listing every registered scheduler.
 #include <fstream>

@@ -106,11 +106,6 @@ const Codec& codec_for_id(std::uint8_t id) {
   return *table[id];
 }
 
-Buffer decompress_any(std::span<const std::uint8_t> container) {
-  if (container.empty()) throw CodecError("decompress_any: empty container");
-  return codec_for_id(container[0]).decompress(container);
-}
-
 const char* codec_kind_name(CodecKind kind) {
   switch (kind) {
     case CodecKind::kNull: return "null";

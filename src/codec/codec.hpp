@@ -87,11 +87,6 @@ std::vector<CodecKind> all_codec_kinds();
 /// threads may use the returned instance at once.
 const Codec& codec_for_id(std::uint8_t id);
 
-/// Decodes any container produced by a built-in codec by dispatching on the
-/// id byte (containers are self-describing). Throws CodecError on unknown
-/// ids or corrupt payloads.
-Buffer decompress_any(std::span<const std::uint8_t> container);
-
 const char* codec_kind_name(CodecKind kind);
 
 }  // namespace swallow::codec

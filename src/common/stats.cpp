@@ -1,35 +1,9 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace swallow::common {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const { return n_ ? mean_ : 0.0; }
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return min_; }
-double RunningStats::max() const { return max_; }
 
 double percentile(std::vector<double> sample, double p) {
   if (sample.empty()) throw std::invalid_argument("percentile: empty sample");
@@ -47,34 +21,6 @@ double mean(const std::vector<double>& sample) {
   double sum = 0.0;
   for (double v : sample) sum += v;
   return sum / static_cast<double>(sample.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket + 1);
-}
-
-double Histogram::fraction(std::size_t bucket) const {
-  return total_ ? static_cast<double>(counts_.at(bucket)) /
-                      static_cast<double>(total_)
-                : 0.0;
 }
 
 }  // namespace swallow::common

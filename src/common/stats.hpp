@@ -1,56 +1,14 @@
-// Running statistics and percentile helpers used by metrics collection.
+// Percentile and mean helpers used by metrics collection.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace swallow::common {
-
-/// Welford-style running mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const;
-  double variance() const;  ///< sample variance (n-1 denominator)
-  double stddev() const;
-  double min() const;
-  double max() const;
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Percentile of a sample using linear interpolation (R-7, the spreadsheet
 /// default). `p` in [0, 1]. The input is copied and sorted.
 double percentile(std::vector<double> sample, double p);
 
 double mean(const std::vector<double>& sample);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bucket. Used for Fig. 2-style utilization summaries.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-  /// Fraction of samples in this bucket (0 if empty histogram).
-  double fraction(std::size_t bucket) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace swallow::common

@@ -25,9 +25,6 @@ constexpr Bps gbps(double v) { return v * 1e9 / 8.0; }
 /// Compression speeds in the paper's Table II are quoted in MB/s (binary).
 constexpr Bps mb_per_s(double v) { return v * kMB; }
 
-constexpr double to_mb(Bytes b) { return b / kMB; }
-constexpr double to_gb(Bytes b) { return b / kGB; }
-
 /// Milliseconds helper: the paper's default scheduling slice is 10 ms.
 constexpr Seconds ms(double v) { return v / 1000.0; }
 

@@ -1,23 +1,21 @@
 #include "core/online.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <iterator>
-#include <stdexcept>
 
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
-#include "sched/registry.hpp"
 
 namespace swallow::core {
 
 namespace {
 
-/// Registry names, indexed by FvdfVariant.
+/// Scheduler names, indexed by FvdfVariant.
 constexpr const char* kVariantNames[] = {
     "FVDF",           "FVDF-NC",        "FVDF-BLIND",
     "FVDF-NOUPGRADE", "FVDF-NOBACKFILL", "DEADLINE-FVDF"};
+static_assert(std::size(kVariantNames) == kFvdfVariantCount);
 
 }  // namespace
 
@@ -432,18 +430,6 @@ void FvdfScheduler::drop_coflow(fabric::CoflowId id) {
   cc.lanes = {};  // free, not just clear: completed coflows linger
   cc.gamma = 0;
   cc.horizon = fabric::kNoDeadline;
-}
-
-std::unique_ptr<sched::Scheduler> make_fvdf(const std::string& name) {
-  std::string key = name;
-  std::transform(key.begin(), key.end(), key.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  if (key == "DFVDF") key = "DEADLINE-FVDF";
-  for (std::size_t v = 0; v < std::size(kVariantNames); ++v)
-    if (key == kVariantNames[v])
-      return std::make_unique<FvdfScheduler>(static_cast<FvdfVariant>(v));
-  throw std::out_of_range("make_fvdf: unknown variant " + name + " (known: " +
-                          sched::known_scheduler_list() + ")");
 }
 
 void FvdfScheduler::save_state(recovery::StateWriter& w) const {

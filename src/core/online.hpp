@@ -3,7 +3,7 @@
 // starvation freedom, and DEADLINE-FVDF's band ladder (DESIGN.md section
 // 12) on the same memo.
 //
-// One class serves the six FVDF-family registry names (FvdfVariant), and
+// One class serves the six FVDF-family scheduler names (FvdfVariant), and
 // schedule() has one path (DESIGN.md section 11): per-coflow Γ components
 // are memoized, each coflow is classified onto a band and ranked in that
 // band's RankIndex, and each decision point re-evaluates only the coflows
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <string>
 #include <utility>
@@ -120,7 +119,7 @@ class PriorityUpgrade {
   RoundStamps served_;
 };
 
-/// The FVDF family, one value per registry name. Each plain variant is FVDF
+/// The FVDF family, one value per scheduler name. Each plain variant is FVDF
 /// with at most one ablation; DEADLINE-FVDF is full FVDF under the band
 /// ladder.
 enum class FvdfVariant : std::uint8_t {
@@ -129,8 +128,12 @@ enum class FvdfVariant : std::uint8_t {
   kBlind,          ///< "FVDF-BLIND": β forced past the Eq. 3 gate
   kNoUpgrade,      ///< "FVDF-NOUPGRADE": Pseudocode 3's Upgrade skipped
   kNoBackfill,     ///< "FVDF-NOBACKFILL": the work-conserving pass skipped
-  kDeadline,       ///< "DEADLINE-FVDF" (alias "DFVDF"): the band ladder
+  kDeadline,       ///< "DEADLINE-FVDF": the band ladder
 };
+/// Number of FvdfVariant values; sim::make_scheduler's table holds one
+/// entry per value.
+inline constexpr std::size_t kFvdfVariantCount =
+    static_cast<std::size_t>(FvdfVariant::kDeadline) + 1;
 
 class FvdfScheduler final : public sched::Scheduler {
  public:
@@ -272,11 +275,5 @@ class FvdfScheduler final : public sched::Scheduler {
   /// back for the next round.
   std::vector<HorizonEntry> horizon_kept_;
 };
-
-/// Factory matching sched::make_baseline's shape. Recognized names
-/// (case-insensitive): "FVDF", "FVDF-NC", "FVDF-BLIND", "FVDF-NOUPGRADE",
-/// "FVDF-NOBACKFILL", "DEADLINE-FVDF" and its alias "DFVDF". Throws
-/// std::out_of_range otherwise, listing every known scheduler name.
-std::unique_ptr<sched::Scheduler> make_fvdf(const std::string& name);
 
 }  // namespace swallow::core

@@ -9,14 +9,7 @@ namespace swallow::fabric {
 
 void Allocation::set_rate(FlowId id, common::Bps rate) {
   if (rate < 0) throw std::invalid_argument("Allocation: negative rate");
-  if (id >= rates_.size()) {
-    rates_.resize(id + 1, 0.0);
-    rate_set_.resize(id + 1, 0);
-  }
-  if (rate_set_[id] == 0) {
-    rate_set_[id] = 1;
-    ++rate_set_count_;
-  }
+  if (id >= rates_.size()) rates_.resize(id + 1, 0.0);
   rates_[id] = rate;
 }
 
@@ -27,7 +20,6 @@ void Allocation::set_compress(FlowId id, bool enabled) {
 
 void Allocation::reserve(std::size_t max_flow_id) {
   rates_.reserve(max_flow_id);
-  rate_set_.reserve(max_flow_id);
   compress_.reserve(max_flow_id);
 }
 

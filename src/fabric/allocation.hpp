@@ -14,9 +14,7 @@ namespace swallow::fabric {
 ///
 /// Flow ids are dense indices in the simulation engine, so the tables are
 /// flat vectors indexed by FlowId and grow on demand; rate()/compress() on
-/// an id never set return the documented defaults (0 / false). flow_count()
-/// still reports the number of *distinct* flows given a rate, matching the
-/// historical map-based semantics.
+/// an id never set return the documented defaults (0 / false).
 class Allocation {
  public:
   void set_rate(FlowId id, common::Bps rate);
@@ -38,17 +36,13 @@ class Allocation {
     compress_ = std::move(flags);
   }
 
-  std::size_t flow_count() const { return rate_set_count_; }
-
   /// Pre-sizes the tables for flow ids < `max_flow_id` (optional; set_rate
   /// and set_compress grow on demand either way).
   void reserve(std::size_t max_flow_id);
 
  private:
   std::vector<common::Bps> rates_;
-  std::vector<unsigned char> rate_set_;  ///< 1 iff set_rate() touched the id
   std::vector<unsigned char> compress_;
-  std::size_t rate_set_count_ = 0;
 };
 
 /// Relative tolerance for capacity feasibility checks.

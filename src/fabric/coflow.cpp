@@ -4,59 +4,23 @@
 
 namespace swallow::fabric {
 
-std::vector<const Flow*> flows_of(const Coflow& coflow,
-                                  const std::vector<Flow>& all_flows) {
-  std::vector<const Flow*> out;
-  out.reserve(coflow.flows.size());
-  for (const FlowId id : coflow.flows) out.push_back(&all_flows.at(id));
-  return out;
-}
-
-common::Bytes coflow_volume(const Coflow& coflow,
-                            const std::vector<Flow>& all_flows) {
-  common::Bytes total = 0;
-  for (const FlowId id : coflow.flows) {
-    const Flow& f = all_flows.at(id);
-    if (!f.done()) total += f.volume();
-  }
-  return total;
-}
-
-std::size_t coflow_width(const Coflow& coflow,
-                         const std::vector<Flow>& all_flows) {
-  std::size_t n = 0;
-  for (const FlowId id : coflow.flows)
-    if (!all_flows.at(id).done()) ++n;
-  return n;
-}
-
-common::Seconds coflow_bottleneck(const Coflow& coflow,
-                                  const std::vector<Flow>& all_flows,
-                                  const Fabric& fabric) {
-  std::vector<common::Bytes> in_load(fabric.num_ports(), 0.0);
-  std::vector<common::Bytes> out_load(fabric.num_ports(), 0.0);
-  for (const FlowId id : coflow.flows) {
-    const Flow& f = all_flows.at(id);
-    if (f.done()) continue;
-    in_load[f.src] += f.volume();
-    out_load[f.dst] += f.volume();
+[[gnu::noinline]] common::Seconds coflow_bottleneck_time(
+    const std::vector<const Flow*>& flows, const Fabric& fabric,
+    std::vector<common::Bytes>& in_load, std::vector<common::Bytes>& out_load) {
+  std::fill(in_load.begin(), in_load.end(), 0.0);
+  std::fill(out_load.begin(), out_load.end(), 0.0);
+  for (const Flow* f : flows) {
+    in_load[f->src] += f->volume();
+    out_load[f->dst] += f->volume();
   }
   common::Seconds gamma = 0;
   for (PortId p = 0; p < fabric.num_ports(); ++p) {
-    gamma = std::max(gamma, in_load[p] / fabric.ingress_capacity(p));
-    gamma = std::max(gamma, out_load[p] / fabric.egress_capacity(p));
+    const common::Bps in_cap = fabric.ingress_capacity(p);
+    const common::Bps out_cap = fabric.egress_capacity(p);
+    if (in_cap > 0) gamma = std::max(gamma, in_load[p] / in_cap);
+    if (out_cap > 0) gamma = std::max(gamma, out_load[p] / out_cap);
   }
   return gamma;
-}
-
-common::Bytes coflow_max_flow(const Coflow& coflow,
-                              const std::vector<Flow>& all_flows) {
-  common::Bytes largest = 0;
-  for (const FlowId id : coflow.flows) {
-    const Flow& f = all_flows.at(id);
-    if (!f.done()) largest = std::max(largest, f.volume());
-  }
-  return largest;
 }
 
 }  // namespace swallow::fabric

@@ -85,26 +85,15 @@ struct Coflow {
   bool has_deadline() const { return deadline < kNoDeadline; }
 };
 
-/// Read-only view of the flows of one coflow (resolved from ids).
-std::vector<const Flow*> flows_of(const Coflow& coflow,
-                                  const std::vector<Flow>& all_flows);
-
-/// Remaining volume of a coflow: sum over its unfinished flows.
-common::Bytes coflow_volume(const Coflow& coflow,
-                            const std::vector<Flow>& all_flows);
-
-/// Number of unfinished flows.
-std::size_t coflow_width(const Coflow& coflow,
-                         const std::vector<Flow>& all_flows);
-
-/// Varys' effective bottleneck: Gamma = max over ports of
-/// (remaining coflow bytes crossing that port) / (port capacity).
-common::Seconds coflow_bottleneck(const Coflow& coflow,
-                                  const std::vector<Flow>& all_flows,
-                                  const Fabric& fabric);
-
-/// Largest single remaining flow volume (used by the LCF interpretation).
-common::Bytes coflow_max_flow(const Coflow& coflow,
-                              const std::vector<Flow>& all_flows);
+/// Varys' effective bottleneck Γ = max over ports of (remaining bytes of
+/// `flows` crossing the port) / (the port's current capacity); ports at
+/// capacity 0 carry no usable load and are skipped. `in_load`/`out_load`
+/// are per-port scratch. Out of line (noinline) so every caller — SEBF, the
+/// engine's isolation bound and the test-only reference — runs one
+/// instantiation with identical FP contraction.
+common::Seconds coflow_bottleneck_time(const std::vector<const Flow*>& flows,
+                                       const Fabric& fabric,
+                                       std::vector<common::Bytes>& in_load,
+                                       std::vector<common::Bytes>& out_load);
 
 }  // namespace swallow::fabric

@@ -35,15 +35,6 @@ std::uint64_t mix64(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
 
 }  // namespace
 
-const char* degradation_kind_name(DegradationKind kind) {
-  switch (kind) {
-    case DegradationKind::kBrownout: return "brownout";
-    case DegradationKind::kFailure: return "failure";
-    case DegradationKind::kFlap: return "flap";
-  }
-  return "unknown";
-}
-
 DegradationSchedule::DegradationSchedule(DegradationConfig config,
                                          std::size_t num_ports)
     : config_(config), num_ports_(num_ports) {

@@ -43,8 +43,6 @@ enum class DegradationKind : std::uint8_t {
   kFlap = 2,
 };
 
-const char* degradation_kind_name(DegradationKind kind);
-
 /// Knobs of the degradation model (SimConfig::degradation). rate = 0 (the
 /// default) disables the layer entirely: the engine takes the historical
 /// static-fabric path, byte-identical to a build without this feature.

@@ -53,13 +53,4 @@ bool Fabric::degraded() const {
                      [](double m) { return m < 1.0; });
 }
 
-void Fabric::restore_all() {
-  std::fill(multiplier_.begin(), multiplier_.end(), 1.0);
-}
-
-common::Bps Fabric::min_capacity() const {
-  return std::min(*std::min_element(ingress_.begin(), ingress_.end()),
-                  *std::min_element(egress_.begin(), egress_.end()));
-}
-
 }  // namespace swallow::fabric

@@ -60,13 +60,6 @@ class Fabric {
   /// True when any port is currently below nominal capacity.
   bool degraded() const;
 
-  /// Resets every multiplier to 1 (all links healthy).
-  void restore_all();
-
-  /// Minimum *nominal* NIC speed in the fabric (used as the default "B" in
-  /// examples; configuration-time, so degradation does not move it).
-  common::Bps min_capacity() const;
-
   /// Snapshot fields (recovery/state_io.hpp, DESIGN.md section 13): the
   /// port count, which a restore must match, then every port multiplier.
   template <class Self, class IO>

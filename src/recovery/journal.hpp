@@ -66,7 +66,6 @@ class JournalWriter {
 
   /// Opens (creating or appending). Throws RecoveryError on I/O failure.
   void open(const std::string& path);
-  bool is_open() const { return file_ != nullptr; }
 
   /// Appends one record and flushes. Throws RecoveryError on I/O failure.
   void append(const JournalRecord& rec);

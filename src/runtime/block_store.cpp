@@ -19,16 +19,6 @@ void BlockStore::put(BlockKey key, codec::Buffer data) {
   cv_.notify_all();
 }
 
-codec::Buffer BlockStore::take(BlockKey key) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return blocks_.count(key) > 0; });
-  auto it = blocks_.find(key);
-  codec::Buffer data = std::move(it->second);
-  resident_bytes_ -= data.size();
-  blocks_.erase(it);
-  return data;
-}
-
 std::optional<codec::Buffer> BlockStore::take_for(BlockKey key,
                                                   common::Seconds timeout) {
   // Absolute deadline computed once, then a wait_until loop: a spurious
@@ -119,11 +109,6 @@ void BufferPool::release(codec::Buffer buffer) {
 BufferPool::Stats BufferPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void BufferPool::reset_stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = {};
 }
 
 }  // namespace swallow::runtime

@@ -32,12 +32,9 @@ class BlockStore {
  public:
   void put(BlockKey key, codec::Buffer data);
 
-  /// Blocks until the block exists, then removes and returns it.
-  codec::Buffer take(BlockKey key);
-
-  /// Bounded take: waits at most `timeout` seconds for the block. nullopt
-  /// means the deadline expired — the caller's cue to retry, retransmit,
-  /// or surface a typed error instead of hanging (recovery path).
+  /// Waits at most `timeout` seconds for the block, then removes and
+  /// returns it. nullopt means the deadline expired — the caller's cue to
+  /// retry, retransmit, or surface a typed error instead of hanging.
   std::optional<codec::Buffer> take_for(BlockKey key, common::Seconds timeout);
 
   /// Non-blocking residency probe (master fail-over replay: only missing
@@ -76,7 +73,6 @@ class BufferPool {
     common::Seconds reclaim_time = 0;  ///< total time spent in release()
   };
   Stats stats() const;
-  void reset_stats();
 
  private:
   mutable std::mutex mutex_;

@@ -27,17 +27,6 @@ std::uint64_t mix64(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kStall: return "stall";
-    case FaultKind::kCodecFail: return "codec_fail";
-    case FaultKind::kWorkerKill: return "worker_kill";
-  }
-  return "unknown";
-}
-
 common::Seconds backoff_delay(const RetryPolicy& retry, int attempt,
                               common::Rng& rng) {
   double delay = retry.base_backoff;

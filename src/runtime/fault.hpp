@@ -43,8 +43,6 @@ enum class FaultKind : std::uint8_t {
   kWorkerKill = 4, ///< a worker dies at the configured kill point
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// Per-cluster fault model (ClusterConfig::fault). Disabled by default:
 /// with enabled=false the injector never consults the RNG and the runtime
 /// data path is byte-identical to an injector-free build.

@@ -64,15 +64,6 @@ void PortGate::release(Ticket ticket) {
   cv_.notify_all();
 }
 
-void PortGate::release() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    busy_ = false;
-    holder_ = 0;
-  }
-  cv_.notify_all();
-}
-
 void PortGate::set_holder_timeout(common::Seconds timeout) {
   std::lock_guard<std::mutex> lock(mutex_);
   holder_timeout_ = timeout;

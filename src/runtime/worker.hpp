@@ -56,9 +56,6 @@ class PortGate {
   /// Releases the port iff `ticket` is still the live holder (no-op after
   /// an eviction superseded it).
   void release(Ticket ticket);
-  /// Unticketed release: frees the port unconditionally. Only safe when no
-  /// holder timeout is configured (the pre-fault-injection protocol).
-  void release();
 
   /// Holder timeout in seconds; 0 (default) never evicts, preserving the
   /// original block-forever behaviour bit-for-bit.

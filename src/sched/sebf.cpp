@@ -1,28 +1,6 @@
 #include "sched/sebf.hpp"
 
-#include <algorithm>
-
 namespace swallow::sched {
-
-[[gnu::noinline]] common::Seconds coflow_bottleneck_time(
-    const std::vector<const fabric::Flow*>& flows,
-    const fabric::Fabric& fabric, std::vector<common::Bytes>& in_load,
-    std::vector<common::Bytes>& out_load) {
-  std::fill(in_load.begin(), in_load.end(), 0.0);
-  std::fill(out_load.begin(), out_load.end(), 0.0);
-  for (const fabric::Flow* f : flows) {
-    in_load[f->src] += f->volume();
-    out_load[f->dst] += f->volume();
-  }
-  common::Seconds gamma = 0;
-  for (fabric::PortId p = 0; p < fabric.num_ports(); ++p) {
-    const common::Bps in_cap = fabric.ingress_capacity(p);
-    const common::Bps out_cap = fabric.egress_capacity(p);
-    if (in_cap > 0) gamma = std::max(gamma, in_load[p] / in_cap);
-    if (out_cap > 0) gamma = std::max(gamma, out_load[p] / out_cap);
-  }
-  return gamma;
-}
 
 fabric::Allocation SebfScheduler::schedule(const SchedContext& ctx) {
   if (in_load_.size() != ctx.fabric->num_ports()) {
@@ -91,7 +69,8 @@ void SebfScheduler::refresh_coflow(const SchedContext& ctx,
     index_.erase(c.id);
     return;
   }
-  cc.gamma = coflow_bottleneck_time(cc.flows, *ctx.fabric, in_load_, out_load_);
+  cc.gamma = fabric::coflow_bottleneck_time(cc.flows, *ctx.fabric, in_load_,
+                                           out_load_);
   index_.insert_or_update(c.id, CoflowRankKey{cc.gamma, c.arrival, c.id});
 }
 

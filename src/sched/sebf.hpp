@@ -17,16 +17,6 @@
 
 namespace swallow::sched {
 
-/// Effective bottleneck Gamma = max over ports of remaining load / current
-/// capacity; zero-capacity ports carry no usable load and are skipped.
-/// `in_load`/`out_load` are per-port scratch. Out of line (noinline) so
-/// every caller — the scheduler and the test-only reference — runs one
-/// instantiation with identical FP contraction.
-common::Seconds coflow_bottleneck_time(
-    const std::vector<const fabric::Flow*>& flows,
-    const fabric::Fabric& fabric, std::vector<common::Bytes>& in_load,
-    std::vector<common::Bytes>& out_load);
-
 class SebfScheduler final : public Scheduler {
  public:
   /// `backfill` off is the ablation knob (bench_ablation_backfill).

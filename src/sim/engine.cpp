@@ -172,6 +172,9 @@ class Engine {
     // ---- Build flow/coflow state (ids are dense indices). ----
     flows.reserve(trace.total_flows());
     coflows.reserve(trace.coflows.size());
+    std::vector<const fabric::Flow*> unfinished;
+    std::vector<common::Bytes> in_load(fabric.num_ports());
+    std::vector<common::Bytes> out_load(fabric.num_ports());
     for (const auto& spec : trace.coflows) {
       SimCoflow sc;
       sc.trace_id = spec.id;
@@ -198,7 +201,11 @@ class Engine {
         sc.state.flows.push_back(f.id);
         flows.push_back(f);
       }
-      sc.isolation_bound = coflow_bottleneck(sc.state, flows, fabric);
+      unfinished.clear();
+      for (const fabric::FlowId id : sc.state.flows)
+        if (!flows[id].done()) unfinished.push_back(&flows[id]);
+      sc.isolation_bound = fabric::coflow_bottleneck_time(unfinished, fabric,
+                                                          in_load, out_load);
       coflows.push_back(std::move(sc));
     }
 

@@ -1,32 +1,100 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <functional>
 #include <stdexcept>
 
 #include "core/online.hpp"
+#include "sched/aalo.hpp"
+#include "sched/fifo.hpp"
+#include "sched/pff.hpp"
+#include "sched/pfp.hpp"
+#include "sched/sebf.hpp"
+#include "sched/sincronia.hpp"
+#include "sched/size_order.hpp"
+#include "sched/wss.hpp"
 
 namespace swallow::sim {
 
-std::unique_ptr<sched::Scheduler> make_scheduler(const std::string& name) {
-  try {
-    return core::make_fvdf(name);
-  } catch (const std::out_of_range&) {
-    return sched::make_baseline(name);
+namespace {
+
+/// One row of the scheduler table. Its spelling is the name() of what
+/// `make` builds, read once when the table is built, so a row cannot
+/// disagree with its scheduler.
+struct Entry {
+  std::function<std::unique_ptr<sched::Scheduler>()> make;
+  /// Enumerated by scheduler_names(); false for a label: another name of a
+  /// listed algorithm, or SEBF's backfill ablation.
+  bool listed = true;
+  /// One more accepted spelling, or nullptr.
+  const char* alias = nullptr;
+  std::string name{};  ///< name() of what `make` builds
+};
+
+std::vector<Entry> build_table() {
+  using namespace sched;
+  std::vector<Entry> table = {
+      {[] { return std::make_unique<FifoScheduler>(); }},
+      {[] { return std::make_unique<PffScheduler>(); }},
+      // The paper's Spark context calls PFF FAIR and PFP SRTF.
+      {[] { return std::make_unique<PffScheduler>("FAIR"); }, false},
+      {[] { return std::make_unique<WssScheduler>(); }},
+      {[] { return std::make_unique<PfpScheduler>(); }},
+      {[] { return std::make_unique<PfpScheduler>("SRTF"); }, false},
+      {[] { return std::make_unique<SebfScheduler>(); }},
+      {[] { return std::make_unique<SebfScheduler>(false); }, false},
+      {[] {
+         return std::make_unique<SizeOrderScheduler>(
+             CoflowSizeKey::kTotalBytes, "SCF");
+       }},
+      {[] {
+         return std::make_unique<SizeOrderScheduler>(CoflowSizeKey::kWidth,
+                                                     "NCF");
+       }},
+      {[] {
+         return std::make_unique<SizeOrderScheduler>(CoflowSizeKey::kMaxFlow,
+                                                     "LCF");
+       }},
+      {[] { return std::make_unique<AaloScheduler>(); }},
+      {[] { return std::make_unique<SincroniaScheduler>(); }, true, "BSSI"},
+  };
+  for (std::size_t v = 0; v < core::kFvdfVariantCount; ++v) {
+    const auto variant = static_cast<core::FvdfVariant>(v);
+    table.push_back(
+        {[variant] { return std::make_unique<core::FvdfScheduler>(variant); },
+         true, variant == core::FvdfVariant::kDeadline ? "DFVDF" : nullptr});
   }
+  for (Entry& e : table) e.name = e.make()->name();
+  return table;
 }
 
-std::vector<ComparisonRow> compare_schedulers(
-    const workload::Trace& trace, const fabric::Fabric& fabric,
-    const cpu::CpuProvider& cpu, const std::vector<std::string>& names,
-    const SimConfig& config) {
-  std::vector<ComparisonRow> rows;
-  rows.reserve(names.size());
-  for (const auto& name : names) {
-    const auto scheduler = make_scheduler(name);
-    rows.push_back(
-        {scheduler->name(),
-         run_simulation(trace, fabric, cpu, *scheduler, config)});
-  }
-  return rows;
+const std::vector<Entry>& table() {
+  static const std::vector<Entry> entries = build_table();
+  return entries;
+}
+
+}  // namespace
+
+std::unique_ptr<sched::Scheduler> make_scheduler(const std::string& name) {
+  std::string key = name;
+  std::transform(key.begin(), key.end(), key.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
+  for (const Entry& e : table())
+    if (key == e.name || (e.alias != nullptr && key == e.alias))
+      return e.make();
+  std::string known;
+  for (const std::string& n : scheduler_names())
+    known += (known.empty() ? "" : ", ") + n;
+  throw std::out_of_range("make_scheduler: unknown scheduler " + name +
+                          " (known: " + known + ")");
+}
+
+std::vector<std::string> scheduler_names() {
+  std::vector<std::string> names;
+  for (const Entry& e : table())
+    if (e.listed) names.push_back(e.name);
+  return names;
 }
 
 Metrics MotivationSetup::run(const std::string& scheduler_name) const {

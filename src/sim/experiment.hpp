@@ -1,6 +1,6 @@
 // Experiment helpers shared by the benches, examples and integration tests:
-// a combined scheduler factory (baselines + FVDF variants), a side-by-side
-// comparison runner, and the paper's Fig. 3 motivation example.
+// the one scheduler table (every baseline and FVDF variant, looked up by
+// name) and the paper's Fig. 3 motivation example.
 #pragma once
 
 #include <memory>
@@ -8,26 +8,23 @@
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
-#include "sched/registry.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 #include "workload/generator.hpp"
 
 namespace swallow::sim {
 
-/// Baselines (sched::make_baseline names) plus FVDF variants
-/// (core::make_fvdf names). Throws std::out_of_range on unknown names.
+/// Builds the scheduler a name selects, in any letter case: an entry of
+/// scheduler_names(), a label (FAIR, SRTF, SEBF-NOBACKFILL) or an alias
+/// (BSSI, DFVDF). The scheduler's name() is the table's spelling; a label
+/// is its own name(), an alias gives its target's. Throws std::out_of_range
+/// on an unknown name, listing every scheduler_names() entry.
 std::unique_ptr<sched::Scheduler> make_scheduler(const std::string& name);
 
-struct ComparisonRow {
-  std::string scheduler;
-  Metrics metrics;
-};
-
-/// Runs the same trace under each named scheduler on the same environment.
-std::vector<ComparisonRow> compare_schedulers(
-    const workload::Trace& trace, const fabric::Fabric& fabric,
-    const cpu::CpuProvider& cpu, const std::vector<std::string>& names,
-    const SimConfig& config);
+/// Every distinct scheduler, one name each as its name() spells it:
+/// the baselines, then the FVDF family in FvdfVariant order. Labels and
+/// aliases are not listed.
+std::vector<std::string> scheduler_names();
 
 /// The paper's Fig. 3 motivation example: a 3x3 fabric carrying coflow C1
 /// (flows of 4, 4 and 2 data units) and C2 (2 and 3 units) over three

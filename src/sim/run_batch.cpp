@@ -1,6 +1,6 @@
 #include "sim/run_batch.hpp"
 
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -16,15 +16,6 @@ std::uint64_t batch_seed(std::uint64_t base, std::uint64_t index) {
 }
 
 namespace detail {
-
-namespace {
-
-struct WorkerQueue {
-  std::mutex mu;
-  std::deque<std::size_t> jobs;
-};
-
-}  // namespace
 
 void run_batch_impl(std::size_t count,
                     const std::function<void(std::size_t)>& body,
@@ -42,36 +33,16 @@ void run_batch_impl(std::size_t count,
     return;
   }
 
-  // All jobs are known up front, dealt round-robin; nothing is ever
-  // re-enqueued, so "every queue empty" means every job has been claimed
-  // and a dry worker can exit after one failed stealing sweep.
-  std::vector<WorkerQueue> queues(threads);
-  for (std::size_t i = 0; i < count; ++i)
-    queues[i % threads].jobs.push_back(i);
-
+  // Every job is known up front and none is ever re-queued, so one shared
+  // index hands each job out exactly once.
+  std::atomic<std::size_t> next{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
 
-  auto worker = [&](std::size_t self) {
-    const std::size_t kNone = count;
+  auto worker = [&] {
     for (;;) {
-      std::size_t job = kNone;
-      {
-        std::lock_guard<std::mutex> lock(queues[self].mu);
-        if (!queues[self].jobs.empty()) {
-          job = queues[self].jobs.back();  // own queue LIFO: warm caches
-          queues[self].jobs.pop_back();
-        }
-      }
-      for (std::size_t off = 1; off < threads && job == kNone; ++off) {
-        WorkerQueue& victim = queues[(self + off) % threads];
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.jobs.empty()) {
-          job = victim.jobs.front();  // steal FIFO: oldest, coldest work
-          victim.jobs.pop_front();
-        }
-      }
-      if (job == kNone) return;
+      const std::size_t job = next.fetch_add(1);
+      if (job >= count) return;
       try {
         body(job);
       } catch (...) {
@@ -83,7 +54,7 @@ void run_batch_impl(std::size_t count,
 
   std::vector<std::thread> pool;
   pool.reserve(threads);
-  for (std::size_t w = 0; w < threads; ++w) pool.emplace_back(worker, w);
+  for (std::size_t w = 0; w < threads; ++w) pool.emplace_back(worker);
   for (std::thread& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -1,5 +1,5 @@
 // Parallel sweep runner: runs independent (trace, fabric, config)
-// simulations across a work-stealing thread pool.
+// simulations across a pool of threads.
 //
 // Parameter sweeps (bench_ext_degradation's episode rates, Fig. 6 style
 // bandwidth ladders, seed batteries) are embarrassingly parallel: each run
@@ -33,12 +33,12 @@ void run_batch_impl(std::size_t count,
                     const BatchOptions& options);
 }  // namespace detail
 
-/// Runs fn(0) .. fn(count - 1) on a work-stealing pool and returns the
-/// results in index order. Each worker drains its own queue LIFO and steals
-/// FIFO from siblings when it runs dry. Every result is written into its
-/// preallocated slot, so the returned vector is identical to serial
-/// execution; the first exception any job throws is rethrown on the caller
-/// after all workers drain. threads <= 1 runs inline (no pool).
+/// Runs fn(0) .. fn(count - 1) on a pool of threads and returns the results
+/// in index order. Workers claim the next index from one shared atomic
+/// counter. Every result is written into its preallocated slot, so the
+/// returned vector is identical to serial execution; the first exception
+/// any job throws is rethrown on the caller after all workers finish.
+/// threads <= 1 runs inline (no pool).
 template <typename Fn>
 auto run_batch(std::size_t count, Fn&& fn, const BatchOptions& options = {})
     -> std::vector<decltype(fn(std::size_t{0}))> {

@@ -1,8 +1,5 @@
 #include "workload/jobs.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace swallow::workload {
@@ -25,15 +22,6 @@ std::vector<fabric::JobId> group_into_jobs(Trace& trace,
     flows_in_current += coflow.flows.size();
   }
   return jobs;
-}
-
-common::Seconds job_arrival(const Trace& trace, fabric::JobId job) {
-  common::Seconds earliest = std::numeric_limits<double>::infinity();
-  for (const auto& c : trace.coflows)
-    if (c.job == job) earliest = std::min(earliest, c.arrival);
-  if (!std::isfinite(earliest))
-    throw std::invalid_argument("job_arrival: unknown job id");
-  return earliest;
 }
 
 }  // namespace swallow::workload

@@ -19,7 +19,4 @@ namespace swallow::workload {
 std::vector<fabric::JobId> group_into_jobs(Trace& trace,
                                            std::size_t flows_per_job);
 
-/// Job arrival: earliest coflow arrival with that job id.
-common::Seconds job_arrival(const Trace& trace, fabric::JobId job);
-
 }  // namespace swallow::workload

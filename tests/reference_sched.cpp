@@ -8,7 +8,6 @@
 
 #include "core/online.hpp"
 #include "sched/aalo.hpp"
-#include "sched/sebf.hpp"
 
 namespace swallow::reference {
 
@@ -255,8 +254,8 @@ class Sebf final : public sched::Scheduler {
       Estimate e;
       e.coflow = c;
       e.flows = it->second;
-      e.gamma = sched::coflow_bottleneck_time(e.flows, *ctx.fabric, in_load,
-                                              out_load);
+      e.gamma = fabric::coflow_bottleneck_time(e.flows, *ctx.fabric, in_load,
+                                               out_load);
       e.primary = e.gamma;
       est.push_back(std::move(e));
     }

@@ -4,7 +4,7 @@
 // Every round recomputes every coflow's rank from scratch, stable-sorts the
 // whole population and allocates in that order — no dirty set, no memo, no
 // rank index. The references share with production only the out-of-line
-// floating-point kernels (core::evaluate_flow, sched::coflow_bottleneck_time,
+// floating-point kernels (core::evaluate_flow, fabric::coflow_bottleneck_time,
 // fabric::madd_into / backfill_into / strict_priority), so both sides round
 // identically while a memo or dirty-set bug in production has nowhere to
 // hide. They ignore SchedContext::tracker and emit no trace events.

@@ -14,7 +14,6 @@
 #include "core/online.hpp"
 #include "fabric/degradation.hpp"
 #include "obs/trace.hpp"
-#include "sched/registry.hpp"
 #include "sim/experiment.hpp"
 #include "workload/generator.hpp"
 
@@ -60,10 +59,10 @@ workload::Trace small_trace(std::uint64_t seed) {
   return workload::generate_trace(gen);
 }
 
+/// Every scheduler but DEADLINE-FVDF, whose degraded runs test_slo covers.
 std::vector<std::string> all_scheduler_names() {
-  std::vector<std::string> names = sched::baseline_names();
-  names.insert(names.end(), {"FVDF", "FVDF-NC", "FVDF-NOUPGRADE",
-                             "FVDF-NOBACKFILL", "FVDF-BLIND"});
+  std::vector<std::string> names = sim::scheduler_names();
+  std::erase(names, "DEADLINE-FVDF");
   return names;
 }
 

@@ -1,7 +1,7 @@
 // Simulation-engine tests: byte conservation, exact completion timestamps,
-// arrival activation, determinism, slice-staleness, allocation validation,
-// deadlock detection, and digests that pin every output of a fixed run
-// table.
+// a hand-derived isolation bound, arrival activation, determinism,
+// slice-staleness, allocation validation, deadlock detection, and digests
+// that pin every output of a fixed run table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,6 +42,30 @@ TEST(Engine, SingleFlowFctIsExactlyBytesOverBandwidth) {
   ASSERT_EQ(m.flows.size(), 1u);
   EXPECT_NEAR(m.flows[0].fct(), 5.0, 1e-9);
   EXPECT_NEAR(m.avg_cct(), 5.0, 1e-9);
+}
+
+TEST(Engine, IsolationBoundIsSetBySharedPort) {
+  // One coflow: 100 B from port 0 to port 1 and 50 B from port 0 to port 2,
+  // every port at 10 B/s. Alone, the flows need 10 s and 5 s; together
+  // they share ingress 0, which must carry 150 B: 15 s.
+  workload::Trace t;
+  t.num_ports = 3;
+  workload::CoflowSpec c;
+  c.id = 1;
+  c.job = 1;
+  c.flows = {{0, 1, 100.0, true, 0}, {0, 2, 50.0, true, 0}};
+  t.coflows = {c};
+  const fabric::Fabric fabric(3, 10.0);
+  const cpu::ConstantCpu cpu(0.0);
+  for (const EngineMode mode :
+       {EngineMode::kEventDriven, EngineMode::kSliceStepped}) {
+    auto sched = make_scheduler("FIFO");
+    SimConfig config;
+    config.engine_mode = mode;
+    const Metrics m = run_simulation(t, fabric, cpu, *sched, config);
+    ASSERT_EQ(m.coflows.size(), 1u);
+    EXPECT_EQ(m.coflows[0].isolation_bound, 15.0);
+  }
 }
 
 TEST(Engine, WireBytesEqualOriginalWithoutCompression) {

@@ -100,11 +100,10 @@ TEST(EngineParity, AllSchedulersConstantCpu) {
   sim::SimConfig config;
   config.codec = &codec::default_codec_model();
 
-  std::vector<std::string> names = {"FVDF", "FVDF-NC", "FVDF-BLIND",
-                                    "DEADLINE-FVDF"};
-  for (const std::string& n : sched::baseline_names()) names.push_back(n);
-  for (const std::string& name : names)
-    expect_parity(trace, fabric, cpu, name, config, name);
+  // Every scheduler but the NOUPGRADE and NOBACKFILL ablations.
+  for (const std::string& name : sim::scheduler_names())
+    if (name != "FVDF-NOUPGRADE" && name != "FVDF-NOBACKFILL")
+      expect_parity(trace, fabric, cpu, name, config, name);
 }
 
 TEST(EngineParity, QuantizeAndDegradationGrid) {

@@ -1,5 +1,5 @@
 // Fabric and coflow-state tests: the big-switch model, flow volume
-// bookkeeping, and the coflow aggregate helpers (bottleneck, width, volume).
+// bookkeeping, and Varys' effective bottleneck kernel.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -17,14 +17,12 @@ TEST(Fabric, UniformConstruction) {
     EXPECT_DOUBLE_EQ(f.ingress_capacity(p), 100.0);
     EXPECT_DOUBLE_EQ(f.egress_capacity(p), 100.0);
   }
-  EXPECT_DOUBLE_EQ(f.min_capacity(), 100.0);
 }
 
 TEST(Fabric, HeterogeneousConstruction) {
   const Fabric f({10.0, 20.0}, {30.0, 5.0});
   EXPECT_DOUBLE_EQ(f.ingress_capacity(1), 20.0);
   EXPECT_DOUBLE_EQ(f.egress_capacity(1), 5.0);
-  EXPECT_DOUBLE_EQ(f.min_capacity(), 5.0);
 }
 
 TEST(Fabric, RejectsInvalidConfigs) {
@@ -59,13 +57,11 @@ TEST(Fabric, PortMultiplierScalesCurrentNotNominal) {
   EXPECT_DOUBLE_EQ(f.nominal_ingress_capacity(1), 20.0);
   EXPECT_DOUBLE_EQ(f.nominal_egress_capacity(1), 5.0);
   EXPECT_DOUBLE_EQ(f.port_multiplier(1), 0.5);
-  // Port 0 untouched; min_capacity reports the nominal (config-time) min.
-  EXPECT_DOUBLE_EQ(f.ingress_capacity(0), 10.0);
-  EXPECT_DOUBLE_EQ(f.min_capacity(), 5.0);
+  EXPECT_DOUBLE_EQ(f.ingress_capacity(0), 10.0);  // port 0 untouched
 
   f.set_port_multiplier(1, 0.0);  // full link failure
   EXPECT_DOUBLE_EQ(f.ingress_capacity(1), 0.0);
-  f.restore_all();
+  f.set_port_multiplier(1, 1.0);
   EXPECT_FALSE(f.degraded());
   EXPECT_DOUBLE_EQ(f.ingress_capacity(1), 20.0);
 }
@@ -95,16 +91,11 @@ TEST(Flow, VolumeIsRawPlusCompressed) {
   EXPECT_TRUE(f.completed());
 }
 
-class CoflowHelpers : public ::testing::Test {
+/// A coflow of three flows. Flow 1 is finished, so only flows 0 and 2, both
+/// from ingress 0, are handed to the kernel, as SEBF and the engine do.
+class Bottleneck : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Coflow of three flows; flow 1 is finished.
-    for (int i = 0; i < 3; ++i) {
-      Flow f;
-      f.id = static_cast<FlowId>(i);
-      f.coflow = 7;
-      flows_.push_back(f);
-    }
     flows_[0].src = 0;
     flows_[0].dst = 1;
     flows_[0].raw_remaining = 100;
@@ -115,43 +106,34 @@ class CoflowHelpers : public ::testing::Test {
     flows_[2].dst = 2;
     flows_[2].raw_remaining = 40;
     flows_[2].compressed_pending = 10;
-    coflow_.id = 7;
-    coflow_.flows = {0, 1, 2};
   }
-  std::vector<Flow> flows_;
-  Coflow coflow_;
+  common::Seconds gamma(const Fabric& fabric) {
+    std::vector<common::Bytes> in_load(fabric.num_ports());
+    std::vector<common::Bytes> out_load(fabric.num_ports());
+    return coflow_bottleneck_time({&flows_[0], &flows_[2]}, fabric, in_load,
+                                  out_load);
+  }
+  Flow flows_[3];
 };
 
-TEST_F(CoflowHelpers, VolumeSumsUnfinishedFlows) {
-  EXPECT_DOUBLE_EQ(coflow_volume(coflow_, flows_), 150.0);
-}
-
-TEST_F(CoflowHelpers, WidthCountsUnfinishedFlows) {
-  EXPECT_EQ(coflow_width(coflow_, flows_), 2u);
-}
-
-TEST_F(CoflowHelpers, MaxFlow) {
-  EXPECT_DOUBLE_EQ(coflow_max_flow(coflow_, flows_), 100.0);
-}
-
-TEST_F(CoflowHelpers, BottleneckIsWorstPort) {
+TEST_F(Bottleneck, IsWorstPort) {
   // Ingress 0 carries flows 0 and 2: 150 bytes; egress 1 carries 100;
   // egress 2 carries 50. At capacity 10 the bottleneck is 150/10.
-  const Fabric fabric(3, 10.0);
-  EXPECT_DOUBLE_EQ(coflow_bottleneck(coflow_, flows_, fabric), 15.0);
+  EXPECT_DOUBLE_EQ(gamma(Fabric(3, 10.0)), 15.0);
 }
 
-TEST_F(CoflowHelpers, BottleneckHonoursHeterogeneousCapacity) {
+TEST_F(Bottleneck, HonoursHeterogeneousCapacity) {
   // Make egress 2 tiny: flow 2's 50 bytes over 0.5 dominates.
-  const Fabric fabric({10.0, 10.0, 10.0}, {10.0, 10.0, 0.5});
-  EXPECT_DOUBLE_EQ(coflow_bottleneck(coflow_, flows_, fabric), 100.0);
+  EXPECT_DOUBLE_EQ(gamma(Fabric({10.0, 10.0, 10.0}, {10.0, 10.0, 0.5})),
+                   100.0);
 }
 
-TEST_F(CoflowHelpers, FlowsOfResolvesPointers) {
-  const auto ptrs = flows_of(coflow_, flows_);
-  ASSERT_EQ(ptrs.size(), 3u);
-  EXPECT_EQ(ptrs[0]->id, 0u);
-  EXPECT_EQ(ptrs[2]->id, 2u);
+TEST_F(Bottleneck, SkipsFailedPorts) {
+  // Egress 2 failed: its 50 bytes cannot move, so the bound is set by the
+  // live ports (ingress 0's 150 bytes at 10).
+  Fabric fabric({10.0, 10.0, 10.0}, {10.0, 10.0, 0.5});
+  fabric.set_port_multiplier(2, 0.0);
+  EXPECT_DOUBLE_EQ(gamma(fabric), 15.0);
 }
 
 TEST(Coflow, PriorityDefaultsToOne) {

@@ -16,13 +16,14 @@
 #include "cpu/cpu_model.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
-#include "sched/registry.hpp"
+#include "sim/experiment.hpp"
 
 namespace swallow::core {
 namespace {
 
 using common::gbps;
 using common::mbps;
+using sim::make_scheduler;
 
 const codec::CodecModel kUnitCodec{"unit", 4.0, 16.0, 0.5};
 
@@ -189,7 +190,7 @@ TracedRound traced_round(sched::SchedContext ctx, const char* variant) {
   obs::Tracer tracer;
   ctx.sink = &tracer;
   TracedRound out;
-  out.alloc = make_fvdf(variant)->schedule(ctx);
+  out.alloc = make_scheduler(variant)->schedule(ctx);
   std::ostringstream jsonl;
   tracer.write_jsonl(jsonl);
   std::istringstream lines(jsonl.str());
@@ -316,32 +317,21 @@ TEST(Upgrade, OnlyCoflowEventsAge) {
   EXPECT_EQ(upgrade.round(), 5u);
 }
 
-TEST(FvdfFactory, VariantsAndOptions) {
-  EXPECT_EQ(make_fvdf("FVDF")->name(), "FVDF");
-  EXPECT_EQ(make_fvdf("fvdf-nc")->name(), "FVDF-NC");
-  EXPECT_EQ(make_fvdf("FVDF-NOUPGRADE")->name(), "FVDF-NOUPGRADE");
-  EXPECT_EQ(make_fvdf("FVDF-NOBACKFILL")->name(), "FVDF-NOBACKFILL");
-  EXPECT_EQ(make_fvdf("dfvdf")->name(), "DEADLINE-FVDF");
-  // Every FVDF-family registry name round-trips through the one table.
-  for (const std::string& name : sched::core_scheduler_names())
-    EXPECT_EQ(make_fvdf(name)->name(), name);
-  EXPECT_THROW(make_fvdf("SEBF"), std::out_of_range);
-}
-
 TEST_F(FvdfContext, OnlyDeadlineFvdfReadsDeadlinesAndSloClasses) {
   // A coflow admission degraded keeps compressing under the plain
   // variants, and a deadline moves nothing; DEADLINE-FVDF forces the
   // degraded coflow's β to 0.
   const auto ctx = context(&kUnitCodec);
-  for (const std::string& name : sched::core_scheduler_names()) {
-    SCOPED_TRACE(name);
+  for (std::size_t v = 0; v < kFvdfVariantCount; ++v) {
+    const auto variant = static_cast<FvdfVariant>(v);
+    SCOPED_TRACE(FvdfScheduler(variant).name());
     c1_.slo = fabric::SloClass::kBestEffort;
     c2_.deadline = fabric::kNoDeadline;
-    const fabric::Allocation blind = make_fvdf(name)->schedule(ctx);
+    const fabric::Allocation blind = FvdfScheduler(variant).schedule(ctx);
     c1_.slo = fabric::SloClass::kDegraded;
     c2_.deadline = 0.5;
-    const fabric::Allocation slo = make_fvdf(name)->schedule(ctx);
-    const bool deadline_aware = name == "DEADLINE-FVDF";
+    const fabric::Allocation slo = FvdfScheduler(variant).schedule(ctx);
+    const bool deadline_aware = variant == FvdfVariant::kDeadline;
     for (const fabric::FlowId fid : c1_.flows)
       EXPECT_EQ(slo.compress(fid), !deadline_aware && blind.compress(fid));
     if (deadline_aware) continue;
@@ -355,7 +345,7 @@ TEST_F(FvdfContext, OnlyDeadlineFvdfReadsDeadlinesAndSloClasses) {
 TEST_F(FvdfContext, ServedCoflowsDoNotAge) {
   // Every coflow in the fixture gets some rate (backfill), so priority
   // classes stay flat no matter how many events fire.
-  auto sched = make_fvdf("FVDF");
+  auto sched = make_scheduler("FVDF");
   auto ctx = context(nullptr);
   sched->schedule(ctx);
   sched->schedule(ctx);
@@ -381,7 +371,7 @@ TEST(FvdfScheduler, BlockedCoflowAgesUntilServed) {
   ctx.flows = {&small, &big};
   ctx.coflows = {&c_small, &c_big};
 
-  auto sched = make_fvdf("FVDF");
+  auto sched = make_scheduler("FVDF");
   sched->schedule(ctx);  // big gets rate 0, recorded as starved
   EXPECT_DOUBLE_EQ(c_big.priority, 1.0);
   sched->schedule(ctx);
@@ -396,7 +386,7 @@ TEST(FvdfScheduler, BlockedCoflowAgesUntilServed) {
   EXPECT_DOUBLE_EQ(c_big.priority, kPriorityLogBase * kPriorityLogBase);
 
   // The no-upgrade ablation never ages.
-  auto no_upgrade = make_fvdf("FVDF-NOUPGRADE");
+  auto no_upgrade = make_scheduler("FVDF-NOUPGRADE");
   ctx.coflow_event = true;
   no_upgrade->schedule(ctx);
   no_upgrade->schedule(ctx);
@@ -404,7 +394,7 @@ TEST(FvdfScheduler, BlockedCoflowAgesUntilServed) {
 }
 
 TEST_F(FvdfContext, NcVariantIgnoresCodec) {
-  auto sched = make_fvdf("FVDF-NC");
+  auto sched = make_scheduler("FVDF-NC");
   auto ctx = context(&kUnitCodec);
   const fabric::Allocation a = sched->schedule(ctx);
   for (const auto* f : ctx.flows) EXPECT_FALSE(a.compress(f->id));

@@ -120,7 +120,7 @@ TEST(ChainedCodec, NestedContainersValidateBothStages) {
   const Buffer payload = text_bytes(20000, rng);
   Buffer compressed = codec->compress(payload);
   EXPECT_EQ(codec->decompress(compressed), payload);
-  EXPECT_EQ(decompress_any(compressed), payload);
+  EXPECT_EQ(codec_for_id(compressed[0]).decompress(compressed), payload);
   // Truncation is caught by the outer (Huffman) stage already.
   compressed.resize(compressed.size() / 2);
   EXPECT_THROW(codec->decompress(compressed), CodecError);

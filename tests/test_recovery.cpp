@@ -33,7 +33,6 @@
 #include "recovery/recovery.hpp"
 #include "recovery/snapshot.hpp"
 #include "recovery/state_io.hpp"
-#include "sched/registry.hpp"
 #include "shed_idle_cases.hpp"
 #include "sim/experiment.hpp"
 #include "workload/generator.hpp"
@@ -80,13 +79,6 @@ workload::Trace make_trace(std::uint64_t seed, std::size_t coflows,
   gen.deadline_fraction = deadline_fraction;
   gen.deadline_ref_bandwidth = common::mbps(150);
   return workload::generate_trace(gen);
-}
-
-std::vector<std::string> all_scheduler_names() {
-  std::vector<std::string> names = sched::baseline_names();
-  for (const std::string& n : sched::core_scheduler_names())
-    names.push_back(n);
-  return names;
 }
 
 sim::Metrics run_once(const workload::Trace& trace,
@@ -203,7 +195,7 @@ TEST(RecoveryMatrix, KillAnywhereEverySchedulerBothModes) {
   const workload::Trace trace = make_trace(31, 12, 6);
   const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
   const cpu::ConstantCpu cpu(0.85);
-  for (const std::string& name : all_scheduler_names()) {
+  for (const std::string& name : sim::scheduler_names()) {
     for (const sim::EngineMode mode :
          {sim::EngineMode::kEventDriven, sim::EngineMode::kSliceStepped}) {
       sim::SimConfig config;

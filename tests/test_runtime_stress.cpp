@@ -27,11 +27,12 @@ TEST(PortGateStress, AllWaitersEventuallyPass) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         for (int round = 0; round < 20; ++round) {
-          gate.acquire(static_cast<std::uint64_t>((i * 7 + round) % 5));
+          const PortGate::Ticket ticket =
+              gate.acquire(static_cast<std::uint64_t>((i * 7 + round) % 5));
           if (inside.fetch_add(1) != 0) overlap = true;  // mutual exclusion
           std::this_thread::yield();
           inside.fetch_sub(1);
-          gate.release();
+          gate.release(ticket);
         }
         done.fetch_add(1);
       });
@@ -50,17 +51,17 @@ TEST(PortGateStress, PriorityHoldsUnderChurn) {
   std::atomic<bool> vip_queued{false};
   std::jthread churn([&] {
     for (int i = 0; i < 4000 && !vip_done; ++i) {
-      gate.acquire(100);
+      const PortGate::Ticket ticket = gate.acquire(100);
       if (vip_queued && !vip_done) handoffs_after_vip_queued.fetch_add(1);
-      gate.release();
+      gate.release(ticket);
       std::this_thread::yield();
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   vip_queued = true;
-  gate.acquire(1);
+  const PortGate::Ticket vip = gate.acquire(1);
   vip_done = true;
-  gate.release();
+  gate.release(vip);
   churn.join();
   // The VIP can lose at most the in-flight acquisition plus scheduler
   // jitter — it must not wait out the whole churn stream.
@@ -111,16 +112,20 @@ TEST(BlockStoreStress, ConcurrentPutTake) {
     for (int p = 0; p < kProducers; ++p) {
       threads.emplace_back([&, p] {
         for (int b = 0; b < kBlocksEach; ++b) {
-          const codec::Buffer data =
-              store.take({static_cast<CoflowRef>(p), static_cast<BlockId>(b)});
-          received_bytes.fetch_add(data.size());
+          const auto data = store.take_for(
+              {static_cast<CoflowRef>(p), static_cast<BlockId>(b)}, 60.0);
+          if (data) received_bytes.fetch_add(data->size());
         }
       });
     }
   }
   EXPECT_EQ(store.block_count(), 0u);
   EXPECT_EQ(store.resident_bytes(), 0u);
-  EXPECT_GT(received_bytes.load(), 0u);
+  std::size_t sent_bytes = 0;
+  for (int p = 0; p < kProducers; ++p)
+    for (int b = 0; b < kBlocksEach; ++b)
+      sent_bytes += static_cast<std::size_t>(p + 1) * 10 + b % 7;
+  EXPECT_EQ(received_bytes.load(), sent_bytes);
 }
 
 TEST(ShuffleStress, ManyConcurrentJobsAllVerify) {

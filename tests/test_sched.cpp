@@ -1,16 +1,25 @@
 // Baseline-scheduler tests: per-algorithm ordering semantics on hand-built
-// scenarios plus cross-cutting properties (feasibility, work conservation,
-// no compression) parameterized over every baseline.
+// scenarios, cross-cutting properties (feasibility, work conservation, no
+// compression) parameterized over every baseline, and the scheduler table
+// that resolves every name.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "codec/codec_model.hpp"
 #include "cpu/cpu_model.hpp"
 #include "sched/aalo.hpp"
-#include "sched/registry.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/experiment.hpp"
 
 namespace swallow::sched {
 namespace {
+
+using sim::make_scheduler;
 
 /// Two coflows on a 3x3 unit fabric (the Fig. 3 layout): C1 = {f0 (4, A),
 /// f1 (4, B), f2 (2, C)}, C2 = {f3 (2, B), f4 (3, C)}.
@@ -65,7 +74,7 @@ struct World {
 class SchedScenario : public ::testing::Test, public World {};
 
 TEST_F(SchedScenario, FifoServesArrivalOrderPerPort) {
-  auto sched = make_baseline("FIFO");
+  auto sched = make_scheduler("FIFO");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   // Port B: f1 (arrival .01) before f3 (.04); port C: f4 (.02) before f2.
@@ -77,7 +86,7 @@ TEST_F(SchedScenario, FifoServesArrivalOrderPerPort) {
 }
 
 TEST_F(SchedScenario, PfpServesSmallestRemainingPerPort) {
-  auto sched = make_baseline("PFP");
+  auto sched = make_scheduler("PFP");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   // Port B: f3 (2) < f1 (4); port C: f2 (2) < f4 (3).
@@ -89,7 +98,7 @@ TEST_F(SchedScenario, PfpServesSmallestRemainingPerPort) {
 
 TEST_F(SchedScenario, PfpPrefersPartiallySentFlows) {
   flows_[1].raw_remaining = 1.5;  // f1 now smaller than f3
-  auto sched = make_baseline("PFP");
+  auto sched = make_scheduler("PFP");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_NEAR(a.rate(1), 1.0, 1e-9);
@@ -97,7 +106,7 @@ TEST_F(SchedScenario, PfpPrefersPartiallySentFlows) {
 }
 
 TEST_F(SchedScenario, PffSplitsContendedPortsEvenly) {
-  auto sched = make_baseline("PFF");
+  auto sched = make_scheduler("PFF");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_NEAR(a.rate(1), 0.5, 1e-9);
@@ -106,7 +115,7 @@ TEST_F(SchedScenario, PffSplitsContendedPortsEvenly) {
 }
 
 TEST_F(SchedScenario, WssSplitsProportionallyToVolume) {
-  auto sched = make_baseline("WSS");
+  auto sched = make_scheduler("WSS");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_NEAR(a.rate(1), 2.0 / 3.0, 1e-9);  // 4 vs 2 on port B
@@ -116,7 +125,7 @@ TEST_F(SchedScenario, WssSplitsProportionallyToVolume) {
 }
 
 TEST_F(SchedScenario, SebfAdmitsSmallerBottleneckFirst) {
-  auto sched = make_baseline("SEBF");
+  auto sched = make_scheduler("SEBF");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   // Gamma(C2) = 3 < Gamma(C1) = 4: C2's flows get their MADD rates.
@@ -129,7 +138,7 @@ TEST_F(SchedScenario, SebfAdmitsSmallerBottleneckFirst) {
 }
 
 TEST_F(SchedScenario, SebfWithoutBackfillLeavesResidualIdle) {
-  auto sched = make_baseline("SEBF-NOBACKFILL");
+  auto sched = make_scheduler("SEBF-NOBACKFILL");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_NEAR(a.rate(3), 2.0 / 3.0, 1e-9);
@@ -140,7 +149,7 @@ TEST_F(SchedScenario, SebfWithoutBackfillLeavesResidualIdle) {
 }
 
 TEST_F(SchedScenario, ScfPrefersSmallerTotalBytes) {
-  auto sched = make_baseline("SCF");
+  auto sched = make_scheduler("SCF");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   // C2 total (5) < C1 total (10): C2's flows head both contended ports.
@@ -151,7 +160,7 @@ TEST_F(SchedScenario, ScfPrefersSmallerTotalBytes) {
 }
 
 TEST_F(SchedScenario, NcfPrefersNarrowerCoflow) {
-  auto sched = make_baseline("NCF");
+  auto sched = make_scheduler("NCF");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   // C2 width (2) < C1 width (3).
@@ -160,7 +169,7 @@ TEST_F(SchedScenario, NcfPrefersNarrowerCoflow) {
 }
 
 TEST_F(SchedScenario, LcfPrefersSmallerMaxFlow) {
-  auto sched = make_baseline("LCF");
+  auto sched = make_scheduler("LCF");
   SchedContext ctx = context();
   const fabric::Allocation a = sched->schedule(ctx);
   // max(C2) = 3 < max(C1) = 4.
@@ -168,19 +177,56 @@ TEST_F(SchedScenario, LcfPrefersSmallerMaxFlow) {
   EXPECT_NEAR(a.rate(1), 0.0, 1e-9);
 }
 
-TEST(Registry, AliasesAndUnknowns) {
-  EXPECT_EQ(make_baseline("fair")->name(), "FAIR");
-  EXPECT_EQ(make_baseline("srtf")->name(), "SRTF");
-  EXPECT_EQ(make_baseline("sebf")->name(), "SEBF");
-  EXPECT_THROW(make_baseline("bogus"), std::out_of_range);
-  EXPECT_EQ(baseline_names().size(), 10u);
+TEST(SchedulerTable, EveryNameRoundTrips) {
+  const std::vector<std::string> names = sim::scheduler_names();
+  const std::set<std::string> expected = {
+      "FIFO",       "PFF",            "WSS",             "PFP",
+      "SEBF",       "SCF",            "NCF",             "LCF",
+      "AALO",       "SINCRONIA",      "FVDF",            "FVDF-NC",
+      "FVDF-BLIND", "FVDF-NOUPGRADE", "FVDF-NOBACKFILL", "DEADLINE-FVDF"};
+  EXPECT_EQ(names.size(), expected.size());  // no name listed twice
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()), expected);
+
+  // Every entry builds a scheduler that answers to it, in any letter case.
+  for (const std::string& name : names) {
+    EXPECT_EQ(make_scheduler(name)->name(), name);
+    std::string lower = name;
+    std::transform(lower.begin(), lower.end(), lower.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    EXPECT_EQ(make_scheduler(lower)->name(), name) << lower;
+  }
+
+  // Labels keep their own name(); an alias gives its target's.
+  const std::pair<const char*, const char*> spellings[] = {
+      {"FAIR", "FAIR"},           {"fair", "FAIR"},
+      {"SRTF", "SRTF"},           {"srtf", "SRTF"},
+      {"SEBF-NOBACKFILL", "SEBF-NOBACKFILL"},
+      {"sebf-nobackfill", "SEBF-NOBACKFILL"},
+      {"BSSI", "SINCRONIA"},      {"bssi", "SINCRONIA"},
+      {"DFVDF", "DEADLINE-FVDF"}, {"dfvdf", "DEADLINE-FVDF"},
+      {"Deadline-Fvdf", "DEADLINE-FVDF"}};
+  for (const auto& [spelling, name] : spellings)
+    EXPECT_EQ(make_scheduler(spelling)->name(), name) << spelling;
+
+  // An unknown name throws, and the message lists every enumerated name.
+  try {
+    make_scheduler("bogus");
+    FAIL() << "bogus resolved";
+  } catch (const std::out_of_range& e) {
+    std::string known;
+    for (const std::string& name : names)
+      known += (known.empty() ? "" : ", ") + name;
+    EXPECT_NE(std::string(e.what()).find("(known: " + known + ")"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 class BaselineProperty : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BaselineProperty, AllocationIsFeasible) {
   World scenario;
-  auto sched = make_baseline(GetParam());
+  auto sched = make_scheduler(GetParam());
   SchedContext ctx = scenario.context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_TRUE(feasible(a, ctx.flows, *ctx.fabric));
@@ -188,7 +234,7 @@ TEST_P(BaselineProperty, AllocationIsFeasible) {
 
 TEST_P(BaselineProperty, WorkConservingOnSaturatedPorts) {
   World scenario;
-  auto sched = make_baseline(GetParam());
+  auto sched = make_scheduler(GetParam());
   SchedContext ctx = scenario.context();
   const fabric::Allocation a = sched->schedule(ctx);
   // Every egress port with pending demand is fully used.
@@ -201,7 +247,7 @@ TEST_P(BaselineProperty, WorkConservingOnSaturatedPorts) {
 
 TEST_P(BaselineProperty, BaselinesNeverCompress) {
   World scenario;
-  auto sched = make_baseline(GetParam());
+  auto sched = make_scheduler(GetParam());
   SchedContext ctx = scenario.context();
   ctx.codec = &codec::default_codec_model();
   const fabric::Allocation a = sched->schedule(ctx);
@@ -234,7 +280,7 @@ TEST(Aalo, FreshCoflowPreemptsHeavyHitter) {
   // Mark C1's flows as having sent 20 MB already.
   for (auto& f : scenario.flows_)
     if (f.coflow == 1) f.sent = 20.0 * 1024 * 1024;
-  auto sched = make_baseline("AALO");
+  auto sched = make_scheduler("AALO");
   SchedContext ctx = scenario.context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_NEAR(a.rate(3), 1.0, 1e-9);  // C2's flow heads port B
@@ -247,7 +293,7 @@ TEST(Aalo, FifoWithinAQueue) {
   // Both coflows below the first threshold: arrival order decides (C1 and
   // C2 arrive together, id breaks the tie -> C1 first, unlike PFP/SCF).
   World scenario;
-  auto sched = make_baseline("AALO");
+  auto sched = make_scheduler("AALO");
   SchedContext ctx = scenario.context();
   const fabric::Allocation a = sched->schedule(ctx);
   EXPECT_NEAR(a.rate(1), 1.0, 1e-9);
@@ -257,13 +303,14 @@ TEST(Aalo, FifoWithinAQueue) {
 TEST(SchedScenarioEmpty, SchedulersHandleNoFlows) {
   const fabric::Fabric fabric(2, 1.0);
   const cpu::ConstantCpu cpu(1.0);
-  for (const auto& name : baseline_names()) {
-    auto sched = make_baseline(name);
+  for (const auto& name : sim::scheduler_names()) {
+    auto sched = make_scheduler(name);
     SchedContext ctx;
     ctx.fabric = &fabric;
     ctx.cpu = &cpu;
     const fabric::Allocation a = sched->schedule(ctx);
-    EXPECT_EQ(a.flow_count(), 0u) << name;
+    EXPECT_EQ(a.rate(0), 0.0) << name;
+    EXPECT_FALSE(a.compress(0)) << name;
   }
 }
 

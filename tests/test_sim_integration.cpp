@@ -206,25 +206,5 @@ TEST(Ablation, BackfillNeverSubstantiallyHurtsCct) {
   EXPECT_LE(a.makespan(), b.makespan() * 1.001);
 }
 
-TEST(ExperimentHelpers, CompareSchedulersRunsAllNames) {
-  const workload::Trace trace = small_trace(44, 10);
-  const fabric::Fabric fabric(10, gbps(1));
-  const cpu::ConstantCpu cpu(0.5);
-  SimConfig config;
-  config.codec = &codec::default_codec_model();
-  const auto rows =
-      compare_schedulers(trace, fabric, cpu, {"FVDF", "SEBF", "FIFO"}, config);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].scheduler, "FVDF");
-  EXPECT_EQ(rows[2].scheduler, "FIFO");
-  for (const auto& row : rows) EXPECT_FALSE(row.metrics.flows.empty());
-}
-
-TEST(ExperimentHelpers, MakeSchedulerCoversBothFamilies) {
-  EXPECT_EQ(make_scheduler("FVDF")->name(), "FVDF");
-  EXPECT_EQ(make_scheduler("SEBF")->name(), "SEBF");
-  EXPECT_THROW(make_scheduler("nothing"), std::out_of_range);
-}
-
 }  // namespace
 }  // namespace swallow::sim

@@ -123,10 +123,5 @@ TEST(SincroniaSim, CompetitiveWithSebfOnCct) {
   EXPECT_GT(sincronia, sebf * 0.5);
 }
 
-TEST(SincroniaSim, RegistryAliases) {
-  EXPECT_EQ(make_baseline("sincronia")->name(), "SINCRONIA");
-  EXPECT_EQ(make_baseline("BSSI")->name(), "SINCRONIA");
-}
-
 }  // namespace
 }  // namespace swallow::sched

@@ -220,8 +220,6 @@ TEST(Jobs, GroupsConsecutiveCoflowsByFlowBudget) {
   EXPECT_EQ(jobs.size(), 4u);
   EXPECT_EQ(t.coflows[0].job, t.coflows[2].job);
   EXPECT_NE(t.coflows[2].job, t.coflows[3].job);
-  EXPECT_DOUBLE_EQ(job_arrival(t, t.coflows[3].job), 3.0);
-  EXPECT_THROW(job_arrival(t, 999), std::invalid_argument);
   EXPECT_THROW(group_into_jobs(t, 0), std::invalid_argument);
 }
 
