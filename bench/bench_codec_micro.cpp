@@ -13,17 +13,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "codec/chunk.hpp"
 #include "codec/codec.hpp"
 #include "codec/synth_data.hpp"
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace {
 
@@ -198,15 +195,6 @@ bool run_chunk_battery(obs::Registry& registry) {
   return ok;
 }
 
-void emit_chunk_json(const obs::Registry& registry) {
-  const char* path = std::getenv("SWALLOW_BENCH_JSON");
-  if (path == nullptr) return;
-  std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  out << "{\"bench\":" << obs::json_quote("bench_codec_micro")
-      << ",\"metrics\":" << registry.to_json() << "}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -221,7 +209,7 @@ int main(int argc, char** argv) {
   argc = n;
   obs::Registry registry;
   const bool ok = run_chunk_battery(registry);
-  emit_chunk_json(registry);
+  bench::write_bench_json("bench_codec_micro", registry);
   if (!ok) return 1;
   if (chunk_only) return 0;
   benchmark::Initialize(&argc, argv);

@@ -14,9 +14,7 @@
 // batch.parallel_ms, batch.scaling) consumed by
 // tools/check_bench_regression.py.
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -86,16 +84,6 @@ RunResult run_once(const workload::Trace& trace, sim::EngineMode mode,
 bool same(const RunResult& a, const RunResult& b) {
   return a.avg_cct == b.avg_cct && a.avg_fct == b.avg_fct &&
          a.wire_bytes == b.wire_bytes && a.makespan == b.makespan;
-}
-
-// Mirrors bench_common's emit_bench_json for a hand-built registry.
-void emit_registry(const obs::Registry& registry) {
-  const char* path = std::getenv("SWALLOW_BENCH_JSON");
-  if (path == nullptr) return;
-  std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  out << "{\"bench\":" << obs::json_quote(bench::current_artifact())
-      << ",\"metrics\":" << registry.to_json() << "}\n";
 }
 
 }  // namespace
@@ -235,7 +223,7 @@ int main(int argc, char** argv) {
   registry.gauge("batch.threads").set(static_cast<double>(threads));
   registry.gauge("engine.checkpoint_ms").set(ckpt_ms);
   registry.gauge("engine.checkpoint_overhead").set(ckpt_overhead);
-  emit_registry(registry);
+  bench::write_bench_json(bench::current_artifact(), registry);
 
   return parity && batch_ok && ckpt_identical ? 0 : 1;
 }

@@ -25,8 +25,6 @@
 // set, appends gauges scale.<sched>.n<N>.{full_ms,inc_ms,speedup} (full_ms
 // is the tracker-less rebuild) consumed by tools/check_bench_regression.py.
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -197,15 +195,6 @@ bool lockstep_identical(const std::string& name, const WorldKnobs& knobs,
   return true;
 }
 
-void emit_registry(const obs::Registry& registry) {
-  const char* path = std::getenv("SWALLOW_BENCH_JSON");
-  if (path == nullptr) return;
-  std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  out << "{\"bench\":" << obs::json_quote(bench::current_artifact())
-      << ",\"metrics\":" << registry.to_json() << "}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -285,6 +274,6 @@ int main(int argc, char** argv) {
               << " reached " << common::fmt_speedup(fvdf_top_speedup)
               << ", need >= " << min_speedup << "x\n";
 
-  emit_registry(registry);
+  bench::write_bench_json(bench::current_artifact(), registry);
   return identity_ok && speedup_ok ? 0 : 1;
 }

@@ -193,11 +193,6 @@ int main(int argc, char** argv) {
                     : "REGRESSION: zero-deadline A/B diverged\n");
   registry.gauge("zero_deadline_identity").set(identical ? 1.0 : 0.0);
 
-  if (const char* path = std::getenv("SWALLOW_BENCH_JSON")) {
-    std::ofstream out(path, std::ios::app);
-    if (out)
-      out << "{\"bench\":" << obs::json_quote(bench::current_artifact())
-          << ",\"metrics\":" << registry.to_json() << "}\n";
-  }
+  bench::write_bench_json(bench::current_artifact(), registry);
   return never_worse && identical ? 0 : 1;
 }

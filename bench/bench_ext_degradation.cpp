@@ -117,11 +117,6 @@ int main(int argc, char** argv) {
                     ? "all coflows completed at every degradation rate\n"
                     : "INCOMPLETE runs detected\n");
 
-  if (const char* path = std::getenv("SWALLOW_BENCH_JSON")) {
-    std::ofstream out(path, std::ios::app);
-    if (out)
-      out << "{\"bench\":" << obs::json_quote(bench::current_artifact())
-          << ",\"metrics\":" << registry.to_json() << "}\n";
-  }
+  bench::write_bench_json(bench::current_artifact(), registry);
   return all_completed ? 0 : 1;
 }

@@ -120,11 +120,6 @@ int main(int argc, char** argv) {
   std::cout << "all payloads verified (zero corruption); 1% budget "
             << (budget_met ? "met" : "MISSED") << " (<= 2x JCT inflation)\n";
 
-  if (const char* path = std::getenv("SWALLOW_BENCH_JSON")) {
-    std::ofstream out(path, std::ios::app);
-    if (out)
-      out << "{\"bench\":" << obs::json_quote(bench::current_artifact())
-          << ",\"metrics\":" << registry.to_json() << "}\n";
-  }
+  bench::write_bench_json(bench::current_artifact(), registry);
   return budget_met ? 0 : 1;
 }

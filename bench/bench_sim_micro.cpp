@@ -5,22 +5,19 @@
 // real deployment's scheduling slice could be (the paper discusses 10 ms).
 //
 // With SWALLOW_BENCH_JSON set, appends one JSON line mapping each
-// benchmark to its per-iteration real time in ms, in the same format the
-// run_all-based benches emit — tools/check_bench_regression.py consumes it.
+// benchmark to its per-iteration real time in ms, through bench_common's
+// write_bench_json — tools/check_bench_regression.py consumes it.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cpu/cpu_model.hpp"
 #include "fabric/degradation.hpp"
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "sched/dirty.hpp"
 #include "sim/experiment.hpp"
 
@@ -240,14 +237,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
-  const char* path = std::getenv("SWALLOW_BENCH_JSON");
-  if (path == nullptr) return 0;
   swallow::obs::Registry registry;
   for (const auto& [name, ms] : reporter.results())
     registry.gauge(name + ".real_ms").set(ms);
-  std::ofstream out(path, std::ios::app);
-  if (out)
-    out << "{\"bench\":\"bench_sim_micro\",\"metrics\":"
-        << registry.to_json() << "}\n";
+  swallow::bench::write_bench_json("bench_sim_micro", registry);
   return 0;
 }

@@ -13,17 +13,6 @@ using common::kKB;
 using common::kMB;
 using common::mb_per_s;
 
-Bytes CodecModel::delta_c(common::Seconds slice, double cpu_headroom) const {
-  const double headroom = std::clamp(cpu_headroom, 0.0, 1.0);
-  return compress_speed * headroom * slice * (1.0 - ratio);
-}
-
-bool CodecModel::beats_bandwidth(common::Bps bottleneck,
-                                 double cpu_headroom) const {
-  const double headroom = std::clamp(cpu_headroom, 0.0, 1.0);
-  return compress_speed * headroom * (1.0 - ratio) > bottleneck;
-}
-
 const std::vector<CodecModel>& table2_codecs() {
   // Paper Table II, verbatim.
   static const std::vector<CodecModel> kModels = {

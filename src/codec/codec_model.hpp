@@ -20,13 +20,6 @@ struct CodecModel {
   common::Bps compress_speed;    ///< bytes/s consumed by the compressor
   common::Bps decompress_speed;  ///< bytes/s produced by the decompressor
   double ratio;                  ///< compressed/raw, e.g. LZ4 = 0.6215
-
-  /// Volume disposal per slice when compressing (paper Eq. 1), with the
-  /// effective speed scaled by available CPU headroom in [0, 1].
-  common::Bytes delta_c(common::Seconds slice, double cpu_headroom) const;
-
-  /// Eq. 3 gate: compression beats transmission iff R*(1-xi) > B.
-  bool beats_bandwidth(common::Bps bottleneck, double cpu_headroom) const;
 };
 
 /// Table II rows: LZ4, LZO, Snappy, LZF, Zstandard.

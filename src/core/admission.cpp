@@ -34,6 +34,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
   ingress_bytes_.assign(ports, 0);
   egress_bytes_.assign(ports, 0);
   compress_raw_.assign(ports, 0);
+  compress_saved_.assign(ports, 0);
 }
 
 AdmissionDecision AdmissionController::admit(
@@ -129,11 +130,14 @@ AdmissionController::Bounds AdmissionController::price(
     const fabric::Coflow& coflow, const std::vector<fabric::Flow>& all_flows,
     const fabric::Fabric& live, const cpu::CpuProvider& cpu,
     const codec::CodecModel* codec, common::Seconds now) {
-  // Per-port raw byte loads (and the raw bytes the codec would have to
-  // encode at each sender). Touched lists keep the reset O(flows).
+  // Per-port raw byte loads, and per sender the raw bytes the codec would
+  // have to encode and the wire bytes encoding them saves. A flow shrinks
+  // at its own ratio, as in Eq. 3 and the engine. Touched lists keep the
+  // reset O(flows).
   for (fabric::PortId p : touched_ingress_) {
     ingress_bytes_[p] = 0;
     compress_raw_[p] = 0;
+    compress_saved_[p] = 0;
   }
   for (fabric::PortId p : touched_egress_) egress_bytes_[p] = 0;
   touched_ingress_.clear();
@@ -150,6 +154,8 @@ AdmissionController::Bounds AdmissionController::price(
     egress_bytes_[f.dst] += v;
     if (f.compressible && codec != nullptr) {
       compress_raw_[f.src] += f.raw_remaining;
+      compress_saved_[f.src] +=
+          f.raw_remaining * (1.0 - f.effective_ratio(codec->ratio));
       any_compressible = true;
     }
   }
@@ -170,12 +176,11 @@ AdmissionController::Bounds AdmissionController::price(
       common::Bytes wire = raw;
       if (to_encode > 0) {
         const double headroom = cpu.headroom(p, now);
-        if (headroom < cpu::kMinCompressionHeadroom ||
-            !cpu.can_compress(p, now)) {
+        if (!cpu::CpuProvider::can_compress(headroom)) {
           enc = kInf;
         } else {
           enc = safe_time(to_encode, codec->compress_speed * headroom);
-          wire = raw - to_encode * (1.0 - codec->ratio);
+          wire = raw - compress_saved_[p];
         }
       }
       t_comp = std::max(t_comp,
@@ -193,7 +198,7 @@ AdmissionController::Bounds AdmissionController::price(
       for (fabric::FlowId fid : coflow.flows) {
         const fabric::Flow& f = all_flows[fid];
         if (f.dst != p || !f.compressible || codec == nullptr) continue;
-        wire -= f.raw_remaining * (1.0 - codec->ratio);
+        wire -= f.raw_remaining * (1.0 - f.effective_ratio(codec->ratio));
       }
       t_comp = std::max(t_comp, safe_time(wire, live.egress_capacity(p)));
     }

@@ -200,6 +200,7 @@ class AdmissionController {
   std::vector<common::Bytes> ingress_bytes_;
   std::vector<common::Bytes> egress_bytes_;
   std::vector<common::Bytes> compress_raw_;  ///< raw bytes to encode per src
+  std::vector<common::Bytes> compress_saved_;  ///< wire bytes encoding saves
   std::vector<fabric::PortId> touched_ingress_;
   std::vector<fabric::PortId> touched_egress_;
 };

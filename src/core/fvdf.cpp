@@ -1,37 +1,11 @@
 #include "core/fvdf.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/trace.hpp"
 
 namespace swallow::core {
-
-common::Bytes delta_c(const codec::CodecModel& codec, common::Seconds slice,
-                      double cpu_headroom) {
-  return codec.delta_c(slice, cpu_headroom);
-}
-
-common::Bytes delta_t(common::Bps bandwidth, common::Seconds slice) {
-  return bandwidth * slice;
-}
-
-common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
-                             const codec::CodecModel& codec,
-                             double cpu_headroom, common::Bps bandwidth,
-                             common::Seconds slice) {
-  if (bandwidth <= 0) throw std::invalid_argument("expected_fct: B <= 0");
-  // Eq. 1 with the flow's own ratio when the workload specifies one.
-  codec::CodecModel effective = codec;
-  effective.ratio = flow.effective_ratio(codec.ratio);
-  const common::Bytes disposal =
-      beta ? delta_c(effective, slice, cpu_headroom)
-           : delta_t(bandwidth, slice);
-  const common::Bytes rest = std::max(0.0, flow.volume() - disposal);
-  return slice + rest / bandwidth;
-}
 
 [[gnu::noinline, gnu::cold]] void trace_beta_decision(obs::Sink* sink,
                                                      common::Seconds now,
@@ -58,17 +32,24 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
 [[gnu::noinline]] FlowEval evaluate_flow(const EvalEnv& env,
                                          const fabric::Flow& f,
                                          bool force_compression) {
+  const common::Bps bandwidth =
+      std::min(env.fabric->ingress_capacity(f.src),
+               env.fabric->egress_capacity(f.dst));
+  // Pseudocode 1: compress only a compressible payload with raw bytes left
+  // on a sender with CPU to spare, and only if Eq. 3 says it pays.
   bool beta = false;
-  double headroom = 0.0;
-  const common::Bps bandwidth = flow_bottleneck(f, *env.fabric);
-  if (env.codec != nullptr && env.cpu != nullptr) {
-    const CompressionDecision d =
-        compression_strategy(f, *env.codec, *env.cpu, *env.fabric, env.now);
-    headroom = d.cpu_headroom;
-    beta = d.enabled ||
-           (force_compression && f.compressible &&
-            f.raw_remaining > fabric::kVolumeEpsilon &&
-            env.cpu->can_compress(f.src, env.now));
+  common::Bps compress_rate = 0;  // R·h
+  double ratio = 0;               // ξ
+  if (env.codec != nullptr && env.cpu != nullptr && f.compressible &&
+      f.raw_remaining > fabric::kVolumeEpsilon) {
+    const double headroom = env.cpu->headroom(f.src, env.now);
+    if (cpu::CpuProvider::can_compress(headroom)) {
+      compress_rate =
+          env.codec->compress_speed * std::clamp(headroom, 0.0, 1.0);
+      ratio = f.effective_ratio(env.codec->ratio);
+      beta = force_compression ||
+             beats_bandwidth(compress_rate, ratio, bandwidth);
+    }
   }
   // A failed link (current bottleneck 0) makes Eq. 7 unbounded: the flow
   // cannot transmit until the port recovers, so its coflow ranks last
@@ -76,16 +57,13 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
   // spending bandwidth elsewhere is always better. Compression may still
   // run (Eq. 3 holds trivially at B = 0), disposing raw volume while the
   // flow waits.
-  common::Seconds fct;
-  if (bandwidth <= 0) {
-    fct = std::numeric_limits<common::Seconds>::infinity();
-  } else {
-    // Eq. 7 needs a codec even when beta is false; the term vanishes.
-    const codec::CodecModel& model =
-        env.codec != nullptr ? *env.codec : codec::default_codec_model();
-    fct = expected_fct(f, beta, model, headroom, bandwidth, env.slice);
-  }
-  return FlowEval{beta, fct};
+  if (bandwidth <= 0)
+    return FlowEval{beta, std::numeric_limits<common::Seconds>::infinity()};
+  // Eq. 7 over one slice of Eq. 1 (compressing) or Eq. 2 (transmitting).
+  const common::Bytes disposal =
+      beta ? compress_rate * env.slice * (1.0 - ratio) : bandwidth * env.slice;
+  const common::Bytes rest = std::max(0.0, f.volume() - disposal);
+  return FlowEval{beta, env.slice + rest / bandwidth};
 }
 
 }  // namespace swallow::core

@@ -1,29 +1,23 @@
 // Fastest-Volume-Disposal-First (the paper's Pseudocode 2): the per-flow
-// primitives — volume disposal (Eq. 1/2) and expected FCT (Eq. 7). The
-// scheduler (online.hpp) folds them into Γ_C (Eq. 8), ranks coflows, assigns
+// step — Pseudocode 1's compression gate, volume disposal (Eqs. 1-3) and
+// expected FCT (Eq. 7) — evaluated in one place, evaluate_flow. The
+// scheduler (online.hpp) folds it into Γ_C (Eq. 8), ranks coflows, assigns
 // r = f.V / Γ_C with work-conserving backfill, and adds the priority-class
 // starvation protection (Pseudocode 3).
 #pragma once
 
-#include "core/compression_strategy.hpp"
 #include "sched/scheduler.hpp"
 
 namespace swallow::core {
 
-/// Eq. 1: volume disposed by one compression slice.
-common::Bytes delta_c(const codec::CodecModel& codec, common::Seconds slice,
-                      double cpu_headroom);
-
-/// Eq. 2: volume disposed by one transmission slice at bandwidth B.
-common::Bytes delta_t(common::Bps bandwidth, common::Seconds slice);
-
-/// Eq. 7: expected FCT assuming the worst case that compression is disabled
-/// after the current slice. `beta` is the compression decision for the
-/// coming slice.
-common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
-                             const codec::CodecModel& codec,
-                             double cpu_headroom, common::Bps bandwidth,
-                             common::Seconds slice);
+/// Eq. 3: one compression slice disposes more volume than one transmission
+/// slice, R·h·(1 − ξ) > B. `compress_rate` is R·h, the codec's speed on the
+/// sender's CPU headroom h in [0, 1]; `ratio` is ξ, compressed/raw. The
+/// FVDF kernel and the runtime master both decide β through this test.
+inline bool beats_bandwidth(common::Bps compress_rate, double ratio,
+                            common::Bps bandwidth) {
+  return compress_rate * (1.0 - ratio) > bandwidth;
+}
 
 /// The inputs Eq. 3 / Eq. 7 read for one flow, detached from SchedContext
 /// so a scheduler can evaluate single flows — and the FVDF-NC ablation can
@@ -46,14 +40,24 @@ struct FlowEval {
 };
 
 /// One flow's compression decision and expected FCT — TimeCalculation's
-/// per-flow step (Pseudocode 2 lines 12-23). This is *the* Γ kernel: every
+/// per-flow step (Pseudocode 2 lines 12-23):
+///
+///   B    = min(ingress(src), egress(dst))             the flow's bottleneck
+///   β    = compressible ∧ raw bytes left ∧ CpuProvider::can_compress(h)
+///          ∧ R·h·(1 − ξ) > B                          Pseudocode 1, Eq. 3
+///   Δc   = R·h·δ·(1 − ξ),  Δt = B·δ                  Eqs. 1, 2
+///   Γ_F  = δ + max(0, V − (β ? Δc : Δt)) / B          Eq. 7
+///
+/// with ξ the flow's own ratio when the workload gives one, h clamped to
+/// [0, 1], δ the slice and V the flow's volume. Eq. 7 takes the worst case:
+/// compression stops after the coming slice. This is *the* Γ kernel: every
 /// FVDF-family refresh and the test-only reference scheduler call it, and
 /// it is deliberately out-of-line (noinline) so all callers share one
 /// instantiation — identical code, identical FP contraction, identical
 /// bits. Inlining it into different loops would let the compiler fuse
 /// multiply-adds differently per call site and break byte identity.
 /// `force_compression` bypasses the Eq. 3 gate (ablation: compress blindly
-/// whenever the payload is compressible and raw bytes remain).
+/// whenever the rest of Pseudocode 1 holds).
 FlowEval evaluate_flow(const EvalEnv& env, const fabric::Flow& f,
                        bool force_compression);
 

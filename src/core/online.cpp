@@ -73,7 +73,7 @@ bool FvdfScheduler::starved(const fabric::Coflow& c) const {
   // Band-0 promotion guards best-effort work against a monopolizing band 1;
   // in fault fallback there is no band 1, and promotion would only perturb
   // the plain FVDF order the fallback exists to reproduce.
-  return any_deadline_ && !seen_degraded_ &&
+  return deadline_resident_ > 0 && !seen_degraded_ &&
          c.priority >= kStarvationPriority;
 }
 
@@ -164,20 +164,18 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
     horizon_round_.clear();
     deadline_resident_ = 0;
     // Pre-register the deadline residents so every refresh below classifies
-    // against the final any_deadline_ value, whatever the coflow order.
+    // against the final resident count, whatever the coflow order.
     for (const fabric::Coflow* c : ctx.coflows) {
       if (!deadline_aware() || !c->has_deadline() || rejected(*c)) continue;
       if (c->id >= cache_.size()) cache_.resize(c->id + 1);
       cache_[c->id].counted = true;
       ++deadline_resident_;
     }
-    any_deadline_ = deadline_resident_ > 0;
     for (const fabric::Coflow* c : ctx.coflows)
       if (!rejected(*c)) refresh_coflow(ctx, env, nc_env, *c);
     need_global_rekey_ = false;  // rebuild classified everything coherently
   } else {
     const sched::DirtyTracker& tracker = *ctx.tracker;
-    any_deadline_ = deadline_resident_ > 0;
     for (const fabric::CoflowId id : tracker.dirty()) {
       const fabric::Coflow* c = tracker.coflow(id);
       if (c == nullptr) continue;
@@ -322,7 +320,6 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
   if (deadline_aware() && c.has_deadline() && !cc.counted) {
     cc.counted = true;
     if (++deadline_resident_ == 1) need_global_rekey_ = true;
-    any_deadline_ = true;
   }
   // Only DEADLINE-FVDF arms horizons, so only its pop loop reads the stamp.
   if (deadline_aware()) horizon_round_.set(c.id, upgrade_.round());
@@ -423,7 +420,6 @@ void FvdfScheduler::drop_coflow(fabric::CoflowId id) {
   if (cc.counted) {
     cc.counted = false;
     if (--deadline_resident_ == 0) need_global_rekey_ = true;
-    any_deadline_ = deadline_resident_ > 0;
   }
   cc.valid = false;
   cc.has_xmit = false;

@@ -249,9 +249,6 @@ class FvdfScheduler final : public sched::Scheduler {
   /// Resident coflows carrying a finite deadline; band-0 promotion exists
   /// only while this is nonzero. Always 0 for the plain variants.
   std::size_t deadline_resident_ = 0;
-  /// Whether any resident coflow carries a finite deadline, as of the
-  /// current classification point (deadline_resident_ > 0).
-  bool any_deadline_ = false;
   bool need_global_rekey_ = false;
   /// DEADLINE-FVDF only, sticky: the fabric has been degraded at some
   /// scheduling round of this run, and the scheduler is in fault fallback

@@ -6,10 +6,6 @@
 
 namespace swallow::cpu {
 
-bool CpuProvider::can_compress(NodeId node, common::Seconds t) const {
-  return headroom(node, t) >= kMinCompressionHeadroom;
-}
-
 common::Seconds CpuProvider::headroom_constant_until(NodeId,
                                                      common::Seconds t) const {
   // No promise: unknown providers may vary arbitrarily, so the engine must

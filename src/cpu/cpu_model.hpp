@@ -18,13 +18,20 @@ namespace swallow::cpu {
 
 using NodeId = std::uint32_t;
 
+/// Minimum headroom for the compression gate to open.
+inline constexpr double kMinCompressionHeadroom = 0.05;
+
 class CpuProvider {
  public:
   virtual ~CpuProvider() = default;
   /// CPU fraction available for compression on `node` at time `t`, in [0,1].
   virtual double headroom(NodeId node, common::Seconds t) const = 0;
-  /// Paper Pseudocode 1's "CPU resources are enough" gate.
-  virtual bool can_compress(NodeId node, common::Seconds t) const;
+  /// Paper Pseudocode 1's "CPU resources are enough" gate on a sampled
+  /// headroom. A function of headroom alone, so a caller samples
+  /// headroom() once and tests that.
+  static bool can_compress(double headroom) {
+    return headroom >= kMinCompressionHeadroom;
+  }
   /// Promise to the event-driven engine: headroom(node, s) == headroom(node,
   /// t) for every s in [t, T) where T is the returned instant. Returning `t`
   /// (the conservative base default) promises nothing, which makes the
@@ -34,9 +41,6 @@ class CpuProvider {
   virtual common::Seconds headroom_constant_until(NodeId node,
                                                   common::Seconds t) const;
 };
-
-/// Minimum headroom for the compression gate to open.
-inline constexpr double kMinCompressionHeadroom = 0.05;
 
 /// Same headroom everywhere, always.
 class ConstantCpu final : public CpuProvider {

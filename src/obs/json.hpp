@@ -35,8 +35,6 @@ class JsonValue {
 
   bool is_object() const { return kind == Kind::kObject; }
   bool is_array() const { return kind == Kind::kArray; }
-  bool is_string() const { return kind == Kind::kString; }
-  bool is_number() const { return kind == Kind::kNumber; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;

@@ -54,15 +54,8 @@ void append_event(std::string& out, const TraceEvent& ev) {
   out += '}';
 }
 
-// The record both exports lead with: how many older events the ring
-// overwrote.
-TraceEvent dropped_record(std::size_t dropped) {
-  return {.name = "dropped_events", .cat = "__metadata", .ph = 'M',
-          .args = {Arg{"count", dropped}}};
-}
-
-// Exports write their text in chunks of about this size, so an export
-// holds one small buffer instead of the whole document.
+// The export writes its text in chunks of about this size, so it holds one
+// small buffer instead of the whole document.
 constexpr std::size_t kChunkBytes = 1 << 16;
 
 void flush(std::ostream& out, std::string& buf) {
@@ -114,8 +107,8 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     order[i] = {events_[i].ts, i};
   std::sort(order.begin(), order.end());
 
-  // Named tracks so Perfetto labels the two timebases, then the dropped
-  // count.
+  // Named tracks so Perfetto labels the two timebases, then how many older
+  // events the ring overwrote.
   std::string buf = "{\"traceEvents\":[";
   append_event(buf, {.name = "process_name", .cat = "__metadata", .ph = 'M',
                      .args = {Arg{"name", "simulated-time"}}});
@@ -123,7 +116,8 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   append_event(buf, {.name = "process_name", .cat = "__metadata", .ph = 'M',
                      .pid = kWallPid, .args = {Arg{"name", "wall-clock"}}});
   buf += ',';
-  append_event(buf, dropped_record(dropped_));
+  append_event(buf, {.name = "dropped_events", .cat = "__metadata", .ph = 'M',
+                     .args = {Arg{"count", dropped_}}});
   for (const auto& [ts, i] : order) {
     buf += ',';
     append_event(buf, events_[i]);
@@ -135,19 +129,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     common::log_warn("obs: tracer dropped the oldest ", dropped_,
                      " events (ring of ", max_events_, " full)");
   common::log_info("obs: exported ", events_.size(), " trace events");
-}
-
-void Tracer::write_jsonl(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string buf;
-  append_event(buf, dropped_record(dropped_));
-  buf += '\n';
-  for (const TraceEvent& ev : events_) {
-    append_event(buf, ev);
-    buf += '\n';
-    if (buf.size() >= kChunkBytes) flush(out, buf);
-  }
-  flush(out, buf);
 }
 
 void emit_instant(Sink* sink, double ts_us, const char* name, const char* cat,

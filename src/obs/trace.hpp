@@ -5,9 +5,9 @@
 // no allocation, no locking — the disabled-path guarantee DESIGN.md's
 // Observability section documents). A TraceEvent is a fixed-size record of
 // static names and typed argument slots, so recording one copies no string.
-// The bundled Tracer keeps the newest events in a ring, and its two
-// exporters are the only code that writes trace JSON: Chrome trace_event
-// JSON (loadable in Perfetto or chrome://tracing) and a JSONL stream.
+// The bundled Tracer keeps the newest events in a ring, and its exporter is
+// the only code that writes trace JSON: Chrome trace_event JSON (loadable
+// in Perfetto or chrome://tracing).
 //
 // Two timelines coexist, separated by pid: kSimPid carries simulated time
 // (1 µs = 1 simulated µs), kWallPid carries wall-clock profiling scopes.
@@ -92,7 +92,7 @@ class Sink {
 };
 
 /// In-memory sink: a ring that keeps the newest `max_events` records and
-/// counts the older ones it overwrote. Both exporters lead with a
+/// counts the older ones it overwrote. The export leads with a
 /// `dropped_events` metadata record carrying that count.
 class Tracer final : public Sink {
  public:
@@ -110,8 +110,6 @@ class Tracer final : public Sink {
   /// {"traceEvents":[...]}: the two process_name records, the dropped
   /// count, then the events sorted by ts (ties keep record order).
   void write_chrome_trace(std::ostream& out) const;
-  /// The dropped count, then one event object per line, record order.
-  void write_jsonl(std::ostream& out) const;
 
  private:
   mutable std::mutex mutex_;

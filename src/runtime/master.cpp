@@ -60,6 +60,14 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
   };
   std::vector<Scored> scored;
   scored.reserve(refs.size());
+  // Pseudocode 1's CPU test and Eq. 3 against the NIC bottleneck B. The
+  // master models one headroom and one NIC rate, so the gate is the same
+  // for every flow.
+  const bool gate_open =
+      compression_ && cpu::CpuProvider::can_compress(cpu_headroom_) &&
+      core::beats_bandwidth(
+          codec_.compress_speed * std::clamp(cpu_headroom_, 0.0, 1.0),
+          codec_.ratio, nic_rate_);
 
   for (const CoflowRef ref : refs) {
     const auto it = coflows_.find(ref);
@@ -71,13 +79,11 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
 
     double gamma = 0;
     for (const auto& f : entry.flows) {
-      // Eq. 3 gate against the NIC bottleneck B. A degraded flow (repeated
-      // codec/corruption failures) stays uncompressed no matter what the
-      // gate says — re-scheduling must not resurrect the failing path.
+      // A degraded flow (repeated codec/corruption failures) stays
+      // uncompressed no matter what the gate says — re-scheduling must not
+      // resurrect the failing path.
       const bool degraded = degraded_locked(f.flow_id);
-      const bool beta = !degraded && compression_ && f.compressible &&
-                        cpu_headroom_ >= cpu::kMinCompressionHeadroom &&
-                        codec_.beats_bandwidth(nic_rate_, cpu_headroom_);
+      const bool beta = !degraded && gate_open && f.compressible;
       const double volume =
           beta ? static_cast<double>(f.bytes) * codec_.ratio
                : static_cast<double>(f.bytes);

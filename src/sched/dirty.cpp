@@ -12,8 +12,7 @@ DirtyTracker::DirtyTracker(std::size_t num_ports)
     : session_(g_next_session.fetch_add(1, std::memory_order_relaxed)),
       src_residents_(num_ports),
       dst_residents_(num_ports),
-      cpu_headroom_(num_ports, 0.0),
-      cpu_gate_(num_ports, 0) {}
+      cpu_headroom_(num_ports, 0.0) {}
 
 void DirtyTracker::bind_flows(const fabric::Flow* flows, std::size_t count) {
   flows_ = flows;
@@ -73,20 +72,18 @@ void DirtyTracker::port_capacity_changed(fabric::PortId p) {
 
 void DirtyTracker::sample_cpu(const cpu::CpuProvider& cpu,
                               common::Seconds now) {
-  // Value-based change detection: the cached Eq. 3 / Eq. 7 terms depend on
-  // the CPU only through headroom(src, t) and can_compress(src, t), so a
-  // provider that wanders but returns to the previously sampled values by
-  // the next decision point dirties nothing. Only source ports matter —
-  // compression runs at the sender.
+  // Value-based change detection: the cached Pseudocode 1 / Eq. 3 / Eq. 7
+  // terms read the CPU only through headroom(src, t), the CPU gate
+  // (CpuProvider::can_compress) included, so a provider that wanders but
+  // returns to the previously sampled value by the next decision point
+  // dirties nothing. Only source ports matter — compression runs at the
+  // sender.
   const std::size_t ports = src_residents_.size();
   for (fabric::PortId p = 0; p < ports; ++p) {
     const double h = cpu.headroom(p, now);
-    const char gate = cpu.can_compress(p, now) ? 1 : 0;
-    if (cpu_sampled_ && h == cpu_headroom_[p] && gate == cpu_gate_[p])
-      continue;
+    if (cpu_sampled_ && h == cpu_headroom_[p]) continue;
     const bool changed = cpu_sampled_;
     cpu_headroom_[p] = h;
-    cpu_gate_[p] = gate;
     if (changed) dirty_residents(src_residents_[p]);
   }
   cpu_sampled_ = true;

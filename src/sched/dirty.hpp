@@ -73,9 +73,9 @@ class DirtyTracker {
   /// A port's capacity multiplier changed: dirties exactly the coflows
   /// resident on the port (and lazily prunes completed residents).
   void port_capacity_changed(fabric::PortId p);
-  /// Samples per-port CPU headroom and the Eq. 3 can_compress gate, and
-  /// dirties the coflows sourced at ports whose values changed since the
-  /// previous sample. Call once per decision point, before schedule().
+  /// Samples per-port CPU headroom and dirties the coflows sourced at ports
+  /// whose headroom changed since the previous sample. Call once per
+  /// decision point, before schedule().
   void sample_cpu(const cpu::CpuProvider& cpu, common::Seconds now);
 
   // ---- consumer side (the scheduler) ----
@@ -120,9 +120,8 @@ class DirtyTracker {
   std::vector<std::vector<fabric::CoflowId>> src_residents_;
   std::vector<std::vector<fabric::CoflowId>> dst_residents_;
 
-  /// Last-sampled per-port CPU state for change detection.
+  /// Last-sampled per-port CPU headroom for change detection.
   std::vector<double> cpu_headroom_;
-  std::vector<char> cpu_gate_;
   bool cpu_sampled_ = false;
 };
 

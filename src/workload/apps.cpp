@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "codec/synth_data.hpp"
+
 namespace swallow::workload {
 
 CoflowSpec AppWorkload::make_coflow(fabric::CoflowId id, fabric::JobId job,
@@ -37,39 +39,42 @@ CoflowSpec AppWorkload::make_coflow(fabric::CoflowId id, fabric::JobId job,
 }
 
 std::vector<AppWorkload> hibench_suite(common::Bytes suite_bytes) {
-  // Relative shuffle weights follow the uncompressed columns of Table I:
-  // Terasort and Sort dominate, the ML apps are small.
-  struct Row {
-    const char* name;
-    double ratio;    // Table I
-    double weight;   // relative uncompressed shuffle volume
+  // Names and ratios are Table I's, from codec::table1_apps(); each shape
+  // row is the app at the same index. Relative shuffle weights follow the
+  // uncompressed columns of Table I: Terasort and Sort dominate, the ML
+  // apps are small.
+  struct Shape {
+    double weight;  // relative uncompressed shuffle volume
     std::size_t mappers, reducers;
   };
-  static const Row kRows[] = {
-      {"Wordcount", 0.5591, 0.013, 8, 4},
-      {"Sort", 0.2496, 8.85, 8, 8},
-      {"Terasort", 0.2793, 91.0, 16, 8},
-      {"Enhanced DFSIO", 0.1897, 0.006, 4, 2},
-      {"Logistic Regression", 0.7513, 0.020, 4, 2},
-      {"Latent Dirichlet Allocation", 0.6830, 0.002, 4, 2},
-      {"Support Vector Machine", 0.4796, 0.001, 2, 1},
-      {"Bayes", 0.2633, 0.024, 4, 2},
-      {"Random Forest", 0.6830, 0.004, 4, 2},
-      {"Pagerank", 0.4241, 0.191, 8, 4},
-      {"NWeight", 0.2897, 0.038, 4, 2},
+  static constexpr Shape kShapes[] = {
+      {0.013, 8, 4},   // Wordcount
+      {8.85, 8, 8},    // Sort
+      {91.0, 16, 8},   // Terasort
+      {0.006, 4, 2},   // Enhanced DFSIO
+      {0.020, 4, 2},   // Logistic Regression
+      {0.002, 4, 2},   // Latent Dirichlet Allocation
+      {0.001, 2, 1},   // Support Vector Machine
+      {0.024, 4, 2},   // Bayes
+      {0.004, 4, 2},   // Random Forest
+      {0.191, 8, 4},   // Pagerank
+      {0.038, 4, 2},   // NWeight
   };
+  const std::vector<codec::AppProfile>& apps = codec::table1_apps();
+  if (apps.size() != std::size(kShapes))
+    throw std::logic_error("hibench_suite: one shape per Table I app");
   double total_weight = 0;
-  for (const auto& row : kRows) total_weight += row.weight;
+  for (const Shape& shape : kShapes) total_weight += shape.weight;
 
   std::vector<AppWorkload> suite;
-  suite.reserve(std::size(kRows));
-  for (const auto& row : kRows) {
+  suite.reserve(apps.size());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
     AppWorkload app;
-    app.name = row.name;
-    app.compress_ratio = row.ratio;
-    app.shuffle_bytes = suite_bytes * row.weight / total_weight;
-    app.mappers = row.mappers;
-    app.reducers = row.reducers;
+    app.name = apps[i].name;
+    app.compress_ratio = apps[i].paper_ratio;
+    app.shuffle_bytes = suite_bytes * kShapes[i].weight / total_weight;
+    app.mappers = kShapes[i].mappers;
+    app.reducers = kShapes[i].reducers;
     suite.push_back(std::move(app));
   }
   return suite;

@@ -2,9 +2,10 @@
 //
 // The paper's deployment evaluation drives HiBench applications whose
 // shuffles produce the intermediate data of Table I. Each AppWorkload
-// couples a name, a per-app compression ratio (Table I, verbatim) and a
-// shuffle geometry, and can emit CoflowSpecs for the simulator or byte
-// payloads (via codec::AppProfile) for the runtime.
+// couples a Table I name and compression ratio (codec::table1_apps(), the
+// one copy of the table) with a shuffle geometry, and can emit CoflowSpecs
+// for the simulator or byte payloads (via codec::AppProfile) for the
+// runtime.
 #pragma once
 
 #include <string>

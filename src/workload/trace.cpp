@@ -129,12 +129,6 @@ common::Bytes CoflowSpec::total_bytes() const {
   return total;
 }
 
-common::Bytes CoflowSpec::max_flow_bytes() const {
-  common::Bytes largest = 0;
-  for (const auto& f : flows) largest = std::max(largest, f.bytes);
-  return largest;
-}
-
 std::size_t Trace::total_flows() const {
   std::size_t n = 0;
   for (const auto& c : coflows) n += c.flows.size();

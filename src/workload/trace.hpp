@@ -70,7 +70,6 @@ struct CoflowSpec {
   std::vector<FlowSpec> flows;
 
   common::Bytes total_bytes() const;
-  common::Bytes max_flow_bytes() const;
   std::size_t width() const { return flows.size(); }
   bool has_deadline() const { return deadline > 0; }
 };

@@ -1,5 +1,6 @@
-// Codec model tests: the Table II constants, the Eq. 1/Eq. 3 helpers the
-// scheduler relies on, and the Table III ratio-vs-size interpolation.
+// Codec model tests: the Table II constants and the Table III
+// ratio-vs-size interpolation. The Eq. 1 and Eq. 3 terms the scheduler
+// builds on them are tested with evaluate_flow in test_fvdf.
 #include <gtest/gtest.h>
 
 #include "codec/codec_model.hpp"
@@ -7,11 +8,9 @@
 namespace swallow::codec {
 namespace {
 
-using common::gbps;
 using common::kGB;
 using common::kKB;
 using common::kMB;
-using common::mbps;
 
 TEST(Table2, CarriesPaperRows) {
   const auto& codecs = table2_codecs();
@@ -29,38 +28,6 @@ TEST(Table2, LookupIsCaseInsensitive) {
   EXPECT_EQ(codec_model_by_name("snappy").name, "Snappy");
   EXPECT_EQ(codec_model_by_name("ZSTANDARD").name, "Zstandard");
   EXPECT_THROW(codec_model_by_name("gzip"), std::out_of_range);
-}
-
-TEST(CodecModel, DeltaCFollowsEq1) {
-  // Eq. 1: Delta_c = R * delta * (1 - xi), with R scaled by headroom.
-  const CodecModel m{"t", 100.0, 400.0, 0.25};
-  EXPECT_DOUBLE_EQ(m.delta_c(0.5, 1.0), 100.0 * 0.5 * 0.75);
-  EXPECT_DOUBLE_EQ(m.delta_c(0.5, 0.5), 50.0 * 0.5 * 0.75);
-  EXPECT_DOUBLE_EQ(m.delta_c(0.5, 0.0), 0.0);
-  // Headroom clamps into [0, 1].
-  EXPECT_DOUBLE_EQ(m.delta_c(1.0, 2.0), m.delta_c(1.0, 1.0));
-}
-
-TEST(CodecModel, Eq3GateAcrossBandwidths) {
-  // LZ4: R(1-xi) = 785 * 0.3785 MB/s ~ 297 MB/s. Compression must win at
-  // 100 Mbps and 1 Gbps but lose at 10 Gbps — the exact behaviour the
-  // paper uses to explain FVDF ~ SEBF on fast networks.
-  const CodecModel& lz4 = default_codec_model();
-  EXPECT_TRUE(lz4.beats_bandwidth(mbps(100), 1.0));
-  EXPECT_TRUE(lz4.beats_bandwidth(gbps(1), 1.0));
-  EXPECT_FALSE(lz4.beats_bandwidth(gbps(10), 1.0));
-}
-
-TEST(CodecModel, Eq3GateScalesWithHeadroom) {
-  const CodecModel& lz4 = default_codec_model();
-  // At gigabit, LZ4 wins with a free CPU but not with 10% headroom.
-  EXPECT_TRUE(lz4.beats_bandwidth(gbps(1), 1.0));
-  EXPECT_FALSE(lz4.beats_bandwidth(gbps(1), 0.1));
-}
-
-TEST(CodecModel, AllTable2CodecsWinAtMegabit) {
-  for (const auto& m : table2_codecs())
-    EXPECT_TRUE(m.beats_bandwidth(mbps(100), 1.0)) << m.name;
 }
 
 TEST(Table3, EndpointsMatchPaper) {

@@ -23,10 +23,11 @@ TEST(ConstantCpu, ReturnsConfiguredHeadroom) {
   EXPECT_THROW(ConstantCpu(-0.1), std::invalid_argument);
 }
 
-TEST(ConstantCpu, CanCompressGate) {
-  EXPECT_TRUE(ConstantCpu(0.5).can_compress(0, 0.0));
-  EXPECT_TRUE(ConstantCpu(kMinCompressionHeadroom).can_compress(0, 0.0));
-  EXPECT_FALSE(ConstantCpu(0.0).can_compress(0, 0.0));
+TEST(CpuProvider, CanCompressGate) {
+  EXPECT_TRUE(CpuProvider::can_compress(0.5));
+  EXPECT_TRUE(CpuProvider::can_compress(kMinCompressionHeadroom));
+  EXPECT_FALSE(CpuProvider::can_compress(0.049));
+  EXPECT_FALSE(CpuProvider::can_compress(0.0));
 }
 
 TEST(WindowedCpu, HeadroomFollowsWindows) {

@@ -7,6 +7,7 @@
 
 #include <tuple>
 
+#include "core/fvdf.hpp"
 #include "sim/experiment.hpp"
 
 namespace swallow::sim {
@@ -65,10 +66,11 @@ TEST_P(EngineProperty, WireBytesNeverExceedOriginal) {
 TEST_P(EngineProperty, TrafficReductionMatchesCompressionSwitch) {
   const Metrics m = run();
   const auto& [name, mbps_value] = GetParam();
+  const codec::CodecModel& lz4 = codec::default_codec_model();
   const bool compressing =
-      name == "FVDF" &&
-      codec::default_codec_model().beats_bandwidth(
-          common::mbps(mbps_value), 0.9);
+      name == "FVDF" && core::beats_bandwidth(lz4.compress_speed * 0.9,
+                                              lz4.ratio,
+                                              common::mbps(mbps_value));
   if (compressing)
     EXPECT_GT(m.traffic_reduction(), 0.1);
   else

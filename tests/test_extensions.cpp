@@ -5,7 +5,7 @@
 
 #include <sstream>
 
-#include "core/compression_strategy.hpp"
+#include "core/fvdf.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "workload/apps.hpp"
@@ -274,10 +274,10 @@ TEST(PerFlowRatio, Eq3GateUsesFlowRatio) {
   f.dst = 1;
   f.raw_remaining = 1000;
   f.compress_ratio = 0.95;  // 1000 * 0.05 = 50 < 100: not worth it
-  const auto d = core::compression_strategy(f, codec, cpu, fabric, 0.0);
-  EXPECT_FALSE(d.enabled);
+  const core::EvalEnv env{&fabric, &cpu, &codec, 0.0, common::kDefaultSlice};
+  EXPECT_FALSE(core::evaluate_flow(env, f, false).beta);
   f.compress_ratio = 0.5;
-  EXPECT_TRUE(core::compression_strategy(f, codec, cpu, fabric, 0.0).enabled);
+  EXPECT_TRUE(core::evaluate_flow(env, f, false).beta);
 }
 
 TEST(PerFlowRatio, HibenchTraceCompressesAtTableOneMix) {

@@ -1,20 +1,24 @@
-// FVDF core tests: the volume-disposal equations (1-3), expected FCT
-// (Eq. 7), TimeCalculation/Gamma_C (Eq. 8, read back from the scheduler's
-// coflow_estimate trace events), the compression-strategy truth table
-// (Pseudocode 1), priority upgrade (Pseudocode 3) and the full allocation
-// (Pseudocode 2).
+// FVDF core tests: the per-flow kernel evaluate_flow — Pseudocode 1's
+// compression gate, the bottleneck B, volume disposal (Eqs. 1-3) and
+// expected FCT (Eq. 7), each checked against values derived by hand —
+// TimeCalculation/Gamma_C (Eq. 8, read back from the scheduler's
+// coflow_estimate trace events), priority upgrade (Pseudocode 3) and the
+// full allocation (Pseudocode 2).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
+#include <vector>
 
-#include "core/compression_strategy.hpp"
 #include "core/fvdf.hpp"
 #include "core/online.hpp"
 #include "cpu/cpu_model.hpp"
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/experiment.hpp"
 
@@ -39,106 +43,190 @@ fabric::Flow make_flow(fabric::FlowId id, fabric::CoflowId cid, double bytes,
   return f;
 }
 
-TEST(VolumeDisposal, DeltaCFollowsEq1) {
-  EXPECT_DOUBLE_EQ(delta_c(kUnitCodec, 0.5, 1.0), 4.0 * 0.5 * 0.5);
-  EXPECT_DOUBLE_EQ(delta_c(kUnitCodec, 0.5, 0.5), 2.0 * 0.5 * 0.5);
+// ---- Eq. 3: the one compression-versus-bandwidth test. ----
+
+TEST(BeatsBandwidth, IsStrictEq3) {
+  // R·h = 4, ξ = 0.5: a compression slice disposes 2 per second.
+  EXPECT_TRUE(beats_bandwidth(4.0, 0.5, 1.9));
+  EXPECT_FALSE(beats_bandwidth(4.0, 0.5, 2.0));  // a tie transmits
+  EXPECT_FALSE(beats_bandwidth(4.0, 1.0, 0.0));  // ξ = 1 saves nothing
 }
 
-TEST(VolumeDisposal, DeltaTFollowsEq2) {
-  EXPECT_DOUBLE_EQ(delta_t(1.0, 0.25), 0.25);
-  EXPECT_DOUBLE_EQ(delta_t(125.0, 0.01), 1.25);
+TEST(BeatsBandwidth, AllTable2CodecsWinAtMegabit) {
+  for (const auto& m : codec::table2_codecs())
+    EXPECT_TRUE(beats_bandwidth(m.compress_speed, m.ratio, mbps(100)))
+        << m.name;
 }
 
-TEST(ExpectedFct, FollowsEq7WithoutCompression) {
-  const fabric::Flow f = make_flow(0, 0, 10.0);
-  // Gamma_F = delta + (V - B*delta)/B = V/B.
-  EXPECT_DOUBLE_EQ(expected_fct(f, false, kUnitCodec, 1.0, 2.0, 0.1), 5.0);
-}
+// ---- evaluate_flow: Pseudocode 1 and Eqs. 1, 2, 7 by hand. ----
 
-TEST(ExpectedFct, FollowsEq7WithCompression) {
-  const fabric::Flow f = make_flow(0, 0, 10.0);
-  // Delta_c = 4 * 0.1 * 0.5 = 0.2; Gamma_F = 0.1 + (10 - 0.2)/2 = 5.0.
-  EXPECT_DOUBLE_EQ(expected_fct(f, true, kUnitCodec, 1.0, 2.0, 0.1), 5.0);
-  // With a bigger slice the compression term matters: delta = 1 ->
-  // Delta_c = 2; Gamma_F = 1 + 8/2 = 5; without compression 1 + 8/2 = 5
-  // with Delta_t = 2: identical here because R(1-xi) == B.
-  const codec::CodecModel faster{"fast", 8.0, 32.0, 0.5};
-  // Delta_c = 8*1*0.5 = 4 -> Gamma = 1 + 6/2 = 4 < 5.
-  EXPECT_DOUBLE_EQ(expected_fct(f, true, faster, 1.0, 2.0, 1.0), 4.0);
-}
-
-TEST(ExpectedFct, ClampsDisposalToVolume) {
-  const fabric::Flow f = make_flow(0, 0, 0.1);
-  // Disposal exceeds the volume: remaining term is zero, only the slice.
-  EXPECT_DOUBLE_EQ(expected_fct(f, false, kUnitCodec, 1.0, 10.0, 1.0), 1.0);
-  EXPECT_THROW(expected_fct(f, false, kUnitCodec, 1.0, 0.0, 1.0),
-               std::invalid_argument);
-}
-
-// ---- Pseudocode 1: compression strategy. ----
-
-class StrategyTest : public ::testing::Test {
+class EvaluateFlow : public ::testing::Test {
  protected:
-  StrategyTest() : fabric_(2, 1.0), idle_(1.0), busy_(0.0) {}
-  fabric::Fabric fabric_;
-  cpu::ConstantCpu idle_;
-  cpu::ConstantCpu busy_;
+  EvalEnv env(const fabric::Fabric& fabric, const cpu::CpuProvider& cpu,
+              const codec::CodecModel* codec, common::Seconds slice) {
+    return EvalEnv{&fabric, &cpu, codec, 0.0, slice};
+  }
+  const cpu::ConstantCpu idle_{1.0};
+  const cpu::ConstantCpu busy_{0.0};
 };
 
-TEST_F(StrategyTest, EnablesWhenAllConditionsHold) {
-  const fabric::Flow f = make_flow(0, 0, 10.0, 0, 1);
-  const auto d = compression_strategy(f, kUnitCodec, idle_, fabric_, 0.0);
-  // R(1 - xi) = 2 > B = 1.
-  EXPECT_TRUE(d.enabled);
-  EXPECT_DOUBLE_EQ(d.bandwidth, 1.0);
-  EXPECT_DOUBLE_EQ(d.cpu_headroom, 1.0);
+TEST_F(EvaluateFlow, TransmitsOverEq2WithoutACodec) {
+  // B = 2, δ = 0.1, V = 10: Γ = δ + (V - B·δ)/B = 0.1 + 9.8/2 = 5 = V/B.
+  const fabric::Fabric fabric(2, 2.0);
+  const FlowEval ev = evaluate_flow(env(fabric, idle_, nullptr, 0.1),
+                                    make_flow(0, 0, 10.0, 0, 1), false);
+  EXPECT_FALSE(ev.beta);
+  EXPECT_DOUBLE_EQ(ev.fct, 5.0);
 }
 
-TEST_F(StrategyTest, DisabledForIncompressiblePayload) {
-  fabric::Flow f = make_flow(0, 0, 10.0);
-  f.compressible = false;
-  EXPECT_FALSE(compression_strategy(f, kUnitCodec, idle_, fabric_, 0).enabled);
+TEST_F(EvaluateFlow, CompressesOverEq1WhenEq3Holds) {
+  // R·h·(1-ξ) = 4·1·0.5 = 2 > B = 1, so β = 1. δ = 1: Δc = 4·1·1·0.5 = 2,
+  // Γ = 1 + (10 - 2)/1 = 9 (transmitting would give 1 + 9/1 = 10).
+  const fabric::Fabric fabric(2, 1.0);
+  const FlowEval ev = evaluate_flow(env(fabric, idle_, &kUnitCodec, 1.0),
+                                    make_flow(0, 0, 10.0, 0, 1), false);
+  EXPECT_TRUE(ev.beta);
+  EXPECT_DOUBLE_EQ(ev.fct, 9.0);
 }
 
-TEST_F(StrategyTest, DisabledWhenNoRawBytesLeft) {
-  fabric::Flow f = make_flow(0, 0, 10.0);
-  f.raw_remaining = 0;
-  f.compressed_pending = 10.0;
-  EXPECT_FALSE(compression_strategy(f, kUnitCodec, idle_, fabric_, 0).enabled);
+TEST_F(EvaluateFlow, HeadroomScalesTheCompressor) {
+  // h = 0.5: R·h = 2, and 2·0.5 = 1 > B = 0.5, so β = 1. δ = 1:
+  // Δc = 2·1·0.5 = 1, Γ = 1 + (10 - 1)/0.5 = 19.
+  const fabric::Fabric fabric(2, 0.5);
+  const cpu::ConstantCpu half(0.5);
+  const FlowEval ev = evaluate_flow(env(fabric, half, &kUnitCodec, 1.0),
+                                    make_flow(0, 0, 10.0, 0, 1), false);
+  EXPECT_TRUE(ev.beta);
+  EXPECT_DOUBLE_EQ(ev.fct, 19.0);
+  // A headroom above 1 counts as 1: Δc = 4·1·0.5 = 2, Γ = 1 + 8/0.5 = 17.
+  const cpu::WindowedCpu over({{0.0, 100.0}}, /*idle_headroom=*/2.0);
+  EXPECT_DOUBLE_EQ(evaluate_flow(env(fabric, over, &kUnitCodec, 1.0),
+                                 make_flow(0, 0, 10.0, 0, 1), false)
+                       .fct,
+                   17.0);
 }
 
-TEST_F(StrategyTest, DisabledWhenCpuBusy) {
-  const fabric::Flow f = make_flow(0, 0, 10.0);
-  EXPECT_FALSE(compression_strategy(f, kUnitCodec, busy_, fabric_, 0).enabled);
+TEST_F(EvaluateFlow, FlowRatioDrivesEq1AndEq3) {
+  // The flow compresses to 75%: R·(1-ξ) = 4·0.25 = 1 > B = 0.5, β = 1;
+  // δ = 1: Δc = 4·1·0.25 = 1, Γ = 1 + (10 - 1)/0.5 = 19.
+  const fabric::Fabric fabric(2, 0.5);
+  fabric::Flow f = make_flow(0, 0, 10.0, 0, 1);
+  f.compress_ratio = 0.75;
+  FlowEval ev = evaluate_flow(env(fabric, idle_, &kUnitCodec, 1.0), f, false);
+  EXPECT_TRUE(ev.beta);
+  EXPECT_DOUBLE_EQ(ev.fct, 19.0);
+  // At 90%, R·(1-ξ) = 0.4 < B: the codec's own 0.5 would have compressed.
+  f.compress_ratio = 0.9;
+  ev = evaluate_flow(env(fabric, idle_, &kUnitCodec, 1.0), f, false);
+  EXPECT_FALSE(ev.beta);
+  EXPECT_DOUBLE_EQ(ev.fct, 20.0);  // 1 + (10 - 0.5)/0.5
 }
 
-TEST_F(StrategyTest, DisabledWhenEq3Fails) {
-  const fabric::Flow f = make_flow(0, 0, 10.0);
-  const codec::CodecModel slow{"slow", 1.5, 6.0, 0.5};  // R(1-xi)=0.75 < 1
-  EXPECT_FALSE(compression_strategy(f, slow, idle_, fabric_, 0).enabled);
-}
-
-TEST(Strategy, Lz4GateMatchesPaperBandwidthStory) {
-  // LZ4 from Table II: compression on at 100 Mbps and 1 Gbps, off at
-  // 10 Gbps (Section VI-B2 of the paper).
-  const cpu::ConstantCpu idle(1.0);
-  const fabric::Flow f = make_flow(0, 0, 1e9, 0, 1);
-  for (const auto& [bw, expect] :
-       std::vector<std::pair<common::Bps, bool>>{
-           {mbps(100), true}, {gbps(1), true}, {gbps(10), false}}) {
-    const fabric::Fabric fabric(2, bw);
-    const auto d = compression_strategy(f, codec::default_codec_model(),
-                                        idle, fabric, 0.0);
-    EXPECT_EQ(d.enabled, expect) << bw;
+TEST_F(EvaluateFlow, Pseudocode1EveryConditionCloses) {
+  // Each case breaks one condition of an otherwise compressing flow
+  // (R·(1-ξ) = 2 > B = 1), so β = 0 and Γ = 1 + (10 - 1)/1 = 10.
+  const fabric::Fabric fabric(2, 1.0);
+  const EvalEnv open = env(fabric, idle_, &kUnitCodec, 1.0);
+  fabric::Flow incompressible = make_flow(0, 0, 10.0, 0, 1);
+  incompressible.compressible = false;
+  fabric::Flow drained = make_flow(0, 0, 0.0, 0, 1);
+  drained.compressed_pending = 10.0;  // all raw bytes already compressed
+  const codec::CodecModel slow{"slow", 2.0, 8.0, 0.5};  // R(1-ξ) = 1 = B
+  const std::pair<const char*, FlowEval> cases[] = {
+      {"incompressible", evaluate_flow(open, incompressible, false)},
+      {"no raw bytes", evaluate_flow(open, drained, false)},
+      {"busy CPU", evaluate_flow(env(fabric, busy_, &kUnitCodec, 1.0),
+                                 make_flow(0, 0, 10.0, 0, 1), false)},
+      {"Eq. 3 tie", evaluate_flow(env(fabric, idle_, &slow, 1.0),
+                                  make_flow(0, 0, 10.0, 0, 1), false)},
+  };
+  for (const auto& [what, ev] : cases) {
+    EXPECT_FALSE(ev.beta) << what;
+    EXPECT_DOUBLE_EQ(ev.fct, 10.0) << what;
   }
 }
 
-TEST(FlowBottleneck, IsMinOfPortCapacities) {
+TEST_F(EvaluateFlow, CpuFloorClosesTheGateWhereEq3Holds) {
+  // B = 0.05: at h = 0.049, R·h·(1-ξ) = 0.098 > B, yet h is under the 5%
+  // floor; at h = kMinCompressionHeadroom the gate opens.
+  const fabric::Fabric fabric(2, 0.05);
+  const fabric::Flow f = make_flow(0, 0, 10.0, 0, 1);
+  const cpu::ConstantCpu under(0.049);
+  const cpu::ConstantCpu at_floor(cpu::kMinCompressionHeadroom);
+  EXPECT_FALSE(
+      evaluate_flow(env(fabric, under, &kUnitCodec, 1.0), f, false).beta);
+  EXPECT_TRUE(
+      evaluate_flow(env(fabric, at_floor, &kUnitCodec, 1.0), f, false).beta);
+}
+
+TEST_F(EvaluateFlow, ForcedCompressionSkipsOnlyEq3) {
+  // FVDF-BLIND: R(1-ξ) = 0.75 < B = 1 still compresses. δ = 1:
+  // Δc = 1.5·1·0.5 = 0.75, Γ = 1 + (10 - 0.75)/1 = 10.25.
+  const fabric::Fabric fabric(2, 1.0);
+  const codec::CodecModel slow{"slow", 1.5, 6.0, 0.5};
+  const fabric::Flow f = make_flow(0, 0, 10.0, 0, 1);
+  const FlowEval ev = evaluate_flow(env(fabric, idle_, &slow, 1.0), f, true);
+  EXPECT_TRUE(ev.beta);
+  EXPECT_DOUBLE_EQ(ev.fct, 10.25);
+  EXPECT_FALSE(evaluate_flow(env(fabric, idle_, &slow, 1.0), f, false).beta);
+  // The rest of Pseudocode 1 still holds it back.
+  EXPECT_FALSE(evaluate_flow(env(fabric, busy_, &slow, 1.0), f, true).beta);
+  EXPECT_FALSE(evaluate_flow(env(fabric, idle_, nullptr, 1.0), f, true).beta);
+}
+
+TEST_F(EvaluateFlow, BottleneckIsMinOfPortCapacities) {
+  // V = 10, δ = 1, no codec: Γ = 1 + (10 - B)/B.
   const fabric::Fabric fabric({4.0, 8.0}, {6.0, 2.0});
-  fabric::Flow f = make_flow(0, 0, 1.0, 0, 1);
-  EXPECT_DOUBLE_EQ(flow_bottleneck(f, fabric), 2.0);
-  f.dst = 0;
-  EXPECT_DOUBLE_EQ(flow_bottleneck(f, fabric), 4.0);
+  const EvalEnv e = env(fabric, idle_, nullptr, 1.0);
+  // src 0 -> dst 1: B = min(4, 2) = 2, Γ = 1 + 8/2 = 5.
+  EXPECT_DOUBLE_EQ(evaluate_flow(e, make_flow(0, 0, 10.0, 0, 1), false).fct,
+                   5.0);
+  // src 0 -> dst 0: B = min(4, 6) = 4, Γ = 1 + 6/4 = 2.5.
+  EXPECT_DOUBLE_EQ(evaluate_flow(e, make_flow(0, 0, 10.0, 0, 0), false).fct,
+                   2.5);
+}
+
+TEST_F(EvaluateFlow, DisposalPastTheVolumeLeavesOneSlice) {
+  // V = 0.1 < B·δ = 10: Γ = δ + 0 = 1.
+  const fabric::Fabric fabric(2, 10.0);
+  EXPECT_DOUBLE_EQ(evaluate_flow(env(fabric, idle_, nullptr, 1.0),
+                                 make_flow(0, 0, 0.1, 0, 1), false)
+                       .fct,
+                   1.0);
+}
+
+TEST_F(EvaluateFlow, FailedLinkIsUnboundedButStillCompresses) {
+  // B = 0: no slice transmits, Γ = +inf; Eq. 3 holds trivially at B = 0.
+  fabric::Fabric fabric(2, 1.0);
+  fabric.set_port_multiplier(0, 0.0);
+  const FlowEval ev = evaluate_flow(env(fabric, idle_, &kUnitCodec, 1.0),
+                                    make_flow(0, 0, 10.0, 0, 1), false);
+  EXPECT_TRUE(ev.beta);
+  EXPECT_EQ(ev.fct, std::numeric_limits<common::Seconds>::infinity());
+}
+
+TEST_F(EvaluateFlow, Lz4GateMatchesPaperBandwidthStory) {
+  // LZ4 from Table II: R(1-ξ) = 785 MB/s * 0.3785 ~ 297 MB/s, so
+  // compression is on at 100 Mbps and 1 Gbps and off at 10 Gbps — how the
+  // paper explains FVDF ~ SEBF on fast networks (Section VI-B2) — and at
+  // 1 Gbps only while the CPU is free: 10% headroom leaves ~30 MB/s.
+  const fabric::Flow f = make_flow(0, 0, 1e9, 0, 1);
+  const cpu::ConstantCpu tenth(0.1);
+  for (const auto& [bw, provider, expect] :
+       std::vector<std::tuple<common::Bps, const cpu::CpuProvider*, bool>>{
+           {mbps(100), &idle_, true},
+           {gbps(1), &idle_, true},
+           {gbps(10), &idle_, false},
+           {gbps(1), &tenth, false}}) {
+    const fabric::Fabric fabric(2, bw);
+    EXPECT_EQ(evaluate_flow(env(fabric, *provider,
+                                &codec::default_codec_model(),
+                                common::kDefaultSlice),
+                            f, false)
+                  .beta,
+              expect)
+        << bw;
+  }
 }
 
 // ---- TimeCalculation + allocation. ----
@@ -186,24 +274,27 @@ struct TracedRound {
   std::size_t betas = 0;  ///< beta_decision events with beta = true
 };
 
+// The value of `ev`'s argument `key`.
+template <typename T>
+T arg(const obs::TraceEvent& ev, std::string_view key) {
+  for (const obs::Arg& a : ev.args)
+    if (a.key != nullptr && key == a.key) return std::get<T>(a.value);
+  ADD_FAILURE() << ev.name << " has no arg " << key;
+  return T{};
+}
+
 TracedRound traced_round(sched::SchedContext ctx, const char* variant) {
   obs::Tracer tracer;
   ctx.sink = &tracer;
   TracedRound out;
   out.alloc = make_scheduler(variant)->schedule(ctx);
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  std::istringstream lines(jsonl.str());
-  for (std::string line; std::getline(lines, line);) {
-    const obs::JsonValue ev = obs::parse_json(line);
-    const std::string& name = ev.find("name")->string;
-    const obs::JsonValue* args = ev.find("args");
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    const std::string_view name = ev.name;
     if (name == "coflow_estimate") {
-      const auto id =
-          static_cast<fabric::CoflowId>(args->find("coflow")->number);
-      out.gamma[id] = args->find("gamma")->number;
-      out.key[id] = args->find("key")->number;
-    } else if (name == "beta_decision" && args->find("beta")->boolean) {
+      const auto id = arg<std::uint64_t>(ev, "coflow");
+      out.gamma[id] = arg<double>(ev, "gamma");
+      out.key[id] = arg<double>(ev, "key");
+    } else if (name == "beta_decision" && arg<bool>(ev, "beta")) {
       ++out.betas;
     }
   }

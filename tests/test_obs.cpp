@@ -118,15 +118,11 @@ TEST(Tracer, RecordsTypedArgs) {
   EXPECT_EQ(ev.args[1].key, nullptr);
 }
 
-// Every line of a JSONL export, parsed.
-std::vector<JsonValue> jsonl_lines(const Tracer& tracer) {
+// The traceEvents array of a Chrome export, parsed.
+std::vector<JsonValue> chrome_events(const Tracer& tracer) {
   std::ostringstream oss;
-  tracer.write_jsonl(oss);
-  std::istringstream iss(oss.str());
-  std::vector<JsonValue> lines;
-  for (std::string line; std::getline(iss, line);)
-    lines.push_back(parse_json(line));
-  return lines;
+  tracer.write_chrome_trace(oss);
+  return parse_json(oss.str()).find("traceEvents")->array;
 }
 
 TEST(Tracer, RingKeepsTheNewestEventsAndExportsTheDroppedCount) {
@@ -139,19 +135,9 @@ TEST(Tracer, RingKeepsTheNewestEventsAndExportsTheDroppedCount) {
   EXPECT_DOUBLE_EQ(kept[0].ts, 3);
   EXPECT_DOUBLE_EQ(kept[1].ts, 4);
 
-  const std::vector<JsonValue> lines = jsonl_lines(tracer);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].find("name")->string, "dropped_events");
-  EXPECT_DOUBLE_EQ(lines[0].find("args")->find("count")->number, 3);
-  EXPECT_DOUBLE_EQ(lines[1].find("ts")->number, 3);
-  EXPECT_DOUBLE_EQ(lines[2].find("ts")->number, 4);
-
-  std::ostringstream chrome;
-  tracer.write_chrome_trace(chrome);
-  const JsonValue doc = parse_json(chrome.str());
   std::vector<double> instants;
   double dropped = -1;
-  for (const JsonValue& ev : doc.find("traceEvents")->array) {
+  for (const JsonValue& ev : chrome_events(tracer)) {
     if (ev.find("name")->string == "dropped_events")
       dropped = ev.find("args")->find("count")->number;
     if (ev.find("ph")->string == "i") instants.push_back(ev.find("ts")->number);
@@ -243,9 +229,11 @@ TEST(Tracer, ExportsEveryArgType) {
                 {"b", true},
                 {"s", name}});
   emit_instant(&tracer, 2, "b", "test", {{"q", "x\"y"}});
-  const std::vector<JsonValue> lines = jsonl_lines(tracer);
-  ASSERT_EQ(lines.size(), 3u);
-  const JsonValue& a = *lines[1].find("args");
+  // Three metadata records (two track names, the dropped count), then the
+  // two events in ts order.
+  const std::vector<JsonValue> events = chrome_events(tracer);
+  ASSERT_EQ(events.size(), 5u);
+  const JsonValue& a = *events[3].find("args");
   ASSERT_EQ(a.object.size(), 5u);
   EXPECT_EQ(a.object[0].first, "i");
   EXPECT_DOUBLE_EQ(a.find("i")->number, -2);
@@ -253,7 +241,7 @@ TEST(Tracer, ExportsEveryArgType) {
   EXPECT_DOUBLE_EQ(a.find("d")->number, 1.5);
   EXPECT_TRUE(a.find("b")->boolean);
   EXPECT_EQ(a.find("s")->string, "FVDF-NC");
-  EXPECT_EQ(lines[2].find("args")->find("q")->string, "x\"y");
+  EXPECT_EQ(events[4].find("args")->find("q")->string, "x\"y");
 }
 
 TEST(Json, EscapeAndNumbers) {

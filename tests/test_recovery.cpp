@@ -21,6 +21,8 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "codec/checksum.hpp"
@@ -565,17 +567,17 @@ TEST(RecoveryCrash, KeepsNewestTwoAndFallsBackPastACorruptNewest) {
   config.recovery.restore = true;
   config.sink = &tracer;
   const sim::Metrics recovered = run_once(trace, fabric, cpu, "FVDF", config);
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  std::istringstream lines(jsonl.str());
-  std::vector<std::string> restores;
-  for (std::string line; std::getline(lines, line);)
-    if (line.find("\"name\":\"restore\"") != std::string::npos)
-      restores.push_back(line.substr(line.find("\"args\":")));
-  EXPECT_EQ(restores, (std::vector<std::string>{
-                          "\"args\":{\"seq\":" + std::to_string(older) +
-                          ",\"journal_suffix\":" + std::to_string(suffix) +
-                          "}}"}));
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> restores;
+  for (const obs::TraceEvent& ev : tracer.events())
+    if (std::string_view(ev.name) == "restore") {
+      ASSERT_EQ(std::string_view(ev.args[0].key), "seq");
+      ASSERT_EQ(std::string_view(ev.args[1].key), "journal_suffix");
+      restores.emplace_back(std::get<std::uint64_t>(ev.args[0].value),
+                            std::get<std::uint64_t>(ev.args[1].value));
+    }
+  EXPECT_EQ(restores,
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                {older, suffix}}));
   expect_identical(recovered, clean, "restore past a corrupt newest snapshot");
 }
 

@@ -230,6 +230,39 @@ TEST_F(AdmissionLadder, SlowCodecDegradesToUncompressed) {
   EXPECT_GT(d.t_compressed, d.t_uncompressed);
 }
 
+TEST(AdmissionPricing, CompressedBoundUsesTheFlowsOwnRatio) {
+  // One 1000 B flow whose payload compresses to 20%, under a codec whose
+  // own ratio is 0.5. By hand: 1 s to encode 1000 B at 1000 B/s, then the
+  // 200 B that remain cross the 100 B/s sender in 2 s, so 3 s; the
+  // receiver sees the same 200 B in 2 s. Raw, 1000 B take 10 s.
+  const fabric::Fabric fabric(2, 100.0);
+  const cpu::ConstantCpu cpu(1.0);
+  const codec::CodecModel codec{"t", 1000.0, 4000.0, 0.5};
+  fabric::Flow f;
+  f.src = 0;
+  f.dst = 1;
+  f.original_bytes = 1000;
+  f.raw_remaining = 1000;
+  f.compress_ratio = 0.2;
+  fabric::Coflow c;
+  c.deadline = 20;
+  c.flows = {f.id};
+  core::AdmissionConfig cfg;
+  cfg.enabled = true;
+  core::AdmissionController ctl(cfg, fabric);
+  const auto d = ctl.admit(c, {f}, fabric, cpu, &codec, 0.0);
+  EXPECT_DOUBLE_EQ(d.t_compressed, 3.0);
+  EXPECT_DOUBLE_EQ(d.t_uncompressed, 10.0);
+  EXPECT_EQ(d.verdict, core::AdmissionVerdict::kAdmit);
+  // Behind a 1000 B/s sender the receiver bounds it: the sender takes
+  // 1 s + 0.2 s, the receiver 200 B at 100 B/s = 2 s.
+  const fabric::Fabric fast_sender({1000.0, 1000.0}, {100.0, 100.0});
+  core::AdmissionController receiver_bound(cfg, fast_sender);
+  EXPECT_DOUBLE_EQ(
+      receiver_bound.admit(c, {f}, fast_sender, cpu, &codec, 0.0).t_compressed,
+      2.0);
+}
+
 TEST_F(AdmissionLadder, ShareGuardShedsOverload) {
   core::AdmissionConfig cfg;
   cfg.enabled = true;

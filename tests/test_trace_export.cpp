@@ -248,22 +248,5 @@ TEST_F(TraceExport, RegistryAgreesWithTraceEvents) {
   EXPECT_GT(reg.histogram("prof.fvdf.allocate").count(), 0u);
 }
 
-TEST_F(TraceExport, JsonlExportParsesLineByLine) {
-  std::ostringstream oss;
-  tracer_.write_jsonl(oss);
-  std::istringstream iss(oss.str());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(iss, line)) {
-    const obs::JsonValue ev = obs::parse_json(line);
-    ASSERT_TRUE(ev.is_object());
-    if (lines == 0) {
-      EXPECT_EQ(ev.find("name")->string, "dropped_events");
-    }
-    ++lines;
-  }
-  EXPECT_EQ(lines, tracer_.size() + 1);  // the dropped count, then events
-}
-
 }  // namespace
 }  // namespace swallow

@@ -40,7 +40,6 @@ TEST(Trace, AggregatesSizes) {
   EXPECT_EQ(t.total_flows(), 3u);
   EXPECT_DOUBLE_EQ(t.total_bytes(), 3500.0);
   EXPECT_DOUBLE_EQ(t.coflows[0].total_bytes(), 1500.0);
-  EXPECT_DOUBLE_EQ(t.coflows[0].max_flow_bytes(), 1000.0);
   EXPECT_EQ(t.coflows[0].width(), 2u);
 }
 
