@@ -54,8 +54,7 @@ struct Flow {
   common::Seconds arrival = 0;
   common::Seconds completion = kNeverCompleted;
 
-  bool compressible = true;      ///< payload benefits from compression at all
-  bool compress_enabled = false; ///< paper's beta for the current slice
+  bool compressible = true;  ///< payload benefits from compression at all
   /// Per-flow compression ratio override; 0 = use the codec model's ratio.
   double compress_ratio = 0;
 

@@ -33,10 +33,11 @@
 
 namespace swallow::recovery {
 
-// Version 3: raw payload under one whole-file XXH64. Version 1 (LZ frame,
-// FNV-1a blocks) and version 2 (LZ frame, XXH64 blocks) files are refused
-// at the version field, before their fingerprint or body is looked at.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// Version 4: raw payload under one whole-file XXH64. Version 1 (LZ frame,
+// FNV-1a blocks), version 2 (LZ frame, XXH64 blocks) and version 3 (as 4,
+// plus a never-set per-flow compress flag) files are refused at the
+// version field, before their fingerprint or body is looked at.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;          // checkpoint sequence number

@@ -958,7 +958,6 @@ void Engine::fields(Self& e, IO& io) {
     io.f64(f.sent);
     io.f64(f.sent_compressed);
     io.f64(f.completion);
-    io.boolean(f.compress_enabled);
   }
 
   io.tag("RATE");

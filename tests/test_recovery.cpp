@@ -658,20 +658,23 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
     EXPECT_EQ(e.offset(), 12u);
   }
 
-  // So is a version-2 file: the same header, then bytes the loader never
-  // reads (the payload here; version 2 stored an LZ frame of it).
-  recovery::StateWriter v2;
-  v2.bytes(std::span(valid).first(12));  // magic, seq
-  v2.u32(2);
-  v2.u64(meta.fingerprint);
-  v2.bytes(payload.buffer());
-  const std::span<const std::uint8_t> v2_bytes = v2.buffer();
-  spit(mangled, {v2_bytes.begin(), v2_bytes.end()});
-  try {
-    (void)recovery::read_snapshot(mangled, meta.fingerprint);
-    FAIL() << "version-2 snapshot accepted";
-  } catch (const recovery::RecoveryError& e) {
-    EXPECT_EQ(e.offset(), 12u);
+  // So are version-2 and version-3 files: the same header, then bytes the
+  // loader never reads (the payload here; version 2 stored an LZ frame of
+  // it, version 3 one more byte per flow).
+  for (const std::uint32_t version : {2u, 3u}) {
+    recovery::StateWriter old;
+    old.bytes(std::span(valid).first(12));  // magic, seq
+    old.u32(version);
+    old.u64(meta.fingerprint);
+    old.bytes(payload.buffer());
+    const std::span<const std::uint8_t> old_bytes = old.buffer();
+    spit(mangled, {old_bytes.begin(), old_bytes.end()});
+    try {
+      (void)recovery::read_snapshot(mangled, meta.fingerprint);
+      FAIL() << "version-" << version << " snapshot accepted";
+    } catch (const recovery::RecoveryError& e) {
+      EXPECT_EQ(e.offset(), 12u);
+    }
   }
 }
 
@@ -797,10 +800,10 @@ TEST(RecoverySnapshot, FileBytesArePinned) {
     const auto files =
         midrun_snapshots(trace, fabric, cpu, "DEADLINE-FVDF", config);
     ASSERT_EQ(files.size(), 2u);
-    EXPECT_EQ(files[0].size(), 4169u);
-    EXPECT_EQ(codec::checksum64(files[0]), 0x9a36da9893b946c1ull);
-    EXPECT_EQ(files[1].size(), 4537u);
-    EXPECT_EQ(codec::checksum64(files[1]), 0x6bd76bd748f0f213ull);
+    EXPECT_EQ(files[0].size(), 4116u);
+    EXPECT_EQ(codec::checksum64(files[0]), 0xbb03823b564e4be3ull);
+    EXPECT_EQ(files[1].size(), 4484u);
+    EXPECT_EQ(codec::checksum64(files[1]), 0x18e5e8f6fbb78cfeull);
   }
   {
     SCOPED_TRACE("FVDF");
@@ -810,10 +813,10 @@ TEST(RecoverySnapshot, FileBytesArePinned) {
     config.codec = &codec::default_codec_model();
     const auto files = midrun_snapshots(trace, fabric, cpu, "FVDF", config);
     ASSERT_EQ(files.size(), 2u);
-    EXPECT_EQ(files[0].size(), 2719u);
-    EXPECT_EQ(codec::checksum64(files[0]), 0xf3ecb439892eb6eeull);
-    EXPECT_EQ(files[1].size(), 2743u);
-    EXPECT_EQ(codec::checksum64(files[1]), 0x7e1525430bbb561eull);
+    EXPECT_EQ(files[0].size(), 2683u);
+    EXPECT_EQ(codec::checksum64(files[0]), 0xb766dcb29dd25452ull);
+    EXPECT_EQ(files[1].size(), 2707u);
+    EXPECT_EQ(codec::checksum64(files[1]), 0x8c80d74314f7bef1ull);
   }
 }
 
