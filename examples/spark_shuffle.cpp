@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
         tasks.emplace_back([&sc, &failed, coflow_ref, flow, mapper, reducer,
                             payload = partitions[index]] {
           try {
-            sc.push(coflow_ref, flow, payload, mapper, reducer);
+            sc.push(coflow_ref, {{flow, reducer}}, payload, mapper);
           } catch (const ShuffleError& e) {
             std::cout << "push failed: " << e.what() << '\n';
             failed = true;

@@ -275,8 +275,15 @@ void LzCodec::decode(std::span<const std::uint8_t> in,
     if (ip + lit_len > in_size) throw CodecError("swlz: truncated literals");
     if (op + lit_len > out_size)
       throw CodecError("swlz: literals overflow output");
-    std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(ip), lit_len,
-                out.begin() + static_cast<std::ptrdiff_t>(op));
+    // A short run moves as one 16-byte word when both buffers hold 16 bytes
+    // from here. The bytes it writes past the run are rewritten by the
+    // sequences after it before anything reads them: the output fills in
+    // order and matches only read behind `op`.
+    if (lit_len <= 16 && ip + 16 <= in_size && op + 16 <= out_size)
+      std::memcpy(out.data() + op, in.data() + ip, 16);
+    else
+      std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(ip), lit_len,
+                  out.begin() + static_cast<std::ptrdiff_t>(op));
     ip += lit_len;
     op += lit_len;
 
@@ -294,10 +301,18 @@ void LzCodec::decode(std::span<const std::uint8_t> in,
     const std::size_t match_len = read_extended(token & 0x0f) + kMinMatch;
     if (op + match_len > out_size)
       throw CodecError("swlz: match overflows output");
-    // Byte-wise copy: overlapping matches (offset < len) replicate runs.
     const std::uint8_t* src = out.data() + (op - offset);
     std::uint8_t* dst = out.data() + op;
-    for (std::size_t i = 0; i < match_len; ++i) dst[i] = src[i];
+    if (offset >= 8 && out_size - op - match_len >= 8) {
+      // 8-byte steps: each step reads 8 bytes at least 8 behind the ones it
+      // writes, all final. The last step may write up to 7 bytes past the
+      // match, inside the output and rewritten later, as for literals.
+      for (std::size_t i = 0; i < match_len; i += 8)
+        std::memcpy(dst + i, src + i, 8);
+    } else {
+      // Byte-wise copy: overlapping matches (offset < 8) replicate runs.
+      for (std::size_t i = 0; i < match_len; ++i) dst[i] = src[i];
+    }
     op += match_len;
   }
 }

@@ -156,8 +156,10 @@ void SwallowContext::alloc(const SchedResult& result) {
 
 bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
                                    std::span<const std::uint8_t> data,
-                                   WorkerId src, WorkerId dst, int attempt) {
+                                   WorkerId src, WorkerId dst, int attempt,
+                                   FrameMemo* memo) {
   FaultInjector& injector = cluster_->injector();
+  obs::Sink* const sink = cluster_->sink();
   // Dead workers are routed around: a killed sender's retained blocks go
   // out through a survivor, a killed receiver's partitions land on its
   // replacement (where the re-pull finds them).
@@ -171,7 +173,6 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
   // corruption is detected at pull time rather than silently reducing
   // garbage.
   const FlowDecision decision = cluster_->master().decision_of(block);
-  const std::size_t chunk_bytes = cluster_->config().chunk_bytes;
   const codec::NullCodec null;
   const codec::Codec& chosen =
       decision.compress ? cluster_->codec()
@@ -183,27 +184,50 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
       injector.inject(FaultKind::kCodecFail, block, attempt))
     throw codec::CodecError("injected codec failure");
 
+  Frame* const kept = memo != nullptr ? &(*memo)[decision.compress] : nullptr;
   codec::Buffer wire;
   {
     // Pipelined chunked path (DESIGN.md §14): chunk N crosses the NIC
     // limiters while chunk N+1 encodes on the shared pool, overlapping the
     // paper's compression and transmission stages inside one block. The
     // SWF2 framing is deterministic (byte-identical to the one-shot serial
-    // encode), and corrupt injection is a pure function of
-    // (seed, kind, block, attempt), so flipping bytes on the assembled
-    // wire after transfer is equivalent to corrupt-then-send.
-    codec::ChunkEncoder enc(chosen, data, chunk_bytes,
-                            cluster_->chunk_pool(), &cluster_->ledger());
-    obs::ProfileScope scope(cluster_->sink(), "runtime.push.transfer",
-                            "runtime");
+    // encode), so a frame kept from an earlier target of the same push is
+    // the frame this target would encode. Corrupt injection is a pure
+    // function of (seed, kind, block, attempt), so flipping bytes on the
+    // assembled wire after transfer is equivalent to corrupt-then-send.
+    obs::ProfileScope scope(sink, "runtime.push.transfer", "runtime");
     const std::uint64_t rank = cluster_->master().rank_of(ref);
     const PortGate::Ticket ticket = sender.egress_gate().acquire(rank);
-    try {
-      while (enc.has_next()) {
-        const codec::Buffer piece = enc.next();
+    const auto send = [&](std::span<const std::uint8_t> piece) {
+      {
+        obs::ProfileScope nic(sink, "runtime.push.nic", "runtime");
         sender.egress().acquire(piece.size());
         receiver.ingress().acquire(piece.size());
-        wire.insert(wire.end(), piece.begin(), piece.end());
+      }
+      wire.insert(wire.end(), piece.begin(), piece.end());
+    };
+    std::vector<std::size_t> pieces;  // a fresh encode that will be kept
+    try {
+      if (kept != nullptr && !kept->pieces.empty()) {
+        wire.reserve(kept->bytes.size());
+        std::span<const std::uint8_t> rest = kept->bytes;
+        for (const std::size_t n : kept->pieces) {
+          send(rest.first(n));
+          rest = rest.subspan(n);
+        }
+      } else {
+        codec::ChunkEncoder enc(chosen, data, cluster_->config().chunk_bytes,
+                                cluster_->chunk_pool(), &cluster_->ledger());
+        while (enc.has_next()) {
+          codec::Buffer piece;
+          {
+            obs::ProfileScope wait(sink, "runtime.push.encode_wait",
+                                   "runtime");
+            piece = enc.next();
+          }
+          send(piece);
+          if (kept != nullptr) pieces.push_back(piece.size());
+        }
       }
     } catch (...) {
       sender.egress_gate().release(ticket);
@@ -211,6 +235,10 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
     }
     sender.egress_gate().release(ticket);
     wire.shrink_to_fit();
+    // Kept only once the whole stream encoded, and before corruption
+    // touches this target's copy.
+    if (kept != nullptr && !pieces.empty())
+      *kept = Frame{wire, std::move(pieces)};
     if (injector.inject(FaultKind::kCorrupt, block, attempt))
       injector.corrupt(wire, block, attempt);
   }
@@ -281,29 +309,34 @@ std::size_t SwallowContext::replay_in_flight() {
   return replayed;
 }
 
-void SwallowContext::push(CoflowRef ref, BlockId block,
-                          std::span<const std::uint8_t> data, WorkerId src,
-                          WorkerId dst) {
+void SwallowContext::push(CoflowRef ref, const std::vector<PushTarget>& targets,
+                          std::span<const std::uint8_t> data, WorkerId src) {
   obs::ProfileScope push_scope(cluster_->sink(), "runtime.push", "runtime");
   const RetryPolicy& retry = cluster_->config().retry;
-  // Retain before the first attempt so even a sender crash mid-transfer
-  // leaves the bytes recoverable (only when faults can actually happen —
-  // the disabled path keeps zero copies).
-  if (cluster_->injector().enabled())
-    cluster_->retention().retain(BlockKey{ref, block}, src, dst, data);
+  // A single target has no later one to share its frame with.
+  FrameMemo memo;
+  FrameMemo* const shared = targets.size() > 1 ? &memo : nullptr;
+  for (const auto& [block, dst] : targets) {
+    // Retain before the first attempt so even a sender crash mid-transfer
+    // leaves the bytes recoverable (only when faults can actually happen —
+    // the disabled path keeps zero copies).
+    if (cluster_->injector().enabled())
+      cluster_->retention().retain(BlockKey{ref, block}, src, dst, data);
 
-  common::Rng jitter_rng(cluster_->config().fault.seed ^ (block * 0x9e37ULL));
-  for (int attempt = 0;; ++attempt) {
-    try {
-      transfer_once(ref, block, data, src, dst, attempt);
-      return;  // delivered — or silently lost, which the pull side recovers
-    } catch (const codec::CodecError&) {
-      cluster_->master().record_flow_failure(block);
-      if (attempt + 1 >= retry.max_attempts)
-        throw ShuffleError(ShuffleFailure::kCodecFailure, ref, block, block);
-      cluster_->fault_counters().on_retry();
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          backoff_delay(retry, attempt + 1, jitter_rng)));
+    common::Rng jitter_rng(cluster_->config().fault.seed ^
+                           (block * 0x9e37ULL));
+    for (int attempt = 0;; ++attempt) {
+      try {
+        transfer_once(ref, block, data, src, dst, attempt, shared);
+        break;  // delivered — or silently lost, which the pull side recovers
+      } catch (const codec::CodecError&) {
+        cluster_->master().record_flow_failure(block);
+        if (attempt + 1 >= retry.max_attempts)
+          throw ShuffleError(ShuffleFailure::kCodecFailure, ref, block, block);
+        cluster_->fault_counters().on_retry();
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            backoff_delay(retry, attempt + 1, jitter_rng)));
+      }
     }
   }
 }

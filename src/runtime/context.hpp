@@ -7,11 +7,12 @@
 //   auto ref        = ctx.add(coflow);             // Driver
 //   auto result     = ctx.scheduling({ref});       // Driver
 //   ctx.alloc(result);                             // ClusterManager
-//   ctx.push(ref, block_id, data, src, dst);       // Sender
+//   ctx.push(ref, {{block_id, dst}}, data, src);   // Sender
 //   auto data       = ctx.pull(ref, block_id, dst);// Receiver
 //   ctx.remove(ref);                               // Driver
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -114,6 +115,13 @@ class Cluster {
   RetentionStore retention_;
 };
 
+/// One destination of a push: the block id its receiver pulls and the
+/// worker it lands on.
+struct PushTarget {
+  BlockId block = 0;
+  WorkerId dst = 0;
+};
+
 class SwallowContext {
  public:
   explicit SwallowContext(Cluster& cluster) : cluster_(&cluster) {}
@@ -127,15 +135,20 @@ class SwallowContext {
   SchedResult scheduling(const std::vector<CoflowRef>& refs);
   void alloc(const SchedResult& result);
 
-  /// Sender side: optionally compresses, waits for the coflow's turn on the
-  /// source egress port, moves the bytes through both NIC limiters, and
-  /// lands the block in the destination's store. Blocking. Injected codec
+  /// Sender side: sends one payload to each target in order. Per target it
+  /// optionally compresses, waits for the coflow's turn on the source
+  /// egress port, moves the bytes through both NIC limiters, and lands the
+  /// block in the destination's store. Blocking. The payload is encoded
+  /// once per codec decision: a later target whose block takes the same
+  /// decision as an earlier one sends the frame already encoded, piece for
+  /// piece (the frames are byte-identical, DESIGN.md §14). Injected codec
   /// failures are retried with backoff (degrading the flow to uncompressed
   /// past the RetryPolicy threshold); injected drops/stalls are invisible
   /// to the sender — the pull side recovers them. Throws ShuffleError
-  /// (kCodecFailure) when the retry budget is exhausted.
-  void push(CoflowRef ref, BlockId block, std::span<const std::uint8_t> data,
-            WorkerId src, WorkerId dst);
+  /// (kCodecFailure) when a target's retry budget is exhausted; the
+  /// targets after it are not sent.
+  void push(CoflowRef ref, const std::vector<PushTarget>& targets,
+            std::span<const std::uint8_t> data, WorkerId src);
 
   /// Receiver side: waits for the block (bounded by RetryPolicy's
   /// per-attempt pull_timeout), decompresses if needed, and on timeout or
@@ -158,12 +171,24 @@ class SwallowContext {
   std::size_t replay_in_flight();
 
  private:
+  /// A payload's SWF2 frame under one codec decision and the sizes of the
+  /// pieces the encoder yielded it in. Empty `pieces`: not encoded yet.
+  struct Frame {
+    codec::Buffer bytes;
+    std::vector<std::size_t> pieces;
+  };
+  /// The frames one push() call has encoded, indexed by the decision's
+  /// `compress`. It lives for that call only.
+  using FrameMemo = std::array<Frame, 2>;
+
   /// One delivery attempt; returns true when the block reached the
   /// receiver's store (false: injected drop or sender death mid-transfer).
-  /// Throws codec::CodecError on an injected codec failure.
+  /// Throws codec::CodecError on an injected codec failure. With a memo,
+  /// a frame it holds for the block's decision is sent instead of encoding
+  /// `data`, and a fresh encode is stored in it.
   bool transfer_once(CoflowRef ref, BlockId block,
                      std::span<const std::uint8_t> data, WorkerId src,
-                     WorkerId dst, int attempt);
+                     WorkerId dst, int attempt, FrameMemo* memo = nullptr);
   /// Re-push from the retention store; false when nothing was retained.
   bool retransmit(CoflowRef ref, BlockId block, int attempt);
 

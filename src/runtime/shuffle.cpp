@@ -138,8 +138,8 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
       tasks.spawn([&, m] {
         for (std::size_t r = 0; r < config.reducers; ++r) {
           const std::size_t idx = m * config.reducers + r;
-          ctx.push(ref, block_id(m, r), partitions[idx], mapper_worker(m),
-                   reducer_worker(r));
+          ctx.push(ref, {{block_id(m, r), reducer_worker(r)}},
+                   partitions[idx], mapper_worker(m));
           map_pool.release(std::move(partitions[idx]));
         }
       });
@@ -149,6 +149,8 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
         std::uint64_t sink = 0;
         double my_reduce = 0;
         codec::Buffer output;
+        if (config.result_replicas > 0)
+          output.reserve(config.mappers * config.bytes_per_partition);
         for (std::size_t m = 0; m < config.mappers; ++m) {
           const BlockId id = block_id(m, r);
           codec::Buffer data =
@@ -198,13 +200,15 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
     auto result_block = [&](std::size_t r, std::size_t k) {
       return static_cast<BlockId>(base + 500'000 + r * 100 + k);
     };
+    auto replica_worker = [&](std::size_t r, std::size_t k) {
+      return static_cast<WorkerId>((reducer_worker(r) + k + 1) %
+                                   cluster.size());
+    };
     for (std::size_t r = 0; r < config.reducers; ++r) {
       for (std::size_t k = 0; k < config.result_replicas; ++k) {
-        const auto dst = static_cast<WorkerId>(
-            (reducer_worker(r) + k + 1) % cluster.size());
         cluster.worker(reducer_worker(r))
             .register_flow(FlowInfo{result_block(r, k), 0,
-                                    reducer_worker(r), dst,
+                                    reducer_worker(r), replica_worker(r, k),
                                     outputs[r].size(), true});
       }
     }
@@ -218,13 +222,13 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
     {
       TaskGroup writers;
       for (std::size_t r = 0; r < config.reducers; ++r) {
+        // One push per output: every replica whose decision matches gets
+        // the frame encoded for the first.
         writers.spawn([&, r] {
-          for (std::size_t k = 0; k < config.result_replicas; ++k) {
-            const auto dst = static_cast<WorkerId>(
-                (reducer_worker(r) + k + 1) % cluster.size());
-            ctx.push(result_ref, result_block(r, k), outputs[r],
-                     reducer_worker(r), dst);
-          }
+          std::vector<PushTarget> replicas;
+          for (std::size_t k = 0; k < config.result_replicas; ++k)
+            replicas.push_back({result_block(r, k), replica_worker(r, k)});
+          ctx.push(result_ref, replicas, outputs[r], reducer_worker(r));
         });
       }
       try {

@@ -3,7 +3,10 @@
 // ratio ordering across presets, and varint edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "codec/codec.hpp"
 #include "codec/lz_codec.hpp"
@@ -11,6 +14,7 @@
 #include "codec/rle_codec.hpp"
 #include "codec/synth_data.hpp"
 #include "codec/varint.hpp"
+#include "reference_lz.hpp"
 
 namespace swallow::codec {
 namespace {
@@ -157,6 +161,101 @@ TEST(LzCodec, RejectsWrongCodecId) {
   const LzCodec fast(LzPreset::kFast);
   const Buffer compressed = balanced.compress(Buffer{1, 2, 3, 4, 5});
   EXPECT_THROW(fast.decompress(compressed), CodecError);
+}
+
+/// Appends one swlz sequence: `lits`, then a `match_len`-byte match at
+/// `offset`; match_len 0 makes it the final, literal-only sequence.
+void put_sequence(Buffer& s, std::span<const std::uint8_t> lits,
+                  std::size_t offset, std::size_t match_len) {
+  const auto extend = [&](std::size_t n) {
+    if (n < 15) return;
+    for (n -= 15; n >= 255; n -= 255) s.push_back(255);
+    s.push_back(static_cast<std::uint8_t>(n));
+  };
+  const std::size_t m = match_len == 0 ? 0 : match_len - 4;
+  s.push_back(static_cast<std::uint8_t>(std::min<std::size_t>(lits.size(), 15)
+                                            << 4 |
+                                        std::min<std::size_t>(m, 15)));
+  extend(lits.size());
+  s.insert(s.end(), lits.begin(), lits.end());
+  if (match_len == 0) return;
+  s.push_back(static_cast<std::uint8_t>(offset & 0xff));
+  s.push_back(static_cast<std::uint8_t>(offset >> 8));
+  extend(m);
+}
+
+// The decoder's word copies against the byte loop they replaced, on
+// hand-built streams: 24 bytes of set-up, then a sequence with every
+// literal run 0-40, offset 1-20 and match length 4-40, then a final run of
+// 0-17 literals, so the sequence under test ends anywhere from the
+// output's last byte to 17 bytes before it. 16 spare bytes behind the
+// output catch a word copy that writes past it. Each stream is decoded
+// once more under a header that ends the output right after the literal
+// run under test, where the match after it must fail in both decoders.
+TEST(LzDecode, WordCopiesMatchTheByteLoopOnCraftedStreams) {
+  const LzCodec codec(LzPreset::kBalanced);
+  Buffer bytes(64);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  const std::span<const std::uint8_t> lits(bytes);
+  const auto container = [&](std::size_t raw,
+                             std::span<const std::uint8_t> payload) {
+    Buffer c(1 + kMaxVarintBytes, codec.id());
+    c.resize(1 + write_varint(raw, c, 1));
+    c.insert(c.end(), payload.begin(), payload.end());
+    return c;
+  };
+  Buffer payload;
+  for (std::size_t offset = 1; offset <= 20; ++offset) {
+    for (std::size_t lit = 0; lit <= 40; ++lit) {
+      for (std::size_t len = 4; len <= 40; ++len) {
+        for (std::size_t tail = 0; tail <= 17; ++tail) {
+          payload.clear();
+          put_sequence(payload, lits.first(20), 1, 4);
+          put_sequence(payload, lits.subspan(20, lit), offset, len);
+          put_sequence(payload, lits.first(tail), 0, 0);
+          const std::size_t raw = 24 + lit + len + tail;
+          const auto out = reference::expect_same_lz_decode(
+              codec, container(raw, payload), raw + 16);
+          ASSERT_TRUE(out && !HasFailure())
+              << "offset " << offset << ", literals " << lit << ", match "
+              << len << ", tail " << tail;
+          if (tail > 0) continue;
+          const auto cut = reference::expect_same_lz_decode(
+              codec, container(24 + lit, payload), 24 + lit + 16);
+          ASSERT_TRUE(!cut && !HasFailure())
+              << "offset " << offset << ", literals " << lit << ", match "
+              << len << ", output cut after the literals";
+        }
+      }
+    }
+  }
+}
+
+// Every payload size from 0 to 64 through all three presets, so the
+// encoder's own sequences end within 16 bytes of the output's end too.
+TEST(LzDecode, WordCopiesMatchTheByteLoopAtEverySmallSize) {
+  Rng rng(11);
+  for (const LzPreset preset :
+       {LzPreset::kFast, LzPreset::kBalanced, LzPreset::kHigh}) {
+    const LzCodec codec(preset);
+    for (std::size_t n = 0; n <= 64; ++n) {
+      std::vector<Buffer> payloads = {Buffer(n, 0x5a), text_bytes(n, rng),
+                                      random_bytes(n, rng)};
+      for (const std::size_t period : {2, 3, 8, 9, 13}) {
+        Buffer periodic(n);
+        for (std::size_t i = 0; i < n; ++i)
+          periodic[i] = static_cast<std::uint8_t>(i % period * 29 + 1);
+        payloads.push_back(std::move(periodic));
+      }
+      for (const Buffer& payload : payloads) {
+        const auto out = reference::expect_same_lz_decode(
+            codec, codec.compress(payload), n + 16);
+        ASSERT_TRUE(out.has_value()) << codec.name() << " size " << n;
+        EXPECT_EQ(*out, payload) << codec.name() << " size " << n;
+      }
+    }
+  }
 }
 
 TEST(RleCodec, CompressesRunsHard) {

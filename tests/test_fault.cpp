@@ -315,6 +315,50 @@ TEST(Fault, MatrixEveryKindEitherCompletesVerifiedOrThrowsTyped) {
   }
 }
 
+// One payload pushed to two targets under every fault kind at once. Each
+// target keeps its own retention, injections, retries and delivery, so
+// both blocks pull back byte-exact, whether a target sent the frame
+// encoded for the one before it or encoded its own (a retransmit, or a
+// flow the master degraded to uncompressed).
+TEST(Fault, MultiTargetPushRecoversEveryTarget) {
+  ClusterConfig config = fault_config();
+  config.fault.enabled = true;
+  config.fault.seed = 5;
+  config.fault.set_uniform_rate(0.25);
+  config.fault.stall_duration = 0.005;
+  config.retry.max_attempts = 8;
+  Cluster cluster(config);
+  SwallowContext ctx(cluster);
+
+  constexpr BlockId kPushes = 8;
+  std::vector<codec::Buffer> payloads;
+  for (BlockId i = 0; i < kPushes; ++i) {
+    common::Rng rng(100 + i);
+    payloads.push_back(codec::text_bytes(40 * 1024, rng));
+    for (const WorkerId dst : {1u, 2u})
+      cluster.worker(0).register_flow(
+          FlowInfo{2 * i + dst, 0, 0, dst, payloads.back().size(), true});
+  }
+  const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
+  ctx.alloc(ctx.scheduling({ref}));
+  for (BlockId i = 0; i < kPushes; ++i)
+    ctx.push(ref, {{2 * i + 1, 1}, {2 * i + 2, 2}}, payloads[i], 0);
+  for (BlockId i = 0; i < kPushes; ++i)
+    for (const WorkerId dst : {1u, 2u})
+      EXPECT_EQ(ctx.pull(ref, 2 * i + dst, dst), payloads[i])
+          << "push " << i << ", target " << dst;
+
+  const FaultStats stats = cluster.fault_stats();
+  EXPECT_GT(stats.injected_codec_failures, 0u);
+  EXPECT_GT(stats.injected_corruptions, 0u);
+  EXPECT_GT(stats.injected_drops, 0u);
+  EXPECT_GT(stats.injected_stalls, 0u);
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_GT(stats.degraded_flows, 0u);
+  ctx.remove(ref);
+  EXPECT_EQ(cluster.retention().block_count(), 0u);
+}
+
 TEST(Fault, DisabledInjectorIsByteIdenticalToBaseline) {
   // Baseline: a config that never mentions the fault machinery.
   ClusterConfig baseline = fault_config();
@@ -554,9 +598,9 @@ void failover_round(bool with_snapshot) {
   const CoflowRef ref = ctx.add(ctx.aggregate(std::move(all_flows)));
   ctx.alloc(ctx.scheduling({ref}));
   for (std::size_t i = 0; i < blocks.size(); ++i)
-    ctx.push(ref, blocks[i], payloads[blocks[i]],
-             static_cast<WorkerId>(i % cluster.size()),
-             static_cast<WorkerId>((i + 1) % cluster.size()));
+    ctx.push(ref,
+             {{blocks[i], static_cast<WorkerId>((i + 1) % cluster.size())}},
+             payloads[blocks[i]], static_cast<WorkerId>(i % cluster.size()));
 
   TempDir dir;
   if (with_snapshot) cluster.master().checkpoint(dir.str(), 1);

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <thread>
 
+#include "codec/null_codec.hpp"
 #include "runtime/context.hpp"
 #include "runtime/shuffle.hpp"
 
@@ -260,7 +261,7 @@ TEST(Context, PushPullRoundtripCompressed) {
   const CoflowRef ref = ctx.add(ctx.aggregate(std::move(flows)));
   ctx.alloc(ctx.scheduling({ref}));
 
-  ctx.push(ref, 1, payload, 0, 1);
+  ctx.push(ref, {{1, 1}}, payload, 0);
   // Compression happened: wire bytes below raw bytes.
   EXPECT_LT(cluster.total_wire_bytes(), payload.size());
   EXPECT_EQ(cluster.total_raw_bytes(), payload.size());
@@ -279,9 +280,73 @@ TEST(Context, PushWithoutCompressionKeepsBytes) {
   cluster.worker(0).register_flow({1, 0, 0, 1, payload.size(), true});
   const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
   ctx.alloc(ctx.scheduling({ref}));
-  ctx.push(ref, 1, payload, 0, 1);
+  ctx.push(ref, {{1, 1}}, payload, 0);
   EXPECT_GE(cluster.total_wire_bytes(), payload.size());
   EXPECT_EQ(ctx.pull(ref, 1, 1), payload);
+}
+
+// A two-target push encodes its payload once and lands the same frame at
+// both receivers that two single-target pushes land; both pull back to the
+// payload. A target whose flow the master degraded to uncompressed takes
+// its own frame.
+TEST(Context, MultiTargetPushLandsTheFramesOfSingleTargetPushes) {
+  common::Rng rng(7);
+  const codec::Buffer payload = codec::text_bytes(600'000, rng);  // 3 chunks
+  struct Sent {
+    std::vector<codec::Buffer> frames;
+    std::size_t chunks_encoded;
+    std::size_t wire_bytes;
+  };
+  const auto send = [&](bool one_push, bool degrade_second = false) {
+    Cluster cluster(fast_config());
+    SwallowContext ctx(cluster);
+    cluster.worker(0).register_flow({1, 0, 0, 1, payload.size(), true});
+    cluster.worker(0).register_flow({2, 0, 0, 2, payload.size(), true});
+    const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
+    ctx.alloc(ctx.scheduling({ref}));
+    if (degrade_second) {
+      for (int i = 0; i < cluster.config().retry.degrade_after; ++i)
+        cluster.master().record_flow_failure(2);
+      EXPECT_FALSE(cluster.master().decision_of(2).compress);
+    }
+    if (one_push) {
+      ctx.push(ref, {{1, 1}, {2, 2}}, payload, 0);
+    } else {
+      ctx.push(ref, {{1, 1}}, payload, 0);
+      ctx.push(ref, {{2, 2}}, payload, 0);
+    }
+    Sent sent{{}, cluster.ledger().chunks_encoded(),
+              cluster.total_wire_bytes()};
+    for (const BlockId block : {1, 2}) {
+      const auto dst = static_cast<WorkerId>(block);
+      const BlockKey key{ref, block};
+      auto frame = cluster.worker(dst).store().take_for(key, 0);
+      EXPECT_TRUE(frame.has_value()) << block;
+      if (!frame) continue;
+      sent.frames.push_back(*frame);
+      cluster.worker(dst).store().put(key, std::move(*frame));
+      EXPECT_EQ(ctx.pull(ref, block, dst), payload) << block;
+    }
+    ctx.remove(ref);
+    return sent;
+  };
+  const Sent together = send(true);
+  const Sent apart = send(false);
+  ASSERT_EQ(together.frames.size(), 2u);
+  ASSERT_EQ(apart.frames.size(), 2u);
+  EXPECT_LT(together.frames[0].size(), payload.size());  // compressed
+  EXPECT_EQ(together.frames[0], together.frames[1]);
+  EXPECT_EQ(together.frames, apart.frames);
+  EXPECT_EQ(together.wire_bytes, apart.wire_bytes);
+  EXPECT_EQ(together.chunks_encoded, 3u);
+  EXPECT_EQ(apart.chunks_encoded, 6u);
+
+  const Sent mixed = send(true, /*degrade_second=*/true);
+  ASSERT_EQ(mixed.frames.size(), 2u);
+  EXPECT_EQ(mixed.frames[0], together.frames[0]);
+  EXPECT_EQ(mixed.frames[1],
+            codec::chunk_compress(codec::NullCodec(), payload));
+  EXPECT_EQ(mixed.chunks_encoded, 6u);
 }
 
 TEST(Shuffle, JobRoundtripsAndReducesTraffic) {
@@ -352,6 +417,9 @@ TEST(Shuffle, ResultStageReplicatesOutputs) {
   EXPECT_EQ(report.raw_bytes, 3u * 2u * 2u * 16u * 1024u);
   // Replicated traffic is compressed too.
   EXPECT_GT(report.traffic_reduction(), 0.5);
+  // One encode per reducer output, not one per replica: each of the 2 x 2
+  // partitions (16 KiB) and each 32 KiB output is one chunk.
+  EXPECT_EQ(report.chunks_encoded, 2u * 2u + 2u);
   // remove() cleaned both coflows' blocks everywhere.
   for (WorkerId w = 0; w < cluster.size(); ++w)
     EXPECT_EQ(cluster.worker(w).store().block_count(), 0u) << w;
