@@ -189,8 +189,17 @@ class SwallowContext {
   bool transfer_once(CoflowRef ref, BlockId block,
                      std::span<const std::uint8_t> data, WorkerId src,
                      WorkerId dst, int attempt, FrameMemo* memo = nullptr);
-  /// Re-push from the retention store; false when nothing was retained.
-  bool retransmit(CoflowRef ref, BlockId block, int attempt);
+  /// Re-sends a retained copy as `attempt`: counts the retransmit, and
+  /// charges an injected codec failure to the flow (the receiver's pull
+  /// retry loop re-requests). False when the codec failed.
+  bool resend(BlockKey key, const RetentionStore::Retained& copy,
+              int attempt);
+  /// The step after failed attempt `attempt`: throws ShuffleError
+  /// (`failure`) once the retry budget is spent; otherwise counts the
+  /// retry, re-sends the retained copy when `retransmit` is set, and sleeps
+  /// the jittered backoff.
+  void retry_step(ShuffleFailure failure, CoflowRef ref, BlockId block,
+                  int attempt, common::Rng& jitter, bool retransmit);
 
   Cluster* cluster_;
 };
