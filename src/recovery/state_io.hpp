@@ -33,7 +33,6 @@
 //   vec(v, fn)                  a u64 size, then fn on every element
 //   map(m, fn)                  a u64 size, then fn(key, value) per entry
 //                               in key order; keys must ascend on read
-//   key(v, m)                   a u64 that must name a key of map m
 //   state(obj, bounds...)       a nested object through its own
 //                               save_state / restore_state
 //   end()                       no bytes may follow
@@ -140,10 +139,6 @@ class StateWriter {
   void map(const std::map<K, V>& m, const char*, Fn&& each) {
     u64(m.size());
     for (const auto& [k, v] : m) each(k, v);
-  }
-  template <std::integral T, class Map>
-  void key(T v, const Map&, const char*) {
-    u64(v);
   }
   template <class T, class... Bounds>
   void state(const T& obj, const Bounds&... bounds) {
@@ -309,15 +304,6 @@ class StateReader {
                             at);
       m.emplace_hint(m.end(), std::move(k), std::move(v));
     }
-  }
-  template <std::integral T, class Map>
-  void key(T& v, const Map& m, const char* what) {
-    const std::size_t at = pos_;
-    u64(v);
-    if (!m.contains(v))
-      throw RecoveryError(std::string("recovery: ") + what +
-                              " names an unknown key " + std::to_string(v),
-                          at);
   }
   template <class T, class... Bounds>
   void state(T& obj, const Bounds&... bounds) {

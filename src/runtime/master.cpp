@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/online.hpp"
 #include "obs/profile.hpp"
@@ -10,43 +11,71 @@
 
 namespace swallow::runtime {
 
-std::size_t CoflowInfo::total_bytes() const {
-  std::size_t total = 0;
-  for (const auto& f : flows) total += f.bytes;
-  return total;
+namespace {
+
+/// Unscheduled coflows queue behind scheduled ones, ordered by ref.
+constexpr std::uint64_t kUnscheduledRank = 1'000'000;
+
+}  // namespace
+
+Master::Master(std::size_t workers, common::Bps nic_rate,
+               codec::CodecModel codec, double cpu_headroom, bool compression,
+               obs::Sink* sink, int degrade_after)
+    : fabric_(workers, nic_rate),
+      cpu_(cpu_headroom),
+      codec_(std::move(codec)),
+      env_{&fabric_, &cpu_, compression ? &codec_ : nullptr},
+      sink_(sink),
+      degrade_after_(degrade_after) {}
+
+template <class Self>
+auto* Master::find_flow(Self& m, RtFlowId id) {
+  const auto it = m.index_.find(id);
+  return it == m.index_.end()
+             ? nullptr
+             : &m.coflows_.at(it->second.first).flows.at(it->second.second);
 }
 
-Master::Master(common::Bps nic_rate, codec::CodecModel codec,
-               double cpu_headroom, bool compression, obs::Sink* sink,
-               int degrade_after)
-    : nic_rate_(nic_rate),
-      codec_(std::move(codec)),
-      cpu_headroom_(cpu_headroom),
-      compression_(compression),
-      sink_(sink),
-      degrade_after_(degrade_after) {
-  if (nic_rate <= 0) throw std::invalid_argument("Master: non-positive NIC rate");
+std::optional<RtFlowId> Master::index_locked(CoflowRef ref,
+                                             const Entry& entry) {
+  decltype(index_) added;
+  for (std::size_t i = 0; i < entry.flows.size(); ++i) {
+    const RtFlowId id = entry.flows[i].info.flow_id;
+    if (index_.count(id) > 0 || !added.emplace(id, std::pair{ref, i}).second)
+      return id;
+  }
+  index_.merge(added);
+  return std::nullopt;
+}
+
+void Master::insert_locked(CoflowRef ref, CoflowInfo info) {
+  Entry entry;
+  entry.rank = kUnscheduledRank + ref;
+  entry.flows.reserve(info.flows.size());
+  for (FlowInfo& f : info.flows) entry.flows.push_back(FlowState{f});
+  if (const auto dup = index_locked(ref, entry))
+    throw std::invalid_argument("Master: flow " + std::to_string(*dup) +
+                                " is already registered");
+  coflows_.emplace(ref, std::move(entry));
 }
 
 CoflowRef Master::add(CoflowInfo info) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const CoflowRef ref = next_ref_++;
-  for (const auto& f : info.flows) flow_owner_[f.flow_id] = ref;
-  coflows_[ref] = Entry{std::move(info.flows), 1.0};
-  return ref;
+  insert_locked(next_ref_, std::move(info));
+  return next_ref_++;
 }
 
-void Master::remove(CoflowRef ref) {
+std::vector<RtFlowId> Master::remove(CoflowRef ref) {
   std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<RtFlowId> flows;
   const auto it = coflows_.find(ref);
-  if (it == coflows_.end()) return;
-  for (const auto& f : it->second.flows) {
-    decisions_.erase(f.flow_id);
-    flow_owner_.erase(f.flow_id);
-    flow_failures_.erase(f.flow_id);
+  if (it == coflows_.end()) return flows;
+  for (const FlowState& f : it->second.flows) {
+    flows.push_back(f.info.flow_id);
+    index_.erase(f.info.flow_id);
   }
   coflows_.erase(it);
-  ranks_.erase(ref);
+  return flows;
 }
 
 SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
@@ -56,68 +85,61 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
 
   struct Scored {
     CoflowRef ref;
+    Entry* entry;
     double gamma;
+    double key = 0;
   };
   std::vector<Scored> scored;
   scored.reserve(refs.size());
-  // Pseudocode 1's CPU test and Eq. 3 against the NIC bottleneck B. The
-  // master models one headroom and one NIC rate, so the gate is the same
-  // for every flow.
-  const bool gate_open =
-      compression_ && cpu::CpuProvider::can_compress(cpu_headroom_) &&
-      core::beats_bandwidth(
-          codec_.compress_speed * std::clamp(cpu_headroom_, 0.0, 1.0),
-          codec_.ratio, nic_rate_);
-
+  // Pricing reads the table and nothing else, so an unknown ref throws
+  // before any coflow ages.
   for (const CoflowRef ref : refs) {
     const auto it = coflows_.find(ref);
     if (it == coflows_.end())
       throw std::out_of_range("Master::scheduling: unknown coflow ref");
-    Entry& entry = it->second;
-    // Pseudocode 3 Upgrade: every scheduling event bumps priority classes.
-    entry.priority *= core::kPriorityLogBase;
-
     double gamma = 0;
-    for (const auto& f : entry.flows) {
-      // A degraded flow (repeated codec/corruption failures) stays
-      // uncompressed no matter what the gate says — re-scheduling must not
-      // resurrect the failing path.
-      const bool degraded = degraded_locked(f.flow_id);
-      const bool beta = !degraded && gate_open && f.compressible;
-      const double volume =
-          beta ? static_cast<double>(f.bytes) * codec_.ratio
-               : static_cast<double>(f.bytes);
-      // Expected flow time: compression pipeline then the wire.
-      const double compress_time =
-          beta ? static_cast<double>(f.bytes) /
-                     (codec_.compress_speed * cpu_headroom_)
-               : 0.0;
-      gamma = std::max(gamma, compress_time + volume / nic_rate_);
-      result.decisions[f.flow_id] = FlowDecision{beta, nic_rate_, degraded};
+    for (const FlowState& f : it->second.flows) {
+      fabric::Flow flow;
+      flow.src = f.info.src;
+      flow.dst = f.info.dst;
+      flow.raw_remaining = static_cast<common::Bytes>(f.info.bytes);
+      // A degraded flow is priced and sent as incompressible, so
+      // re-scheduling cannot resurrect the failing path.
+      flow.compressible = f.info.compressible && !degraded(f);
+      const core::FlowEval ev = core::evaluate_flow(env_, flow, false);
+      gamma = std::max(gamma, ev.fct);  // Eq. 8
+      result.decisions[f.info.flow_id] = FlowDecision{ev.beta, degraded(f)};
       if (sink_ != nullptr)
         obs::emit_instant(sink_, obs::wall_now_us(), "beta_decision",
                           "runtime",
-                          {{"flow", f.flow_id},
+                          {{"flow", f.info.flow_id},
                            {"coflow", ref},
-                           {"beta", beta}},
+                           {"beta", ev.beta},
+                           {"expected_fct", ev.fct}},
                           obs::kWallPid, obs::current_thread_tid());
     }
-    scored.push_back({ref, gamma / entry.priority});
+    scored.push_back({ref, &it->second, gamma});
+  }
+
+  for (Scored& s : scored) {
+    // Pseudocode 3 Upgrade: every scheduling call bumps the priority class
+    // of each coflow it names.
+    s.entry->priority *= core::kPriorityLogBase;
+    s.key = s.gamma / std::max(s.entry->priority, 1.0);
     if (sink_ != nullptr)
       obs::emit_instant(sink_, obs::wall_now_us(), "coflow_estimate",
                         "runtime",
-                        {{"coflow", ref},
-                         {"gamma", gamma},
-                         {"priority", entry.priority},
-                         {"key", gamma / entry.priority}},
+                        {{"coflow", s.ref},
+                         {"gamma", s.gamma},
+                         {"priority", s.entry->priority},
+                         {"key", s.key}},
                         obs::kWallPid, obs::current_thread_tid());
   }
-
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     if (a.gamma != b.gamma) return a.gamma < b.gamma;
-                     return a.ref < b.ref;
-                   });
+  std::sort(scored.begin(), scored.end(),
+            [](const Scored& a, const Scored& b) {
+              if (a.key != b.key) return a.key < b.key;
+              return a.ref < b.ref;
+            });
   result.order.reserve(scored.size());
   for (const auto& s : scored) result.order.push_back(s.ref);
   return result;
@@ -125,54 +147,38 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
 
 void Master::alloc(const SchedResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ranks_.clear();
+  for (auto& [ref, entry] : coflows_) entry.rank = kUnscheduledRank + ref;
   for (std::size_t i = 0; i < result.order.size(); ++i) {
     // Only coflows still registered get a rank: a stale SchedResult must
     // not leave orphaned entries behind after remove().
-    if (coflows_.count(result.order[i]) > 0) ranks_[result.order[i]] = i;
+    const auto it = coflows_.find(result.order[i]);
+    if (it != coflows_.end()) it->second.rank = i;
   }
-  for (const auto& [flow, decision] : result.decisions) {
-    // Same hygiene per flow, and degradation is sticky across re-allocs.
-    if (flow_owner_.count(flow) == 0) continue;
-    FlowDecision applied = decision;
-    if (degraded_locked(flow)) {
-      applied.compress = false;
-      applied.degraded = true;
-    }
-    decisions_[flow] = applied;
-  }
+  // Same hygiene per flow; decision_of masks β once a flow degrades.
+  for (const auto& [flow, decision] : result.decisions)
+    if (FlowState* f = find_flow(*this, flow)) f->beta = decision.compress;
 }
 
 std::uint64_t Master::rank_of(CoflowRef ref) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = ranks_.find(ref);
-  if (it != ranks_.end()) return it->second;
-  // Unscheduled coflows queue behind scheduled ones, ordered by ref.
-  return 1'000'000 + ref;
+  const auto it = coflows_.find(ref);
+  return it == coflows_.end() ? kUnscheduledRank + ref : it->second.rank;
 }
 
 FlowDecision Master::decision_of(RtFlowId flow) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = decisions_.find(flow);
-  return it == decisions_.end() ? FlowDecision{} : it->second;
-}
-
-bool Master::degraded_locked(RtFlowId flow) const {
-  if (degrade_after_ <= 0) return false;
-  const auto it = flow_failures_.find(flow);
-  return it != flow_failures_.end() && it->second >= degrade_after_;
+  const FlowState* f = find_flow(*this, flow);
+  if (f == nullptr) return FlowDecision{};
+  return FlowDecision{f->beta && !degraded(*f), degraded(*f)};
 }
 
 int Master::record_flow_failure(RtFlowId flow) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int count = ++flow_failures_[flow];
+  FlowState* f = find_flow(*this, flow);
+  if (f == nullptr) return 0;
+  const int count = ++f->failures;
   if (degrade_after_ > 0 && count == degrade_after_) {
     ++degraded_count_;
-    const auto it = decisions_.find(flow);
-    if (it != decisions_.end()) {
-      it->second.compress = false;
-      it->second.degraded = true;
-    }
     if (sink_ != nullptr) {
       sink_->registry().counter("runtime.degraded_flows").add(1);
       obs::emit_instant(sink_, obs::wall_now_us(), "flow_degraded", "fault",
@@ -183,24 +189,9 @@ int Master::record_flow_failure(RtFlowId flow) {
   return count;
 }
 
-std::size_t Master::active_coflows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return coflows_.size();
-}
-
 std::size_t Master::degraded_flows() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return degraded_count_;
-}
-
-std::size_t Master::decision_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return decisions_.size();
-}
-
-std::size_t Master::rank_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ranks_.size();
 }
 
 template <class Self, class IO>
@@ -210,32 +201,17 @@ void Master::fields(Self& m, IO& io) {
   io.map(m.coflows_, "master coflow", [&](auto& ref, auto& entry) {
     io.index(ref, m.next_ref_, "master coflow ref");
     io.f64(entry.priority);
+    io.u64(entry.rank);
     io.vec(entry.flows, "master coflow flow", [&](auto& f) {
-      io.u64(f.flow_id);
-      io.u64(f.coflow);
-      io.u32(f.src);
-      io.u32(f.dst);
-      io.u64(f.bytes);
-      io.boolean(f.compressible);
+      io.u64(f.info.flow_id);
+      io.u64(f.info.coflow);
+      io.u32(f.info.src);
+      io.u32(f.info.dst);
+      io.u64(f.info.bytes);
+      io.boolean(f.info.compressible);
+      io.boolean(f.beta);
+      io.u64(f.failures);
     });
-  });
-  io.map(m.ranks_, "master rank", [&](auto& ref, auto& rank) {
-    io.key(ref, m.coflows_, "master rank");
-    io.u64(rank);
-  });
-  io.map(m.decisions_, "master decision", [&](auto& flow, auto& d) {
-    io.u64(flow);
-    io.boolean(d.compress);
-    io.f64(d.rate);
-    io.boolean(d.degraded);
-  });
-  io.map(m.flow_owner_, "master flow owner", [&](auto& flow, auto& ref) {
-    io.u64(flow);
-    io.key(ref, m.coflows_, "master flow owner");
-  });
-  io.map(m.flow_failures_, "master flow failure", [&](auto& flow, auto& n) {
-    io.u64(flow);
-    io.u64(n);
   });
   io.end();
 }
@@ -247,19 +223,26 @@ void Master::save_state(recovery::StateWriter& w) const {
 
 void Master::restore_state(recovery::StateReader& r) {
   std::lock_guard<std::mutex> lock(mutex_);
+  index_.clear();
   fields(*this, r);
+  for (const auto& [ref, entry] : coflows_)
+    if (const auto dup = index_locked(ref, entry))
+      throw recovery::RecoveryError("recovery: master flow " +
+                                    std::to_string(*dup) +
+                                    " is listed under two coflows");
 }
 
 std::uint64_t Master::config_fingerprint() const {
   recovery::Fingerprint fp;
-  fp.mix(std::string("swallow.runtime.master.v1"));
-  fp.mix(nic_rate_);
+  fp.mix(std::string("swallow.runtime.master.v2"));
+  fp.mix(static_cast<std::uint64_t>(fabric_.num_ports()));
+  fp.mix(fabric_.nominal_ingress_capacity(0));
   fp.mix(codec_.name);
   fp.mix(codec_.compress_speed);
   fp.mix(codec_.decompress_speed);
   fp.mix(codec_.ratio);
-  fp.mix(cpu_headroom_);
-  fp.mix(static_cast<std::uint64_t>(compression_));
+  fp.mix(cpu_.headroom(0, 0));
+  fp.mix(static_cast<std::uint64_t>(env_.codec != nullptr));
   fp.mix(static_cast<std::uint64_t>(degrade_after_));
   return fp.value();
 }
@@ -289,24 +272,13 @@ bool Master::restore_from(const std::string& dir) {
 void Master::restore_coflow(CoflowRef ref, CoflowInfo info) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (coflows_.count(ref) > 0) return;  // the snapshot already carried it
-  for (const auto& f : info.flows) flow_owner_[f.flow_id] = ref;
-  coflows_[ref] = Entry{std::move(info.flows), 1.0};
+  insert_locked(ref, std::move(info));
   if (ref >= next_ref_) next_ref_ = ref + 1;
 }
 
 bool Master::has_coflow(CoflowRef ref) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return coflows_.count(ref) > 0;
-}
-
-std::vector<RtFlowId> Master::flows_of(CoflowRef ref) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<RtFlowId> flows;
-  const auto it = coflows_.find(ref);
-  if (it == coflows_.end()) return flows;
-  flows.reserve(it->second.flows.size());
-  for (const auto& f : it->second.flows) flows.push_back(f.flow_id);
-  return flows;
 }
 
 }  // namespace swallow::runtime

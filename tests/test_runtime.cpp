@@ -3,10 +3,17 @@
 // end-to-end shuffle jobs with payload verification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include "codec/null_codec.hpp"
+#include "core/online.hpp"
+#include "obs/trace.hpp"
 #include "runtime/context.hpp"
 #include "runtime/shuffle.hpp"
 
@@ -155,13 +162,33 @@ ClusterConfig fast_config(bool compress = true) {
   return config;
 }
 
+// Argument `arg` ("gamma" or "key") of the newest coflow_estimate event
+// of each coflow in `tracer`.
+std::map<std::uint64_t, double> traced_estimates(const obs::Tracer& tracer,
+                                                 std::string_view arg) {
+  std::map<std::uint64_t, double> out;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (std::string_view(ev.name) != "coflow_estimate") continue;
+    std::uint64_t coflow = 0;
+    double value = 0;
+    for (const obs::Arg& a : ev.args) {
+      if (a.key == nullptr) break;
+      if (std::string_view(a.key) == "coflow")
+        coflow = std::get<std::uint64_t>(a.value);
+      if (arg == a.key) value = std::get<double>(a.value);
+    }
+    out[coflow] = value;
+  }
+  return out;
+}
+
 TEST(Master, AddScheduleRemoveLifecycle) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo info;
   info.flows = {{1, 0, 0, 1, 1000, true}, {2, 0, 0, 2, 500, true}};
   const CoflowRef ref = master.add(std::move(info));
-  EXPECT_EQ(master.active_coflows(), 1u);
+  EXPECT_TRUE(master.has_coflow(ref));
 
   const SchedResult result = master.scheduling({ref});
   ASSERT_EQ(result.order.size(), 1u);
@@ -171,10 +198,31 @@ TEST(Master, AddScheduleRemoveLifecycle) {
   EXPECT_EQ(master.rank_of(ref), 0u);
   EXPECT_TRUE(master.decision_of(1).compress);
 
-  master.remove(ref);
-  EXPECT_EQ(master.active_coflows(), 0u);
+  EXPECT_EQ(master.remove(ref), (std::vector<RtFlowId>{1, 2}));
+  EXPECT_FALSE(master.has_coflow(ref));
   EXPECT_FALSE(master.decision_of(1).compress);
+  EXPECT_TRUE(master.remove(ref).empty());
   EXPECT_THROW(master.scheduling({ref}), std::out_of_range);
+}
+
+TEST(Master, AddRefusesAFlowIdAlreadyRegistered) {
+  Cluster cluster(fast_config());
+  Master& master = cluster.master();
+  CoflowInfo a, twice, again;
+  a.flows = {{1, 0, 0, 1, 1000, true}};
+  twice.flows = {{2, 0, 0, 1, 1000, true}, {2, 0, 0, 2, 1000, true}};
+  again.flows = {{3, 0, 0, 1, 1000, true}, {1, 0, 0, 2, 1000, true}};
+  const CoflowRef ra = master.add(std::move(a));
+  EXPECT_THROW(master.add(std::move(twice)), std::invalid_argument);
+  EXPECT_THROW(master.add(std::move(again)), std::invalid_argument);
+  // A refused coflow registers none of its flows.
+  master.alloc(master.scheduling({ra}));
+  EXPECT_FALSE(master.decision_of(2).compress);
+  EXPECT_FALSE(master.decision_of(3).compress);
+  master.remove(ra);
+  CoflowInfo reuse;
+  reuse.flows = {{1, 0, 0, 1, 1000, true}, {3, 0, 0, 2, 1000, true}};
+  EXPECT_NO_THROW(master.add(std::move(reuse)));
 }
 
 TEST(Master, RemoveLeavesNoStaleRanksOrDecisions) {
@@ -186,15 +234,28 @@ TEST(Master, RemoveLeavesNoStaleRanksOrDecisions) {
   const CoflowRef ra = master.add(std::move(a));
   const CoflowRef rb = master.add(std::move(b));
   master.alloc(master.scheduling({ra, rb}));
-  EXPECT_EQ(master.decision_count(), 3u);
-  EXPECT_EQ(master.rank_count(), 2u);
+  EXPECT_EQ(master.rank_of(ra), 0u);
+  EXPECT_EQ(master.rank_of(rb), 1u);
+  for (const RtFlowId flow : {1, 2, 3})
+    EXPECT_TRUE(master.decision_of(flow).compress) << flow;
 
-  master.remove(ra);
-  EXPECT_EQ(master.decision_count(), 1u);  // only coflow b's flow remains
-  EXPECT_EQ(master.rank_count(), 1u);
+  master.remove(ra);  // only coflow b's rank and decision remain
+  EXPECT_EQ(master.rank_of(ra), 1'000'000 + ra);
+  EXPECT_FALSE(master.decision_of(1).compress);
+  EXPECT_FALSE(master.decision_of(2).compress);
+  EXPECT_EQ(master.rank_of(rb), 1u);
+  EXPECT_TRUE(master.decision_of(3).compress);
   master.remove(rb);
-  EXPECT_EQ(master.decision_count(), 0u);
-  EXPECT_EQ(master.rank_count(), 0u);
+  EXPECT_EQ(master.rank_of(rb), 1'000'000 + rb);
+  EXPECT_FALSE(master.decision_of(3).compress);
+
+  // The flow ids come back unscheduled under a new coflow.
+  CoflowInfo again;
+  again.flows = {{1, 0, 0, 1, 1000, true}, {3, 0, 1, 2, 800, true}};
+  const CoflowRef rc = master.add(std::move(again));
+  EXPECT_EQ(master.rank_of(rc), 1'000'000 + rc);
+  EXPECT_FALSE(master.decision_of(1).compress);
+  EXPECT_FALSE(master.decision_of(3).compress);
 }
 
 TEST(Master, StaleAllocAfterRemoveDoesNotResurrectState) {
@@ -207,11 +268,21 @@ TEST(Master, StaleAllocAfterRemoveDoesNotResurrectState) {
   master.remove(ref);
   // A SchedResult computed before remove() must not leak entries back in.
   master.alloc(result);
-  EXPECT_EQ(master.decision_count(), 0u);
-  EXPECT_EQ(master.rank_count(), 0u);
+  EXPECT_FALSE(master.has_coflow(ref));
+  EXPECT_EQ(master.rank_of(ref), 1'000'000 + ref);
+  EXPECT_FALSE(master.decision_of(1).compress);
+  CoflowInfo again;
+  again.flows = {{1, 0, 0, 1, 1000, true}};
+  master.add(std::move(again));
+  EXPECT_FALSE(master.decision_of(1).compress);
 }
 
-TEST(Master, FvdfOrdersSmallerExpectedCompletionFirst) {
+// Eq. 7 gives Γ_F = δ + max(0, V − R·h·δ·(1 − ξ)) / B for a compressing
+// flow, so a flow one compression slice disposes of ties at Γ_F = δ.
+// fast_config's floor is R·h·δ·(1 − ξ) = 4e9 · 0.9 · 0.01 · 0.5 = 18 MB,
+// above both the 10 MB and the 1 KB coflow: both tie at Γ_C = δ and go
+// by ref, the big one (registered first) first.
+TEST(Master, CoflowsUnderTheSliceFloorTieAtDeltaAndGoByRef) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo big, small;
@@ -221,8 +292,136 @@ TEST(Master, FvdfOrdersSmallerExpectedCompletionFirst) {
   const CoflowRef small_ref = master.add(std::move(small));
   const SchedResult result = master.scheduling({big_ref, small_ref});
   ASSERT_EQ(result.order.size(), 2u);
-  EXPECT_EQ(result.order[0], small_ref);
-  EXPECT_EQ(result.order[1], big_ref);
+  EXPECT_EQ(result.order[0], big_ref);
+  EXPECT_EQ(result.order[1], small_ref);
+}
+
+// Above that 18 MB floor Γ_F = 0.01 + (V − 18 MB) / 512 MiB/s: 0.163 s for
+// 100 MB and 0.032 s for 30 MB, so the smaller coflow goes first although
+// it registered last.
+TEST(Master, FvdfOrdersSmallerExpectedCompletionFirstAboveTheSliceFloor) {
+  Cluster cluster(fast_config());
+  Master& master = cluster.master();
+  CoflowInfo big, small;
+  big.flows = {{1, 0, 0, 1, 100'000'000, true}};
+  small.flows = {{2, 0, 0, 1, 30'000'000, true}};
+  const CoflowRef big_ref = master.add(std::move(big));
+  const CoflowRef small_ref = master.add(std::move(small));
+  const SchedResult result = master.scheduling({big_ref, small_ref});
+  EXPECT_EQ(result.order, (std::vector<CoflowRef>{small_ref, big_ref}));
+}
+
+// Eq. 7 by hand, on NICs of B = 1 MB/s with R = 100 MB/s at h = 1,
+// ξ = 0.5 and δ = 10 ms:
+//   A, 10 MB compressible:  β = 1, R·h·δ·(1 − ξ) = 0.5 MB, so
+//                           Γ_A = 0.01 + (10 − 0.5) MB / B = 9.51 s;
+//   B, 6 MB incompressible: β = 0, B·δ = 10 KB, so
+//                           Γ_B = 0.01 + 5.99 MB / B = 6.00 s.
+// B goes first. (Encode time plus compressed wire time, 0.1 + 5 = 5.1 s,
+// would put A first.) Two failures degrade A's flow, which is then priced
+// as incompressible: 0.01 + 9.99 MB / B = 10.00 s.
+TEST(Master, OrdersByEq7ExpectedCompletion) {
+  obs::Tracer tracer;
+  Master master(2, 1e6, codec::CodecModel{"hand", 100e6, 200e6, 0.5}, 1.0,
+                true, &tracer, /*degrade_after=*/2);
+  CoflowInfo a, b;
+  a.flows = {{1, 0, 0, 1, 10'000'000, true}};
+  b.flows = {{2, 0, 1, 0, 6'000'000, false}};
+  const CoflowRef ra = master.add(std::move(a));
+  const CoflowRef rb = master.add(std::move(b));
+
+  SchedResult result = master.scheduling({ra, rb});
+  EXPECT_EQ(result.order, (std::vector<CoflowRef>{rb, ra}));
+  EXPECT_TRUE(result.decisions.at(1).compress);
+  EXPECT_FALSE(result.decisions.at(2).compress);
+  auto gamma = traced_estimates(tracer, "gamma");
+  EXPECT_NEAR(gamma.at(ra), 9.51, 1e-9);
+  EXPECT_NEAR(gamma.at(rb), 6.00, 1e-9);
+
+  master.record_flow_failure(1);
+  master.record_flow_failure(1);
+  result = master.scheduling({ra, rb});
+  EXPECT_EQ(result.order, (std::vector<CoflowRef>{rb, ra}));
+  EXPECT_FALSE(result.decisions.at(1).compress);
+  EXPECT_TRUE(result.decisions.at(1).degraded);
+  gamma = traced_estimates(tracer, "gamma");
+  EXPECT_NEAR(gamma.at(ra), 10.00, 1e-9);
+  EXPECT_NEAR(gamma.at(rb), 6.00, 1e-9);
+}
+
+// The master ranks a seeded population as the simulator's FVDF does: 20
+// coflows of 1-3 flows of 1-41 MB, 70% compressible, on 4 workers at
+// 4 MB/s with Table II's LZ4 at 90% headroom. The master's order is the
+// ascending rank-key order of the coflow_estimate events
+// core::FvdfScheduler emits on the same flows, fabric, CPU and codec (no
+// tracker, so it evaluates every coflow). Runtime flow ids are seeded
+// 64-bit values; the simulator's are dense.
+TEST(Master, OrdersCoflowsAsTheSimulatorsFvdfRanksThem) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr common::Bps kNic = 4e6;
+  constexpr double kHeadroom = 0.9;
+  const codec::CodecModel& model = codec::default_codec_model();
+  Master master(kWorkers, kNic, model, kHeadroom, /*compression=*/true);
+
+  common::Rng rng(28);
+  std::vector<fabric::Flow> flows;
+  std::vector<fabric::Coflow> coflows(20);
+  std::vector<CoflowRef> refs;
+  for (std::size_t c = 0; c < coflows.size(); ++c) {
+    coflows[c].id = c;
+    CoflowInfo info;
+    for (std::uint64_t k = rng.uniform_int(1, 3); k > 0; --k) {
+      fabric::Flow f;
+      f.id = flows.size();
+      f.coflow = c;
+      f.src = static_cast<fabric::PortId>(rng.uniform_int(0, kWorkers - 1));
+      f.dst = static_cast<fabric::PortId>(rng.uniform_int(0, kWorkers - 1));
+      const std::size_t bytes = rng.uniform_int(1'000'000, 41'000'000);
+      f.original_bytes = f.raw_remaining = static_cast<common::Bytes>(bytes);
+      f.compressible = rng.bernoulli(0.7);
+      coflows[c].flows.push_back(f.id);
+      info.flows.push_back(
+          FlowInfo{rng.next_u64(), 0, f.src, f.dst, bytes, f.compressible});
+      flows.push_back(f);
+    }
+    refs.push_back(master.add(std::move(info)));
+  }
+  const std::vector<CoflowRef> order = master.scheduling(refs).order;
+
+  obs::Tracer tracer;
+  const fabric::Fabric fabric(kWorkers, kNic);
+  const cpu::ConstantCpu cpu(kHeadroom);
+  sched::SchedContext ctx;
+  ctx.fabric = &fabric;
+  ctx.cpu = &cpu;
+  ctx.codec = &model;
+  ctx.sink = &tracer;
+  for (const fabric::Flow& f : flows) ctx.flows.push_back(&f);
+  for (fabric::Coflow& c : coflows) ctx.coflows.push_back(&c);
+  core::FvdfScheduler(core::FvdfVariant::kFvdf).schedule(ctx);
+  std::vector<std::pair<double, CoflowRef>> keyed;
+  for (const auto& [id, key] : traced_estimates(tracer, "key"))
+    keyed.emplace_back(key, refs.at(id));
+  ASSERT_EQ(keyed.size(), coflows.size());
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<CoflowRef> expected;
+  for (const auto& [key, ref] : keyed) expected.push_back(ref);
+  EXPECT_EQ(order, expected);
+}
+
+// An unknown ref fails the whole call before any coflow ages: the
+// master's state bytes are unchanged by it.
+TEST(Master, SchedulingChecksEveryRefBeforeAging) {
+  Cluster cluster(fast_config());
+  Master& master = cluster.master();
+  CoflowInfo info;
+  info.flows = {{1, 0, 0, 1, 1000, true}};
+  const CoflowRef ref = master.add(std::move(info));
+  recovery::StateWriter before, after;
+  master.save_state(before);
+  EXPECT_THROW(master.scheduling({ref, ref + 1}), std::out_of_range);
+  master.save_state(after);
+  EXPECT_TRUE(std::ranges::equal(before.buffer(), after.buffer()));
 }
 
 TEST(Master, CompressionGateClosesOnFastNic) {
@@ -396,10 +595,18 @@ TEST(Shuffle, ConcurrentJobsShareTheCluster) {
   }
   EXPECT_TRUE(a.verified);
   EXPECT_TRUE(b.verified);
-  EXPECT_EQ(cluster.master().active_coflows(), 0u);
-  // Full lifecycle leaves no master bookkeeping behind.
-  EXPECT_EQ(cluster.master().decision_count(), 0u);
-  EXPECT_EQ(cluster.master().rank_count(), 0u);
+  // Full lifecycle leaves no master bookkeeping behind: the two jobs'
+  // coflows (refs 1 and 2) hold no rank, and their flows (ids
+  // seed · 1e6 + 1 .. 4) no decision.
+  const Master& master = cluster.master();
+  for (const CoflowRef ref : {1, 2}) {
+    EXPECT_FALSE(master.has_coflow(ref)) << ref;
+    EXPECT_EQ(master.rank_of(ref), 1'000'000u + ref) << ref;
+  }
+  for (const RtFlowId seed : {1, 2})
+    for (RtFlowId flow = seed * 1'000'000 + 1; flow <= seed * 1'000'000 + 4;
+         ++flow)
+      EXPECT_FALSE(master.decision_of(flow).compress) << flow;
 }
 
 TEST(Shuffle, ResultStageReplicatesOutputs) {

@@ -156,7 +156,9 @@ TEST(ShuffleStress, ManyConcurrentJobsAllVerify) {
     EXPECT_TRUE(report.verified) << report.app;
     EXPECT_GT(report.jct, 0.0);
   }
-  EXPECT_EQ(cluster.master().active_coflows(), 0u);
+  // Each job registered one coflow, refs 1..kJobs, and removed it.
+  for (CoflowRef ref = 1; ref <= kJobs; ++ref)
+    EXPECT_FALSE(cluster.master().has_coflow(ref)) << ref;
   // Traffic accounting is globally consistent.
   EXPECT_GT(cluster.total_raw_bytes(), 0u);
   EXPECT_LT(cluster.total_wire_bytes(), cluster.total_raw_bytes());
