@@ -19,10 +19,9 @@ int main(int argc, char** argv) {
   using namespace swallow::runtime;
   const common::Flags flags(argc, argv);
   common::apply_log_level_flag(flags);
-  // --trace-out records master decisions plus per-push/pull wall-clock
-  // profiles; the global sink additionally captures codec-level scopes.
+  // --trace-out records master decisions, per-push/pull wall-clock spans
+  // and the chunk pool's per-chunk codec spans.
   const std::unique_ptr<obs::Tracer> tracer = obs::tracer_from_flags(flags);
-  obs::set_global_sink(tracer.get());
   const auto block_bytes =
       static_cast<std::size_t>(flags.get_int("block_bytes", 96 * 1024));
 
@@ -152,7 +151,6 @@ int main(int argc, char** argv) {
               << " retransmits, " << stats.degraded_flows
               << " degraded flows\n";
   }
-  obs::set_global_sink(nullptr);
   if (tracer != nullptr) {
     if (!obs::write_trace_from_flags(flags, *tracer)) return 1;
     std::cout << "trace: " << tracer->size() << " events -> "

@@ -8,7 +8,6 @@
 #include "codec/throughput.hpp"
 #include "codec/varint.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
 
 namespace swallow::codec {
 
@@ -66,9 +65,6 @@ void ChunkPool::submit(std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(job));
-    ++inflight_;
-    if (sink_ != nullptr)
-      sink_->registry().gauge("codec.chunks_inflight").set(inflight_);
   }
   cv_.notify_one();
 }
@@ -84,12 +80,6 @@ void ChunkPool::loop() {
       queue_.pop_front();
     }
     job();  // jobs catch their own exceptions (exception_ptr per slot)
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --inflight_;
-      if (sink_ != nullptr)
-        sink_->registry().gauge("codec.chunks_inflight").set(inflight_);
-    }
   }
 }
 
@@ -128,7 +118,8 @@ ChunkEncoder::~ChunkEncoder() {
 }
 
 Buffer ChunkEncoder::encode_record(std::size_t index) const {
-  obs::ProfileScope scope(obs::global_sink(), "codec.chunk_encode", "codec");
+  obs::ProfileScope scope(pool_ != nullptr ? pool_->sink() : nullptr,
+                          "codec.chunk_encode", "codec");
   const std::size_t off = index * chunk_bytes_;
   const std::size_t len = std::min(chunk_bytes_, payload_.size() - off);
   const std::span<const std::uint8_t> raw = payload_.subspan(off, len);
@@ -266,8 +257,8 @@ struct ChunkRef {
 void decode_chunk(std::span<const std::uint8_t> container,
                   std::uint8_t record_id, std::uint64_t checksum,
                   std::span<std::uint8_t> out, std::size_t index,
-                  ThroughputLedger* ledger) {
-  obs::ProfileScope scope(obs::global_sink(), "codec.chunk_decode", "codec");
+                  ThroughputLedger* ledger, obs::Sink* sink) {
+  obs::ProfileScope scope(sink, "codec.chunk_decode", "codec");
   if (container.empty() || container[0] != record_id)
     throw CodecError("chunk: record codec id mismatch in chunk " +
                      std::to_string(index));
@@ -317,10 +308,11 @@ std::size_t chunk_decompress_into(std::span<const std::uint8_t> frame,
   }
   if (pos != frame.size()) throw CodecError("chunk: trailing garbage");
 
+  obs::Sink* const sink = pool != nullptr ? pool->sink() : nullptr;
   const auto decode_one = [&](const ChunkRef& ref, std::size_t index) {
     decode_chunk(frame.subspan(ref.container_pos, ref.container_size),
                  ref.codec_id, ref.checksum,
-                 out.subspan(ref.raw_off, ref.raw_len), index, ledger);
+                 out.subspan(ref.raw_off, ref.raw_len), index, ledger, sink);
   };
 
   if (pool == nullptr || pool->size() == 0 || refs.size() <= 1) {

@@ -52,8 +52,9 @@ inline constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 
 /// Bounded worker pool for chunk encode/decode jobs. Jobs are independent
 /// (no job ever waits on another job), so a single pool can be shared by
-/// every encoder/decoder in a process without deadlock. With a sink
-/// attached it keeps the `codec.chunks_inflight` gauge current.
+/// every encoder/decoder in a process without deadlock. Its sink, when
+/// set, receives a `codec.chunk_encode` or `codec.chunk_decode` span per
+/// chunk that an encoder or decoder on this pool codes.
 class ChunkPool {
  public:
   /// `threads` == 0 picks min(4, hardware_concurrency).
@@ -64,6 +65,7 @@ class ChunkPool {
   ChunkPool& operator=(const ChunkPool&) = delete;
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+  obs::Sink* sink() const { return sink_; }
   void submit(std::function<void()> job);
 
  private:
@@ -73,7 +75,6 @@ class ChunkPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  int inflight_ = 0;  // queued + running, for the gauge
   obs::Sink* sink_ = nullptr;
   std::vector<std::jthread> workers_;
 };

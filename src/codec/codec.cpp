@@ -7,26 +7,17 @@
 #include "codec/null_codec.hpp"
 #include "codec/rle_codec.hpp"
 #include "codec/varint.hpp"
-#include "obs/profile.hpp"
 
 namespace swallow::codec {
 
 std::size_t Codec::compress(std::span<const std::uint8_t> in,
                             std::span<std::uint8_t> out) const {
-  // Codecs have no per-call plumbing, so profiling goes through the
-  // process-global sink (one relaxed atomic load when tracing is off).
-  obs::ProfileScope scope(obs::global_sink(), "codec.compress", "codec");
   if (out.size() < max_compressed_size(in.size()))
     throw CodecError(name() + ": output buffer too small for compress");
   out[0] = id();
   std::size_t pos = 1;
   pos += write_varint(in.size(), out, pos);
-  const std::size_t payload = encode(in, out.subspan(pos));
-  if (obs::Sink* sink = obs::global_sink()) {
-    sink->registry().counter("codec.raw_bytes_in").add(in.size());
-    sink->registry().counter("codec.container_bytes_out").add(pos + payload);
-  }
-  return pos + payload;
+  return pos + encode(in, out.subspan(pos));
 }
 
 std::size_t Codec::decompressed_size(std::span<const std::uint8_t> in) const {
@@ -39,7 +30,6 @@ std::size_t Codec::decompressed_size(std::span<const std::uint8_t> in) const {
 
 std::size_t Codec::decompress(std::span<const std::uint8_t> in,
                               std::span<std::uint8_t> out) const {
-  obs::ProfileScope scope(obs::global_sink(), "codec.decompress", "codec");
   if (in.empty()) throw CodecError(name() + ": empty container");
   if (in[0] != id())
     throw CodecError(name() + ": container codec id mismatch");

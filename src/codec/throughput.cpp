@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/trace.hpp"
-
 namespace swallow::codec {
 
 namespace {
@@ -42,11 +40,10 @@ ThroughputResult measure_codec(const Codec& codec,
 }
 
 namespace {
-double atomic_add_double(std::atomic<double>& a, double v) {
+void atomic_add_double(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
-  return cur + v;
 }
 
 double safe_mbps(std::uint64_t bytes, double seconds) {
@@ -61,8 +58,6 @@ void ThroughputLedger::record_encode(std::size_t raw_bytes,
   enc_wire_.fetch_add(wire_bytes, std::memory_order_relaxed);
   enc_chunks_.fetch_add(1, std::memory_order_relaxed);
   atomic_add_double(enc_seconds_, seconds);
-  if (obs::Sink* sink = sink_.load(std::memory_order_acquire))
-    sink->registry().gauge("codec.encode_mbps").set(encode_mbps());
 }
 
 void ThroughputLedger::record_decode(std::size_t raw_bytes, double seconds) {

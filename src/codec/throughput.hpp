@@ -11,10 +11,6 @@
 #include "codec/codec.hpp"
 #include "codec/codec_model.hpp"
 
-namespace swallow::obs {
-class Sink;
-}
-
 namespace swallow::codec {
 
 struct ThroughputResult {
@@ -32,15 +28,9 @@ ThroughputResult measure_codec(const Codec& codec,
 
 /// Thread-safe accumulator of measured per-chunk codec throughput. Encode
 /// and decode workers record each chunk as it finishes (lock-free atomics:
-/// safe from any pool thread); readers see cumulative MB/s and ratio. With
-/// a sink attached, each encode sample refreshes the `codec.encode_mbps`
-/// gauge.
+/// safe from any pool thread); readers see cumulative MB/s and ratio.
 class ThroughputLedger {
  public:
-  void set_sink(obs::Sink* sink) {
-    sink_.store(sink, std::memory_order_release);
-  }
-
   void record_encode(std::size_t raw_bytes, std::size_t wire_bytes,
                      double seconds);
   void record_decode(std::size_t raw_bytes, double seconds);
@@ -68,7 +58,6 @@ class ThroughputLedger {
   std::atomic<std::uint64_t> enc_raw_{0}, enc_wire_{0}, enc_chunks_{0};
   std::atomic<std::uint64_t> dec_raw_{0}, dec_chunks_{0};
   std::atomic<double> enc_seconds_{0.0}, dec_seconds_{0.0};
-  std::atomic<obs::Sink*> sink_{nullptr};
 };
 
 }  // namespace swallow::codec

@@ -24,20 +24,16 @@ void PriorityUpgrade::begin_round(const sched::SchedContext& ctx,
   ++round_;
   if (!enabled || !ctx.coflow_event) return;
   const std::uint64_t prev = round_ - 1;
-  std::uint64_t upgrades = 0;
   for (fabric::Coflow* c : ctx.coflows) {
     if (seen_.get(c->id) != prev || served_.get(c->id) == prev) continue;
     if (c->priority < 1.0) c->priority = 1.0;
     c->priority *= kPriorityLogBase;
-    ++upgrades;
     if (ctx.tracker != nullptr) ctx.tracker->priority_changed(c->id);
     if (ctx.sink != nullptr)
       obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "priority_upgrade",
                         category_,
                         {{"coflow", c->id}, {"priority", c->priority}});
   }
-  if (ctx.sink != nullptr && upgrades > 0)
-    ctx.sink->registry().counter(counter_).add(upgrades);
 }
 
 void PriorityUpgrade::end_round(const sched::SchedContext& ctx,
@@ -56,10 +52,7 @@ void PriorityUpgrade::end_round(const sched::SchedContext& ctx,
 }
 
 FvdfScheduler::FvdfScheduler(FvdfVariant variant)
-    : variant_(variant),
-      upgrade_(deadline_aware() ? "dfvdf" : "fvdf",
-               deadline_aware() ? "dfvdf.priority_upgrades"
-                                : "fvdf.priority_upgrades") {}
+    : variant_(variant), upgrade_(deadline_aware() ? "dfvdf" : "fvdf") {}
 
 std::string FvdfScheduler::name() const {
   return kVariantNames[static_cast<std::size_t>(variant_)];

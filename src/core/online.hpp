@@ -85,10 +85,9 @@ class RoundStamps {
 /// the dirty tracker as key-only: Γ_C stands, only the rank key moves.
 class PriorityUpgrade {
  public:
-  /// `category` names the trace category of the `priority_upgrade` events
-  /// and `counter` the registry counter of their count; both are literals.
-  PriorityUpgrade(const char* category, const char* counter)
-      : category_(category), counter_(counter) {}
+  /// `category` (a literal) names the trace category of the
+  /// `priority_upgrade` events.
+  explicit PriorityUpgrade(const char* category) : category_(category) {}
 
   /// Opens a scheduling round; ages the waiting coflows when `enabled` and
   /// the round is a coflow event.
@@ -110,7 +109,6 @@ class PriorityUpgrade {
 
  private:
   const char* category_;
-  const char* counter_;
   // A coflow is waiting iff it was seen in the previous round and not
   // served there. Default stamps of 0 are safe: at round 1 both compare
   // equal to prev = 0, so nothing counts as waiting.

@@ -12,19 +12,15 @@ double wall_now_us() {
 }
 
 void ProfileScope::end() {
-  const double dur = wall_now_us() - start_us_;
-  if (emit_events_) {
-    TraceEvent ev;
-    ev.name = name_;
-    ev.cat = cat_;
-    ev.ph = 'X';
-    ev.ts = start_us_;
-    ev.dur = dur;
-    ev.pid = kWallPid;
-    ev.tid = current_thread_tid();
-    sink_->record(ev);
-  }
-  sink_->registry().profile_histogram(name_).record(dur);
+  TraceEvent ev;
+  ev.name = name_;
+  ev.cat = cat_;
+  ev.ph = 'X';
+  ev.ts = start_us_;
+  ev.dur = wall_now_us() - start_us_;
+  ev.pid = kWallPid;
+  ev.tid = current_thread_tid();
+  sink_->record(ev);
 }
 
 }  // namespace swallow::obs

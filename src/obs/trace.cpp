@@ -14,8 +14,6 @@ namespace swallow::obs {
 
 namespace {
 
-std::atomic<Sink*> g_sink{nullptr};
-
 void append_event(std::string& out, const TraceEvent& ev) {
   out += "{\"name\":";
   json_append_quoted(out, ev.name);
@@ -152,11 +150,5 @@ std::uint32_t current_thread_tid() {
       next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
-
-void set_global_sink(Sink* sink) {
-  g_sink.store(sink, std::memory_order_release);
-}
-
-Sink* global_sink() { return g_sink.load(std::memory_order_acquire); }
 
 }  // namespace swallow::obs

@@ -1,9 +1,10 @@
 // Event tracing for the simulator and runtime.
 //
-// A Sink receives TraceEvents and owns a metrics Registry; instrumentation
-// sites hold an optional `Sink*` and do nothing when it is null (one branch,
-// no allocation, no locking — the disabled-path guarantee DESIGN.md's
-// Observability section documents). A TraceEvent is a fixed-size record of
+// A Sink receives TraceEvents; instrumentation sites hold an optional
+// `Sink*` and do nothing when it is null (one branch, no allocation, no
+// locking — the disabled-path guarantee DESIGN.md's Observability section
+// documents). A layer reaches the sink through its own plumbing: there is
+// no process-global one. A TraceEvent is a fixed-size record of
 // static names and typed argument slots, so recording one copies no string.
 // The bundled Tracer keeps the newest events in a ring, and its exporter is
 // the only code that writes trace JSON: Chrome trace_event JSON (loadable
@@ -25,8 +26,6 @@
 #include <string_view>
 #include <variant>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace swallow::obs {
 
@@ -82,11 +81,7 @@ class Sink {
   /// that is not a literal. Intern once per run, never per event.
   const char* intern(std::string_view s);
 
-  Registry& registry() { return registry_; }
-  const Registry& registry() const { return registry_; }
-
  private:
-  Registry registry_;
   std::mutex intern_mutex_;
   std::set<std::string> interned_;
 };
@@ -127,10 +122,5 @@ void emit_instant(Sink* sink, double ts_us, const char* name, const char* cat,
 /// Small dense id for the calling thread (1, 2, ... in first-use order);
 /// used as the Chrome tid of wall-clock events.
 std::uint32_t current_thread_tid();
-
-/// Process-global sink for layers with no plumbing of their own (the codec
-/// wrappers). Null by default; reading it is one relaxed atomic load.
-void set_global_sink(Sink* sink);
-Sink* global_sink();
 
 }  // namespace swallow::obs

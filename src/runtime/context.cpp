@@ -22,14 +22,12 @@ Cluster::Cluster(const ClusterConfig& config)
     throw std::invalid_argument("Cluster: zero workers");
   if (config.chunk_bytes == 0)
     throw std::invalid_argument("Cluster: zero chunk_bytes");
-  fault_counters_.set_sink(config.sink);
   chunk_pool_ = std::make_unique<codec::ChunkPool>(config.codec_threads,
                                                    config.sink);
-  ledger_.set_sink(config.sink);
   workers_.reserve(config.num_workers);
   for (std::size_t i = 0; i < config.num_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        static_cast<WorkerId>(i), config.nic_rate, config.sink));
+    workers_.push_back(
+        std::make_unique<Worker>(static_cast<WorkerId>(i), config.nic_rate));
     workers_.back()->egress_gate().set_holder_timeout(
         config.retry.gate_holder_timeout);
   }
@@ -60,12 +58,10 @@ void Cluster::kill_worker(WorkerId id) {
   victim.mark_dead();
   victim.store().clear();
   fault_counters_.on_injected(FaultKind::kWorkerKill);
-  if (config_.sink != nullptr) {
-    config_.sink->registry().counter("runtime.worker_kills").add(1);
+  if (config_.sink != nullptr)
     obs::emit_instant(config_.sink, obs::wall_now_us(), "fault.worker_kill",
                       "fault", {{"worker", id}}, obs::kWallPid,
                       obs::current_thread_tid());
-  }
 }
 
 bool Cluster::worker_dead(WorkerId id) const {
@@ -102,14 +98,12 @@ bool Cluster::restore_master(const std::string& dir) {
   }
   for (auto& [ref, info] : rebuilt) master_.restore_coflow(ref, std::move(info));
 
-  if (config_.sink != nullptr) {
-    config_.sink->registry().counter("recovery.master_failovers").add(1);
+  if (config_.sink != nullptr)
     obs::emit_instant(config_.sink, obs::wall_now_us(), "master_failover",
                       "recovery",
                       {{"snapshot", from_snapshot},
                        {"reregistered", rebuilt.size()}},
                       obs::kWallPid, obs::current_thread_tid());
-  }
   return from_snapshot;
 }
 
@@ -194,8 +188,11 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
     // function of (seed, kind, block, attempt), so flipping bytes on the
     // assembled wire after transfer is equivalent to corrupt-then-send.
     obs::ProfileScope scope(sink, "runtime.push.transfer", "runtime");
-    const std::uint64_t rank = cluster_->master().rank_of(ref);
-    const PortGate::Ticket ticket = sender.egress_gate().acquire(rank);
+    PortGate::Ticket ticket = 0;
+    {
+      obs::ProfileScope wait(sink, "runtime.push.gate_wait", "runtime");
+      ticket = sender.egress_gate().acquire(cluster_->master().rank_of(ref));
+    }
     const auto send = [&](std::span<const std::uint8_t> piece) {
       {
         obs::ProfileScope nic(sink, "runtime.push.nic", "runtime");

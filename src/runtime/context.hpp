@@ -41,9 +41,9 @@ struct ClusterConfig {
   std::size_t chunk_bytes = codec::kDefaultChunkBytes;
   /// Codec worker threads shared by all transfers (0 = auto: min(4, hw)).
   unsigned codec_threads = 0;
-  /// Observability sink shared by the master, workers and context data
-  /// paths (scheduling decisions, transfer counters, gate-wait and
-  /// compress/transfer/decompress profiles). Null disables tracing.
+  /// Trace sink shared by the master, the fault injector, the chunk pool
+  /// and the context data paths (scheduling decisions, faults, per-chunk
+  /// codec spans, push/pull spans). Null disables tracing.
   obs::Sink* sink = nullptr;
   /// Fault model (disabled by default: the data path is then byte-identical
   /// to a fault-free build) and the recovery knobs opposite it.

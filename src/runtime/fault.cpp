@@ -57,10 +57,6 @@ ShuffleError::ShuffleError(ShuffleFailure kind, CoflowRef coflow,
       flow_(flow),
       block_(block) {}
 
-void FaultCounters::mirror(const char* name) const {
-  if (sink_ != nullptr) sink_->registry().counter(name).add(1);
-}
-
 void FaultCounters::on_injected(FaultKind kind) {
   switch (kind) {
     case FaultKind::kDrop: drops_.fetch_add(1); break;
@@ -69,28 +65,15 @@ void FaultCounters::on_injected(FaultKind kind) {
     case FaultKind::kCodecFail: codec_failures_.fetch_add(1); break;
     case FaultKind::kWorkerKill: kills_.fetch_add(1); break;
   }
-  mirror("runtime.faults_injected");
 }
 
-void FaultCounters::on_retry() {
-  retries_.fetch_add(1);
-  mirror("runtime.retries");
-}
+void FaultCounters::on_retry() { retries_.fetch_add(1); }
 
-void FaultCounters::on_retransmit() {
-  retransmits_.fetch_add(1);
-  mirror("runtime.retransmits");
-}
+void FaultCounters::on_retransmit() { retransmits_.fetch_add(1); }
 
-void FaultCounters::on_corrupt_frame() {
-  corrupt_frames_.fetch_add(1);
-  mirror("runtime.corrupt_frames");
-}
+void FaultCounters::on_corrupt_frame() { corrupt_frames_.fetch_add(1); }
 
-void FaultCounters::on_pull_timeout() {
-  pull_timeouts_.fetch_add(1);
-  mirror("runtime.pull_timeouts");
-}
+void FaultCounters::on_pull_timeout() { pull_timeouts_.fetch_add(1); }
 
 FaultStats FaultCounters::snapshot() const {
   FaultStats stats;

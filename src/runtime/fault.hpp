@@ -14,9 +14,8 @@
 // runtime uses: bounded exponential backoff with jitter (RetryPolicy),
 // sender-side block retention for retransmits (RetentionStore), the typed
 // ShuffleError surfaced when recovery is exhausted, and the FaultCounters
-// every retry/retransmit/degradation reports through (mirrored into the
-// obs registry as runtime.retries / runtime.retransmits /
-// runtime.corrupt_frames / runtime.degraded_flows and friends).
+// every injection, retry and retransmit reports through
+// (Cluster::fault_stats, ShuffleReport).
 #pragma once
 
 #include <atomic>
@@ -30,6 +29,10 @@
 
 #include "common/rng.hpp"
 #include "runtime/worker.hpp"
+
+namespace swallow::obs {
+class Sink;
+}
 
 namespace swallow::runtime {
 
@@ -140,12 +143,9 @@ struct FaultStats {
   }
 };
 
-/// Thread-safe recovery counters, mirrored into the obs registry when a
-/// sink is attached (runtime.retries, runtime.retransmits, ...).
+/// Thread-safe fault and recovery counters.
 class FaultCounters {
  public:
-  void set_sink(obs::Sink* sink) { sink_ = sink; }
-
   void on_injected(FaultKind kind);
   void on_retry();
   void on_retransmit();
@@ -157,9 +157,6 @@ class FaultCounters {
   FaultStats snapshot() const;
 
  private:
-  void mirror(const char* name) const;
-
-  obs::Sink* sink_ = nullptr;
   std::atomic<std::size_t> drops_{0};
   std::atomic<std::size_t> corruptions_{0};
   std::atomic<std::size_t> stalls_{0};

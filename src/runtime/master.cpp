@@ -179,12 +179,10 @@ int Master::record_flow_failure(RtFlowId flow) {
   const int count = ++f->failures;
   if (degrade_after_ > 0 && count == degrade_after_) {
     ++degraded_count_;
-    if (sink_ != nullptr) {
-      sink_->registry().counter("runtime.degraded_flows").add(1);
+    if (sink_ != nullptr)
       obs::emit_instant(sink_, obs::wall_now_us(), "flow_degraded", "fault",
                         {{"flow", flow}, {"failures", count}}, obs::kWallPid,
                         obs::current_thread_tid());
-    }
   }
   return count;
 }
@@ -255,8 +253,6 @@ void Master::checkpoint(const std::string& dir, std::uint64_t seq) const {
   recovery::begin_snapshot(image, meta);
   save_state(image);
   recovery::write_snapshot(dir, image);
-  if (sink_ != nullptr)
-    sink_->registry().counter("recovery.master_snapshots").add(1);
 }
 
 bool Master::restore_from(const std::string& dir) {
@@ -264,8 +260,6 @@ bool Master::restore_from(const std::string& dir) {
   if (!snap) return false;
   recovery::StateReader r(snap->payload);
   restore_state(r);
-  if (sink_ != nullptr)
-    sink_->registry().counter("recovery.master_restores").add(1);
   return true;
 }
 

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
-
 namespace swallow::runtime {
 
 PortGate::Ticket PortGate::acquire(std::uint64_t rank) {
-  const double t0 = sink_ != nullptr ? obs::wall_now_us() : 0.0;
   Ticket ticket = 0;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -30,8 +26,6 @@ PortGate::Ticket PortGate::acquire(std::uint64_t rank) {
           busy_ = false;
           holder_ = 0;
           ++evictions_;
-          if (sink_ != nullptr)
-            sink_->registry().counter("runtime.gate_evictions").add(1);
           cv_.notify_all();
           continue;
         }
@@ -47,10 +41,6 @@ PortGate::Ticket PortGate::acquire(std::uint64_t rank) {
     ticket = ++next_ticket_;
     holder_ = ticket;
   }
-  if (sink_ != nullptr)
-    sink_->registry()
-        .histogram("runtime.gate_wait_us")
-        .record(obs::wall_now_us() - t0);
   return ticket;
 }
 
@@ -74,10 +64,8 @@ std::size_t PortGate::evictions() const {
   return evictions_;
 }
 
-Worker::Worker(WorkerId id, common::Bps nic_rate, obs::Sink* sink)
-    : id_(id), sink_(sink), egress_(nic_rate), ingress_(nic_rate) {
-  egress_gate_.set_sink(sink);
-}
+Worker::Worker(WorkerId id, common::Bps nic_rate)
+    : id_(id), egress_(nic_rate), ingress_(nic_rate) {}
 
 void Worker::register_flow(const FlowInfo& info) {
   std::lock_guard<std::mutex> lock(reg_mutex_);
@@ -107,11 +95,6 @@ void Worker::forget_flows(const std::vector<RtFlowId>& flows) {
 void Worker::account_transfer(std::size_t raw_bytes, std::size_t wire_bytes) {
   raw_bytes_.fetch_add(raw_bytes);
   wire_bytes_.fetch_add(wire_bytes);
-  if (sink_ != nullptr) {
-    obs::Registry& reg = sink_->registry();
-    reg.counter("runtime.raw_bytes").add(raw_bytes);
-    reg.counter("runtime.wire_bytes").add(wire_bytes);
-  }
 }
 
 }  // namespace swallow::runtime

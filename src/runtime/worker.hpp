@@ -15,10 +15,6 @@
 #include "runtime/block_store.hpp"
 #include "runtime/rate_limiter.hpp"
 
-namespace swallow::obs {
-class Sink;
-}
-
 namespace swallow::runtime {
 
 using WorkerId = std::uint32_t;
@@ -62,10 +58,6 @@ class PortGate {
   void set_holder_timeout(common::Seconds timeout);
   std::size_t evictions() const;
 
-  /// Records per-acquire wait times into the sink's
-  /// "runtime.gate_wait_us" histogram; null disables.
-  void set_sink(obs::Sink* sink) { sink_ = sink; }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -78,12 +70,11 @@ class PortGate {
   double holder_timeout_ = 0;
   std::size_t evictions_ = 0;
   std::multiset<std::uint64_t> waiters_;
-  obs::Sink* sink_ = nullptr;
 };
 
 class Worker {
  public:
-  Worker(WorkerId id, common::Bps nic_rate, obs::Sink* sink = nullptr);
+  Worker(WorkerId id, common::Bps nic_rate);
 
   WorkerId id() const { return id_; }
   BlockStore& store() { return store_; }
@@ -114,7 +105,6 @@ class Worker {
 
  private:
   WorkerId id_;
-  obs::Sink* sink_;
   BlockStore store_;
   RateLimiter egress_;
   RateLimiter ingress_;

@@ -136,10 +136,6 @@ void materialize_flow(fabric::Flow& f, const FlowSeg& s, std::uint64_t j) {
   // kBlocked flows do not move.
 }
 
-obs::Counter* counter_or_null(obs::Sink* sink, std::string_view name) {
-  return sink != nullptr ? &sink->registry().counter(name) : nullptr;
-}
-
 /// The engine, refactored from the historical single-function stepper into
 /// a resumable object: every bit of run state is a member, so a checkpoint
 /// is a flat serialization (save_state) and a restore re-enters the main
@@ -165,10 +161,7 @@ class Engine {
         admission(config_in.admission, fabric_in),
         tracker(fabric_in.num_ports()),
         sink(config_in.sink),
-        sched_name(sink != nullptr ? sink->intern(sched_in.name()) : nullptr),
-        rounds_counter(counter_or_null(sink, "sim.schedule_rounds")),
-        arrived_counter(counter_or_null(sink, "sim.coflows_arrived")),
-        completed_counter(counter_or_null(sink, "sim.coflows_completed")) {
+        sched_name(sink != nullptr ? sink->intern(sched_in.name()) : nullptr) {
     // ---- Build flow/coflow state (ids are dense indices). ----
     flows.reserve(trace.total_flows());
     coflows.reserve(trace.coflows.size());
@@ -427,7 +420,6 @@ class Engine {
                           "coflow_complete", "sim",
                           {{"coflow", sc.trace_id},
                            {"cct", sc.state.completion - sc.state.arrival}});
-        completed_counter->add();
       }
     }
   }
@@ -464,14 +456,10 @@ class Engine {
       ++sstats.rejected;
     }
     admission.release(sc.state.id);
-    if (sink != nullptr) [[unlikely]] {
+    if (sink != nullptr) [[unlikely]]
       obs::emit_instant(sink, obs::sim_ts(when),
                         midflight ? "coflow_shed" : "coflow_rejected", "slo",
                         {{"coflow", sc.trace_id}, {"shed_bytes", shed}});
-      sink->registry()
-          .counter(midflight ? "slo.coflows_shed" : "slo.coflows_rejected")
-          .add();
-    }
   }
 
   // Writes every live snapshot member back into its flow's pools at the
@@ -660,13 +648,9 @@ class Engine {
   core::AdmissionController admission;
   sched::DirtyTracker tracker;
   obs::Sink* const sink;
-  // What the per-event trace sites take from the sink, resolved once: the
-  // scheduler's name for schedule_round and the counters bumped per round,
-  // arrival and completion. Null without a sink.
+  // The scheduler's name for schedule_round, interned once. Null without a
+  // sink.
   const char* const sched_name;
-  obs::Counter* const rounds_counter;
-  obs::Counter* const arrived_counter;
-  obs::Counter* const completed_counter;
 
   // ---- Run state (what fields() lists or restore_state rederives). ----
   std::vector<fabric::Flow> flows;
@@ -833,15 +817,10 @@ void Engine::setup_recovery() {
       verify_.clear();
       fs::remove(journal_path_, ec);
     }
-    if (sink != nullptr) {
+    if (sink != nullptr)
       obs::emit_instant(sink, obs::sim_ts(seg_base), "restore", "recovery",
                         {{"seq", restored_seq_},
                          {"journal_suffix", verify_.size()}});
-      sink->registry().counter("recovery.restores").add();
-      sink->registry()
-          .gauge("recovery.journal_suffix")
-          .set(static_cast<double>(verify_.size()));
-    }
   } else {
     // Fresh run: a stale journal from a previous run in the same dir must
     // not be mistaken for this run's prefix.
@@ -921,11 +900,9 @@ void Engine::checkpoint(common::Seconds t) {
                           snap_attempts_ == crash_->kill_mid_snapshot;
   recovery::write_snapshot(config.recovery.dir, snap_image_,
                            crash_here ? &hook : nullptr);
-  if (sink != nullptr) [[unlikely]] {
+  if (sink != nullptr) [[unlikely]]
     obs::emit_instant(sink, obs::sim_ts(t), "snapshot", "recovery",
                       {{"seq", round}, {"bytes", snap_image_.size()}});
-    sink->registry().counter("recovery.snapshots").add();
-  }
 }
 
 template <class Self, class IO>
@@ -1073,12 +1050,10 @@ Metrics Engine::run() {
       ++next_arrival;
       journal_event(recovery::JournalType::kArrival, sc.state.arrival,
                     sc.trace_id, sc.state.flows.size());
-      if (sink != nullptr) [[unlikely]] {
+      if (sink != nullptr) [[unlikely]]
         obs::emit_instant(
             sink, obs::sim_ts(sc.state.arrival), "coflow_arrival", "sim",
             {{"coflow", sc.trace_id}, {"width", sc.state.flows.size()}});
-        arrived_counter->add();
-      }
       if (admit_on && sc.state.has_deadline()) {
         ++sstats.with_deadline;
         const core::AdmissionDecision d = admission.admit(
@@ -1210,13 +1185,11 @@ Metrics Engine::run() {
       // (value-compared per port) dirties exactly the coflows sourced at
       // ports whose headroom or compress gate moved since the last round.
       tracker.sample_cpu(cpu, ctx.now);
-      if (sink != nullptr) [[unlikely]] {
+      if (sink != nullptr) [[unlikely]]
         obs::emit_instant(sink, obs::sim_ts(t), "schedule_round", "sim",
                           {{"round", round}, {"scheduler", sched_name},
                            {"coflows", ctx.coflows.size()},
                            {"flows", ctx.flows.size()}});
-        rounds_counter->add();
-      }
       fabric::Allocation alloc;
       {
         obs::ProfileScope scope(sink, "sim.schedule");
@@ -1278,8 +1251,6 @@ Metrics Engine::run() {
     // (by the test the loop top fires it with) or the stall verdict is due.
     // The slice-stepped reference simply pins k = 1 and therefore visits
     // every boundary — evaluating the same formulas either way.
-    obs::ProfileScope advance_scope(sink, "sim.advance", "prof",
-                                    /*emit_events=*/false);
     std::uint64_t k = 1;
     if (event_mode) {
       std::uint64_t cap =
@@ -1388,40 +1359,6 @@ Metrics Engine::run() {
         std::to_string(verify_.front().seq) + ")");
   journal_.close();
 
-  if (sink != nullptr) {
-    sink->registry().gauge("sim.slices").set(static_cast<double>(slices));
-    sink->registry().gauge("sim.sim_time_s").set(slice_time(seg_j));
-    if (degrade_on) {
-      sink->registry()
-          .counter("sim.capacity_changes")
-          .add(dstats.capacity_changes);
-      sink->registry().counter("sim.link_failures").add(dstats.link_failures);
-      sink->registry()
-          .counter("sim.stalled_flow_slices")
-          .add(dstats.stalled_flow_slices);
-      sink->registry()
-          .counter("sim.compression_flips")
-          .add(dstats.compression_flips);
-    }
-    if (admit_on) {
-      sink->registry().counter("slo.with_deadline").add(sstats.with_deadline);
-      sink->registry().counter("slo.admitted").add(sstats.admitted);
-      sink->registry().counter("slo.degraded").add(sstats.degraded);
-      sink->registry().counter("slo.deferred").add(sstats.deferred);
-      sink->registry().counter("slo.rejected").add(sstats.rejected);
-      sink->registry()
-          .counter("slo.shed_midflight")
-          .add(sstats.shed_midflight);
-      sink->registry().gauge("slo.shed_bytes").set(sstats.shed_bytes);
-      sink->registry()
-          .counter("slo.repriced_shed")
-          .add(sstats.repriced_shed);
-      sink->registry()
-          .counter("slo.repriced_demoted")
-          .add(sstats.repriced_demoted);
-    }
-  }
-
   // ---- Emit records. ----
   Metrics metrics;
   metrics.utilization = std::move(samples);
@@ -1456,14 +1393,6 @@ Metrics Engine::run() {
     metrics.coflows.push_back(rec);
   }
   metrics.slo = sstats;
-  if (sink != nullptr && admit_on) {
-    sink->registry()
-        .gauge("slo.deadlines_met")
-        .set(static_cast<double>(metrics.deadlines_met()));
-    sink->registry()
-        .gauge("slo.deadline_met_fraction")
-        .set(metrics.deadline_met_fraction());
-  }
   return metrics;
 }
 

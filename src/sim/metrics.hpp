@@ -74,9 +74,7 @@ struct UtilizationSample {
 };
 
 /// What the fabric degradation layer did to a run (all zero when
-/// SimConfig::degradation is disabled). Mirrored into the obs registry as
-/// sim.capacity_changes / sim.link_failures / sim.stalled_flow_slices /
-/// sim.compression_flips when a sink is attached.
+/// SimConfig::degradation is disabled).
 struct DegradationStats {
   std::uint64_t capacity_changes = 0;    ///< port multiplier transitions
   std::uint64_t link_failures = 0;       ///< transitions to multiplier == 0
@@ -87,8 +85,7 @@ struct DegradationStats {
 };
 
 /// What the SLO admission layer did to a run (all zero when
-/// SimConfig::admission is disabled). Mirrored into the obs registry as
-/// slo.* counters when a sink is attached.
+/// SimConfig::admission is disabled).
 struct SloStats {
   std::uint64_t with_deadline = 0;   ///< arrived coflows carrying a deadline
   std::uint64_t admitted = 0;        ///< admission verdict kAdmit

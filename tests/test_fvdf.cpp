@@ -367,7 +367,7 @@ TEST(Upgrade, MultipliesEveryWaitingPriorityByLogBase) {
   b.priority = 2.0;
   sched::SchedContext ctx;
   ctx.coflows = {&a, &b};
-  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
+  PriorityUpgrade upgrade("fvdf");
   unserved_round(upgrade, ctx);  // round 1: nobody has waited yet
   EXPECT_DOUBLE_EQ(a.priority, 1.0);
   unserved_round(upgrade, ctx);
@@ -382,7 +382,7 @@ TEST(Upgrade, ClampsBelowOneBeforeMultiplying) {
   c.priority = 0.25;
   sched::SchedContext ctx;
   ctx.coflows = {&c};
-  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
+  PriorityUpgrade upgrade("fvdf");
   unserved_round(upgrade, ctx);
   unserved_round(upgrade, ctx);
   EXPECT_DOUBLE_EQ(c.priority, kPriorityLogBase);
@@ -392,7 +392,7 @@ TEST(Upgrade, GrowsExponentially) {
   fabric::Coflow c;
   sched::SchedContext ctx;
   ctx.coflows = {&c};
-  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
+  PriorityUpgrade upgrade("fvdf");
   for (int i = 0; i < 51; ++i) unserved_round(upgrade, ctx);
   EXPECT_NEAR(c.priority, std::pow(1.2, 50), 1e-3);
 }
@@ -402,7 +402,7 @@ TEST(Upgrade, OnlyCoflowEventsAge) {
   sched::SchedContext ctx;
   ctx.coflows = {&c};
   ctx.coflow_event = false;
-  PriorityUpgrade upgrade("fvdf", "fvdf.priority_upgrades");
+  PriorityUpgrade upgrade("fvdf");
   for (int i = 0; i < 5; ++i) unserved_round(upgrade, ctx);
   EXPECT_DOUBLE_EQ(c.priority, 1.0);
   EXPECT_EQ(upgrade.round(), 5u);

@@ -1,7 +1,6 @@
-// Unit tests for the observability layer: registry instruments under
-// concurrency, histogram percentiles, the tracer's typed records and its
-// ring of newest events, profiling spans, the disabled-path no-ops, JSON
-// helpers, and the pluggable log sink.
+// Unit tests for the observability layer: the bench gauge registry, the
+// tracer's typed records and its ring of newest events, profiling spans,
+// the disabled-path no-ops, JSON helpers, and the pluggable log sink.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -28,22 +27,6 @@
 namespace swallow::obs {
 namespace {
 
-TEST(Counter, ConcurrentIncrementsAreLossless) {
-  Registry registry;
-  Counter& counter = registry.counter("hits");
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::jthread> threads;
-  for (int i = 0; i < kThreads; ++i)
-    threads.emplace_back([&] {
-      for (int j = 0; j < kPerThread; ++j) counter.add();
-    });
-  threads.clear();  // join
-  EXPECT_EQ(counter.value(), kThreads * kPerThread);
-  // Same name resolves to the same instrument.
-  EXPECT_EQ(registry.counter("hits").value(), kThreads * kPerThread);
-}
-
 TEST(Gauge, LastWriteWins) {
   Registry registry;
   registry.gauge("temp").set(1.5);
@@ -51,58 +34,20 @@ TEST(Gauge, LastWriteWins) {
   EXPECT_DOUBLE_EQ(registry.gauge("temp").value(), -3.25);
 }
 
-TEST(Histogram, PercentilesNearestRank) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.record(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.min(), 1);
-  EXPECT_DOUBLE_EQ(h.max(), 100);
-  EXPECT_DOUBLE_EQ(h.sum(), 5050);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 50);
-  EXPECT_DOUBLE_EQ(h.percentile(95), 95);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 99);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 100);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 1);
-}
-
-TEST(Histogram, EmptyIsZeros) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 0);
-  EXPECT_DOUBLE_EQ(h.min(), 0);
-  EXPECT_DOUBLE_EQ(h.max(), 0);
-}
-
-TEST(Histogram, ConcurrentRecords) {
-  Registry registry;
-  Histogram& h = registry.histogram("lat");
-  std::vector<std::jthread> threads;
-  for (int i = 0; i < 4; ++i)
-    threads.emplace_back([&] {
-      for (int j = 0; j < 5000; ++j) h.record(j);
-    });
-  threads.clear();
-  EXPECT_EQ(h.count(), 20000u);
-}
-
 TEST(Registry, JsonExportRoundTrips) {
   Registry registry;
-  registry.counter("events").add(7);
   registry.gauge("load").set(0.5);
-  registry.histogram("lat").record(10);
-  registry.histogram("lat").record(20);
+  registry.gauge("b.speedup").set(3);
 
   const JsonValue doc = parse_json(registry.to_json());
   ASSERT_TRUE(doc.is_object());
-  const JsonValue* counters = doc.find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_DOUBLE_EQ(counters->find("events")->number, 7);
-  EXPECT_DOUBLE_EQ(doc.find("gauges")->find("load")->number, 0.5);
-  const JsonValue* lat = doc.find("histograms")->find("lat");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_DOUBLE_EQ(lat->find("count")->number, 2);
-  EXPECT_DOUBLE_EQ(lat->find("p50")->number, 10);
-  EXPECT_DOUBLE_EQ(lat->find("max")->number, 20);
+  ASSERT_EQ(doc.object.size(), 1u);
+  const JsonValue* gauges = doc.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  ASSERT_EQ(gauges->object.size(), 2u);
+  EXPECT_EQ(gauges->object[0].first, "b.speedup");  // keys sorted
+  EXPECT_DOUBLE_EQ(gauges->find("b.speedup")->number, 3);
+  EXPECT_DOUBLE_EQ(gauges->find("load")->number, 0.5);
 }
 
 TEST(Tracer, RecordsTypedArgs) {
@@ -175,7 +120,7 @@ TEST(Tracer, NullSinkPathIsANoOp) {
   ProfileScope scope(nullptr, "ignored");  // must not crash or allocate
 }
 
-TEST(ProfileScope, RecordsOneCompleteSpanAndHistogram) {
+TEST(ProfileScope, RecordsOneCompleteSpan) {
   Tracer tracer;
   { ProfileScope scope(&tracer, "work", "test"); }
   const std::vector<TraceEvent> events = tracer.events();
@@ -184,14 +129,6 @@ TEST(ProfileScope, RecordsOneCompleteSpanAndHistogram) {
   EXPECT_EQ(std::string_view(events[0].name), "work");
   EXPECT_EQ(events[0].pid, kWallPid);
   EXPECT_GE(events[0].dur, 0);
-  EXPECT_EQ(tracer.registry().histogram("prof.work").count(), 1u);
-}
-
-TEST(ProfileScope, HistogramOnlyModeEmitsNoEvents) {
-  Tracer tracer;
-  { ProfileScope scope(&tracer, "quiet", "test", /*emit_events=*/false); }
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.registry().histogram("prof.quiet").count(), 1u);
 }
 
 TEST(ProfileScope, SpansPastTheCapExportComplete) {
@@ -215,7 +152,6 @@ TEST(ProfileScope, SpansPastTheCapExportComplete) {
     ++spans;
   }
   EXPECT_EQ(spans, 3u);
-  EXPECT_EQ(tracer.registry().histogram("prof.outer").count(), 10u);
 }
 
 TEST(Tracer, ExportsEveryArgType) {
@@ -281,14 +217,6 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_THROW(parse_json("[1,]"), std::runtime_error);
   EXPECT_THROW(parse_json("{\"a\":1} trailing"), std::runtime_error);
   EXPECT_THROW(parse_json("tru"), std::runtime_error);
-}
-
-TEST(GlobalSink, SetAndClear) {
-  Tracer tracer;
-  set_global_sink(&tracer);
-  EXPECT_EQ(global_sink(), &tracer);
-  set_global_sink(nullptr);
-  EXPECT_EQ(global_sink(), nullptr);
 }
 
 TEST(ThreadTid, DistinctPerThread) {

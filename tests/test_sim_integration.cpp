@@ -143,10 +143,6 @@ TEST_F(SimIntegration, TracerObservesExactlyWhatMetricsRecord) {
   EXPECT_EQ(arrivals, m.coflows.size());
   EXPECT_EQ(coflow_completions, m.coflows.size());
   EXPECT_EQ(flow_completions, m.flows.size());
-  EXPECT_EQ(tracer.registry().counter("sim.coflows_arrived").value(),
-            m.coflows.size());
-  EXPECT_EQ(tracer.registry().counter("sim.coflows_completed").value(),
-            m.coflows.size());
 
   // An identical run with no sink attached must produce identical results:
   // instrumentation is observation, never perturbation.

@@ -235,17 +235,13 @@ TEST_F(TraceExport, LifecycleEventsMatchSimulationOutcome) {
     EXPECT_GT(ev->find("args")->find("cct")->number, 0.0);
 }
 
-TEST_F(TraceExport, RegistryAgreesWithTraceEvents) {
-  obs::Registry& reg = tracer_.registry();
-  EXPECT_EQ(reg.counter("sim.coflows_arrived").value(), trace_.coflows.size());
-  EXPECT_EQ(reg.counter("sim.coflows_completed").value(),
-            metrics_.coflows.size());
-  EXPECT_EQ(reg.counter("sim.schedule_rounds").value(),
-            events_named("schedule_round").size());
-  // Profiling histograms captured the schedule and advance phases.
-  EXPECT_GT(reg.histogram("prof.sim.schedule").count(), 0u);
-  EXPECT_GT(reg.histogram("prof.sim.advance").count(), 0u);
-  EXPECT_GT(reg.histogram("prof.fvdf.allocate").count(), 0u);
+TEST_F(TraceExport, EveryScheduleRoundHasOneScheduleSpan) {
+  // Each round is one schedule_round instant and one sim.schedule span
+  // around the scheduler call, which FVDF's allocate span sits inside.
+  const std::size_t rounds = events_named("schedule_round").size();
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(events_named("sim.schedule").size(), rounds);
+  EXPECT_GT(events_named("fvdf.allocate").size(), 0u);
 }
 
 }  // namespace
