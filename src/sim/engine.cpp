@@ -695,8 +695,7 @@ class Engine {
   std::int64_t stalled = 0;
   DegradationStats dstats;
   std::vector<char> decided;
-  std::uint64_t round = 0;   // scheduling rounds, for trace correlation
-  std::uint64_t slices = 0;  // advanced slices, reported via the registry
+  std::uint64_t round = 0;  // scheduling rounds, for trace correlation
   common::Seconds next_capacity_change = kForever;
   sched::SchedContext ctx;
 
@@ -914,7 +913,6 @@ void Engine::fields(Self& e, IO& io) {
   io.tag("ENGN");
   io.u64(e.journal_seq_);
   io.u64(e.round);
-  io.u64(e.slices);
   io.u64(e.completed);
   io.u64(e.rejected);
   io.index(e.next_arrival, e.arrival_order.size() + 1, "arrival cursor");
@@ -1348,7 +1346,6 @@ Metrics Engine::run() {
     }
 
     seg_j += k;
-    slices += k;
     maybe_sample(slice_time(seg_j));
   }
 

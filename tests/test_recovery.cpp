@@ -658,10 +658,11 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
     EXPECT_EQ(e.offset(), 12u);
   }
 
-  // So are version-2 and version-3 files: the same header, then bytes the
+  // So are version-2, -3 and -4 files: the same header, then bytes the
   // loader never reads (the payload here; version 2 stored an LZ frame of
-  // it, version 3 one more byte per flow).
-  for (const std::uint32_t version : {2u, 3u}) {
+  // it, version 3 one more byte per flow, version 4 the engine's 8-byte
+  // advanced-slice count).
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
     recovery::StateWriter old;
     old.bytes(std::span(valid).first(12));  // magic, seq
     old.u32(version);
@@ -800,10 +801,10 @@ TEST(RecoverySnapshot, FileBytesArePinned) {
     const auto files =
         midrun_snapshots(trace, fabric, cpu, "DEADLINE-FVDF", config);
     ASSERT_EQ(files.size(), 2u);
-    EXPECT_EQ(files[0].size(), 4116u);
-    EXPECT_EQ(codec::checksum64(files[0]), 0xbb03823b564e4be3ull);
-    EXPECT_EQ(files[1].size(), 4484u);
-    EXPECT_EQ(codec::checksum64(files[1]), 0x18e5e8f6fbb78cfeull);
+    EXPECT_EQ(files[0].size(), 4108u);
+    EXPECT_EQ(codec::checksum64(files[0]), 0x71d21f63abad1d42ull);
+    EXPECT_EQ(files[1].size(), 4476u);
+    EXPECT_EQ(codec::checksum64(files[1]), 0x774e1f304229340eull);
   }
   {
     SCOPED_TRACE("FVDF");
@@ -813,10 +814,10 @@ TEST(RecoverySnapshot, FileBytesArePinned) {
     config.codec = &codec::default_codec_model();
     const auto files = midrun_snapshots(trace, fabric, cpu, "FVDF", config);
     ASSERT_EQ(files.size(), 2u);
-    EXPECT_EQ(files[0].size(), 2683u);
-    EXPECT_EQ(codec::checksum64(files[0]), 0xb766dcb29dd25452ull);
-    EXPECT_EQ(files[1].size(), 2707u);
-    EXPECT_EQ(codec::checksum64(files[1]), 0x8c80d74314f7bef1ull);
+    EXPECT_EQ(files[0].size(), 2675u);
+    EXPECT_EQ(codec::checksum64(files[0]), 0x1134d127d17426aeull);
+    EXPECT_EQ(files[1].size(), 2699u);
+    EXPECT_EQ(codec::checksum64(files[1]), 0xe2826a0dad31814cull);
   }
 }
 
@@ -926,7 +927,7 @@ TEST(RecoveryFuzz, EngineRestoreRejectsCorruptCountsAndIndices) {
   const std::size_t adms = snap.section("ADMS");
   const std::size_t schd = snap.section("SCHD");
   const std::vector<Edit> edits = {
-      {"arrival cursor", engn + 5 * 8, 8, coflows + 1},
+      {"arrival cursor", engn + 4 * 8, 8, coflows + 1},
       {"flow count", flws, 8, plus_one(flws, 8)},
       {"coflow count", cofl, 8, plus_one(cofl, 8)},
       {"first SLO class", cofl + 8 + 16, 1, 0xff},
