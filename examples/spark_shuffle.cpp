@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     for (WorkerId reducer : {2u, 3u}) {
       partitions.push_back(app.generate(block_bytes, rng));
       cluster.worker(mapper).register_flow(
-          {next_flow++, 0, mapper, reducer, block_bytes, true});
+          {next_flow++, mapper, reducer, block_bytes, true});
     }
   }
 

@@ -191,7 +191,8 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
     PortGate::Ticket ticket = 0;
     {
       obs::ProfileScope wait(sink, "runtime.push.gate_wait", "runtime");
-      ticket = sender.egress_gate().acquire(cluster_->master().rank_of(ref));
+      ticket =
+          sender.egress_gate().acquire({cluster_->master().key_of(ref), ref});
     }
     const auto send = [&](std::span<const std::uint8_t> piece) {
       {
@@ -259,7 +260,7 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
     const FaultConfig& fc = injector.config();
     if (fc.kill_holding_gate && cluster_->effective_worker(fc.kill_worker) ==
                                     cluster_->effective_worker(esrc)) {
-      (void)sender.egress_gate().acquire(0);  // ticket abandoned on purpose
+      (void)sender.egress_gate().acquire({0, 0});  // abandoned on purpose
       cluster_->kill_worker(fc.kill_worker);
       return true;  // gate intentionally left busy; eviction recovers it
     }

@@ -1,6 +1,7 @@
 #include "runtime/master.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -10,13 +11,6 @@
 #include "recovery/snapshot.hpp"
 
 namespace swallow::runtime {
-
-namespace {
-
-/// Unscheduled coflows queue behind scheduled ones, ordered by ref.
-constexpr std::uint64_t kUnscheduledRank = 1'000'000;
-
-}  // namespace
 
 Master::Master(std::size_t workers, common::Bps nic_rate,
                codec::CodecModel codec, double cpu_headroom, bool compression,
@@ -50,7 +44,6 @@ std::optional<RtFlowId> Master::index_locked(CoflowRef ref,
 
 void Master::insert_locked(CoflowRef ref, CoflowInfo info) {
   Entry entry;
-  entry.rank = kUnscheduledRank + ref;
   entry.flows.reserve(info.flows.size());
   for (FlowInfo& f : info.flows) entry.flows.push_back(FlowState{f});
   if (const auto dup = index_locked(ref, entry))
@@ -141,28 +134,32 @@ SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {
               return a.ref < b.ref;
             });
   result.order.reserve(scored.size());
-  for (const auto& s : scored) result.order.push_back(s.ref);
+  result.keys.reserve(scored.size());
+  for (const auto& s : scored) {
+    result.order.push_back(s.ref);
+    result.keys.push_back(s.key);
+  }
   return result;
 }
 
 void Master::alloc(const SchedResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [ref, entry] : coflows_) entry.rank = kUnscheduledRank + ref;
   for (std::size_t i = 0; i < result.order.size(); ++i) {
-    // Only coflows still registered get a rank: a stale SchedResult must
+    // Only coflows still registered take a key: a stale SchedResult must
     // not leave orphaned entries behind after remove().
     const auto it = coflows_.find(result.order[i]);
-    if (it != coflows_.end()) it->second.rank = i;
+    if (it != coflows_.end()) it->second.key = result.keys.at(i);
   }
   // Same hygiene per flow; decision_of masks β once a flow degrades.
   for (const auto& [flow, decision] : result.decisions)
     if (FlowState* f = find_flow(*this, flow)) f->beta = decision.compress;
 }
 
-std::uint64_t Master::rank_of(CoflowRef ref) const {
+double Master::key_of(CoflowRef ref) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = coflows_.find(ref);
-  return it == coflows_.end() ? kUnscheduledRank + ref : it->second.rank;
+  return it == coflows_.end() ? std::numeric_limits<double>::infinity()
+                              : it->second.key;
 }
 
 FlowDecision Master::decision_of(RtFlowId flow) const {
@@ -199,10 +196,9 @@ void Master::fields(Self& m, IO& io) {
   io.map(m.coflows_, "master coflow", [&](auto& ref, auto& entry) {
     io.index(ref, m.next_ref_, "master coflow ref");
     io.f64(entry.priority);
-    io.u64(entry.rank);
+    io.f64(entry.key);
     io.vec(entry.flows, "master coflow flow", [&](auto& f) {
       io.u64(f.info.flow_id);
-      io.u64(f.info.coflow);
       io.u32(f.info.src);
       io.u32(f.info.dst);
       io.u64(f.info.bytes);
@@ -223,16 +219,21 @@ void Master::restore_state(recovery::StateReader& r) {
   std::lock_guard<std::mutex> lock(mutex_);
   index_.clear();
   fields(*this, r);
-  for (const auto& [ref, entry] : coflows_)
+  for (const auto& [ref, entry] : coflows_) {
+    // A NaN key would break the port gates' (key, ref) order.
+    if (std::isnan(entry.key))
+      throw recovery::RecoveryError("recovery: master coflow " +
+                                    std::to_string(ref) + " has a NaN key");
     if (const auto dup = index_locked(ref, entry))
       throw recovery::RecoveryError("recovery: master flow " +
                                     std::to_string(*dup) +
                                     " is listed under two coflows");
+  }
 }
 
 std::uint64_t Master::config_fingerprint() const {
   recovery::Fingerprint fp;
-  fp.mix(std::string("swallow.runtime.master.v2"));
+  fp.mix(std::string("swallow.runtime.master.v3"));
   fp.mix(static_cast<std::uint64_t>(fabric_.num_ports()));
   fp.mix(fabric_.nominal_ingress_capacity(0));
   fp.mix(codec_.name);

@@ -1,11 +1,12 @@
 // The Swallow master: aggregates coflow information from the workers and
 // runs the simulator's FVDF over it as runtime decisions — a coflow service
-// order (ranks for the port gates) and a per-flow compression switch. Every
+// order (FVDF keys for the port gates) and a per-flow compression switch. Every
 // flow is priced by core::evaluate_flow (Pseudocode 1, Eqs. 1-3 and 7) on a
 // fabric of the cluster's NICs, and each coflow by Eq. 8's Γ_C.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -34,9 +35,10 @@ struct FlowDecision {
 };
 
 /// Output of scheduling() (Table IV's schResult): the coflow service order
-/// and the per-flow decisions.
+/// with each coflow's FVDF key, and the per-flow decisions.
 struct SchedResult {
   std::vector<CoflowRef> order;  ///< highest priority first
+  std::vector<double> keys;      ///< keys[i]: order[i]'s Γ_C / max(P, 1)
   std::map<RtFlowId, FlowDecision> decisions;
 };
 
@@ -56,7 +58,7 @@ class Master {
   /// Registers a coflow. Throws std::invalid_argument when one of its flow
   /// ids is already registered (in it or in another coflow).
   CoflowRef add(CoflowInfo info);
-  /// Drops a coflow with its rank, decisions and failure counts. Returns
+  /// Drops a coflow with its key, decisions and failure counts. Returns
   /// its flow ids (empty if unknown) so the driver can prune the workers'
   /// registration logs.
   std::vector<RtFlowId> remove(CoflowRef ref);
@@ -70,12 +72,14 @@ class Master {
   /// unknown ref before any coflow ages.
   SchedResult scheduling(const std::vector<CoflowRef>& refs);
 
-  /// Applies a scheduling result: ranks become the port-gate priorities.
+  /// Applies a scheduling result: each coflow it names takes its key, and
+  /// each flow its β. Coflows it does not name keep theirs.
   void alloc(const SchedResult& result);
 
-  /// Gate rank of a coflow (position in the last applied order; coflows
-  /// never scheduled sort after scheduled ones, by ref).
-  std::uint64_t rank_of(CoflowRef ref) const;
+  /// A coflow's port-gate key: its FVDF key from the last applied result
+  /// that named it; +∞ for a coflow no applied result named yet (or an
+  /// unknown ref). Gates serve by (key, ref), smallest first.
+  double key_of(CoflowRef ref) const;
 
   /// Compression decision for a flow: the last applied β, off once the
   /// flow degraded (all false if never scheduled).
@@ -94,12 +98,12 @@ class Master {
   // ---- Crash-fault tolerance (DESIGN.md section 13) ----
 
   /// Serializes the master's full bookkeeping — registered coflows with
-  /// their priority classes and ranks, and each flow's last β and failure
+  /// their priority classes and keys, and each flow's last β and failure
   /// count — in deterministic (ref-sorted) order.
   void save_state(recovery::StateWriter& w) const;
   /// Rebuilds the bookkeeping from all of `r`'s save_state bytes; throws
-  /// RecoveryError on malformed input or a flow id listed under two
-  /// coflows. Replaces any existing state.
+  /// RecoveryError on malformed input, a NaN key or a flow id listed under
+  /// two coflows. Replaces any existing state.
   void restore_state(recovery::StateReader& r);
 
   /// Publishes a checksummed `snap-<seq>.swsnap` of save_state() in `dir`
@@ -135,7 +139,7 @@ class Master {
   struct Entry {
     std::vector<FlowState> flows;
     double priority = 1.0;  ///< Pseudocode 3's priority class P
-    std::uint64_t rank = 0;  ///< what rank_of reports
+    double key = std::numeric_limits<double>::infinity();  ///< key_of
   };
 
   /// The snapshot layout, listed once for both directions.

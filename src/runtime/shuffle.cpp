@@ -103,9 +103,8 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
             checksums[id] = codec::checksum64(part);
           }
           cluster.worker(mapper_worker(m))
-              .register_flow(FlowInfo{id, 0, mapper_worker(m),
-                                      reducer_worker(r), part.size(),
-                                      /*compressible=*/true});
+              .register_flow(FlowInfo{id, mapper_worker(m), reducer_worker(r),
+                                      part.size(), /*compressible=*/true});
           partitions[m * config.reducers + r] = std::move(part);
         }
       });
@@ -207,9 +206,9 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
     for (std::size_t r = 0; r < config.reducers; ++r) {
       for (std::size_t k = 0; k < config.result_replicas; ++k) {
         cluster.worker(reducer_worker(r))
-            .register_flow(FlowInfo{result_block(r, k), 0,
-                                    reducer_worker(r), replica_worker(r, k),
-                                    outputs[r].size(), true});
+            .register_flow(FlowInfo{result_block(r, k), reducer_worker(r),
+                                    replica_worker(r, k), outputs[r].size(),
+                                    true});
       }
     }
     std::vector<FlowInfo> result_flows;

@@ -4,11 +4,11 @@
 
 namespace swallow::runtime {
 
-PortGate::Ticket PortGate::acquire(std::uint64_t rank) {
+PortGate::Ticket PortGate::acquire(GateOrder order) {
   Ticket ticket = 0;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = waiters_.insert(rank);
+    const auto it = waiters_.insert(order);
     for (;;) {
       if (!busy_ && waiters_.begin() == it) break;
       if (holder_timeout_ <= 0) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "runtime/block_store.hpp"
@@ -24,15 +25,18 @@ using RtFlowId = std::uint64_t;
 /// flowInfo array returned by hook()).
 struct FlowInfo {
   RtFlowId flow_id = 0;
-  CoflowRef coflow = 0;
   WorkerId src = 0;
   WorkerId dst = 0;
   std::size_t bytes = 0;
   bool compressible = true;
 };
 
+/// Where a waiter queues at a port gate: its coflow's FVDF key
+/// (Master::key_of), ties broken by coflow ref.
+using GateOrder = std::pair<double, CoflowRef>;
+
 /// Serializes transfers through a port in scheduling-priority order: the
-/// waiter with the smallest rank proceeds when the port frees up.
+/// waiter with the smallest GateOrder proceeds when the port frees up.
 ///
 /// Failure model: a holder that dies without releasing (a crashed worker)
 /// would wedge the port and every waiter behind it forever. With a holder
@@ -47,8 +51,8 @@ class PortGate {
   /// Monotonic holder identity; pass it to release(). 0 is never issued.
   using Ticket = std::uint64_t;
 
-  /// Blocks until first-in-rank-order, then takes the port.
-  Ticket acquire(std::uint64_t rank);
+  /// Blocks until first in GateOrder, then takes the port.
+  Ticket acquire(GateOrder order);
   /// Releases the port iff `ticket` is still the live holder (no-op after
   /// an eviction superseded it).
   void release(Ticket ticket);
@@ -69,7 +73,7 @@ class PortGate {
   Clock::time_point busy_since_{};
   double holder_timeout_ = 0;
   std::size_t evictions_ = 0;
-  std::multiset<std::uint64_t> waiters_;
+  std::multiset<GateOrder> waiters_;
 };
 
 class Worker {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <span>
 #include <thread>
@@ -27,6 +28,9 @@
 
 namespace swallow::runtime {
 namespace {
+
+/// Master::key_of of a coflow no applied result has named.
+constexpr double kUnscheduled = std::numeric_limits<double>::infinity();
 
 ClusterConfig fault_config(bool compress = true) {
   ClusterConfig config;
@@ -147,10 +151,10 @@ TEST(RetentionStore, RetainLookupDrop) {
 TEST(PortGate, EvictsDeadHolderAfterTimeout) {
   PortGate gate;
   gate.set_holder_timeout(0.05);
-  const PortGate::Ticket dead = gate.acquire(0);  // "crashes", never releases
+  const PortGate::Ticket dead = gate.acquire({0, 0});  // "crashes" holding it
 
   const auto t0 = std::chrono::steady_clock::now();
-  const PortGate::Ticket next = gate.acquire(1);  // must not hang
+  const PortGate::Ticket next = gate.acquire({1, 0});  // must not hang
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -163,7 +167,7 @@ TEST(PortGate, EvictsDeadHolderAfterTimeout) {
   gate.release(dead);
   std::atomic<bool> acquired{false};
   std::jthread waiter([&] {
-    gate.acquire(2);
+    gate.acquire({2, 0});
     acquired = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -179,7 +183,7 @@ TEST(Master, DegradationLadderFlipsFlowToUncompressed) {
   Cluster cluster(config);
   Master& master = cluster.master();
   CoflowInfo info;
-  info.flows = {{1, 0, 0, 1, 1000, true}};
+  info.flows = {{1, 0, 1, 1000, true}};
   const CoflowRef ref = master.add(std::move(info));
   master.alloc(master.scheduling({ref}));
   EXPECT_TRUE(master.decision_of(1).compress);
@@ -340,7 +344,7 @@ TEST(Fault, MultiTargetPushRecoversEveryTarget) {
     payloads.push_back(codec::text_bytes(40 * 1024, rng));
     for (const WorkerId dst : {1u, 2u})
       cluster.worker(0).register_flow(
-          FlowInfo{2 * i + dst, 0, 0, dst, payloads.back().size(), true});
+          FlowInfo{2 * i + dst, 0, dst, payloads.back().size(), true});
   }
   const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
   ctx.alloc(ctx.scheduling({ref}));
@@ -466,8 +470,8 @@ Master make_master(const ClusterConfig& config) {
 
 CoflowInfo two_flow_coflow(RtFlowId first_flow) {
   CoflowInfo info;
-  info.flows.push_back(FlowInfo{first_flow, 0, 0, 1, 64 * 1024, true});
-  info.flows.push_back(FlowInfo{first_flow + 1, 0, 1, 2, 32 * 1024, true});
+  info.flows.push_back(FlowInfo{first_flow, 0, 1, 64 * 1024, true});
+  info.flows.push_back(FlowInfo{first_flow + 1, 1, 2, 32 * 1024, true});
   return info;
 }
 
@@ -493,7 +497,7 @@ TEST(MasterRecovery, StateRoundTripIsExact) {
   EXPECT_TRUE(std::ranges::equal(again.buffer(), w.buffer()));
   EXPECT_TRUE(restored.has_coflow(ref));
   EXPECT_EQ(restored.degraded_flows(), original.degraded_flows());
-  EXPECT_EQ(restored.rank_of(ref), original.rank_of(ref));
+  EXPECT_EQ(restored.key_of(ref), original.key_of(ref));
   for (const RtFlowId flow : {RtFlowId{100}, RtFlowId{101}}) {
     const FlowDecision a = original.decision_of(flow);
     const FlowDecision b = restored.decision_of(flow);
@@ -503,9 +507,9 @@ TEST(MasterRecovery, StateRoundTripIsExact) {
   // The ref counter survived: both masters hand out the same next ref.
   EXPECT_EQ(restored.add(two_flow_coflow(200)),
             original.add(two_flow_coflow(200)));
-  // The flow index was rebuilt: remove() leaves no rank or decision.
+  // The flow index was rebuilt: remove() leaves no key or decision.
   EXPECT_EQ(restored.remove(ref), (std::vector<RtFlowId>{100, 101}));
-  EXPECT_EQ(restored.rank_of(ref), 1'000'000 + ref);
+  EXPECT_EQ(restored.key_of(ref), kUnscheduled);
   EXPECT_FALSE(restored.decision_of(100).compress);
   EXPECT_FALSE(restored.decision_of(101).degraded);
 }
@@ -559,7 +563,7 @@ TEST(MasterRecovery, RestoreStateRejectsMalformedBytes) {
 TEST(MasterRecovery, StateBytesArePinned) {
   // The master's state layout, pinned by digest: three coflows, one
   // removed after its decisions were applied; the two left carry priority
-  // classes and ranks from two calls, one flow degraded and one a failure
+  // classes and keys from two calls, one flow degraded and one a failure
   // short of it, so every field the table carries is set.
   const ClusterConfig config = fault_config();
   Master master = make_master(config);
@@ -576,8 +580,8 @@ TEST(MasterRecovery, StateBytesArePinned) {
 
   recovery::StateWriter w;
   master.save_state(w);
-  EXPECT_EQ(w.size(), 256u);
-  EXPECT_EQ(codec::checksum64(w.buffer()), 0x998af12af5cdc2ebull);
+  EXPECT_EQ(w.size(), 224u);
+  EXPECT_EQ(codec::checksum64(w.buffer()), 0xc9e75affc052751cull);
 }
 
 TEST(MasterRecovery, CheckpointIsFingerprintGuarded) {
@@ -590,7 +594,7 @@ TEST(MasterRecovery, CheckpointIsFingerprintGuarded) {
 
   Master same = make_master(config);
   EXPECT_TRUE(same.restore_from(dir.str()));
-  EXPECT_EQ(same.rank_of(ref), original.rank_of(ref));
+  EXPECT_EQ(same.key_of(ref), original.key_of(ref));
 
   // A master configured differently must not accept the snapshot.
   ClusterConfig other = fault_config();
@@ -598,7 +602,7 @@ TEST(MasterRecovery, CheckpointIsFingerprintGuarded) {
   Master mismatched = make_master(other);
   EXPECT_FALSE(mismatched.restore_from(dir.str()));
   EXPECT_FALSE(mismatched.has_coflow(ref));
-  EXPECT_EQ(mismatched.rank_of(ref), 1'000'000 + ref);
+  EXPECT_EQ(mismatched.key_of(ref), kUnscheduled);
   EXPECT_FALSE(mismatched.decision_of(100).compress);
 
   TempDir empty;
@@ -627,7 +631,7 @@ void failover_round(bool with_snapshot) {
     const auto src = static_cast<WorkerId>(i % cluster.size());
     const auto dst = static_cast<WorkerId>((i + 1) % cluster.size());
     cluster.worker(src).register_flow(
-        FlowInfo{blocks[i], 0, src, dst, payloads[blocks[i]].size(), true});
+        FlowInfo{blocks[i], src, dst, payloads[blocks[i]].size(), true});
   }
   std::vector<FlowInfo> all_flows;
   for (WorkerId w = 0; w < cluster.size(); ++w) {

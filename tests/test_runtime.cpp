@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
+#include <mutex>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -19,6 +21,9 @@
 
 namespace swallow::runtime {
 namespace {
+
+/// Master::key_of of a coflow no applied result has named.
+constexpr double kUnscheduled = std::numeric_limits<double>::infinity();
 
 using Clock = std::chrono::steady_clock;
 
@@ -120,13 +125,13 @@ TEST(BufferPool, ReclaimTimeGrowsWithBytes) {
   EXPECT_GT(big.stats().reclaim_time, small.stats().reclaim_time);
 }
 
-TEST(PortGate, LowerRankGoesFirst) {
+TEST(PortGate, LowerKeyGoesFirst) {
   PortGate gate;
-  const PortGate::Ticket held = gate.acquire(5);  // hold the port
+  const PortGate::Ticket held = gate.acquire({5, 0});  // hold the port
   std::vector<int> order;
   std::mutex order_mutex;
   std::jthread late([&] {
-    const PortGate::Ticket ticket = gate.acquire(10);
+    const PortGate::Ticket ticket = gate.acquire({10, 0});
     {
       std::lock_guard<std::mutex> lock(order_mutex);
       order.push_back(10);
@@ -134,9 +139,9 @@ TEST(PortGate, LowerRankGoesFirst) {
     gate.release(ticket);
   });
   std::jthread early([&] {
-    // Give the rank-10 waiter time to queue up first.
+    // Give the key-10 waiter time to queue up first.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const PortGate::Ticket ticket = gate.acquire(1);
+    const PortGate::Ticket ticket = gate.acquire({1, 0});
     {
       std::lock_guard<std::mutex> lock(order_mutex);
       order.push_back(1);
@@ -144,7 +149,7 @@ TEST(PortGate, LowerRankGoesFirst) {
     gate.release(ticket);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  gate.release(held);  // both waiters queued: rank 1 must win
+  gate.release(held);  // both waiters queued: key 1 must win
   late.join();
   early.join();
   ASSERT_EQ(order.size(), 2u);
@@ -186,16 +191,18 @@ TEST(Master, AddScheduleRemoveLifecycle) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo info;
-  info.flows = {{1, 0, 0, 1, 1000, true}, {2, 0, 0, 2, 500, true}};
+  info.flows = {{1, 0, 1, 1000, true}, {2, 0, 2, 500, true}};
   const CoflowRef ref = master.add(std::move(info));
   EXPECT_TRUE(master.has_coflow(ref));
 
   const SchedResult result = master.scheduling({ref});
   ASSERT_EQ(result.order.size(), 1u);
   EXPECT_EQ(result.order[0], ref);
+  ASSERT_EQ(result.keys.size(), 1u);
   EXPECT_TRUE(result.decisions.at(1).compress);
+  EXPECT_EQ(master.key_of(ref), kUnscheduled);
   master.alloc(result);
-  EXPECT_EQ(master.rank_of(ref), 0u);
+  EXPECT_EQ(master.key_of(ref), result.keys[0]);
   EXPECT_TRUE(master.decision_of(1).compress);
 
   EXPECT_EQ(master.remove(ref), (std::vector<RtFlowId>{1, 2}));
@@ -209,9 +216,9 @@ TEST(Master, AddRefusesAFlowIdAlreadyRegistered) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo a, twice, again;
-  a.flows = {{1, 0, 0, 1, 1000, true}};
-  twice.flows = {{2, 0, 0, 1, 1000, true}, {2, 0, 0, 2, 1000, true}};
-  again.flows = {{3, 0, 0, 1, 1000, true}, {1, 0, 0, 2, 1000, true}};
+  a.flows = {{1, 0, 1, 1000, true}};
+  twice.flows = {{2, 0, 1, 1000, true}, {2, 0, 2, 1000, true}};
+  again.flows = {{3, 0, 1, 1000, true}, {1, 0, 2, 1000, true}};
   const CoflowRef ra = master.add(std::move(a));
   EXPECT_THROW(master.add(std::move(twice)), std::invalid_argument);
   EXPECT_THROW(master.add(std::move(again)), std::invalid_argument);
@@ -221,39 +228,41 @@ TEST(Master, AddRefusesAFlowIdAlreadyRegistered) {
   EXPECT_FALSE(master.decision_of(3).compress);
   master.remove(ra);
   CoflowInfo reuse;
-  reuse.flows = {{1, 0, 0, 1, 1000, true}, {3, 0, 0, 2, 1000, true}};
+  reuse.flows = {{1, 0, 1, 1000, true}, {3, 0, 2, 1000, true}};
   EXPECT_NO_THROW(master.add(std::move(reuse)));
 }
 
-TEST(Master, RemoveLeavesNoStaleRanksOrDecisions) {
+TEST(Master, RemoveLeavesNoStaleKeysOrDecisions) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo a, b;
-  a.flows = {{1, 0, 0, 1, 1000, true}, {2, 0, 0, 2, 500, true}};
-  b.flows = {{3, 0, 1, 2, 800, true}};
+  a.flows = {{1, 0, 1, 1000, true}, {2, 0, 2, 500, true}};
+  b.flows = {{3, 1, 2, 800, true}};
   const CoflowRef ra = master.add(std::move(a));
   const CoflowRef rb = master.add(std::move(b));
-  master.alloc(master.scheduling({ra, rb}));
-  EXPECT_EQ(master.rank_of(ra), 0u);
-  EXPECT_EQ(master.rank_of(rb), 1u);
+  const SchedResult result = master.scheduling({ra, rb});
+  ASSERT_EQ(result.order, (std::vector<CoflowRef>{ra, rb}));
+  master.alloc(result);
+  EXPECT_EQ(master.key_of(ra), result.keys[0]);
+  EXPECT_EQ(master.key_of(rb), result.keys[1]);
   for (const RtFlowId flow : {1, 2, 3})
     EXPECT_TRUE(master.decision_of(flow).compress) << flow;
 
-  master.remove(ra);  // only coflow b's rank and decision remain
-  EXPECT_EQ(master.rank_of(ra), 1'000'000 + ra);
+  master.remove(ra);  // only coflow b's key and decision remain
+  EXPECT_EQ(master.key_of(ra), kUnscheduled);
   EXPECT_FALSE(master.decision_of(1).compress);
   EXPECT_FALSE(master.decision_of(2).compress);
-  EXPECT_EQ(master.rank_of(rb), 1u);
+  EXPECT_EQ(master.key_of(rb), result.keys[1]);
   EXPECT_TRUE(master.decision_of(3).compress);
   master.remove(rb);
-  EXPECT_EQ(master.rank_of(rb), 1'000'000 + rb);
+  EXPECT_EQ(master.key_of(rb), kUnscheduled);
   EXPECT_FALSE(master.decision_of(3).compress);
 
   // The flow ids come back unscheduled under a new coflow.
   CoflowInfo again;
-  again.flows = {{1, 0, 0, 1, 1000, true}, {3, 0, 1, 2, 800, true}};
+  again.flows = {{1, 0, 1, 1000, true}, {3, 1, 2, 800, true}};
   const CoflowRef rc = master.add(std::move(again));
-  EXPECT_EQ(master.rank_of(rc), 1'000'000 + rc);
+  EXPECT_EQ(master.key_of(rc), kUnscheduled);
   EXPECT_FALSE(master.decision_of(1).compress);
   EXPECT_FALSE(master.decision_of(3).compress);
 }
@@ -262,17 +271,17 @@ TEST(Master, StaleAllocAfterRemoveDoesNotResurrectState) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo info;
-  info.flows = {{1, 0, 0, 1, 1000, true}};
+  info.flows = {{1, 0, 1, 1000, true}};
   const CoflowRef ref = master.add(std::move(info));
   const SchedResult result = master.scheduling({ref});
   master.remove(ref);
   // A SchedResult computed before remove() must not leak entries back in.
   master.alloc(result);
   EXPECT_FALSE(master.has_coflow(ref));
-  EXPECT_EQ(master.rank_of(ref), 1'000'000 + ref);
+  EXPECT_EQ(master.key_of(ref), kUnscheduled);
   EXPECT_FALSE(master.decision_of(1).compress);
   CoflowInfo again;
-  again.flows = {{1, 0, 0, 1, 1000, true}};
+  again.flows = {{1, 0, 1, 1000, true}};
   master.add(std::move(again));
   EXPECT_FALSE(master.decision_of(1).compress);
 }
@@ -286,8 +295,8 @@ TEST(Master, CoflowsUnderTheSliceFloorTieAtDeltaAndGoByRef) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo big, small;
-  big.flows = {{1, 0, 0, 1, 10'000'000, true}};
-  small.flows = {{2, 0, 0, 1, 1'000, true}};
+  big.flows = {{1, 0, 1, 10'000'000, true}};
+  small.flows = {{2, 0, 1, 1'000, true}};
   const CoflowRef big_ref = master.add(std::move(big));
   const CoflowRef small_ref = master.add(std::move(small));
   const SchedResult result = master.scheduling({big_ref, small_ref});
@@ -303,12 +312,50 @@ TEST(Master, FvdfOrdersSmallerExpectedCompletionFirstAboveTheSliceFloor) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo big, small;
-  big.flows = {{1, 0, 0, 1, 100'000'000, true}};
-  small.flows = {{2, 0, 0, 1, 30'000'000, true}};
+  big.flows = {{1, 0, 1, 100'000'000, true}};
+  small.flows = {{2, 0, 1, 30'000'000, true}};
   const CoflowRef big_ref = master.add(std::move(big));
   const CoflowRef small_ref = master.add(std::move(small));
   const SchedResult result = master.scheduling({big_ref, small_ref});
   EXPECT_EQ(result.order, (std::vector<CoflowRef>{small_ref, big_ref}));
+}
+
+// Each shuffle job schedules and applies its own coflow alone. Coflows
+// scheduled apart must still meet at a port gate in FVDF order: the 30 MB
+// coflow A (Γ = 0.032 s) goes ahead of the 100 MB coflow B (0.163 s),
+// although B was scheduled last and queued at the gate first.
+TEST(Master, GatesServeCoflowsScheduledApartInFvdfOrder) {
+  Cluster cluster(fast_config());
+  Master& master = cluster.master();
+  CoflowInfo a, b;
+  a.flows = {{1, 0, 1, 30'000'000, true}};
+  b.flows = {{2, 0, 1, 100'000'000, true}};
+  const CoflowRef ra = master.add(std::move(a));
+  master.alloc(master.scheduling({ra}));
+  const CoflowRef rb = master.add(std::move(b));
+  master.alloc(master.scheduling({rb}));
+  EXPECT_LT(master.key_of(ra), master.key_of(rb));
+
+  PortGate& gate = cluster.worker(0).egress_gate();
+  const PortGate::Ticket held = gate.acquire({0, 0});  // hold the port
+  std::vector<CoflowRef> served;
+  std::mutex served_mutex;
+  const auto take_turn = [&](CoflowRef ref) {
+    const PortGate::Ticket ticket = gate.acquire({master.key_of(ref), ref});
+    {
+      std::lock_guard<std::mutex> lock(served_mutex);
+      served.push_back(ref);
+    }
+    gate.release(ticket);
+  };
+  {
+    std::jthread first_b([&] { take_turn(rb); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::jthread then_a([&] { take_turn(ra); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    gate.release(held);  // both waiters queued: A must win
+  }
+  EXPECT_EQ(served, (std::vector<CoflowRef>{ra, rb}));
 }
 
 // Eq. 7 by hand, on NICs of B = 1 MB/s with R = 100 MB/s at h = 1,
@@ -325,8 +372,8 @@ TEST(Master, OrdersByEq7ExpectedCompletion) {
   Master master(2, 1e6, codec::CodecModel{"hand", 100e6, 200e6, 0.5}, 1.0,
                 true, &tracer, /*degrade_after=*/2);
   CoflowInfo a, b;
-  a.flows = {{1, 0, 0, 1, 10'000'000, true}};
-  b.flows = {{2, 0, 1, 0, 6'000'000, false}};
+  a.flows = {{1, 0, 1, 10'000'000, true}};
+  b.flows = {{2, 1, 0, 6'000'000, false}};
   const CoflowRef ra = master.add(std::move(a));
   const CoflowRef rb = master.add(std::move(b));
 
@@ -381,7 +428,7 @@ TEST(Master, OrdersCoflowsAsTheSimulatorsFvdfRanksThem) {
       f.compressible = rng.bernoulli(0.7);
       coflows[c].flows.push_back(f.id);
       info.flows.push_back(
-          FlowInfo{rng.next_u64(), 0, f.src, f.dst, bytes, f.compressible});
+          FlowInfo{rng.next_u64(), f.src, f.dst, bytes, f.compressible});
       flows.push_back(f);
     }
     refs.push_back(master.add(std::move(info)));
@@ -415,7 +462,7 @@ TEST(Master, SchedulingChecksEveryRefBeforeAging) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
   CoflowInfo info;
-  info.flows = {{1, 0, 0, 1, 1000, true}};
+  info.flows = {{1, 0, 1, 1000, true}};
   const CoflowRef ref = master.add(std::move(info));
   recovery::StateWriter before, after;
   master.save_state(before);
@@ -431,7 +478,7 @@ TEST(Master, CompressionGateClosesOnFastNic) {
   config.nic_rate = common::gbps(10);
   Cluster cluster(config);
   CoflowInfo info;
-  info.flows = {{1, 0, 0, 1, 1000, true}};
+  info.flows = {{1, 0, 1, 1000, true}};
   const CoflowRef ref = cluster.master().add(std::move(info));
   const SchedResult result = cluster.master().scheduling({ref});
   EXPECT_FALSE(result.decisions.at(1).compress);
@@ -440,7 +487,7 @@ TEST(Master, CompressionGateClosesOnFastNic) {
 TEST(Master, SmartCompressOffDisablesCompression) {
   Cluster cluster(fast_config(/*compress=*/false));
   CoflowInfo info;
-  info.flows = {{1, 0, 0, 1, 1000, true}};
+  info.flows = {{1, 0, 1, 1000, true}};
   const CoflowRef ref = cluster.master().add(std::move(info));
   const SchedResult result = cluster.master().scheduling({ref});
   EXPECT_FALSE(result.decisions.at(1).compress);
@@ -452,7 +499,7 @@ TEST(Context, PushPullRoundtripCompressed) {
   common::Rng rng(3);
   const codec::Buffer payload = codec::text_bytes(50'000, rng);
 
-  cluster.worker(0).register_flow({1, 0, 0, 1, payload.size(), true});
+  cluster.worker(0).register_flow({1, 0, 1, payload.size(), true});
   auto flows = ctx.hook(0);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_TRUE(ctx.hook(0).empty());  // hook drains
@@ -476,7 +523,7 @@ TEST(Context, PushWithoutCompressionKeepsBytes) {
   SwallowContext ctx(cluster);
   common::Rng rng(4);
   const codec::Buffer payload = codec::text_bytes(20'000, rng);
-  cluster.worker(0).register_flow({1, 0, 0, 1, payload.size(), true});
+  cluster.worker(0).register_flow({1, 0, 1, payload.size(), true});
   const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
   ctx.alloc(ctx.scheduling({ref}));
   ctx.push(ref, {{1, 1}}, payload, 0);
@@ -499,8 +546,8 @@ TEST(Context, MultiTargetPushLandsTheFramesOfSingleTargetPushes) {
   const auto send = [&](bool one_push, bool degrade_second = false) {
     Cluster cluster(fast_config());
     SwallowContext ctx(cluster);
-    cluster.worker(0).register_flow({1, 0, 0, 1, payload.size(), true});
-    cluster.worker(0).register_flow({2, 0, 0, 2, payload.size(), true});
+    cluster.worker(0).register_flow({1, 0, 1, payload.size(), true});
+    cluster.worker(0).register_flow({2, 0, 2, payload.size(), true});
     const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
     ctx.alloc(ctx.scheduling({ref}));
     if (degrade_second) {
@@ -596,12 +643,12 @@ TEST(Shuffle, ConcurrentJobsShareTheCluster) {
   EXPECT_TRUE(a.verified);
   EXPECT_TRUE(b.verified);
   // Full lifecycle leaves no master bookkeeping behind: the two jobs'
-  // coflows (refs 1 and 2) hold no rank, and their flows (ids
+  // coflows (refs 1 and 2) hold no key, and their flows (ids
   // seed · 1e6 + 1 .. 4) no decision.
   const Master& master = cluster.master();
   for (const CoflowRef ref : {1, 2}) {
     EXPECT_FALSE(master.has_coflow(ref)) << ref;
-    EXPECT_EQ(master.rank_of(ref), 1'000'000u + ref) << ref;
+    EXPECT_EQ(master.key_of(ref), kUnscheduled) << ref;
   }
   for (const RtFlowId seed : {1, 2})
     for (RtFlowId flow = seed * 1'000'000 + 1; flow <= seed * 1'000'000 + 4;

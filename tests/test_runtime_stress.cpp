@@ -28,7 +28,7 @@ TEST(PortGateStress, AllWaitersEventuallyPass) {
       threads.emplace_back([&, i] {
         for (int round = 0; round < 20; ++round) {
           const PortGate::Ticket ticket =
-              gate.acquire(static_cast<std::uint64_t>((i * 7 + round) % 5));
+              gate.acquire({(i * 7 + round) % 5, 0});
           if (inside.fetch_add(1) != 0) overlap = true;  // mutual exclusion
           std::this_thread::yield();
           inside.fetch_sub(1);
@@ -43,15 +43,15 @@ TEST(PortGateStress, AllWaitersEventuallyPass) {
 }
 
 TEST(PortGateStress, PriorityHoldsUnderChurn) {
-  // A continuous stream of high-rank (low-priority) holders; a late
-  // low-rank arrival must get through within a few handoffs.
+  // A continuous stream of high-key (low-priority) holders; a late
+  // low-key arrival must get through within a few handoffs.
   PortGate gate;
   std::atomic<bool> vip_done{false};
   std::atomic<int> handoffs_after_vip_queued{0};
   std::atomic<bool> vip_queued{false};
   std::jthread churn([&] {
     for (int i = 0; i < 4000 && !vip_done; ++i) {
-      const PortGate::Ticket ticket = gate.acquire(100);
+      const PortGate::Ticket ticket = gate.acquire({100, 0});
       if (vip_queued && !vip_done) handoffs_after_vip_queued.fetch_add(1);
       gate.release(ticket);
       std::this_thread::yield();
@@ -59,7 +59,7 @@ TEST(PortGateStress, PriorityHoldsUnderChurn) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   vip_queued = true;
-  const PortGate::Ticket vip = gate.acquire(1);
+  const PortGate::Ticket vip = gate.acquire({1, 0});
   vip_done = true;
   gate.release(vip);
   churn.join();
