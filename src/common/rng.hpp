@@ -12,6 +12,25 @@
 
 namespace swallow::common {
 
+/// splitmix64-style avalanche of (seed, a, b, c) into one 64-bit stream
+/// seed: a fresh Rng per decision, so a seeded decision is a pure function
+/// of its coordinates (fabric degradation episodes per (port, epoch), runtime
+/// fault decisions per (kind, block, attempt)). The multiplicative constants
+/// are splitmix64's; c = 0 mixes nothing in.
+inline std::uint64_t mix64(std::uint64_t seed, std::uint64_t a,
+                           std::uint64_t b, std::uint64_t c = 0) {
+  std::uint64_t x = seed;
+  x ^= a * 0x9e3779b97f4a7c15ULL;
+  x ^= b * 0xbf58476d1ce4e5b9ULL;
+  x ^= c * 0x94d049bb133111ebULL;
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
 /// xoshiro256++ by Blackman & Vigna: fast, high-quality, 2^256-1 period.
 class Rng {
  public:

@@ -18,21 +18,6 @@ constexpr common::Seconds kInfinity =
 /// against pathological configs (rate ~ 1e-7) spinning forever.
 constexpr std::int64_t kMaxScanEpochs = 200000;
 
-/// splitmix64-style avalanche of (seed, port, epoch) into one 64-bit
-/// stream seed — the same mixing the runtime's FaultInjector uses, so both
-/// adversity layers share the determinism argument.
-std::uint64_t mix64(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = seed;
-  x ^= a * 0x9e3779b97f4a7c15ULL;
-  x ^= b * 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 }  // namespace
 
 DegradationSchedule::DegradationSchedule(DegradationConfig config,
@@ -65,8 +50,8 @@ DegradationSchedule::DegradationSchedule(DegradationConfig config,
 
 std::optional<DegradationEpisode> DegradationSchedule::episode_in_epoch(
     PortId p, std::int64_t e) const {
-  common::Rng rng(mix64(config_.seed, std::uint64_t(p) + 1,
-                        static_cast<std::uint64_t>(e) + 1));
+  common::Rng rng(common::mix64(config_.seed, std::uint64_t(p) + 1,
+                                static_cast<std::uint64_t>(e) + 1));
   if (!rng.bernoulli(config_.rate)) return std::nullopt;
 
   DegradationEpisode ep;

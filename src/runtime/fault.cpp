@@ -7,26 +7,6 @@
 
 namespace swallow::runtime {
 
-namespace {
-
-/// splitmix64-style avalanche of (seed, kind, block, attempt) into one
-/// 64-bit stream seed. Multiplicative constants are the splitmix64 ones.
-std::uint64_t mix64(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                    std::uint64_t c) {
-  std::uint64_t x = seed;
-  x ^= a * 0x9e3779b97f4a7c15ULL;
-  x ^= b * 0xbf58476d1ce4e5b9ULL;
-  x ^= c * 0x94d049bb133111ebULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
 common::Seconds backoff_delay(const RetryPolicy& retry, int attempt,
                               common::Rng& rng) {
   double delay = retry.base_backoff;
@@ -108,8 +88,9 @@ bool FaultInjector::fires(FaultKind kind, BlockId block, int attempt) const {
   if (!config_.enabled) return false;
   const double rate = rate_of(kind);
   if (rate <= 0) return false;
-  common::Rng rng(mix64(config_.seed, static_cast<std::uint64_t>(kind) + 1,
-                        block, static_cast<std::uint64_t>(attempt)));
+  common::Rng rng(common::mix64(config_.seed,
+                                static_cast<std::uint64_t>(kind) + 1, block,
+                                static_cast<std::uint64_t>(attempt)));
   return rng.uniform() < rate;
 }
 
@@ -134,8 +115,8 @@ void FaultInjector::corrupt(std::span<std::uint8_t> wire, BlockId block,
   // to hit the per-record validation instead of dying on is_chunk_frame().
   constexpr std::size_t kMagicBytes = 4;
   if (wire.size() <= kMagicBytes) return;
-  const std::uint64_t h = mix64(config_.seed, 0x5bd1e995, block,
-                                static_cast<std::uint64_t>(attempt));
+  const std::uint64_t h = common::mix64(config_.seed, 0x5bd1e995, block,
+                                        static_cast<std::uint64_t>(attempt));
   const std::size_t offset =
       kMagicBytes + static_cast<std::size_t>(h % (wire.size() - kMagicBytes));
   wire[offset] ^= 0xFF;
