@@ -679,6 +679,44 @@ TEST(Shuffle, ResultStageReplicatesOutputs) {
     EXPECT_EQ(cluster.worker(w).store().block_count(), 0u) << w;
 }
 
+// Tracing observes a shuffle and never changes it: a cluster with a
+// Tracer sends the wire bytes an untraced one sends, and the trace counts
+// what ran — one codec.chunk_encode and one codec.chunk_decode span per
+// chunk the ledger counted (the chunk pool carries the sink), and one
+// runtime.push.gate_wait span per runtime.push.transfer. 16 KiB chunks
+// split each 48 KiB partition into three, and the replicated result stage
+// sends frames encoded once for two targets.
+TEST(Shuffle, TracedClusterSendsTheSameBytesAndItsSpansCountWhatRan) {
+  ShuffleJobConfig job;
+  job.app = codec::app_by_name("Sort");
+  job.mappers = 2;
+  job.reducers = 2;
+  job.bytes_per_partition = 48 * 1024;
+  job.result_replicas = 2;
+  ClusterConfig config = fast_config();
+  config.chunk_bytes = 16 * 1024;
+  Cluster plain(config);
+  const ShuffleReport untraced = run_shuffle_job(plain, job);
+
+  obs::Tracer tracer;
+  config.sink = &tracer;
+  Cluster traced(config);
+  const ShuffleReport report = run_shuffle_job(traced, job);
+  EXPECT_EQ(report.wire_bytes, untraced.wire_bytes);
+  EXPECT_EQ(report.chunks_encoded, untraced.chunks_encoded);
+  EXPECT_EQ(report.chunks_decoded, untraced.chunks_decoded);
+
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::map<std::string_view, std::size_t> spans;
+  for (const obs::TraceEvent& ev : tracer.events())
+    if (ev.ph == 'X') ++spans[ev.name];
+  EXPECT_GT(report.chunks_encoded, 2u * 2u);
+  EXPECT_EQ(spans["codec.chunk_encode"], report.chunks_encoded);
+  EXPECT_EQ(spans["codec.chunk_decode"], report.chunks_decoded);
+  EXPECT_EQ(spans["runtime.push.transfer"], 2u * 2u + 2u * 2u);
+  EXPECT_EQ(spans["runtime.push.gate_wait"], spans["runtime.push.transfer"]);
+}
+
 TEST(Shuffle, RejectsZeroTasks) {
   Cluster cluster(fast_config());
   ShuffleJobConfig job;
