@@ -7,12 +7,15 @@ Checks:
   - the dropped_events metadata record is present;
   - with --coflows-csv (a trace_replay --csv coflows file of the same run):
     the last coflow_complete event names a coflow with the latest
-    completion in the CSV, at that completion time (ts = seconds * 1e6).
+    completion in the CSV, at that completion time (ts = seconds * 1e6);
+  - with --require-span NAME (repeatable): the trace holds at least one
+    'X' span of that name.
 
 Events are decoded one at a time, so a 2^20-event file does not become a
 list of dicts in memory.
 
 Usage: tools/check_trace.py TRACE.json [--coflows-csv RUN.coflows.csv]
+                            [--require-span NAME ...]
 
 Exits 0 when every check holds, 1 on a failed check, 2 on unreadable input.
 """
@@ -58,12 +61,13 @@ def latest_completion(path):
     return latest, ids
 
 
-def check(text, coflows_csv):
+def check(text, coflows_csv, required_spans=()):
     errors = []
     prev_ts = None
     dropped = None
     last_complete = None
     count = 0
+    spans = set()
     for ev in trace_events(text):
         count += 1
         ph = ev["ph"]
@@ -75,12 +79,17 @@ def check(text, coflows_csv):
         if prev_ts is not None and ts < prev_ts:
             errors.append(f"event {count} ({ev['name']}): ts {ts} < {prev_ts}")
         prev_ts = ts
-        if ph == "X" and not ev["dur"] >= 0:
-            errors.append(f"event {count} ({ev['name']}): dur {ev['dur']}")
+        if ph == "X":
+            spans.add(ev["name"])
+            if not ev["dur"] >= 0:
+                errors.append(f"event {count} ({ev['name']}): dur {ev['dur']}")
         if ev["name"] == "coflow_complete":
             last_complete = ev
     if dropped is None:
         errors.append("no dropped_events record")
+    for name in required_spans:
+        if name not in spans:
+            errors.append(f"no {name} span")
     if coflows_csv is not None:
         latest, ids = latest_completion(coflows_csv)
         if latest is None:
@@ -106,11 +115,13 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("trace")
     parser.add_argument("--coflows-csv")
+    parser.add_argument("--require-span", action="append", default=[],
+                        metavar="NAME")
     args = parser.parse_args()
     try:
         with open(args.trace) as fh:
             text = fh.read()
-        errors, summary = check(text, args.coflows_csv)
+        errors, summary = check(text, args.coflows_csv, args.require_span)
     except (OSError, ValueError, KeyError, IndexError) as e:
         print(f"error: {args.trace}: {e!r}", file=sys.stderr)
         return 2
