@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -538,6 +539,30 @@ TEST(MasterRecovery, RestoreRefusesAFlowListedUnderTwoCoflows) {
   ASSERT_EQ(std::search(at + 1, bytes.end(), from.begin(), from.end()),
             bytes.end());
   std::copy(to.begin(), to.end(), at);
+  Master victim = make_master(config);
+  recovery::StateReader r(bytes);
+  EXPECT_THROW(victim.restore_state(r), recovery::RecoveryError);
+}
+
+TEST(MasterRecovery, RestoreRefusesANaNKey) {
+  // Well-formed bytes whose first coflow's gate key is NaN, which would
+  // break the port gates' (key, ref) order. The key follows next_ref,
+  // the degraded count, the coflow count, the ref and the priority.
+  const ClusterConfig config = fault_config();
+  Master original = make_master(config);
+  const CoflowRef ref = original.add(two_flow_coflow(100));
+  original.alloc(original.scheduling({ref}));
+  recovery::StateWriter w;
+  original.save_state(w);
+  std::vector<std::uint8_t> bytes(w.buffer().begin(), w.buffer().end());
+  const auto key_bits = std::bit_cast<std::uint64_t>(original.key_of(ref));
+  constexpr std::size_t kKeyAt = 5 * 8;
+  for (std::size_t i = 0; i < 8; ++i)
+    ASSERT_EQ(bytes[kKeyAt + i], static_cast<std::uint8_t>(key_bits >> 8 * i));
+  const auto nan_bits =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[kKeyAt + i] = static_cast<std::uint8_t>(nan_bits >> 8 * i);
   Master victim = make_master(config);
   recovery::StateReader r(bytes);
   EXPECT_THROW(victim.restore_state(r), recovery::RecoveryError);
