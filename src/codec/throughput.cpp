@@ -40,10 +40,11 @@ ThroughputResult measure_codec(const Codec& codec,
 }
 
 namespace {
-void atomic_add_double(std::atomic<double>& a, double v) {
+double atomic_add_double(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
+  return cur + v;
 }
 
 double safe_mbps(std::uint64_t bytes, double seconds) {
