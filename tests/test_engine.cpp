@@ -4,6 +4,7 @@
 // that pin every output of a fixed run table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -478,15 +479,44 @@ constexpr PinnedRun kPinnedRuns[] = {
     {"FVDF-NOUPGRADE", true, 0xfd7061dfb44f50b3ULL},
     {"SEBF", false, 0x8667aa1fb35ef50eULL},
     {"SEBF", true, 0x1129070d103cd707ULL},
+    {"SEBF-NOBACKFILL", false, 0xe45a20aa0d4053e4ULL},
+    {"SEBF-NOBACKFILL", true, 0x3ce6216c5609695cULL},
     {"AALO", false, 0xd3f0afeea8f64582ULL},
     {"AALO", true, 0x04ac4d5e788278e5ULL},
+    {"FIFO", false, 0xa83594610e190ac5ULL},
+    {"FIFO", true, 0x5bcca7edce72fb4fULL},
     {"PFF", false, 0x878e864beca85e79ULL},
     {"PFF", true, 0xf2976c5b0a4ba18fULL},
+    {"WSS", false, 0x9f7838e55153cd2dULL},
+    {"WSS", true, 0x687171f1699b7ff2ULL},
+    {"PFP", false, 0xe1954a859ab17939ULL},
+    {"PFP", true, 0xd652d9ce701cfa7bULL},
+    {"SCF", false, 0x7eaaaa5996531e5fULL},
+    {"SCF", true, 0x217a610cf7c59592ULL},
+    {"NCF", false, 0x274ab388067f5df6ULL},
+    {"NCF", true, 0x19ede44428cec577ULL},
+    {"LCF", false, 0x6a58324f0bf62e28ULL},
+    {"LCF", true, 0x9d6b15d033032a3dULL},
+    {"SINCRONIA", false, 0x233a83a918cb6a61ULL},
+    {"SINCRONIA", true, 0xebb780821fc34da0ULL},
     {"DEADLINE-FVDF", false, 0xd27142efaf466c23ULL},
     {"DEADLINE-FVDF", true, 0x17fe2dfad773dd4aULL},
 };
 
 TEST(Engine, OutputsMatchPinnedDigests) {
+  // Every listed scheduler has a plain and a stressed row (FVDF-BLIND
+  // excepted, above), so a new scheduler cannot land unpinned.
+  for (const std::string& name : scheduler_names()) {
+    if (name == "FVDF-BLIND") continue;
+    for (const bool stressed : {false, true})
+      EXPECT_TRUE(std::any_of(std::begin(kPinnedRuns), std::end(kPinnedRuns),
+                              [&](const PinnedRun& p) {
+                                return p.scheduler == name &&
+                                       p.stressed == stressed;
+                              }))
+          << name << (stressed ? " has no stressed row" : " has no plain row");
+  }
+
   const workload::Trace trace = pinned_trace();
   ASSERT_EQ(trace.coflows.size(), 26u);
   const fabric::Fabric fabric(trace.num_ports, common::mbps(100));
