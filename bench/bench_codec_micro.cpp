@@ -134,7 +134,7 @@ double measure_decode_mbps(const codec::Buffer& frame,
 
 /// Serial vs 1/2/4-thread chunk encode/decode over a mixed corpus; records
 /// gauges and returns false on any byte-identity violation.
-bool run_chunk_battery(obs::Registry& registry) {
+bool run_chunk_battery(bench::Gauges& gauges) {
   common::Rng rng(7);
   const codec::Buffer payload = codec::mixed_bytes(4 << 20, rng, 0.3);
   const unsigned thread_counts[] = {1, 2, 4};
@@ -153,7 +153,7 @@ bool run_chunk_battery(obs::Registry& registry) {
     codec::Buffer serial_frame;
     const double serial =
         measure_encode_mbps(*codec, payload, nullptr, serial_frame);
-    registry.gauge("chunk." + name + ".serial_mbps").set(serial);
+    gauges["chunk." + name + ".serial_mbps"] = serial;
     double p4 = serial;
     for (const unsigned threads : thread_counts) {
       codec::ChunkPool pool(threads);
@@ -166,12 +166,11 @@ bool run_chunk_battery(obs::Registry& registry) {
                      name.c_str(), threads);
         ok = false;
       }
-      registry.gauge("chunk." + name + ".p" + std::to_string(threads) +
-                     "_mbps")
-          .set(mbps);
+      gauges["chunk." + name + ".p" + std::to_string(threads) + "_mbps"] =
+          mbps;
       if (threads == 4) p4 = mbps;
     }
-    registry.gauge("chunk." + name + ".p4.speedup").set(p4 / serial);
+    gauges["chunk." + name + ".p4.speedup"] = p4 / serial;
     codec::ChunkPool dec_pool(4);
     bool dec_identical = false;
     const double dec =
@@ -181,13 +180,10 @@ bool run_chunk_battery(obs::Registry& registry) {
                    name.c_str());
       ok = false;
     }
-    registry.gauge("chunk." + name + ".decode_p4_mbps").set(dec);
-    const auto& g = registry.gauge("chunk." + name + ".p4.speedup");
+    gauges["chunk." + name + ".decode_p4_mbps"] = dec;
     std::printf("%-14s %12.1f %12.1f %12.1f %12.1f %9.2fx %12.1f\n",
-                name.c_str(), serial,
-                registry.gauge("chunk." + name + ".p1_mbps").value(),
-                registry.gauge("chunk." + name + ".p2_mbps").value(), p4,
-                g.value(), dec);
+                name.c_str(), serial, gauges.at("chunk." + name + ".p1_mbps"),
+                gauges.at("chunk." + name + ".p2_mbps"), p4, p4 / serial, dec);
   }
   std::printf("(p4 spdup is p4 / serial encode as measured on this host; "
               "chunks are independent, so it is bounded by the cores the "
@@ -207,9 +203,9 @@ int main(int argc, char** argv) {
       argv[n++] = argv[i];
   }
   argc = n;
-  obs::Registry registry;
-  const bool ok = run_chunk_battery(registry);
-  bench::write_bench_json("bench_codec_micro", registry);
+  bench::Gauges gauges;
+  const bool ok = run_chunk_battery(gauges);
+  bench::write_bench_json("bench_codec_micro", gauges);
   if (!ok) return 1;
   if (chunk_only) return 0;
   benchmark::Initialize(&argc, argv);

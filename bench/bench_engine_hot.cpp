@@ -213,17 +213,17 @@ int main(int argc, char** argv) {
   std::cout << "batch determinism: " << (batch_ok ? "OK" : "FAIL")
             << " (pool results identical to serial)\n";
 
-  obs::Registry registry;
-  registry.gauge("engine.event_ms").set(event_ms);
-  registry.gauge("engine.slice_ms").set(slice_ms);
-  registry.gauge("engine.speedup").set(speedup);
-  registry.gauge("batch.serial_ms").set(serial_ms);
-  registry.gauge("batch.parallel_ms").set(pool_ms);
-  registry.gauge("batch.scaling").set(scaling);
-  registry.gauge("batch.threads").set(static_cast<double>(threads));
-  registry.gauge("engine.checkpoint_ms").set(ckpt_ms);
-  registry.gauge("engine.checkpoint_overhead").set(ckpt_overhead);
-  bench::write_bench_json(bench::current_artifact(), registry);
+  bench::Gauges gauges;
+  gauges["engine.event_ms"] = event_ms;
+  gauges["engine.slice_ms"] = slice_ms;
+  gauges["engine.speedup"] = speedup;
+  gauges["batch.serial_ms"] = serial_ms;
+  gauges["batch.parallel_ms"] = pool_ms;
+  gauges["batch.scaling"] = scaling;
+  gauges["batch.threads"] = static_cast<double>(threads);
+  gauges["engine.checkpoint_ms"] = ckpt_ms;
+  gauges["engine.checkpoint_overhead"] = ckpt_overhead;
+  bench::write_bench_json(bench::current_artifact(), gauges);
 
   return parity && batch_ok && ckpt_identical ? 0 : 1;
 }

@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> schedulers = {"FVDF", "SEBF", "AALO"};
 
-  obs::Registry registry;
+  bench::Gauges gauges;
   common::Table table({"scheduler", "coflows", "rebuild ms/event",
                        "inc ms/event", "speedup"});
   double fvdf_top_speedup = 0;
@@ -243,9 +243,9 @@ int main(int argc, char** argv) {
                      common::fmt_speedup(p.speedup)});
       const std::string prefix =
           "scale." + name + ".n" + std::to_string(n) + ".";
-      registry.gauge(prefix + "full_ms").set(p.full_ms);
-      registry.gauge(prefix + "inc_ms").set(p.inc_ms);
-      registry.gauge(prefix + "speedup").set(p.speedup);
+      gauges[prefix + "full_ms"] = p.full_ms;
+      gauges[prefix + "inc_ms"] = p.inc_ms;
+      gauges[prefix + "speedup"] = p.speedup;
       if (name == "FVDF" && n == populations.back())
         fvdf_top_speedup = p.speedup;
     }
@@ -274,6 +274,6 @@ int main(int argc, char** argv) {
               << " reached " << common::fmt_speedup(fvdf_top_speedup)
               << ", need >= " << min_speedup << "x\n";
 
-  bench::write_bench_json(bench::current_artifact(), registry);
+  bench::write_bench_json(bench::current_artifact(), gauges);
   return identity_ok && speedup_ok ? 0 : 1;
 }

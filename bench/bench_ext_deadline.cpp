@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   common::Table table({"load", "scheduler", "met fraction", "goodput",
                        "avg CCT", "rejected", "shed"});
-  obs::Registry registry;
+  bench::Gauges gauges;
   bool never_worse = true;
   for (std::size_t li = 0; li < loads.size(); ++li) {
     double fvdf_met = 0;
@@ -102,12 +102,12 @@ int main(int argc, char** argv) {
                      common::fmt_double(p.cct, 3) + " s",
                      std::to_string(p.rejected), std::to_string(p.shed)});
       const std::string prefix = "load_" + loads[li].first + "." + scheds[si];
-      registry.gauge(prefix + ".met_fraction").set(p.met_fraction);
-      registry.gauge(prefix + ".goodput_bytes").set(p.goodput);
-      registry.gauge(prefix + ".avg_cct_s").set(p.cct);
+      gauges[prefix + ".met_fraction"] = p.met_fraction;
+      gauges[prefix + ".goodput_bytes"] = p.goodput;
+      gauges[prefix + ".avg_cct_s"] = p.cct;
     }
-    registry.gauge("load_" + loads[li].first + ".deadline_fvdf_met_gain")
-        .set(points[li * scheds.size() + 1].met_fraction - fvdf_met);
+    gauges["load_" + loads[li].first + ".deadline_fvdf_met_gain"] =
+        points[li * scheds.size() + 1].met_fraction - fvdf_met;
   }
   table.print(std::cout);
   std::cout << (never_worse
@@ -159,14 +159,12 @@ int main(int argc, char** argv) {
            std::to_string(p.shed)});
       const std::string prefix =
           "degrade_" + degrade_rates[di].first + "." + degrade_scheds[si];
-      registry.gauge(prefix + ".met_fraction").set(p.met_fraction);
-      registry.gauge(prefix + ".goodput_bytes").set(p.goodput);
+      gauges[prefix + ".met_fraction"] = p.met_fraction;
+      gauges[prefix + ".goodput_bytes"] = p.goodput;
     }
-    registry
-        .gauge("degrade_" + degrade_rates[di].first +
-               ".deadline_fvdf_met_gain")
-        .set(degrade_points[di * degrade_scheds.size() + 1].met_fraction -
-             fvdf_met);
+    gauges["degrade_" + degrade_rates[di].first + ".deadline_fvdf_met_gain"] =
+        degrade_points[di * degrade_scheds.size() + 1].met_fraction -
+        fvdf_met;
   }
   degrade_table.print(std::cout);
 
@@ -191,8 +189,8 @@ int main(int argc, char** argv) {
   std::cout << (identical
                     ? "zero-deadline A/B: DEADLINE-FVDF == FVDF bit for bit\n"
                     : "REGRESSION: zero-deadline A/B diverged\n");
-  registry.gauge("zero_deadline_identity").set(identical ? 1.0 : 0.0);
+  gauges["zero_deadline_identity"] = identical ? 1.0 : 0.0;
 
-  bench::write_bench_json(bench::current_artifact(), registry);
+  bench::write_bench_json(bench::current_artifact(), gauges);
   return never_worse && identical ? 0 : 1;
 }

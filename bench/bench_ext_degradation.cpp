@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   common::Table table({"episode rate", "avg JCT", "JCT inflation", "avg CCT",
                        "CCT inflation", "cap changes", "failures",
                        "stalled slices", "beta flips"});
-  obs::Registry registry;
+  bench::Gauges gauges;
   const double baseline_jct = points[0].jct;
   const double baseline_cct = points[0].cct;
   bool all_completed = true;
@@ -99,24 +99,24 @@ int main(int argc, char** argv) {
                    std::to_string(p.stats.compression_flips)});
 
     const std::string prefix = "rate_" + common::fmt_percent(rate);
-    registry.gauge(prefix + ".avg_jct_s").set(p.jct);
-    registry.gauge(prefix + ".jct_inflation").set(jct_inflation);
-    registry.gauge(prefix + ".avg_cct_s").set(p.cct);
-    registry.gauge(prefix + ".cct_inflation").set(cct_inflation);
-    registry.gauge(prefix + ".capacity_changes")
-        .set(static_cast<double>(p.stats.capacity_changes));
-    registry.gauge(prefix + ".link_failures")
-        .set(static_cast<double>(p.stats.link_failures));
-    registry.gauge(prefix + ".stalled_flow_slices")
-        .set(static_cast<double>(p.stats.stalled_flow_slices));
-    registry.gauge(prefix + ".compression_flips")
-        .set(static_cast<double>(p.stats.compression_flips));
+    gauges[prefix + ".avg_jct_s"] = p.jct;
+    gauges[prefix + ".jct_inflation"] = jct_inflation;
+    gauges[prefix + ".avg_cct_s"] = p.cct;
+    gauges[prefix + ".cct_inflation"] = cct_inflation;
+    gauges[prefix + ".capacity_changes"] =
+        static_cast<double>(p.stats.capacity_changes);
+    gauges[prefix + ".link_failures"] =
+        static_cast<double>(p.stats.link_failures);
+    gauges[prefix + ".stalled_flow_slices"] =
+        static_cast<double>(p.stats.stalled_flow_slices);
+    gauges[prefix + ".compression_flips"] =
+        static_cast<double>(p.stats.compression_flips);
   }
   table.print(std::cout);
   std::cout << (all_completed
                     ? "all coflows completed at every degradation rate\n"
                     : "INCOMPLETE runs detected\n");
 
-  bench::write_bench_json(bench::current_artifact(), registry);
+  bench::write_bench_json(bench::current_artifact(), gauges);
   return all_completed ? 0 : 1;
 }

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   common::Table table({"fault rate", "mean JCT", "JCT inflation",
                        "traffic overhead", "injected", "retransmits",
                        "degraded flows"});
-  obs::Registry registry;
+  bench::Gauges gauges;
   const double baseline_jct = points[0].jct;
   const std::size_t baseline_wire = points[0].wire;
   bool budget_met = true;
@@ -110,16 +110,15 @@ int main(int argc, char** argv) {
                    std::to_string(stats.degraded_flows)});
 
     const std::string prefix = "rate_" + common::fmt_percent(rate);
-    registry.gauge(prefix + ".jct_s").set(jct);
-    registry.gauge(prefix + ".jct_inflation").set(inflation);
-    registry.gauge(prefix + ".traffic_overhead").set(overhead);
-    registry.gauge(prefix + ".retransmits")
-        .set(static_cast<double>(stats.retransmits));
+    gauges[prefix + ".jct_s"] = jct;
+    gauges[prefix + ".jct_inflation"] = inflation;
+    gauges[prefix + ".traffic_overhead"] = overhead;
+    gauges[prefix + ".retransmits"] = static_cast<double>(stats.retransmits);
   }
   table.print(std::cout);
   std::cout << "all payloads verified (zero corruption); 1% budget "
             << (budget_met ? "met" : "MISSED") << " (<= 2x JCT inflation)\n";
 
-  bench::write_bench_json(bench::current_artifact(), registry);
+  bench::write_bench_json(bench::current_artifact(), gauges);
   return budget_met ? 0 : 1;
 }

@@ -237,9 +237,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
-  swallow::obs::Registry registry;
+  swallow::bench::Gauges gauges;
   for (const auto& [name, ms] : reporter.results())
-    registry.gauge(name + ".real_ms").set(ms);
-  swallow::bench::write_bench_json("bench_sim_micro", registry);
+    gauges[name + ".real_ms"] = ms;
+  swallow::bench::write_bench_json("bench_sim_micro", gauges);
   return 0;
 }

@@ -46,7 +46,7 @@ unsigned default_pool_threads(unsigned requested) {
 
 // ---- ChunkPool ----
 
-ChunkPool::ChunkPool(unsigned threads, obs::Sink* sink) : sink_(sink) {
+ChunkPool::ChunkPool(unsigned threads, obs::Tracer* sink) : sink_(sink) {
   const unsigned n = default_pool_threads(threads);
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i)
@@ -257,7 +257,7 @@ struct ChunkRef {
 void decode_chunk(std::span<const std::uint8_t> container,
                   std::uint8_t record_id, std::uint64_t checksum,
                   std::span<std::uint8_t> out, std::size_t index,
-                  ThroughputLedger* ledger, obs::Sink* sink) {
+                  ThroughputLedger* ledger, obs::Tracer* sink) {
   obs::ProfileScope scope(sink, "codec.chunk_decode", "codec");
   if (container.empty() || container[0] != record_id)
     throw CodecError("chunk: record codec id mismatch in chunk " +
@@ -308,7 +308,7 @@ std::size_t chunk_decompress_into(std::span<const std::uint8_t> frame,
   }
   if (pos != frame.size()) throw CodecError("chunk: trailing garbage");
 
-  obs::Sink* const sink = pool != nullptr ? pool->sink() : nullptr;
+  obs::Tracer* const sink = pool != nullptr ? pool->sink() : nullptr;
   const auto decode_one = [&](const ChunkRef& ref, std::size_t index) {
     decode_chunk(frame.subspan(ref.container_pos, ref.container_size),
                  ref.codec_id, ref.checksum,

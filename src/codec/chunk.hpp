@@ -41,7 +41,7 @@
 #include "codec/codec.hpp"
 
 namespace swallow::obs {
-class Sink;
+class Tracer;
 }
 
 namespace swallow::codec {
@@ -58,14 +58,14 @@ inline constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 class ChunkPool {
  public:
   /// `threads` == 0 picks min(4, hardware_concurrency).
-  explicit ChunkPool(unsigned threads = 0, obs::Sink* sink = nullptr);
+  explicit ChunkPool(unsigned threads = 0, obs::Tracer* sink = nullptr);
   ~ChunkPool();
 
   ChunkPool(const ChunkPool&) = delete;
   ChunkPool& operator=(const ChunkPool&) = delete;
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-  obs::Sink* sink() const { return sink_; }
+  obs::Tracer* sink() const { return sink_; }
   void submit(std::function<void()> job);
 
  private:
@@ -75,7 +75,7 @@ class ChunkPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  obs::Sink* sink_ = nullptr;
+  obs::Tracer* sink_ = nullptr;
   std::vector<std::jthread> workers_;
 };
 

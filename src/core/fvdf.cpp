@@ -7,7 +7,7 @@
 
 namespace swallow::core {
 
-[[gnu::noinline, gnu::cold]] void trace_beta_decision(obs::Sink* sink,
+[[gnu::noinline, gnu::cold]] void trace_beta_decision(obs::Tracer* sink,
                                                      common::Seconds now,
                                                      const fabric::Flow& f,
                                                      bool beta,
@@ -20,7 +20,7 @@ namespace swallow::core {
 }
 
 [[gnu::noinline, gnu::cold]] void trace_coflow_estimate(
-    obs::Sink* sink, common::Seconds now, const fabric::Coflow& c,
+    obs::Tracer* sink, common::Seconds now, const fabric::Coflow& c,
     common::Seconds gamma, double key) {
   obs::emit_instant(sink, obs::sim_ts(now), "coflow_estimate", "fvdf",
                     {{"coflow", c.id},

@@ -65,10 +65,10 @@ FlowEval evaluate_flow(const EvalEnv& env, const fabric::Flow& f,
 /// re-evaluated: one flow's β decision with its Eq. 7 FCT, and the
 /// coflow's Γ_C with its priority class and rank key. Out of line, so the
 /// refresh loops stay tight when no sink is attached.
-void trace_beta_decision(obs::Sink* sink, common::Seconds now,
+void trace_beta_decision(obs::Tracer* sink, common::Seconds now,
                          const fabric::Flow& f, bool beta,
                          common::Seconds fct);
-void trace_coflow_estimate(obs::Sink* sink, common::Seconds now,
+void trace_coflow_estimate(obs::Tracer* sink, common::Seconds now,
                            const fabric::Coflow& c, common::Seconds gamma,
                            double key);
 

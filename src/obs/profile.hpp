@@ -17,7 +17,7 @@ class ProfileScope {
   ///
   /// Ctor/dtor are inline so the null-sink case compiles down to a single
   /// predictable branch at the call site — no function call on hot paths.
-  explicit ProfileScope(Sink* sink, const char* name,
+  explicit ProfileScope(Tracer* sink, const char* name,
                         const char* cat = "prof")
       : sink_(sink), name_(name), cat_(cat) {
     if (sink_ != nullptr) [[unlikely]] start_us_ = wall_now_us();
@@ -32,7 +32,7 @@ class ProfileScope {
  private:
   void end();  // out of line: clock read, X span
 
-  Sink* sink_;
+  Tracer* sink_;
   const char* name_;
   const char* cat_;
   double start_us_ = 0;

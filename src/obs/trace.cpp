@@ -63,11 +63,6 @@ void flush(std::ostream& out, std::string& buf) {
 
 }  // namespace
 
-const char* Sink::intern(std::string_view s) {
-  std::lock_guard<std::mutex> lock(intern_mutex_);
-  return interned_.emplace(s).first->c_str();
-}
-
 Tracer::Tracer(std::size_t max_events) : max_events_(max_events) {
   if (max_events == 0)
     throw std::invalid_argument("obs: Tracer needs room for one event");
@@ -80,6 +75,11 @@ void Tracer::record(const TraceEvent& event) {
     ++dropped_;
   }
   events_.push_back(event);
+}
+
+const char* Tracer::intern(std::string_view s) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return interned_.emplace(s).first->c_str();
 }
 
 std::size_t Tracer::size() const {
@@ -129,7 +129,7 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   common::log_info("obs: exported ", events_.size(), " trace events");
 }
 
-void emit_instant(Sink* sink, double ts_us, const char* name, const char* cat,
+void emit_instant(Tracer* sink, double ts_us, const char* name, const char* cat,
                   std::initializer_list<Arg> args, std::uint32_t pid,
                   std::uint32_t tid) {
   if (sink == nullptr) return;

@@ -1,14 +1,14 @@
 // Event tracing for the simulator and runtime.
 //
-// A Sink receives TraceEvents; instrumentation sites hold an optional
-// `Sink*` and do nothing when it is null (one branch, no allocation, no
-// locking — the disabled-path guarantee DESIGN.md's Observability section
-// documents). A layer reaches the sink through its own plumbing: there is
-// no process-global one. A TraceEvent is a fixed-size record of
-// static names and typed argument slots, so recording one copies no string.
-// The bundled Tracer keeps the newest events in a ring, and its exporter is
-// the only code that writes trace JSON: Chrome trace_event JSON (loadable
-// in Perfetto or chrome://tracing).
+// A Tracer is the one sink of TraceEvents; instrumentation sites hold an
+// optional `Tracer*` and do nothing when it is null (one branch, no
+// allocation, no locking — the disabled-path guarantee DESIGN.md's
+// Observability section documents). A layer reaches the tracer through its
+// own plumbing: there is no process-global one. A TraceEvent is a
+// fixed-size record of static names and typed argument slots, so recording
+// one copies no string. The Tracer keeps the newest events in a ring, and
+// its exporter is the only code that writes trace JSON: Chrome trace_event
+// JSON (loadable in Perfetto or chrome://tracing).
 //
 // Two timelines coexist, separated by pid: kSimPid carries simulated time
 // (1 µs = 1 simulated µs), kWallPid carries wall-clock profiling scopes.
@@ -37,7 +37,7 @@ inline constexpr std::uint32_t kWallPid = 2;  ///< wall-clock track
 inline double sim_ts(double seconds) { return seconds * 1e6; }
 
 /// One typed argument of a TraceEvent. The key, and a string value, must
-/// outlive the sink: a literal, or a string from Sink::intern.
+/// outlive the tracer: a literal, or a string from Tracer::intern.
 struct Arg {
   using Value =
       std::variant<std::int64_t, std::uint64_t, double, bool, const char*>;
@@ -70,33 +70,23 @@ struct TraceEvent {
   std::array<Arg, kMaxArgs> args{};  ///< filled from the front
 };
 
-/// Receiver of trace events. Implementations must tolerate concurrent
-/// record() calls (the runtime traces from worker threads).
-class Sink {
- public:
-  virtual ~Sink() = default;
-  virtual void record(const TraceEvent& event) = 0;
-
-  /// A copy of `s` that lives as long as the sink, for a string argument
-  /// that is not a literal. Intern once per run, never per event.
-  const char* intern(std::string_view s);
-
- private:
-  std::mutex intern_mutex_;
-  std::set<std::string> interned_;
-};
-
-/// In-memory sink: a ring that keeps the newest `max_events` records and
-/// counts the older ones it overwrote. The export leads with a
-/// `dropped_events` metadata record carrying that count.
-class Tracer final : public Sink {
+/// The trace sink: an in-memory ring that keeps the newest `max_events`
+/// records and counts the older ones it overwrote. The export leads with a
+/// `dropped_events` metadata record carrying that count. record() and
+/// intern() may be called concurrently (the runtime traces from worker
+/// threads).
+class Tracer {
  public:
   static constexpr std::size_t kDefaultMaxEvents = 1 << 20;
 
   /// Throws std::invalid_argument when `max_events` is 0.
   explicit Tracer(std::size_t max_events = kDefaultMaxEvents);
 
-  void record(const TraceEvent& event) override;
+  void record(const TraceEvent& event);
+
+  /// A copy of `s` that lives as long as the tracer, for a string argument
+  /// that is not a literal. Intern once per run, never per event.
+  const char* intern(std::string_view s);
 
   std::size_t size() const;
   std::size_t dropped() const;
@@ -111,11 +101,12 @@ class Tracer final : public Sink {
   std::deque<TraceEvent> events_;
   std::size_t max_events_;
   std::size_t dropped_ = 0;
+  std::set<std::string> interned_;
 };
 
 /// Records an instant event with up to kMaxArgs args; no-op when `sink` is
 /// null.
-void emit_instant(Sink* sink, double ts_us, const char* name, const char* cat,
+void emit_instant(Tracer* sink, double ts_us, const char* name, const char* cat,
                   std::initializer_list<Arg> args = {},
                   std::uint32_t pid = kSimPid, std::uint32_t tid = 0);
 

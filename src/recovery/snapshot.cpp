@@ -94,7 +94,7 @@ void begin_snapshot(StateWriter& image, const SnapshotMeta& meta) {
 }
 
 void write_snapshot(const std::string& dir, StateWriter& image,
-                    SnapshotCrashHook* crash_hook) {
+                    const std::function<void()>& crash_hook) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec)
@@ -125,7 +125,7 @@ void write_snapshot(const std::string& dir, StateWriter& image,
     throw RecoveryError("snapshot: write to '" + tmp_path +
                         "' failed: " + std::strerror(errno));
 
-  if (crash_hook) crash_hook->on_tmp_written(tmp_path);
+  if (crash_hook) crash_hook();
 
   fs::rename(tmp_path, final_path, ec);
   if (ec)

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,13 +47,6 @@ struct SnapshotMeta {
   std::uint64_t fingerprint = 0;  // config/trace fingerprint
 };
 
-/// Injection point for the mid-snapshot crash test: called between the
-/// partial tmp-file write and the rename. Null in production.
-struct SnapshotCrashHook {
-  virtual ~SnapshotCrashHook() = default;
-  virtual void on_tmp_written(const std::string& tmp_path) = 0;
-};
-
 /// Starts a snapshot image: clears `image` and writes the header for
 /// `meta`. What the caller serializes into `image` next is the payload,
 /// in place, so a checkpoint copies its state exactly once.
@@ -62,11 +56,12 @@ void begin_snapshot(StateWriter& image, const SnapshotMeta& meta);
 /// it as `dir/snap-<seq>.swsnap` atomically, then deletes the published
 /// snapshots older than the previous one. Throws RecoveryError on I/O
 /// failure, including a failed close, before anything is renamed.
-/// `crash_hook`, when set, fires after the tmp file hits disk but before
-/// the rename (so a hook that throws models a crash mid-snapshot: the tmp
-/// file is left behind, the published name never appears).
+/// `crash_hook`, when set, is called after the tmp file hits disk but
+/// before the rename: a hook that throws models a crash mid-snapshot (the
+/// tmp file is left behind, the published name never appears). Only the
+/// crash-injection tests set it.
 void write_snapshot(const std::string& dir, StateWriter& image,
-                    SnapshotCrashHook* crash_hook = nullptr);
+                    const std::function<void()>& crash_hook = {});
 
 /// Parses one snapshot file. Checks the magic, the version (offset 12),
 /// the fingerprint, then the checksum, which also catches truncation,

@@ -151,7 +151,7 @@ bool SwallowContext::transfer_once(CoflowRef ref, BlockId block,
                                    WorkerId src, WorkerId dst, int attempt,
                                    FrameMemo* memo) {
   FaultInjector& injector = cluster_->injector();
-  obs::Sink* const sink = cluster_->sink();
+  obs::Tracer* const sink = cluster_->sink();
   // Dead workers are routed around: a killed sender's retained blocks go
   // out through a survivor, a killed receiver's partitions land on its
   // replacement (where the re-pull finds them).

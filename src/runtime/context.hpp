@@ -44,7 +44,7 @@ struct ClusterConfig {
   /// Trace sink shared by the master, the fault injector, the chunk pool
   /// and the context data paths (scheduling decisions, faults, per-chunk
   /// codec spans, push/pull spans). Null disables tracing.
-  obs::Sink* sink = nullptr;
+  obs::Tracer* sink = nullptr;
   /// Fault model (disabled by default: the data path is then byte-identical
   /// to a fault-free build) and the recovery knobs opposite it.
   FaultConfig fault;
@@ -60,7 +60,7 @@ class Cluster {
   Master& master() { return master_; }
   const ClusterConfig& config() const { return config_; }
   const codec::Codec& codec() const { return *codec_; }
-  obs::Sink* sink() const { return config_.sink; }
+  obs::Tracer* sink() const { return config_.sink; }
 
   /// Shared codec worker pool. All transfers' encode/decode jobs
   /// multiplex onto it.

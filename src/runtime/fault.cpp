@@ -70,7 +70,7 @@ FaultStats FaultCounters::snapshot() const {
 }
 
 FaultInjector::FaultInjector(const FaultConfig& config,
-                             FaultCounters* counters, obs::Sink* sink)
+                             FaultCounters* counters, obs::Tracer* sink)
     : config_(config), counters_(counters), sink_(sink) {}
 
 double FaultInjector::rate_of(FaultKind kind) const {

@@ -31,7 +31,7 @@
 #include "runtime/worker.hpp"
 
 namespace swallow::obs {
-class Sink;
+class Tracer;
 }
 
 namespace swallow::runtime {
@@ -175,7 +175,7 @@ class FaultCounters {
 class FaultInjector {
  public:
   FaultInjector(const FaultConfig& config, FaultCounters* counters,
-                obs::Sink* sink);
+                obs::Tracer* sink);
 
   bool enabled() const { return config_.enabled; }
   const FaultConfig& config() const { return config_; }
@@ -203,7 +203,7 @@ class FaultInjector {
 
   FaultConfig config_;
   FaultCounters* counters_;
-  obs::Sink* sink_;
+  obs::Tracer* sink_;
   std::atomic<std::size_t> deliveries_{0};
   std::atomic<bool> kill_fired_{false};
 };

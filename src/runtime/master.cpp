@@ -14,7 +14,7 @@ namespace swallow::runtime {
 
 Master::Master(std::size_t workers, common::Bps nic_rate,
                codec::CodecModel codec, double cpu_headroom, bool compression,
-               obs::Sink* sink, int degrade_after)
+               obs::Tracer* sink, int degrade_after)
     : fabric_(workers, nic_rate),
       cpu_(cpu_headroom),
       codec_(std::move(codec)),

@@ -52,7 +52,7 @@ class Master {
   /// which a flow degrades to uncompressed (RetryPolicy::degrade_after);
   /// <= 0 disables degradation.
   Master(std::size_t workers, common::Bps nic_rate, codec::CodecModel codec,
-         double cpu_headroom, bool compression, obs::Sink* sink = nullptr,
+         double cpu_headroom, bool compression, obs::Tracer* sink = nullptr,
          int degrade_after = 2);
 
   /// Registers a coflow. Throws std::invalid_argument when one of its flow
@@ -164,7 +164,7 @@ class Master {
   cpu::ConstantCpu cpu_;
   codec::CodecModel codec_;
   core::EvalEnv env_;  ///< the three above; codec null when compression is off
-  obs::Sink* sink_;
+  obs::Tracer* sink_;
   int degrade_after_;
   std::size_t degraded_count_ = 0;
   CoflowRef next_ref_ = 1;

@@ -19,7 +19,7 @@
 #include "recovery/state_io.hpp"
 
 namespace swallow::obs {
-class Sink;
+class Tracer;
 }
 
 namespace swallow::sched {
@@ -51,7 +51,7 @@ struct SchedContext {
   /// classes, β switches, starvation promotions). Null disables tracing at
   /// the cost of one branch per site. Attaching a sink changes what is
   /// logged, never what is computed.
-  obs::Sink* sink = nullptr;
+  obs::Tracer* sink = nullptr;
   /// Dirty-set event feed (dirty.hpp), owned by the simulation engine in
   /// both engine modes. FVDF, SEBF, AALO and DEADLINE-FVDF re-evaluate only
   /// the coflows it names. Hand-built contexts may leave it null: those

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -647,7 +648,7 @@ class Engine {
   const bool admit_on;
   core::AdmissionController admission;
   sched::DirtyTracker tracker;
-  obs::Sink* const sink;
+  obs::Tracer* const sink;
   // The scheduler's name for schedule_round, interned once. Null without a
   // sink.
   const char* const sched_name;
@@ -887,18 +888,11 @@ void Engine::checkpoint(common::Seconds t) {
   recovery::begin_snapshot(snap_image_, meta);
   save_state(snap_image_);
   ++snap_attempts_;
-  struct CrashingHook : recovery::SnapshotCrashHook {
-    Engine* engine = nullptr;
-    void on_tmp_written(const std::string&) override {
-      engine->do_crash("mid-snapshot");
-    }
-  };
-  CrashingHook hook;
-  hook.engine = this;
-  const bool crash_here = crash_ != nullptr && crash_->kill_mid_snapshot > 0 &&
-                          snap_attempts_ == crash_->kill_mid_snapshot;
-  recovery::write_snapshot(config.recovery.dir, snap_image_,
-                           crash_here ? &hook : nullptr);
+  std::function<void()> crash_hook;
+  if (crash_ != nullptr && crash_->kill_mid_snapshot > 0 &&
+      snap_attempts_ == crash_->kill_mid_snapshot)
+    crash_hook = [this] { do_crash("mid-snapshot"); };
+  recovery::write_snapshot(config.recovery.dir, snap_image_, crash_hook);
   if (sink != nullptr) [[unlikely]]
     obs::emit_instant(sink, obs::sim_ts(t), "snapshot", "recovery",
                       {{"seq", round}, {"bytes", snap_image_.size()}});

@@ -25,7 +25,7 @@
 #include "workload/trace.hpp"
 
 namespace swallow::obs {
-class Sink;
+class Tracer;
 }
 
 namespace swallow::sim {
@@ -103,7 +103,7 @@ struct SimConfig {
   /// wall-clock profiles of the schedule/advance phases, and the scheduler
   /// sees it via SchedContext::sink. Null (the default) keeps the hot path
   /// untouched apart from one predictable branch per site.
-  obs::Sink* sink = nullptr;
+  obs::Tracer* sink = nullptr;
 };
 
 /// Thrown when a scheduler makes no progress or violates capacities.

@@ -7,13 +7,8 @@
 
 #include "core/online.hpp"
 #include "sched/aalo.hpp"
-#include "sched/fifo.hpp"
-#include "sched/pff.hpp"
-#include "sched/pfp.hpp"
+#include "sched/baselines.hpp"
 #include "sched/sebf.hpp"
-#include "sched/sincronia.hpp"
-#include "sched/size_order.hpp"
-#include "sched/wss.hpp"
 
 namespace swallow::sim {
 
@@ -34,30 +29,24 @@ struct Entry {
 
 std::vector<Entry> build_table() {
   using namespace sched;
+  const auto stateless = [](const char* name, Stateless::Policy policy) {
+    return [name, policy] { return std::make_unique<Stateless>(name, policy); };
+  };
   std::vector<Entry> table = {
-      {[] { return std::make_unique<FifoScheduler>(); }},
-      {[] { return std::make_unique<PffScheduler>(); }},
+      {stateless("FIFO", fifo)},
+      {stateless("PFF", pff)},
       // The paper's Spark context calls PFF FAIR and PFP SRTF.
-      {[] { return std::make_unique<PffScheduler>("FAIR"); }, false},
-      {[] { return std::make_unique<WssScheduler>(); }},
-      {[] { return std::make_unique<PfpScheduler>(); }},
-      {[] { return std::make_unique<PfpScheduler>("SRTF"); }, false},
+      {stateless("FAIR", pff), false},
+      {stateless("WSS", wss)},
+      {stateless("PFP", pfp)},
+      {stateless("SRTF", pfp), false},
       {[] { return std::make_unique<SebfScheduler>(); }},
       {[] { return std::make_unique<SebfScheduler>(false); }, false},
-      {[] {
-         return std::make_unique<SizeOrderScheduler>(
-             CoflowSizeKey::kTotalBytes, "SCF");
-       }},
-      {[] {
-         return std::make_unique<SizeOrderScheduler>(CoflowSizeKey::kWidth,
-                                                     "NCF");
-       }},
-      {[] {
-         return std::make_unique<SizeOrderScheduler>(CoflowSizeKey::kMaxFlow,
-                                                     "LCF");
-       }},
+      {stateless("SCF", scf)},
+      {stateless("NCF", ncf)},
+      {stateless("LCF", lcf)},
       {[] { return std::make_unique<AaloScheduler>(); }},
-      {[] { return std::make_unique<SincroniaScheduler>(); }, true, "BSSI"},
+      {stateless("SINCRONIA", sincronia), true, "BSSI"},
   };
   for (std::size_t v = 0; v < core::kFvdfVariantCount; ++v) {
     const auto variant = static_cast<core::FvdfVariant>(v);

@@ -1,6 +1,6 @@
-// Unit tests for the observability layer: the bench gauge registry, the
-// tracer's typed records and its ring of newest events, profiling spans,
-// the disabled-path no-ops, JSON helpers, and the pluggable log sink.
+// Unit tests for the observability layer: the tracer's typed records and
+// its ring of newest events, profiling spans, the disabled-path no-ops,
+// JSON helpers, and the pluggable log sink.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,35 +20,11 @@
 #include "common/flags.hpp"
 #include "common/logging.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace swallow::obs {
 namespace {
-
-TEST(Gauge, LastWriteWins) {
-  Registry registry;
-  registry.gauge("temp").set(1.5);
-  registry.gauge("temp").set(-3.25);
-  EXPECT_DOUBLE_EQ(registry.gauge("temp").value(), -3.25);
-}
-
-TEST(Registry, JsonExportRoundTrips) {
-  Registry registry;
-  registry.gauge("load").set(0.5);
-  registry.gauge("b.speedup").set(3);
-
-  const JsonValue doc = parse_json(registry.to_json());
-  ASSERT_TRUE(doc.is_object());
-  ASSERT_EQ(doc.object.size(), 1u);
-  const JsonValue* gauges = doc.find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  ASSERT_EQ(gauges->object.size(), 2u);
-  EXPECT_EQ(gauges->object[0].first, "b.speedup");  // keys sorted
-  EXPECT_DOUBLE_EQ(gauges->find("b.speedup")->number, 3);
-  EXPECT_DOUBLE_EQ(gauges->find("load")->number, 0.5);
-}
 
 TEST(Tracer, RecordsTypedArgs) {
   Tracer tracer;

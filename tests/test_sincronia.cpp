@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/cpu_model.hpp"
-#include "sched/sincronia.hpp"
+#include "sched/baselines.hpp"
 #include "sim/experiment.hpp"
 
 namespace swallow::sched {
@@ -43,7 +43,7 @@ TEST(SincroniaOrder, SingleBottleneckOrdersBySize) {
   for (auto& f : flows) ctx.flows.push_back(&f);
   ctx.coflows = {&c10, &c11, &c12};
 
-  const auto order = SincroniaScheduler::bssi_order(ctx);
+  const auto order = bssi_order(ctx);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 11u);  // 1 byte
   EXPECT_EQ(order[1], 12u);  // 3 bytes
@@ -71,7 +71,7 @@ TEST(SincroniaOrder, AccountsForBothPortDirections) {
   ctx.coflows = {&c1, &c2};
 
   // Bottleneck is ingress 0 (8 bytes, all C1): C1 is placed last there.
-  const auto order = SincroniaScheduler::bssi_order(ctx);
+  const auto order = bssi_order(ctx);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 2u);
   EXPECT_EQ(order[1], 1u);
@@ -83,7 +83,7 @@ TEST(SincroniaOrder, HandlesEmptyAndSingle) {
   SchedContext ctx;
   ctx.fabric = &fabric;
   ctx.cpu = &cpu;
-  EXPECT_TRUE(SincroniaScheduler::bssi_order(ctx).empty());
+  EXPECT_TRUE(bssi_order(ctx).empty());
 
   std::vector<fabric::Flow> flows{make_flow(0, 7, 0, 1, 2.0)};
   fabric::Coflow c;
@@ -91,7 +91,7 @@ TEST(SincroniaOrder, HandlesEmptyAndSingle) {
   c.flows = {0};
   ctx.flows = {&flows[0]};
   ctx.coflows = {&c};
-  const auto order = SincroniaScheduler::bssi_order(ctx);
+  const auto order = bssi_order(ctx);
   ASSERT_EQ(order.size(), 1u);
   EXPECT_EQ(order[0], 7u);
 }
