@@ -724,6 +724,25 @@ TEST(Shuffle, RejectsZeroTasks) {
   EXPECT_THROW(run_shuffle_job(cluster, job), std::invalid_argument);
 }
 
+// A map task that throws fails the job on the calling thread instead of
+// aborting the process, leaves no registration for the next job's hook(),
+// and the cluster runs the next job.
+TEST(Shuffle, ThrowingMapTaskFailsTheJobAndTheClusterRunsTheNext) {
+  Cluster cluster(fast_config());
+  ShuffleJobConfig job;
+  job.app = codec::app_by_name("Sort");
+  job.app.vocab = 0;  // a Zipf over no words throws
+  job.mappers = 3;
+  job.reducers = 2;
+  job.bytes_per_partition = 8 * 1024;
+  EXPECT_THROW(run_shuffle_job(cluster, job), std::invalid_argument);
+  for (WorkerId w = 0; w < cluster.size(); ++w)
+    EXPECT_TRUE(cluster.worker(w).drain_registrations().empty()) << w;
+
+  job.app = codec::app_by_name("Sort");
+  EXPECT_TRUE(run_shuffle_job(cluster, job).verified);
+}
+
 TEST(Cluster, RejectsZeroWorkers) {
   ClusterConfig config;
   config.num_workers = 0;
