@@ -8,11 +8,14 @@
 
 namespace swallow::workload {
 
+/// Share of coflows whose payload benefits from compression.
+constexpr double kCompressibleFraction = 0.95;
+
 Trace generate_trace(const GeneratorConfig& config) {
   if (config.num_ports == 0) throw std::invalid_argument("generator: zero ports");
   if (config.width_lo == 0 || config.width_hi < config.width_lo)
     throw std::invalid_argument("generator: bad width range");
-  if (config.width_hi > config.num_ports && config.distinct_senders)
+  if (config.width_hi > config.num_ports)
     throw std::invalid_argument(
         "generator: width exceeds port count with distinct senders");
   if (config.deadline_fraction < 0 || config.deadline_fraction > 1)
@@ -44,7 +47,7 @@ Trace generate_trace(const GeneratorConfig& config) {
 
     const std::size_t width = static_cast<std::size_t>(
         rng.uniform_int(config.width_lo, config.width_hi));
-    if (config.distinct_senders) rng.shuffle(ports);
+    rng.shuffle(ports);
     // Shuffle semantics: `width` mapper outputs spread over a smaller wave
     // of reducers, so receiver ports see real contention.
     const std::size_t num_receivers =
@@ -58,15 +61,12 @@ Trace generate_trace(const GeneratorConfig& config) {
     // lognormal skew), while sizes across coflows stay heavy-tailed.
     const common::Bytes base_size =
         rng.bounded_pareto(config.size_lo, config.size_hi, config.size_alpha);
-    const bool compressible = rng.bernoulli(config.compressible_fraction);
+    const bool compressible = rng.bernoulli(kCompressibleFraction);
 
     coflow.flows.reserve(width);
     for (std::size_t j = 0; j < width; ++j) {
       FlowSpec flow;
-      flow.src = config.distinct_senders
-                     ? ports[j]
-                     : static_cast<fabric::PortId>(
-                           rng.uniform_int(0, config.num_ports - 1));
+      flow.src = ports[j];
       flow.dst = receivers[j % num_receivers];
       flow.bytes = base_size * rng.lognormal(-0.03125, 0.25);
       flow.compressible = compressible;

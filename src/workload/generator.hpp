@@ -27,15 +27,11 @@ struct GeneratorConfig {
   double size_alpha = 0.08;
 
   /// Coflow width (number of flows): uniform in [width_lo, width_hi].
+  /// A coflow's flows leave from distinct sender ports (shuffle semantics:
+  /// mappers on distinct machines feed one reducer wave), so width_hi must
+  /// not exceed num_ports. 95% of coflows carry compressible payloads.
   std::size_t width_lo = 1;
   std::size_t width_hi = 10;
-
-  /// Fraction of flows whose payload benefits from compression.
-  double compressible_fraction = 0.95;
-
-  /// Flows per coflow get distinct sender ports when possible (shuffle
-  /// semantics: mappers on distinct machines feed one reducer wave).
-  bool distinct_senders = true;
 
   /// SLO knobs: this fraction of coflows receives a deadline equal to its
   /// isolation CCT (bottleneck-port bytes / deadline_ref_bandwidth) times a
