@@ -241,8 +241,7 @@ class FvdfScheduler final : public sched::Scheduler {
   /// indexes again. Reused across rounds.
   std::vector<const Lane*> walked_;
   /// Persistent per-flow beta switches, mirrored from the cached lanes and
-  /// bulk-installed into each round's Allocation (set_compress_all). Spares
-  /// the O(compressing flows) per-round set_compress loop.
+  /// installed into each round's Allocation in one copy (set_compress_all).
   std::vector<unsigned char> beta_;  ///< by dense flow id
   /// Resident coflows carrying a finite deadline; band-0 promotion exists
   /// only while this is nonzero. Always 0 for the plain variants.

@@ -13,14 +13,8 @@ void Allocation::set_rate(FlowId id, common::Bps rate) {
   rates_[id] = rate;
 }
 
-void Allocation::set_compress(FlowId id, bool enabled) {
-  if (id >= compress_.size()) compress_.resize(id + 1, 0);
-  compress_[id] = enabled ? 1 : 0;
-}
-
 void Allocation::reserve(std::size_t max_flow_id) {
   rates_.reserve(max_flow_id);
-  compress_.reserve(max_flow_id);
 }
 
 bool feasible(const Allocation& alloc, const std::vector<const Flow*>& flows,

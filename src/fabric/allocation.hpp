@@ -22,22 +22,20 @@ class Allocation {
     return id < rates_.size() ? rates_[id] : 0.0;
   }
 
-  void set_compress(FlowId id, bool enabled);
   bool compress(FlowId id) const {  ///< false if unset
     return id < compress_.size() && compress_[id] != 0;
   }
 
-  /// Bulk-installs the whole compression table in one copy — semantically
-  /// identical to calling set_compress(id, flags[id] != 0) for every id in
-  /// `flags` (ids beyond it stay unset/false). Lets a scheduler that keeps
-  /// its beta switches memoized publish them in O(flows/word) instead of
-  /// one set_compress call per compressing flow.
+  /// Installs the whole compression table in one copy: flow `id`
+  /// compresses iff flags[id] != 0, and ids beyond `flags` read false. A
+  /// scheduler keeps its beta switches in such a table and publishes them
+  /// once per round.
   void set_compress_all(std::vector<unsigned char> flags) {
     compress_ = std::move(flags);
   }
 
-  /// Pre-sizes the tables for flow ids < `max_flow_id` (optional; set_rate
-  /// and set_compress grow on demand either way).
+  /// Pre-sizes the rate table for flow ids < `max_flow_id` (optional;
+  /// set_rate grows it on demand either way).
   void reserve(std::size_t max_flow_id);
 
  private:

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/online.hpp"
@@ -90,11 +91,13 @@ fabric::Allocation dispose(const sched::SchedContext& ctx,
                            const std::vector<Estimate>& est, bool backfill) {
   fabric::Allocation alloc;
   fabric::PortHeadroom headroom(*ctx.fabric);
+  std::vector<unsigned char> beta;  // by flow id
   for (const Estimate& e : est) {
     for (std::size_t i = 0; i < e.flows.size(); ++i) {
       const fabric::Flow* f = e.flows[i];
       if (e.beta[i]) {
-        alloc.set_compress(f->id, true);
+        if (f->id >= beta.size()) beta.resize(f->id + 1, 0);
+        beta[f->id] = 1;
         alloc.set_rate(f->id, 0.0);
         continue;
       }
@@ -104,6 +107,7 @@ fabric::Allocation dispose(const sched::SchedContext& ctx,
       headroom.consume(*f, r);
     }
   }
+  alloc.set_compress_all(std::move(beta));
   if (!backfill) return alloc;
   for (const Estimate& e : est) {
     for (std::size_t i = 0; i < e.flows.size(); ++i) {

@@ -43,9 +43,11 @@ TEST(Allocation, StoresRatesAndCompressFlags) {
   EXPECT_DOUBLE_EQ(a.rate(42), 0.0);
   EXPECT_FALSE(a.compress(42));
   a.set_rate(42, 7.5);
-  a.set_compress(42, true);
+  a.set_compress_all({0, 1});
   EXPECT_DOUBLE_EQ(a.rate(42), 7.5);
-  EXPECT_TRUE(a.compress(42));
+  EXPECT_FALSE(a.compress(0));
+  EXPECT_TRUE(a.compress(1));
+  EXPECT_FALSE(a.compress(42));  // beyond the table
   EXPECT_THROW(a.set_rate(1, -1.0), std::invalid_argument);
 }
 
