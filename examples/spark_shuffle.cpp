@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   SwallowContext sc(cluster);  // "val sc = new SwallowContext()"
 
   // Map side: two mappers (workers 0, 1) each produce one partition per
-  // reducer (workers 2, 3) and register the flows.
+  // reducer (workers 2, 3) and register the flows with the driver's context.
   const auto& app = codec::app_by_name("Wordcount");
   std::vector<codec::Buffer> partitions;
   RtFlowId next_flow = 1;
@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
     common::Rng rng(mapper + 1);
     for (WorkerId reducer : {2u, 3u}) {
       partitions.push_back(app.generate(block_bytes, rng));
-      cluster.worker(mapper).register_flow(
-          {next_flow++, mapper, reducer, block_bytes, true});
+      sc.register_flow({next_flow++, mapper, reducer, block_bytes, true});
     }
   }
 

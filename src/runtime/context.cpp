@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "codec/null_codec.hpp"
 #include "obs/profile.hpp"
@@ -64,10 +65,6 @@ void Cluster::kill_worker(WorkerId id) {
                       obs::current_thread_tid());
 }
 
-bool Cluster::worker_dead(WorkerId id) const {
-  return id < workers_.size() && workers_[id]->dead();
-}
-
 WorkerId Cluster::effective_worker(WorkerId id) const {
   const auto n = static_cast<WorkerId>(workers_.size());
   for (WorkerId k = 0; k < n; ++k) {
@@ -80,21 +77,17 @@ WorkerId Cluster::effective_worker(WorkerId id) const {
 bool Cluster::restore_master(const std::string& dir) {
   const bool from_snapshot = master_.restore_from(dir);
 
-  // Cold half of the fail-over: flows the snapshot missed (or everything,
-  // when no snapshot loaded) are re-announced from the workers' logs. The
-  // original CoflowRef is recovered from the retention keys — block id ==
-  // flow id throughout the runtime.
-  std::map<RtFlowId, FlowInfo> by_flow;
+  // Cold half of the fail-over: coflows the snapshot missed (or every
+  // coflow, when no snapshot loaded) are re-announced from the workers'
+  // logs, which add() keyed by the original ref.
+  std::map<CoflowRef, CoflowInfo> rebuilt;
   for (const auto& w : workers_) {
     if (w->dead()) continue;
-    for (const FlowInfo& f : w->registration_log()) by_flow[f.flow_id] = f;
-  }
-  std::map<CoflowRef, CoflowInfo> rebuilt;
-  for (const BlockKey& key : retention_.keys()) {
-    const auto it = by_flow.find(key.block);
-    if (it == by_flow.end()) continue;
-    if (master_.has_coflow(key.coflow)) continue;
-    rebuilt[key.coflow].flows.push_back(it->second);
+    for (const auto& [ref, flows] : w->registration_log()) {
+      if (master_.has_coflow(ref)) continue;
+      auto& into = rebuilt[ref].flows;
+      into.insert(into.end(), flows.begin(), flows.end());
+    }
   }
   for (auto& [ref, info] : rebuilt) master_.restore_coflow(ref, std::move(info));
 
@@ -115,8 +108,14 @@ FaultStats Cluster::fault_stats() const {
   return stats;
 }
 
+void SwallowContext::register_flow(const FlowInfo& info) {
+  std::lock_guard<std::mutex> lock(pending_mutex_);
+  pending_.at(info.src).push_back(info);
+}
+
 std::vector<FlowInfo> SwallowContext::hook(WorkerId executor) {
-  return cluster_->worker(executor).drain_registrations();
+  std::lock_guard<std::mutex> lock(pending_mutex_);
+  return std::exchange(pending_.at(executor), {});
 }
 
 CoflowInfo SwallowContext::aggregate(std::vector<FlowInfo> flows) {
@@ -126,13 +125,15 @@ CoflowInfo SwallowContext::aggregate(std::vector<FlowInfo> flows) {
 }
 
 CoflowRef SwallowContext::add(CoflowInfo info) {
-  return cluster_->master().add(std::move(info));
+  const CoflowRef ref = cluster_->master().add(info);
+  for (const FlowInfo& f : info.flows) cluster_->worker(f.src).log_flow(ref, f);
+  return ref;
 }
 
 void SwallowContext::remove(CoflowRef ref) {
-  const std::vector<RtFlowId> flows = cluster_->master().remove(ref);
+  cluster_->master().remove(ref);
   for (WorkerId w = 0; w < cluster_->size(); ++w) {
-    cluster_->worker(w).forget_flows(flows);
+    cluster_->worker(w).forget(ref);
     cluster_->worker(w).store().drop_coflow(ref);
   }
   cluster_->retention().drop_coflow(ref);

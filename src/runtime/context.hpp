@@ -2,6 +2,7 @@
 // cluster. Cluster frameworks drive shuffles exactly as the paper's Scala
 // snippet does:
 //
+//   ctx.register_flow(info);                       // Executor
 //   auto flow_info  = ctx.hook(executor);          // Driver
 //   auto coflow     = ctx.aggregate(flow_info);    // Driver
 //   auto ref        = ctx.add(coflow);             // Driver
@@ -14,6 +15,7 @@
 
 #include <array>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "codec/chunk.hpp"
@@ -83,7 +85,6 @@ class Cluster {
   /// resident blocks are lost; retransmits land on the replacement).
   /// The last live worker cannot be killed.
   void kill_worker(WorkerId id);
-  bool worker_dead(WorkerId id) const;
   /// `id` if alive, else the first surviving worker after it (wrap-around).
   WorkerId effective_worker(WorkerId id) const;
 
@@ -95,12 +96,12 @@ class Cluster {
 
   /// Rebuilds the master's bookkeeping after a master crash: loads the
   /// newest usable snapshot in `dir` (fingerprint-checked; an empty or
-  /// snapshot-free dir cold-starts instead), then has every live worker
-  /// re-announce its registration log so coflows the snapshot missed are
-  /// re-registered under their ORIGINAL refs — receivers blocked in pull()
-  /// hold those refs, and the retention/store keys embed them. Ownership
-  /// of log flows is reconstructed from the RetentionStore keys (block id
-  /// == flow id). Returns true when a snapshot was used.
+  /// snapshot-free dir cold-starts instead), then re-registers every
+  /// coflow the snapshot lacks from the live workers' logs, under its
+  /// ORIGINAL ref — receivers blocked in pull() hold those refs, and the
+  /// retention/store keys embed them. A re-registered coflow lists its
+  /// flows by sender, in the order add() logged them. Returns true when a
+  /// snapshot was used.
   bool restore_master(const std::string& dir);
 
  private:
@@ -122,15 +123,27 @@ struct PushTarget {
   WorkerId dst = 0;
 };
 
+/// One per driver: it owns the flows its executors register until add()
+/// makes them a coflow, so concurrent drivers on one cluster never see
+/// each other's flows. Any thread may call it.
 class SwallowContext {
  public:
-  explicit SwallowContext(Cluster& cluster) : cluster_(&cluster) {}
+  explicit SwallowContext(Cluster& cluster)
+      : cluster_(&cluster), pending_(cluster.size()) {}
 
-  /// Drains the flow registrations of one executor (worker).
+  /// Executor side: registers a flow its sender `info.src` will push.
+  /// Throws std::out_of_range when no worker has that id.
+  void register_flow(const FlowInfo& info);
+  /// Drains the flows registered with this context at one executor
+  /// (worker), in registration order.
   std::vector<FlowInfo> hook(WorkerId executor);
   /// Merges flow infos into one coflow.
   CoflowInfo aggregate(std::vector<FlowInfo> flows);
+  /// Registers the coflow with the master and logs each flow at its
+  /// sender under the new ref (the fail-over's source).
   CoflowRef add(CoflowInfo info);
+  /// Drops the coflow from the master, every worker's log and store, and
+  /// the retention store.
   void remove(CoflowRef ref);
   SchedResult scheduling(const std::vector<CoflowRef>& refs);
   void alloc(const SchedResult& result);
@@ -202,6 +215,8 @@ class SwallowContext {
                   int attempt, common::Rng& jitter, bool retransmit);
 
   Cluster* cluster_;
+  std::mutex pending_mutex_;
+  std::vector<std::vector<FlowInfo>> pending_;  ///< by sender, until hooked
 };
 
 }  // namespace swallow::runtime

@@ -45,7 +45,12 @@ std::optional<RtFlowId> Master::index_locked(CoflowRef ref,
 void Master::insert_locked(CoflowRef ref, CoflowInfo info) {
   Entry entry;
   entry.flows.reserve(info.flows.size());
-  for (FlowInfo& f : info.flows) entry.flows.push_back(FlowState{f});
+  for (FlowInfo& f : info.flows) {
+    if (f.src >= fabric_.num_ports() || f.dst >= fabric_.num_ports())
+      throw std::out_of_range("Master: flow " + std::to_string(f.flow_id) +
+                              " names a worker the cluster lacks");
+    entry.flows.push_back(FlowState{f});
+  }
   if (const auto dup = index_locked(ref, entry))
     throw std::invalid_argument("Master: flow " + std::to_string(*dup) +
                                 " is already registered");
@@ -58,17 +63,12 @@ CoflowRef Master::add(CoflowInfo info) {
   return next_ref_++;
 }
 
-std::vector<RtFlowId> Master::remove(CoflowRef ref) {
+void Master::remove(CoflowRef ref) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<RtFlowId> flows;
   const auto it = coflows_.find(ref);
-  if (it == coflows_.end()) return flows;
-  for (const FlowState& f : it->second.flows) {
-    flows.push_back(f.info.flow_id);
-    index_.erase(f.info.flow_id);
-  }
+  if (it == coflows_.end()) return;
+  for (const FlowState& f : it->second.flows) index_.erase(f.info.flow_id);
   coflows_.erase(it);
-  return flows;
 }
 
 SchedResult Master::scheduling(const std::vector<CoflowRef>& refs) {

@@ -56,12 +56,13 @@ class Master {
          int degrade_after = 2);
 
   /// Registers a coflow. Throws std::invalid_argument when one of its flow
-  /// ids is already registered (in it or in another coflow).
+  /// ids is already registered (in it or in another coflow), and
+  /// std::out_of_range when a flow's src or dst is not one of the
+  /// `workers` ports; either way nothing is registered.
   CoflowRef add(CoflowInfo info);
-  /// Drops a coflow with its key, decisions and failure counts. Returns
-  /// its flow ids (empty if unknown) so the driver can prune the workers'
-  /// registration logs.
-  std::vector<RtFlowId> remove(CoflowRef ref);
+  /// Drops a coflow with its key, decisions and failure counts (no-op if
+  /// unknown).
+  void remove(CoflowRef ref);
 
   /// FVDF over `refs`: each flow's β and Γ_F from core::evaluate_flow (a
   /// degraded flow priced as incompressible), Γ_C as the max over its flows
@@ -123,8 +124,7 @@ class Master {
   /// (receivers blocked in pull() hold that ref) when a replacement master
   /// cold-starts from the workers' registration logs. No-op if the ref is
   /// already present (the snapshot got there first). Priority restarts at
-  /// the base class — the upgrade ladder re-ages it. Throws
-  /// std::invalid_argument, as add() does, on a flow id already registered.
+  /// the base class — the upgrade ladder re-ages it. Throws as add() does.
   void restore_coflow(CoflowRef ref, CoflowInfo info);
 
   bool has_coflow(CoflowRef ref) const;
@@ -149,8 +149,7 @@ class Master {
   template <class Self>
   static auto* find_flow(Self& m, RtFlowId id);
 
-  /// Registers `info` under `ref`; throws std::invalid_argument on a flow
-  /// id already registered.
+  /// Registers `info` under `ref`; throws as add() does.
   void insert_locked(CoflowRef ref, CoflowInfo info);
   /// Adds `entry`'s flows to the flow index, or, adding none, returns a
   /// flow id the index (or an earlier flow of `entry`) already holds.

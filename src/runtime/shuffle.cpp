@@ -51,6 +51,29 @@ class TaskGroup {
   std::exception_ptr first_error_;
 };
 
+/// The driver's side of one network stage: hooks every executor's flows
+/// into one coflow, registers and schedules it, runs `stage` on its ref,
+/// and removes it, also when `stage` throws (then rethrows). Returns the
+/// ref.
+template <typename F>
+CoflowRef run_coflow(SwallowContext& ctx, std::size_t executors, F&& stage) {
+  std::vector<FlowInfo> flows;
+  for (WorkerId w = 0; w < executors; ++w) {
+    const std::vector<FlowInfo> hooked = ctx.hook(w);
+    flows.insert(flows.end(), hooked.begin(), hooked.end());
+  }
+  const CoflowRef ref = ctx.add(ctx.aggregate(std::move(flows)));
+  ctx.alloc(ctx.scheduling({ref}));
+  try {
+    stage(ref);
+  } catch (...) {
+    ctx.remove(ref);  // failed jobs must not leak master/store state
+    throw;
+  }
+  ctx.remove(ref);
+  return ref;
+}
+
 }  // namespace
 
 ShuffleReport run_shuffle_job(Cluster& cluster,
@@ -63,6 +86,7 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
   report.app = config.app.name;
 
   BufferPool map_pool, reduce_pool;
+  const std::size_t wire_before = cluster.total_wire_bytes();
   const FaultStats faults_before = cluster.fault_stats();
   const std::size_t chunks_enc_before = cluster.ledger().chunks_encoded();
   const std::size_t chunks_dec_before = cluster.ledger().chunks_decoded();
@@ -102,45 +126,25 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
             std::lock_guard<std::mutex> lock(checksum_mutex);
             checksums[id] = codec::checksum64(part);
           }
-          cluster.worker(mapper_worker(m))
-              .register_flow(FlowInfo{id, mapper_worker(m), reducer_worker(r),
-                                      part.size(), /*compressible=*/true});
+          ctx.register_flow(FlowInfo{id, mapper_worker(m), reducer_worker(r),
+                                     part.size(), /*compressible=*/true});
           partitions[m * config.reducers + r] = std::move(part);
         }
       });
     }
-    try {
-      map_tasks.join_and_rethrow();
-    } catch (...) {
-      // The driver never hooks a failed stage's flows, so drop them here
-      // before the next job's hook() would collect them.
-      for (std::size_t m = 0; m < std::min(config.mappers, cluster.size()); ++m)
-        cluster.worker(mapper_worker(m)).drain_registrations();
-      throw;
-    }
+    map_tasks.join_and_rethrow();
   }
   report.map_time = seconds_since(job_start);
 
-  // ---- Driver: hook -> aggregate -> add -> scheduling -> alloc. ----
-  std::vector<FlowInfo> all_flows;
-  for (WorkerId w = 0; w < cluster.size(); ++w) {
-    auto flows = ctx.hook(w);
-    all_flows.insert(all_flows.end(), flows.begin(), flows.end());
-  }
-  CoflowInfo info = ctx.aggregate(std::move(all_flows));
-  const CoflowRef ref = ctx.add(std::move(info));
-  ctx.alloc(ctx.scheduling({ref}));
-
   // ---- Shuffle stage: concurrent pushes and pulls. ----
-  const std::size_t wire_before = cluster.total_wire_bytes();
-  const auto shuffle_start = Clock::now();
   std::atomic<bool> verified{true};
   std::atomic<BlockId> first_bad_block{0};
   double reduce_seconds = 0;
   std::mutex reduce_mutex;
   std::vector<codec::Buffer> outputs(config.reducers);
-  {
+  const auto shuffle = [&](CoflowRef ref) {
     obs::ProfileScope stage(cluster.sink(), "shuffle.transfer", "runtime");
+    const auto shuffle_start = Clock::now();
     TaskGroup tasks;
     for (std::size_t m = 0; m < config.mappers; ++m) {
       tasks.spawn([&, m] {
@@ -187,17 +191,11 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
         (void)sink;
       });
     }
-    try {
-      tasks.join_and_rethrow();
-    } catch (...) {
-      ctx.remove(ref);  // failed jobs must not leak master/store state
-      throw;
-    }
-  }
-  report.shuffle_time = seconds_since(shuffle_start);
+    tasks.join_and_rethrow();
+    report.shuffle_time = seconds_since(shuffle_start);
+  };
+  const CoflowRef shuffle_ref = run_coflow(ctx, cluster.size(), shuffle);
   report.reduce_time = reduce_seconds;
-
-  ctx.remove(ref);
 
   // ---- Result stage: replicate reducer outputs over the network (the
   // paper's "save output as Hadoop files"). Its traffic rides the same
@@ -212,22 +210,12 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
       return static_cast<WorkerId>((reducer_worker(r) + k + 1) %
                                    cluster.size());
     };
-    for (std::size_t r = 0; r < config.reducers; ++r) {
-      for (std::size_t k = 0; k < config.result_replicas; ++k) {
-        cluster.worker(reducer_worker(r))
-            .register_flow(FlowInfo{result_block(r, k), reducer_worker(r),
-                                    replica_worker(r, k), outputs[r].size(),
-                                    true});
-      }
-    }
-    std::vector<FlowInfo> result_flows;
-    for (WorkerId w = 0; w < cluster.size(); ++w) {
-      auto flows = ctx.hook(w);
-      result_flows.insert(result_flows.end(), flows.begin(), flows.end());
-    }
-    const CoflowRef result_ref = ctx.add(ctx.aggregate(std::move(result_flows)));
-    ctx.alloc(ctx.scheduling({result_ref}));
-    {
+    for (std::size_t r = 0; r < config.reducers; ++r)
+      for (std::size_t k = 0; k < config.result_replicas; ++k)
+        ctx.register_flow(FlowInfo{result_block(r, k), reducer_worker(r),
+                                   replica_worker(r, k), outputs[r].size(),
+                                   true});
+    run_coflow(ctx, cluster.size(), [&](CoflowRef result_ref) {
       TaskGroup writers;
       for (std::size_t r = 0; r < config.reducers; ++r) {
         // One push per output: every replica whose decision matches gets
@@ -239,14 +227,8 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
           ctx.push(result_ref, replicas, outputs[r], reducer_worker(r));
         });
       }
-      try {
-        writers.join_and_rethrow();
-      } catch (...) {
-        ctx.remove(result_ref);
-        throw;
-      }
-    }
-    ctx.remove(result_ref);
+      writers.join_and_rethrow();
+    });
     report.result_time = seconds_since(result_start);
   }
 
@@ -282,7 +264,7 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
 
   if (!report.verified) {
     const BlockId bad = first_bad_block.load();
-    throw ShuffleError(ShuffleFailure::kVerification, ref, bad, bad);
+    throw ShuffleError(ShuffleFailure::kVerification, shuffle_ref, bad, bad);
   }
   return report;
 }

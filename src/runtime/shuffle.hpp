@@ -24,6 +24,10 @@ struct ShuffleJobConfig {
   std::uint64_t seed = 1;
 };
 
+/// One job's account. `wire_bytes`, the codec chunk counters and the fault
+/// counters are cluster-wide deltas over the job (totals at its end minus
+/// totals at its start), so the reports of concurrent jobs on one cluster
+/// overlap: each counts the other's traffic while both run.
 struct ShuffleReport {
   std::string app;
   common::Seconds map_time = 0;      ///< payload generation (map stage)
@@ -41,8 +45,9 @@ struct ShuffleReport {
 
   bool verified = false;  ///< every block matched its pre-shuffle checksum
 
-  /// Measured per-chunk codec throughput over the job (deltas of the
-  /// cluster ThroughputLedger).
+  /// Per-chunk codec activity: the chunk counts are deltas of the
+  /// cluster's ThroughputLedger over the job; the speeds are the ledger's
+  /// totals since the cluster started.
   double encode_mbps = 0;          ///< raw MB/s through the encoders
   double decode_mbps = 0;          ///< raw MB/s through the decoders
   std::size_t chunks_encoded = 0;  ///< SWF2 chunk records produced

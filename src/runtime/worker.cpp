@@ -1,7 +1,5 @@
 #include "runtime/worker.hpp"
 
-#include <algorithm>
-
 namespace swallow::runtime {
 
 PortGate::Ticket PortGate::acquire(GateOrder order) {
@@ -67,29 +65,19 @@ std::size_t PortGate::evictions() const {
 Worker::Worker(WorkerId id, common::Bps nic_rate)
     : id_(id), egress_(nic_rate), ingress_(nic_rate) {}
 
-void Worker::register_flow(const FlowInfo& info) {
-  std::lock_guard<std::mutex> lock(reg_mutex_);
-  registrations_.push_back(info);
-  registration_log_.push_back(info);
+void Worker::log_flow(CoflowRef ref, const FlowInfo& info) {
+  std::lock_guard<std::mutex> lock(log_mutex_);
+  log_[ref].push_back(info);
 }
 
-std::vector<FlowInfo> Worker::drain_registrations() {
-  std::lock_guard<std::mutex> lock(reg_mutex_);
-  std::vector<FlowInfo> out;
-  out.swap(registrations_);
-  return out;
+void Worker::forget(CoflowRef ref) {
+  std::lock_guard<std::mutex> lock(log_mutex_);
+  log_.erase(ref);
 }
 
-std::vector<FlowInfo> Worker::registration_log() const {
-  std::lock_guard<std::mutex> lock(reg_mutex_);
-  return registration_log_;
-}
-
-void Worker::forget_flows(const std::vector<RtFlowId>& flows) {
-  std::lock_guard<std::mutex> lock(reg_mutex_);
-  std::erase_if(registration_log_, [&](const FlowInfo& f) {
-    return std::find(flows.begin(), flows.end(), f.flow_id) != flows.end();
-  });
+std::map<CoflowRef, std::vector<FlowInfo>> Worker::registration_log() const {
+  std::lock_guard<std::mutex> lock(log_mutex_);
+  return log_;
 }
 
 void Worker::account_transfer(std::size_t raw_bytes, std::size_t wire_bytes) {

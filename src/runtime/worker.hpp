@@ -1,13 +1,14 @@
 // A Swallow worker: one "machine" of the in-process cluster. Passive owner
 // of the machine's block store, NIC rate limiters, the priority gate that
-// serializes its egress port in coflow order, and the pending flow
-// registrations the driver collects via hook().
+// serializes its egress port in coflow order, and the log of the flows it
+// sends, by coflow, that a replacement master re-registers from.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -86,16 +87,13 @@ class Worker {
   RateLimiter& ingress() { return ingress_; }
   PortGate& egress_gate() { return egress_gate_; }
 
-  /// Sender-side registration; drained by SwallowContext::hook().
-  void register_flow(const FlowInfo& info);
-  std::vector<FlowInfo> drain_registrations();
-
-  /// Crash recovery: every registration is also appended to a durable
-  /// per-worker log (drain_registrations is destructive, the log is not),
-  /// so a replacement master can ask the workers to re-announce their
-  /// flows. Pruned via forget_flows when the driver removes the coflow.
-  std::vector<FlowInfo> registration_log() const;
-  void forget_flows(const std::vector<RtFlowId>& flows);
+  /// Crash recovery: SwallowContext::add logs each flow of a coflow at
+  /// its sender under the coflow's ref, so a replacement master can ask
+  /// the workers to re-announce their coflows; SwallowContext::remove
+  /// forgets the ref on every worker.
+  void log_flow(CoflowRef ref, const FlowInfo& info);
+  void forget(CoflowRef ref);
+  std::map<CoflowRef, std::vector<FlowInfo>> registration_log() const;
 
   /// Worker-kill support: a dead worker keeps its objects alive (threads
   /// may still hold references) but the cluster routes around it.
@@ -114,9 +112,8 @@ class Worker {
   RateLimiter ingress_;
   PortGate egress_gate_;
 
-  mutable std::mutex reg_mutex_;
-  std::vector<FlowInfo> registrations_;
-  std::vector<FlowInfo> registration_log_;
+  mutable std::mutex log_mutex_;
+  std::map<CoflowRef, std::vector<FlowInfo>> log_;
 
   std::atomic<std::size_t> wire_bytes_{0};
   std::atomic<std::size_t> raw_bytes_{0};

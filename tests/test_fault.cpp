@@ -248,7 +248,7 @@ TEST(Fault, WorkerKillRecoversViaRetention) {
   Cluster cluster(config);
   const ShuffleReport report = run_shuffle_job(cluster, small_job());
   EXPECT_TRUE(report.verified);
-  EXPECT_TRUE(cluster.worker_dead(1));
+  EXPECT_TRUE(cluster.worker(1).dead());
   EXPECT_EQ(cluster.fault_stats().worker_kills, 1u);
   EXPECT_EQ(cluster.effective_worker(1), 2u);
 }
@@ -264,7 +264,7 @@ TEST(Fault, KillHoldingGateIsEvictedNotDeadlocked) {
   Cluster cluster(config);
   const ShuffleReport report = run_shuffle_job(cluster, small_job());
   EXPECT_TRUE(report.verified);
-  EXPECT_TRUE(cluster.worker_dead(0));
+  EXPECT_TRUE(cluster.worker(0).dead());
 }
 
 TEST(Fault, MatrixEveryKindEitherCompletesVerifiedOrThrowsTyped) {
@@ -344,7 +344,7 @@ TEST(Fault, MultiTargetPushRecoversEveryTarget) {
     common::Rng rng(100 + i);
     payloads.push_back(codec::text_bytes(40 * 1024, rng));
     for (const WorkerId dst : {1u, 2u})
-      cluster.worker(0).register_flow(
+      ctx.register_flow(
           FlowInfo{2 * i + dst, 0, dst, payloads.back().size(), true});
   }
   const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
@@ -435,9 +435,9 @@ TEST(Cluster, KillWorkerNeverKillsLastSurvivor) {
   config.num_workers = 2;
   Cluster cluster(config);
   cluster.kill_worker(0);
-  EXPECT_TRUE(cluster.worker_dead(0));
+  EXPECT_TRUE(cluster.worker(0).dead());
   cluster.kill_worker(1);  // refused: last one standing
-  EXPECT_FALSE(cluster.worker_dead(1));
+  EXPECT_FALSE(cluster.worker(1).dead());
   EXPECT_EQ(cluster.effective_worker(0), 1u);
   EXPECT_EQ(cluster.effective_worker(1), 1u);
 }
@@ -509,10 +509,13 @@ TEST(MasterRecovery, StateRoundTripIsExact) {
   EXPECT_EQ(restored.add(two_flow_coflow(200)),
             original.add(two_flow_coflow(200)));
   // The flow index was rebuilt: remove() leaves no key or decision.
-  EXPECT_EQ(restored.remove(ref), (std::vector<RtFlowId>{100, 101}));
+  restored.remove(ref);
+  EXPECT_FALSE(restored.has_coflow(ref));
   EXPECT_EQ(restored.key_of(ref), kUnscheduled);
-  EXPECT_FALSE(restored.decision_of(100).compress);
-  EXPECT_FALSE(restored.decision_of(101).degraded);
+  for (const RtFlowId flow : {RtFlowId{100}, RtFlowId{101}}) {
+    EXPECT_FALSE(restored.decision_of(flow).compress) << flow;
+    EXPECT_FALSE(restored.decision_of(flow).degraded) << flow;
+  }
 }
 
 TEST(MasterRecovery, RestoreRefusesAFlowListedUnderTwoCoflows) {
@@ -635,6 +638,15 @@ TEST(MasterRecovery, CheckpointIsFingerprintGuarded) {
   EXPECT_FALSE(cold.restore_from(empty.str()));
 }
 
+/// Crashes the cluster's master: its replacement knows nothing.
+void crash_master(Cluster& cluster) {
+  Master blank = make_master(cluster.config());
+  recovery::StateWriter w;
+  blank.save_state(w);
+  recovery::StateReader r(w.buffer());
+  cluster.master().restore_state(r);
+}
+
 /// Drives a manual push cycle, crashes the master (blank replacement),
 /// wipes every worker store (the crash takes receiver memory with it),
 /// fails over, and checks the retained in-flight blocks replay so pulls
@@ -655,7 +667,7 @@ void failover_round(bool with_snapshot) {
     payloads[blocks[i]] = std::move(data);
     const auto src = static_cast<WorkerId>(i % cluster.size());
     const auto dst = static_cast<WorkerId>((i + 1) % cluster.size());
-    cluster.worker(src).register_flow(
+    ctx.register_flow(
         FlowInfo{blocks[i], src, dst, payloads[blocks[i]].size(), true});
   }
   std::vector<FlowInfo> all_flows;
@@ -675,13 +687,7 @@ void failover_round(bool with_snapshot) {
 
   // Crash: the replacement master knows nothing, and the receivers' block
   // stores died with the process.
-  {
-    Master blank = make_master(config);
-    recovery::StateWriter w;
-    blank.save_state(w);
-    recovery::StateReader r(w.buffer());
-    cluster.master().restore_state(r);
-  }
+  crash_master(cluster);
   for (WorkerId w = 0; w < cluster.size(); ++w)
     cluster.worker(w).store().clear();
   ASSERT_FALSE(cluster.master().has_coflow(ref));
@@ -716,6 +722,37 @@ TEST(MasterRecovery, FailoverFromSnapshotReplaysInFlightBlocks) {
 
 TEST(MasterRecovery, ColdFailoverReregistersFromWorkerLogs) {
   failover_round(/*with_snapshot=*/false);
+}
+
+// The workers' logs hold every coflow, retained or not: with injection off
+// (nothing retained), a master that lost its state and finds no snapshot
+// gets the coflow back under its ref, and re-scheduling restores its β.
+TEST(MasterRecovery, ColdFailoverWithoutInjectionReregistersTheCoflow) {
+  const ClusterConfig config = fault_config();
+  ASSERT_FALSE(config.fault.enabled);
+  Cluster cluster(config);
+  SwallowContext ctx(cluster);
+  ctx.register_flow(FlowInfo{1, 0, 1, 64 * 1024, true});
+  ctx.register_flow(FlowInfo{2, 1, 2, 32 * 1024, true});
+  std::vector<FlowInfo> flows = ctx.hook(0);
+  for (const FlowInfo& f : ctx.hook(1)) flows.push_back(f);
+  const CoflowRef ref = ctx.add(ctx.aggregate(std::move(flows)));
+  ctx.alloc(ctx.scheduling({ref}));
+  ASSERT_TRUE(cluster.master().decision_of(1).compress);
+
+  crash_master(cluster);
+  ASSERT_FALSE(cluster.master().has_coflow(ref));
+  TempDir empty;
+  EXPECT_FALSE(cluster.restore_master(empty.str()));
+  ASSERT_TRUE(cluster.master().has_coflow(ref));
+  EXPECT_FALSE(cluster.master().decision_of(1).compress);  // not logged
+  ctx.alloc(ctx.scheduling({ref}));
+  EXPECT_TRUE(cluster.master().decision_of(1).compress);
+  EXPECT_TRUE(cluster.master().decision_of(2).compress);
+
+  ctx.remove(ref);
+  for (WorkerId w = 0; w < cluster.size(); ++w)
+    EXPECT_TRUE(cluster.worker(w).registration_log().empty()) << w;
 }
 
 // ---------------------------------------------------------------------------

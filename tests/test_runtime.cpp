@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -205,30 +206,36 @@ TEST(Master, AddScheduleRemoveLifecycle) {
   EXPECT_EQ(master.key_of(ref), result.keys[0]);
   EXPECT_TRUE(master.decision_of(1).compress);
 
-  EXPECT_EQ(master.remove(ref), (std::vector<RtFlowId>{1, 2}));
+  master.remove(ref);
   EXPECT_FALSE(master.has_coflow(ref));
+  EXPECT_EQ(master.key_of(ref), kUnscheduled);
   EXPECT_FALSE(master.decision_of(1).compress);
-  EXPECT_TRUE(master.remove(ref).empty());
+  EXPECT_FALSE(master.decision_of(2).compress);
+  EXPECT_NO_THROW(master.remove(ref));  // an unknown ref is a no-op
   EXPECT_THROW(master.scheduling({ref}), std::out_of_range);
 }
 
 TEST(Master, AddRefusesAFlowIdAlreadyRegistered) {
   Cluster cluster(fast_config());
   Master& master = cluster.master();
-  CoflowInfo a, twice, again;
+  CoflowInfo a, twice, again, far;
   a.flows = {{1, 0, 1, 1000, true}};
   twice.flows = {{2, 0, 1, 1000, true}, {2, 0, 2, 1000, true}};
   again.flows = {{3, 0, 1, 1000, true}, {1, 0, 2, 1000, true}};
+  far.flows = {{4, 0, 1, 1000, true}, {5, 0, 4, 1000, true}};  // 4 workers
   const CoflowRef ra = master.add(std::move(a));
   EXPECT_THROW(master.add(std::move(twice)), std::invalid_argument);
   EXPECT_THROW(master.add(std::move(again)), std::invalid_argument);
+  EXPECT_THROW(master.add(std::move(far)), std::out_of_range);
   // A refused coflow registers none of its flows.
   master.alloc(master.scheduling({ra}));
   EXPECT_FALSE(master.decision_of(2).compress);
   EXPECT_FALSE(master.decision_of(3).compress);
   master.remove(ra);
   CoflowInfo reuse;
-  reuse.flows = {{1, 0, 1, 1000, true}, {3, 0, 2, 1000, true}};
+  reuse.flows = {{1, 0, 1, 1000, true},
+                 {3, 0, 2, 1000, true},
+                 {4, 0, 3, 1000, true}};
   EXPECT_NO_THROW(master.add(std::move(reuse)));
 }
 
@@ -499,7 +506,7 @@ TEST(Context, PushPullRoundtripCompressed) {
   common::Rng rng(3);
   const codec::Buffer payload = codec::text_bytes(50'000, rng);
 
-  cluster.worker(0).register_flow({1, 0, 1, payload.size(), true});
+  ctx.register_flow({1, 0, 1, payload.size(), true});
   auto flows = ctx.hook(0);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_TRUE(ctx.hook(0).empty());  // hook drains
@@ -518,12 +525,40 @@ TEST(Context, PushPullRoundtripCompressed) {
   EXPECT_EQ(cluster.worker(1).store().block_count(), 0u);
 }
 
+// Each driver's context owns the flows registered with it: two contexts
+// registering at one worker each hook back only their own, in
+// registration order, and a sender no worker has is refused.
+TEST(Context, HookReturnsOnlyThisDriversFlows) {
+  Cluster cluster(fast_config());
+  SwallowContext a(cluster), b(cluster);
+  a.register_flow({1, 0, 1, 100, true});
+  b.register_flow({2, 0, 2, 200, true});
+  a.register_flow({3, 0, 3, 300, true});
+  b.register_flow({4, 0, 1, 400, true});
+  const auto ids = [](const std::vector<FlowInfo>& flows) {
+    std::vector<RtFlowId> out;
+    for (const FlowInfo& f : flows) out.push_back(f.flow_id);
+    return out;
+  };
+  EXPECT_EQ(ids(a.hook(0)), (std::vector<RtFlowId>{1, 3}));
+  EXPECT_EQ(ids(b.hook(0)), (std::vector<RtFlowId>{2, 4}));
+  EXPECT_TRUE(a.hook(0).empty());
+  EXPECT_TRUE(b.hook(0).empty());
+  EXPECT_THROW(a.register_flow({5, 9, 1, 100, true}), std::out_of_range);
+  EXPECT_TRUE(a.hook(1).empty());
+  // A coflow built by hand is refused before the master registers it.
+  CoflowInfo stray;
+  stray.flows = {{6, 9, 1, 100, true}};
+  EXPECT_THROW(a.add(stray), std::out_of_range);
+  EXPECT_FALSE(cluster.master().has_coflow(1));
+}
+
 TEST(Context, PushWithoutCompressionKeepsBytes) {
   Cluster cluster(fast_config(/*compress=*/false));
   SwallowContext ctx(cluster);
   common::Rng rng(4);
   const codec::Buffer payload = codec::text_bytes(20'000, rng);
-  cluster.worker(0).register_flow({1, 0, 1, payload.size(), true});
+  ctx.register_flow({1, 0, 1, payload.size(), true});
   const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
   ctx.alloc(ctx.scheduling({ref}));
   ctx.push(ref, {{1, 1}}, payload, 0);
@@ -546,8 +581,8 @@ TEST(Context, MultiTargetPushLandsTheFramesOfSingleTargetPushes) {
   const auto send = [&](bool one_push, bool degrade_second = false) {
     Cluster cluster(fast_config());
     SwallowContext ctx(cluster);
-    cluster.worker(0).register_flow({1, 0, 1, payload.size(), true});
-    cluster.worker(0).register_flow({2, 0, 2, payload.size(), true});
+    ctx.register_flow({1, 0, 1, payload.size(), true});
+    ctx.register_flow({2, 0, 2, payload.size(), true});
     const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
     ctx.alloc(ctx.scheduling({ref}));
     if (degrade_second) {
@@ -656,6 +691,53 @@ TEST(Shuffle, ConcurrentJobsShareTheCluster) {
       EXPECT_FALSE(master.decision_of(flow).compress) << flow;
 }
 
+// Concurrent jobs each schedule exactly their own flows: every
+// beta_decision of a coflow names a flow of one job (flow id / 1e6 is the
+// job's seed), and each job's 2 x 2 coflow carries its 4 flows.
+TEST(Shuffle, ConcurrentJobsScheduleOnlyTheirOwnFlows) {
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(round);
+    obs::Tracer tracer;
+    ClusterConfig config = fast_config();
+    config.sink = &tracer;
+    Cluster cluster(config);
+    ShuffleJobConfig job;
+    job.app = codec::app_by_name("Pagerank");
+    job.mappers = 2;
+    job.reducers = 2;
+    job.bytes_per_partition = 8 * 1024;
+    ShuffleJobConfig job2 = job;
+    job2.seed = 2;
+    {
+      std::jthread j1([&] { run_shuffle_job(cluster, job); });
+      std::jthread j2([&] { run_shuffle_job(cluster, job2); });
+    }
+    std::map<std::uint64_t, std::set<std::uint64_t>> flows_of;
+    for (const obs::TraceEvent& ev : tracer.events()) {
+      if (std::string_view(ev.name) != "beta_decision") continue;
+      std::uint64_t coflow = 0, flow = 0;
+      for (const obs::Arg& a : ev.args) {
+        if (a.key == nullptr) break;
+        if (std::string_view(a.key) == "coflow")
+          coflow = std::get<std::uint64_t>(a.value);
+        if (std::string_view(a.key) == "flow")
+          flow = std::get<std::uint64_t>(a.value);
+      }
+      flows_of[coflow].insert(flow);
+    }
+    ASSERT_EQ(flows_of.size(), 2u);
+    std::set<std::uint64_t> seeds;
+    for (const auto& [coflow, flows] : flows_of) {
+      EXPECT_EQ(flows.size(), 4u) << "coflow " << coflow;
+      const std::uint64_t seed = *flows.begin() / 1'000'000;
+      for (const std::uint64_t flow : flows)
+        EXPECT_EQ(flow / 1'000'000, seed) << "coflow " << coflow;
+      seeds.insert(seed);
+    }
+    EXPECT_EQ(seeds, (std::set<std::uint64_t>{1, 2}));
+  }
+}
+
 TEST(Shuffle, ResultStageReplicatesOutputs) {
   Cluster cluster(fast_config());
   ShuffleJobConfig job;
@@ -725,8 +807,8 @@ TEST(Shuffle, RejectsZeroTasks) {
 }
 
 // A map task that throws fails the job on the calling thread instead of
-// aborting the process, leaves no registration for the next job's hook(),
-// and the cluster runs the next job.
+// aborting the process, leaves no flow in any worker's log, and the
+// cluster runs the next job.
 TEST(Shuffle, ThrowingMapTaskFailsTheJobAndTheClusterRunsTheNext) {
   Cluster cluster(fast_config());
   ShuffleJobConfig job;
@@ -737,7 +819,7 @@ TEST(Shuffle, ThrowingMapTaskFailsTheJobAndTheClusterRunsTheNext) {
   job.bytes_per_partition = 8 * 1024;
   EXPECT_THROW(run_shuffle_job(cluster, job), std::invalid_argument);
   for (WorkerId w = 0; w < cluster.size(); ++w)
-    EXPECT_TRUE(cluster.worker(w).drain_registrations().empty()) << w;
+    EXPECT_TRUE(cluster.worker(w).registration_log().empty()) << w;
 
   job.app = codec::app_by_name("Sort");
   EXPECT_TRUE(run_shuffle_job(cluster, job).verified);
