@@ -10,6 +10,10 @@
 
 namespace swallow::codec {
 
+std::size_t Codec::max_compressed_size(std::size_t raw) const {
+  return 1 + varint_size(raw) + max_payload_size(raw);
+}
+
 std::size_t Codec::compress(std::span<const std::uint8_t> in,
                             std::span<std::uint8_t> out) const {
   if (out.size() < max_compressed_size(in.size()))

@@ -31,8 +31,9 @@ class Codec {
   /// One-byte id stored in the container header.
   virtual std::uint8_t id() const = 0;
 
-  /// Worst-case container size for `raw` input bytes.
-  virtual std::size_t max_compressed_size(std::size_t raw) const = 0;
+  /// Worst-case container size for `raw` input bytes: the header (id and
+  /// varint raw size) plus the codec's worst-case payload.
+  std::size_t max_compressed_size(std::size_t raw) const;
 
   /// Compresses `in` into `out` (sized >= max_compressed_size(in.size())).
   /// Returns the container size.

@@ -217,10 +217,6 @@ std::size_t HuffmanCodec::max_payload_size(std::size_t raw) const {
   return raw + kHeaderBytes + 8;
 }
 
-std::size_t HuffmanCodec::max_compressed_size(std::size_t raw) const {
-  return 1 + 10 + max_payload_size(raw);
-}
-
 std::size_t HuffmanCodec::encode(std::span<const std::uint8_t> in,
                                  std::span<std::uint8_t> out) const {
   std::array<std::uint64_t, kSymbols> counts{};
@@ -314,10 +310,6 @@ ChainedCodec::ChainedCodec(std::unique_ptr<Codec> inner,
 
 std::size_t ChainedCodec::max_payload_size(std::size_t raw) const {
   return outer_->max_compressed_size(inner_->max_compressed_size(raw));
-}
-
-std::size_t ChainedCodec::max_compressed_size(std::size_t raw) const {
-  return 1 + 10 + max_payload_size(raw);
 }
 
 std::size_t ChainedCodec::encode(std::span<const std::uint8_t> in,

@@ -21,7 +21,6 @@ class HuffmanCodec final : public Codec {
  public:
   std::string name() const override { return "huffman"; }
   std::uint8_t id() const override { return 5; }
-  std::size_t max_compressed_size(std::size_t raw) const override;
 
  protected:
   std::size_t encode(std::span<const std::uint8_t> in,
@@ -41,7 +40,6 @@ class ChainedCodec final : public Codec {
 
   std::string name() const override { return name_; }
   std::uint8_t id() const override { return id_; }
-  std::size_t max_compressed_size(std::size_t raw) const override;
 
  protected:
   std::size_t encode(std::span<const std::uint8_t> in,

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "codec/varint.hpp"
-
 namespace swallow::codec {
 
 namespace {
@@ -120,10 +118,6 @@ std::uint8_t LzCodec::id() const {
 
 std::size_t LzCodec::max_payload_size(std::size_t raw) const {
   return raw + raw / 255 + 16;
-}
-
-std::size_t LzCodec::max_compressed_size(std::size_t raw) const {
-  return 1 + varint_size(raw) + max_payload_size(raw);
 }
 
 std::size_t LzCodec::encode(std::span<const std::uint8_t> in,

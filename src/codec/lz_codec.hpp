@@ -24,7 +24,6 @@ class LzCodec final : public Codec {
 
   std::string name() const override;
   std::uint8_t id() const override;
-  std::size_t max_compressed_size(std::size_t raw) const override;
 
   LzPreset preset() const { return preset_; }
 

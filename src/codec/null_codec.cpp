@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "codec/varint.hpp"
-
 namespace swallow::codec {
-
-std::size_t NullCodec::max_compressed_size(std::size_t raw) const {
-  return 1 + varint_size(raw) + raw;
-}
 
 std::size_t NullCodec::encode(std::span<const std::uint8_t> in,
                               std::span<std::uint8_t> out) const {

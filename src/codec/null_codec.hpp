@@ -10,7 +10,6 @@ class NullCodec final : public Codec {
  public:
   std::string name() const override { return "null"; }
   std::uint8_t id() const override { return 0; }
-  std::size_t max_compressed_size(std::size_t raw) const override;
 
  protected:
   std::size_t encode(std::span<const std::uint8_t> in,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "codec/varint.hpp"
-
 namespace swallow::codec {
 
 namespace {
@@ -15,10 +13,6 @@ constexpr std::size_t kMinRun = 3;
 std::size_t RleCodec::max_payload_size(std::size_t raw) const {
   // Worst case: all literals, one control byte per 128 bytes, plus slack.
   return raw + raw / kMaxGroup + 2;
-}
-
-std::size_t RleCodec::max_compressed_size(std::size_t raw) const {
-  return 1 + varint_size(raw) + max_payload_size(raw);
 }
 
 std::size_t RleCodec::encode(std::span<const std::uint8_t> in,

@@ -13,7 +13,6 @@ class RleCodec final : public Codec {
  public:
   std::string name() const override { return "rle"; }
   std::uint8_t id() const override { return 1; }
-  std::size_t max_compressed_size(std::size_t raw) const override;
 
  protected:
   std::size_t encode(std::span<const std::uint8_t> in,
