@@ -98,7 +98,6 @@ class ChunkEncoder {
   ChunkEncoder(const ChunkEncoder&) = delete;
   ChunkEncoder& operator=(const ChunkEncoder&) = delete;
 
-  std::size_t num_chunks() const { return num_chunks_; }
   /// Container bytes still to be pulled? (header + all records)
   bool has_next() const {
     return !header_emitted_ || next_emit_ < num_chunks_;

@@ -62,13 +62,6 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::pareto(double x_m, double alpha) {
-  if (x_m <= 0 || alpha <= 0) throw std::invalid_argument("pareto: bad params");
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 double Rng::bounded_pareto(double lo, double hi, double alpha) {
   if (lo <= 0 || hi <= lo || alpha <= 0)
     throw std::invalid_argument("bounded_pareto: bad params");

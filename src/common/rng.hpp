@@ -48,9 +48,6 @@ class Rng {
   /// Exponential with given rate (mean 1/rate); used for Poisson arrivals.
   double exponential(double rate);
 
-  /// Pareto with scale x_m and shape alpha; heavy tail for alpha <= 2.
-  double pareto(double x_m, double alpha);
-
   /// Bounded Pareto on [lo, hi] with shape alpha.
   double bounded_pareto(double lo, double hi, double alpha);
 

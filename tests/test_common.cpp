@@ -85,11 +85,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(mean(v), 0.25, 0.01);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(13);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, BoundedParetoStaysInBounds) {
   Rng rng(17);
   for (int i = 0; i < 10000; ++i) {
