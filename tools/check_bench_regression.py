@@ -38,13 +38,29 @@ warning when they differ or a baseline line has none (files written before
 the benches stamped them); the gate's verdict does not depend on them.
 
 Exits 0 when every gated metric is within tolerance (or has no baseline),
-1 on any regression, 2 on malformed input.
+1 on any regression, 2 on malformed input (an unreadable file, a line that
+is not a JSON object, a bench that is not a string, a host, metrics or
+metrics.gauges that is not an object, a bad --metric-tolerance, or a
+candidate without gauges), which is reported on stderr.
 """
 
 import argparse
 import fnmatch
 import json
 import sys
+
+
+def malformed(message):
+    """Reports malformed input on stderr and exits 2."""
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def expect(value, kind, where, complaint):
+    """`value` if it is a `kind`; otherwise reports `complaint` at `where`."""
+    if not isinstance(value, kind):
+        malformed(f"{where}: {complaint}")
+    return value
 
 
 def load_metrics(path):
@@ -58,31 +74,34 @@ def load_metrics(path):
     hosts = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise SystemExit(
-                        f"error: {path}:{lineno}: bad JSON line: {e}"
-                    )
-                bench = row.get("bench", "bench")
-                host = row.get("host")
-                if host is not None and not isinstance(host, dict):
-                    raise SystemExit(
-                        f"error: {path}:{lineno}: host is not an object"
-                    )
-                host = tuple(sorted(host.items())) if host else None
-                if host not in hosts:
-                    hosts.append(host)
-                gauges = row.get("metrics", {}).get("gauges", {})
-                for metric, value in gauges.items():
-                    if isinstance(value, (int, float)):
-                        out[(bench, metric)] = float(value)
-    except OSError as e:
-        raise SystemExit(f"error: cannot read {path}: {e}")
+            lines = list(enumerate(fh, 1))
+    except (OSError, UnicodeDecodeError) as e:
+        malformed(f"{path}: cannot read: {e}")
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            malformed(f"{where}: bad JSON line: {e}")
+        expect(row, dict, where, "the line is not an object")
+        bench = expect(row.get("bench", "bench"), str, where,
+                       "bench is not a string")
+        host = row.get("host")
+        if host is not None:
+            expect(host, dict, where, "host is not an object")
+        host = tuple(sorted(host.items())) if host else None
+        if host not in hosts:
+            hosts.append(host)
+        metrics = expect(row.get("metrics", {}), dict, where,
+                         "metrics is not an object")
+        gauges = expect(metrics.get("gauges", {}), dict, where,
+                        "metrics.gauges is not an object")
+        for metric, value in gauges.items():
+            if isinstance(value, (int, float)):
+                out[(bench, metric)] = float(value)
     return out, hosts
 
 
@@ -133,15 +152,11 @@ def parse_metric_tolerances(specs):
     for spec in specs or []:
         pattern, sep, tol = spec.rpartition("=")
         if not sep or not pattern:
-            raise SystemExit(
-                f"error: --metric-tolerance {spec!r}: expected PATTERN=TOL"
-            )
+            malformed(f"--metric-tolerance {spec!r}: expected PATTERN=TOL")
         try:
             out.append((pattern, float(tol)))
         except ValueError:
-            raise SystemExit(
-                f"error: --metric-tolerance {spec!r}: TOL must be a number"
-            )
+            malformed(f"--metric-tolerance {spec!r}: TOL must be a number")
     return out
 
 
@@ -190,8 +205,7 @@ def main():
     current, current_hosts = load_metrics(args.current)
     report_hosts(baseline_hosts, current_hosts)
     if not current:
-        print(f"error: no gauge metrics found in {args.current}")
-        return 2
+        malformed(f"{args.current}: no gauge metrics found")
 
     failures = []
     missing = []
