@@ -146,11 +146,6 @@ int main(int argc, char** argv) {
   config.degradation.seed =
       static_cast<std::uint64_t>(flags.get_int("degrade-seed", 1));
   config.admission.enabled = flags.has("admission");
-  config.admission.reject_margin =
-      flags.get_double("admission-reject-margin", 1.0);
-  config.admission.max_slo_share =
-      flags.get_double("admission-max-slo-share", 0.9);
-  config.admission.shed_expired = flags.get_int("admission-shed", 1) != 0;
 
   // Crash tolerance (DESIGN.md section 13): --recovery-dir turns on the
   // write-ahead journal (+ snapshots with --checkpoint-every); --restore

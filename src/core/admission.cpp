@@ -56,7 +56,7 @@ AdmissionDecision AdmissionController::admit(
   d.t_nominal = b.t_nom;
 
   // Ladder rung 1: hopeless even on a healthy fabric with the coflow alone.
-  if (b.t_nom > config_.reject_margin * slack) {
+  if (b.t_nom > slack) {
     d.verdict = AdmissionVerdict::kReject;
     d.reason = "hopeless";
     return d;
@@ -225,7 +225,7 @@ AdmissionController::RepriceOutcome AdmissionController::reprice(
     if (slack <= 0) continue;
     const Bounds b = price(coflow, all_flows, live, cpu, codec, now);
     if (std::min(b.t_cur, b.t_comp) <= slack) continue;  // still feasible
-    if (b.t_nom > config_.reject_margin * slack) {
+    if (b.t_nom > slack) {
       // Hopeless: infeasible live even compressed, AND the remaining raw
       // volume misses the deadline even at nominal capacity. Shedding now
       // (instead of at expiry) returns the fabric share to feasible work
@@ -251,7 +251,7 @@ bool AdmissionController::demand_fits(
     const std::vector<fabric::Flow>& all_flows, common::Seconds add_deadline,
     common::Bytes add_bytes, common::Bps capacity,
     common::Seconds now) const {
-  const double window = config_.max_slo_share * capacity;
+  const double window = kMaxSloShare * capacity;
   const auto remaining = [&](const Demand& dm) {
     common::Bytes v = 0;
     for (fabric::FlowId fid : dm.flows) v += all_flows[fid].volume();

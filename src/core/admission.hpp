@@ -15,12 +15,12 @@
 // port-level (deadline, bytes) demand. An arrival passes the share guard
 // only if the EDF demand bound holds on every port it touches: for each
 // committed deadline boundary d at or after the arrival's own deadline,
-// the cumulative committed bytes due by d must fit within max_slo_share of
+// the cumulative committed bytes due by d must fit within kMaxSloShare of
 // the port's *nominal* capacity over (d - now). One-shot jobs that can
 // serialize inside each other's slack both pass (a scalar rate guard would
 // reject the second); genuine overload — more promised bytes than the
 // shared window can carry — is rejected, and best-effort traffic always
-// keeps (1 - max_slo_share) of the fabric on paper.
+// keeps (1 - kMaxSloShare) of the fabric on paper.
 //
 // All decisions are pure functions of (coflow, live fabric, CPU headroom,
 // codec, committed state), so a fixed seed replays to identical verdicts;
@@ -41,23 +41,21 @@
 
 namespace swallow::core {
 
+/// Cap on the fraction of any port's nominal capacity the EDF demand bound
+/// may promise to deadline coflows; arrivals that would overcommit any
+/// deadline window are rejected (overload shedding + best-effort starvation
+/// protection).
+inline constexpr double kMaxSloShare = 0.9;
+
 struct AdmissionConfig {
   /// Master switch. Off (the default) keeps the engine's arrival path
   /// byte-identical to the pre-SLO behavior: every coflow is admitted and
-  /// nothing is ever shed.
+  /// nothing is ever shed. On, a coflow is rejected when even the
+  /// *nominal* fabric (no degradation, coflow alone) needs more than its
+  /// slack, and a deadline coflow that passed the gate but outlives its
+  /// deadline is shed at the first slice boundary past it (engine-side),
+  /// instead of draining doomed work as best-effort.
   bool enabled = false;
-  /// Reject when even the *nominal* fabric (no degradation, coflow alone)
-  /// needs more than reject_margin x slack. 1.0 = reject only the hopeless.
-  double reject_margin = 1.0;
-  /// Cap on the fraction of any port's nominal capacity the EDF demand
-  /// bound may promise to deadline coflows; arrivals that would overcommit
-  /// any deadline window are rejected (overload shedding + best-effort
-  /// starvation protection).
-  double max_slo_share = 0.9;
-  /// Drop the remaining volume of expired deadline coflows at the first
-  /// slice boundary past their deadline (engine-side shedding) instead of
-  /// letting doomed work drain as best-effort.
-  bool shed_expired = true;
 };
 
 enum class AdmissionVerdict : std::uint8_t {
@@ -171,7 +169,7 @@ class AdmissionController {
 
   /// EDF demand bound on one port: with `add_bytes` due by `add_deadline`
   /// included, every deadline boundary at or after it must satisfy
-  ///   sum(remaining bytes due by d) <= max_slo_share * capacity * (d - now).
+  ///   sum(remaining bytes due by d) <= kMaxSloShare * capacity * (d - now).
   bool demand_fits(const std::vector<Demand>& committed,
                    const std::vector<fabric::Flow>& all_flows,
                    common::Seconds add_deadline, common::Bytes add_bytes,

@@ -153,7 +153,6 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
     for (sched::RankIndex& idx : xmit_) idx.clear();
     cache_.clear();
     beta_.assign(flows_.flow_count(), 0);
-    horizon_heap_ = {};
     horizon_round_.clear();
     deadline_resident_ = 0;
     // Pre-register the deadline residents so every refresh below classifies
@@ -185,40 +184,21 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
     }
   }
 
-  // Time-driven reclassifications: pop every horizon within one slice of
-  // now (the pad absorbs FP drift in the stored horizon; classify is the
-  // authority) and refresh, unless this round already refreshed the coflow.
-  // That refresh may have armed a horizon inside (now, now + slice]: its
-  // entry is kept for the next round (once per coflow, so the heap stays
-  // bounded), or an unserved coflow that no event dirties keeps a stale
-  // band. Entries older than the coflow's armed horizon are dropped.
-  horizon_due_.clear();
-  horizon_kept_.clear();
-  const common::Seconds due = ctx.now + ctx.slice;
-  while (!horizon_heap_.empty() && horizon_heap_.top().first <= due) {
-    const HorizonEntry entry = horizon_heap_.top();
-    const fabric::CoflowId id = entry.second;
-    horizon_heap_.pop();
-    if (id >= cache_.size() || !cache_[id].valid) continue;
-    if (horizon_round_.get(id) == upgrade_.round()) {
-      if (entry.first == cache_[id].horizon) horizon_kept_.push_back(entry);
-      continue;
+  // Time-driven reclassifications: refresh every coflow whose horizon falls
+  // within one slice of now (the pad absorbs FP drift in the stored horizon;
+  // classify is the authority), unless this round already refreshed it. A
+  // refresh that arms a horizon inside (now, now + slice] leaves it due, so
+  // the next round refreshes the coflow even if no event dirties it. Only
+  // DEADLINE-FVDF outside fault fallback arms horizons.
+  if (deadline_aware() && !seen_degraded_) {
+    const common::Seconds due = ctx.now + ctx.slice;
+    for (const fabric::Coflow* c : ctx.coflows) {
+      if (c->id >= cache_.size()) continue;
+      const CachedCoflow& cc = cache_[c->id];
+      if (cc.valid && cc.horizon <= due &&
+          horizon_round_.get(c->id) != upgrade_.round())
+        refresh_coflow(ctx, env, nc_env, *c);
     }
-    horizon_round_.set(id, upgrade_.round());
-    horizon_due_.push_back(id);
-  }
-  // Popped in (horizon, id) order, so a coflow's duplicates are adjacent.
-  horizon_kept_.erase(
-      std::unique(horizon_kept_.begin(), horizon_kept_.end()),
-      horizon_kept_.end());
-  for (const HorizonEntry& entry : horizon_kept_) horizon_heap_.push(entry);
-  for (const fabric::CoflowId id : horizon_due_) {
-    const fabric::Coflow& c = *cache_[id].coflow;
-    if (c.completed() || rejected(c)) {
-      drop_coflow(id);
-      continue;
-    }
-    refresh_coflow(ctx, env, nc_env, c);
   }
 
   if (need_global_rekey_) {
@@ -314,7 +294,8 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
     cc.counted = true;
     if (++deadline_resident_ == 1) need_global_rekey_ = true;
   }
-  // Only DEADLINE-FVDF arms horizons, so only its pop loop reads the stamp.
+  // Only DEADLINE-FVDF arms horizons, so only its horizon pass reads the
+  // stamp.
   if (deadline_aware()) horizon_round_.set(c.id, upgrade_.round());
   cc.coflow = &c;
 
@@ -369,8 +350,6 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
   for (Lane& l : cc.lanes)
     if (!l.beta) l.want = flows_.flow(l.id).volume() / g;
   install(c);
-  if (cc.horizon < fabric::kNoDeadline)
-    horizon_heap_.push({cc.horizon, c.id});
 }
 
 void FvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
@@ -428,7 +407,7 @@ void FvdfScheduler::save_state(recovery::StateWriter& w) const {
 void FvdfScheduler::restore_state(recovery::StateReader& r) {
   fields(*this, r);
   // The restored run owns a fresh DirtyTracker session, and schedule()
-  // rebuilds the memo, the band indexes and the horizon heap from scratch
+  // rebuilds the memo, the band indexes and the horizon stamps from scratch
   // when it sees one. Resetting here makes that unconditional even if a
   // stale session id were ever reused.
   flows_.reset();

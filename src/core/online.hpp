@@ -31,9 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/fvdf.hpp"
@@ -141,7 +139,7 @@ class FvdfScheduler final : public sched::Scheduler {
 
   /// Serializes the starvation round stamps and, for DEADLINE-FVDF, the
   /// sticky fault-fallback flag: the only state a restored run cannot
-  /// rederive. The memo, band indexes and horizon heap are session-keyed
+  /// rederive. The memo, band indexes and horizon stamps are session-keyed
   /// and rebuilt on the first post-restore round.
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
@@ -254,20 +252,10 @@ class FvdfScheduler final : public sched::Scheduler {
   /// Checkpointed: fallback must survive a crash-restore into a
   /// currently-healthy window.
   bool seen_degraded_ = false;
-  using HorizonEntry = std::pair<common::Seconds, fabric::CoflowId>;
-  /// Lazy min-heap of (horizon, coflow): popped and refreshed when the
-  /// horizon falls within one slice of now. Over-popping is safe — classify
-  /// is authoritative — and refresh_coflow re-arms the next horizon, so a
-  /// coflow is refreshed at most once per round (horizon_round_ stamps).
-  /// Always empty for the plain variants.
-  std::priority_queue<HorizonEntry, std::vector<HorizonEntry>,
-                      std::greater<>>
-      horizon_heap_;
+  /// The round in which each coflow was last refreshed, so the horizon pass
+  /// refreshes a coflow at most once per round. Stamped by DEADLINE-FVDF
+  /// only, the one variant that arms horizons.
   RoundStamps horizon_round_;
-  std::vector<fabric::CoflowId> horizon_due_;  ///< scratch for the pop loop
-  /// Scratch: due horizons of coflows this round already refreshed, pushed
-  /// back for the next round.
-  std::vector<HorizonEntry> horizon_kept_;
 };
 
 }  // namespace swallow::core

@@ -72,7 +72,7 @@ class Scheduler {
   /// Checkpoint/restore hooks (DESIGN.md section 13). A scheduler saves
   /// exactly its *non-derivable* mutable state — for FVDF variants the
   /// starvation round stamps; session-keyed incremental caches (rank
-  /// indexes, Γ memos, β tables, horizon heaps) are deliberately excluded:
+  /// indexes, Γ memos, β tables, horizon stamps) are deliberately excluded:
   /// they are rebuilt from scratch when the scheduler sees the restored
   /// run's fresh DirtyTracker session, and a rebuild is byte-equivalent to
   /// the warm caches (test_incremental checks both against a naive

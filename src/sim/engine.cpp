@@ -427,7 +427,7 @@ class Engine {
 
   // Drops a coflow's remaining volume: called at arrival (verdict kReject,
   // before the coflow ever enters the active set) or mid-flight (deadline
-  // expired under shed_expired — caller must have folded the running
+  // expired, or re-priced as hopeless — caller must have folded the running
   // segment first so no live snapshot resurrects the zeroed pools).
   // Completions stay kNeverCompleted, so every FCT/CCT aggregate skips the
   // shed records. Arrival-time rejections are not separately journaled —
@@ -531,9 +531,7 @@ class Engine {
   void list_flow(const fabric::Flow& f, bool any_port_degraded) {
     if (compressing(f) || rate[f.id] > kTiny) {
       seg_flows.push_back(f.id);
-    } else if (any_port_degraded &&
-               std::min(live.ingress_capacity(f.src),
-                        live.egress_capacity(f.dst)) <= 0.0) {
+    } else if (any_port_degraded && sched::link_stalled(f, live)) {
       // Rate zero on a zero-capacity port is a stall, not starvation: the
       // flow accrues waiting time until the link recovers.
       ++seg_stall_count;
@@ -747,11 +745,12 @@ std::uint64_t Engine::compute_fingerprint() const {
   fp.mix(dg.brownout_floor);
   fp.mix(dg.brownout_ceiling);
   fp.mix(dg.flap_half_period);
-  const core::AdmissionConfig& ad = config.admission;
-  fp.mix(std::uint64_t(ad.enabled));
-  fp.mix(ad.reject_margin);
-  fp.mix(ad.max_slo_share);
-  fp.mix(std::uint64_t(ad.shed_expired));
+  fp.mix(std::uint64_t(config.admission.enabled));
+  // Admission's reject margin (1), SLO share and expiry shedding (on) are
+  // constants; their mixes stay so snapshot fingerprints do not move.
+  fp.mix(1.0);
+  fp.mix(core::kMaxSloShare);
+  fp.mix(std::uint64_t{1});
   fp.mix(std::uint64_t(fabric.num_ports()));
   for (fabric::PortId p = 0; p < fabric.num_ports(); ++p) {
     fp.mix(fabric.nominal_ingress_capacity(p));
@@ -1086,8 +1085,7 @@ Metrics Engine::run() {
             ++sstats.deferred;
             break;
         }
-        if (config.admission.shed_expired)
-          push_expiry(sc.state.deadline, ci);
+        push_expiry(sc.state.deadline, ci);
       }
       active.push_back(ci);
       tracker.coflow_arrived(&sc.state);

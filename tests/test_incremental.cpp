@@ -343,10 +343,10 @@ TEST(IncrementalIdentity, TrackerlessRebuildMatchesTrackedRounds) {
 TEST(IncrementalIdentity, ExpiryAloneMovesAnUnservedDeadlineCoflow) {
   // An infeasible deadline coflow parked in band 3 behind a best-effort
   // elephant is never served, so no event dirties it. Only DEADLINE-FVDF's
-  // horizon heap can move it to band 2 at expiry, where its small Γ ranks
+  // horizon pass can move it to band 2 at expiry, where its small Γ ranks
   // it ahead of the elephant. With and without a tracker alike. A 5 ms
   // deadline expires inside the first round's slice, so the horizon that
-  // round's refresh arms must survive the round's own pop loop.
+  // round's refresh arms must still be due at the next round's pass.
   for (const double deadline : {0.02, 0.005}) {
     for (const bool tracked : {true, false}) {
       SCOPED_TRACE(std::string(tracked ? "tracked" : "tracker-less") +

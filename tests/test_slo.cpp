@@ -5,7 +5,7 @@
 //   1. Zero deadlines: DEADLINE-FVDF is bit-for-bit FVDF (every coflow lands
 //      in the best-effort band whose key is FVDF's exact sort key), across
 //      both engine modes and against the naive reference schedulers.
-//   2. With deadlines: the production scheduler (dirty set + horizon heap)
+//   2. With deadlines: the production scheduler (dirty set + horizon pass)
 //      is bit-for-bit the naive per-round recompute of reference_sched.hpp,
 //      and the event-driven engine is bit-for-bit the slice-stepped
 //      reference — including admission verdicts and mid-flight shedding,
@@ -266,13 +266,13 @@ TEST(AdmissionPricing, CompressedBoundUsesTheFlowsOwnRatio) {
 TEST_F(AdmissionLadder, ShareGuardShedsOverload) {
   core::AdmissionConfig cfg;
   cfg.enabled = true;
-  cfg.max_slo_share = 0.5;
   core::AdmissionController ctl(cfg, fabric_);
-  // Each coflow needs 40% of the port for its whole slack window; the
-  // second would push the promised share past 50% -> shed, best-effort
-  // keeps its half of the fabric. Releasing the first re-opens the gate.
-  const fabric::Coflow a = make_coflow(0, cap_ * 0.4, 1.0);
-  const fabric::Coflow b = make_coflow(1, cap_ * 0.4, 1.0);
+  // Each coflow needs half the port for its whole slack window; the second
+  // would push the promised share to 100%, past kMaxSloShare (90%) -> shed,
+  // best-effort keeps its 10% of the fabric. Releasing the first re-opens
+  // the gate.
+  const fabric::Coflow a = make_coflow(0, cap_ * 0.5, 1.0);
+  const fabric::Coflow b = make_coflow(1, cap_ * 0.5, 1.0);
   EXPECT_EQ(ctl.admit(a, flows_, fabric_, cpu_, nullptr, 0.0).verdict,
             core::AdmissionVerdict::kAdmit);
   const auto d = ctl.admit(b, flows_, fabric_, cpu_, nullptr, 0.0);
@@ -328,7 +328,7 @@ TEST(SloIdentity, ZeroDeadlinesMatchesFvdfBitForBit) {
 
 TEST(SloIdentity, ReferenceAndModeParityWithDeadlines) {
   // The hard one: deadlines + admission + shedding + degradation + quantize.
-  // Crosses the horizon heap (feasibility flips over time), the admission
+  // Crosses the horizon pass (feasibility flips over time), the admission
   // preemption points and the expiry caps against both oracles.
   for (const std::uint64_t seed : {3ull, 13ull}) {
     const workload::Trace trace = deadline_trace(seed, 22, 10, 0.7);
@@ -438,9 +438,10 @@ TEST(SloBehavior, MetFractionMonotoneVsLoad) {
 }
 
 TEST(SloBehavior, ShedExpiredDropsDoomedVolume) {
-  // An impossible deadline that slips past the (loose) admission margin is
-  // shed mid-flight: its volume stops consuming the fabric and its records
-  // stay incomplete. The shed empties the fabric before the next arrival.
+  // An admitted deadline coflow that misses behind a shorter best-effort
+  // coflow is shed mid-flight: its volume stops consuming the fabric and
+  // its records stay incomplete. The shed empties the fabric before the
+  // next arrival (the case's comment gives the timeline).
   const shed_idle::Case c = shed_idle::expiry_shed();
   const fabric::Fabric fabric(2, shed_idle::kBandwidth);
   const cpu::ConstantCpu cpu(0.9);
@@ -450,20 +451,26 @@ TEST(SloBehavior, ShedExpiredDropsDoomedVolume) {
                    run_cfg(c.trace, fabric, cpu, c.scheduler, c.config,
                            sim::EngineMode::kSliceStepped),
                    "event-vs-slice");
+  EXPECT_EQ(m.slo.admitted, 1u);
   EXPECT_EQ(m.slo.shed_midflight, 1u);
-  EXPECT_GT(m.slo.shed_bytes, 0.0);
-  ASSERT_EQ(m.coflows.size(), 2u);
+  ASSERT_EQ(m.coflows.size(), 3u);
   EXPECT_TRUE(m.coflows[0].rejected);
   EXPECT_FALSE(m.coflows[0].completed());
   EXPECT_EQ(m.deadlines_met(), 0u);
-  // The shed happened at the first slice boundary past the deadline, not at
-  // the natural 4-second completion: wire bytes stop near 0.5 s of service.
-  EXPECT_LT(m.coflows[0].wire_bytes,
-            c.trace.coflows[0].total_bytes() * 0.2);
-  // The later arrival has the fabric to itself.
+  // FVDF served the shorter coflow 1 first, on the whole port.
   ASSERT_TRUE(m.coflows[1].completed());
-  EXPECT_NEAR(m.coflows[1].completion - m.coflows[1].arrival,
+  EXPECT_NEAR(m.coflows[1].completion,
               c.trace.coflows[1].total_bytes() / shed_idle::kBandwidth,
+              1e-9);
+  // Coflow 0 got the port from t = 0.42 until the shed at its 0.5 s
+  // deadline (a slice boundary), not to its natural completion at 0.86 s:
+  // 0.08 s of its bytes went out and the other 0.36 s were dropped.
+  EXPECT_NEAR(m.coflows[0].wire_bytes, shed_idle::kBandwidth * 0.08, 1.0);
+  EXPECT_NEAR(m.slo.shed_bytes, shed_idle::kBandwidth * 0.36, 1.0);
+  // The later arrival has the fabric to itself.
+  ASSERT_TRUE(m.coflows[2].completed());
+  EXPECT_NEAR(m.coflows[2].completion - m.coflows[2].arrival,
+              c.trace.coflows[2].total_bytes() / shed_idle::kBandwidth,
               1e-9);
 }
 
