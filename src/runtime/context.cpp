@@ -1,5 +1,6 @@
 #include "runtime/context.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <stdexcept>
@@ -16,7 +17,7 @@ Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       codec_(codec::make_codec(config.codec)),
       master_(config.num_workers, config.nic_rate, config.codec_model,
-              config.cpu_headroom, config.smart_compress, config.sink,
+              kCpuHeadroom, config.smart_compress, config.sink,
               config.retry.degrade_after),
       injector_(config.fault, &fault_counters_, config.sink) {
   if (config.num_workers == 0)
@@ -77,13 +78,25 @@ WorkerId Cluster::effective_worker(WorkerId id) const {
 bool Cluster::restore_master(const std::string& dir) {
   const bool from_snapshot = master_.restore_from(dir);
 
+  std::vector<std::map<CoflowRef, std::vector<FlowInfo>>> logs;
+  logs.reserve(workers_.size());
+  for (const auto& w : workers_) logs.push_back(w->registration_log());
+
+  // remove() forgets a ref on every worker, dead ones included, so a
+  // snapshot coflow that no log holds was removed after the snapshot. It
+  // must not come back: its flow ids would stay registered.
+  for (const CoflowRef ref : master_.coflow_refs())
+    if (std::none_of(logs.begin(), logs.end(),
+                     [ref](const auto& log) { return log.contains(ref); }))
+      master_.remove(ref);
+
   // Cold half of the fail-over: coflows the snapshot missed (or every
-  // coflow, when no snapshot loaded) are re-announced from the workers'
-  // logs, which add() keyed by the original ref.
+  // coflow, when no snapshot loaded) are re-announced from the live
+  // workers' logs, which add() keyed by the original ref.
   std::map<CoflowRef, CoflowInfo> rebuilt;
-  for (const auto& w : workers_) {
-    if (w->dead()) continue;
-    for (const auto& [ref, flows] : w->registration_log()) {
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    if (workers_[w]->dead()) continue;
+    for (const auto& [ref, flows] : logs[w]) {
       if (master_.has_coflow(ref)) continue;
       auto& into = rebuilt[ref].flows;
       into.insert(into.end(), flows.begin(), flows.end());

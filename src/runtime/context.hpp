@@ -27,14 +27,16 @@
 
 namespace swallow::runtime {
 
+/// Idle CPU share (h) a cluster's master assumes at every worker when it
+/// prices compression (Eq. 3: R_eff = R * h).
+inline constexpr double kCpuHeadroom = 0.9;
+
 struct ClusterConfig {
   std::size_t num_workers = 4;
   common::Bps nic_rate = 64.0 * 1024 * 1024;  ///< 64 MiB/s keeps tests brisk
   codec::CodecKind codec = codec::CodecKind::kLzBalanced;
   /// The swallow.smartCompress option of the paper's library.
   bool smart_compress = true;
-  /// Assumed idle CPU share feeding Eq. 3 (R_eff = R * headroom).
-  double cpu_headroom = 0.9;
   /// (R, xi) model for the compression gate; defaults to Table II's LZ4.
   codec::CodecModel codec_model = codec::default_codec_model();
   /// Chunk size for the pipelined codec data plane (DESIGN.md §14): blocks
@@ -96,12 +98,13 @@ class Cluster {
 
   /// Rebuilds the master's bookkeeping after a master crash: loads the
   /// newest usable snapshot in `dir` (fingerprint-checked; an empty or
-  /// snapshot-free dir cold-starts instead), then re-registers every
-  /// coflow the snapshot lacks from the live workers' logs, under its
-  /// ORIGINAL ref — receivers blocked in pull() hold those refs, and the
-  /// retention/store keys embed them. A re-registered coflow lists its
-  /// flows by sender, in the order add() logged them. Returns true when a
-  /// snapshot was used.
+  /// snapshot-free dir cold-starts instead), drops every snapshot coflow
+  /// that no worker logs any more (removed after the snapshot), then
+  /// re-registers every coflow the snapshot lacks from the live workers'
+  /// logs, under its ORIGINAL ref — receivers blocked in pull() hold those
+  /// refs, and the retention/store keys embed them. A re-registered coflow
+  /// lists its flows by sender, in the order add() logged them. Returns
+  /// true when a snapshot was used.
   bool restore_master(const std::string& dir);
 
  private:

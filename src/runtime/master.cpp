@@ -276,4 +276,12 @@ bool Master::has_coflow(CoflowRef ref) const {
   return coflows_.count(ref) > 0;
 }
 
+std::vector<CoflowRef> Master::coflow_refs() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<CoflowRef> refs;
+  refs.reserve(coflows_.size());
+  for (const auto& entry : coflows_) refs.push_back(entry.first);
+  return refs;
+}
+
 }  // namespace swallow::runtime

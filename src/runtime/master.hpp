@@ -128,6 +128,8 @@ class Master {
   void restore_coflow(CoflowRef ref, CoflowInfo info);
 
   bool has_coflow(CoflowRef ref) const;
+  /// Every registered coflow's ref, ascending.
+  std::vector<CoflowRef> coflow_refs() const;
 
  private:
   /// One flow of a registered coflow.

@@ -465,7 +465,7 @@ struct TempDir {
 
 Master make_master(const ClusterConfig& config) {
   return Master(config.num_workers, config.nic_rate, config.codec_model,
-                config.cpu_headroom, config.smart_compress, config.sink,
+                kCpuHeadroom, config.smart_compress, config.sink,
                 config.retry.degrade_after);
 }
 
@@ -753,6 +753,28 @@ TEST(MasterRecovery, ColdFailoverWithoutInjectionReregistersTheCoflow) {
   ctx.remove(ref);
   for (WorkerId w = 0; w < cluster.size(); ++w)
     EXPECT_TRUE(cluster.worker(w).registration_log().empty()) << w;
+}
+
+// A coflow removed after the last snapshot stays removed across a fail-over
+// from that snapshot: no worker logs its ref any more, so the replacement
+// master drops it, and its flow ids are free for a later coflow.
+TEST(MasterRecovery, SnapshotFailoverDropsACoflowRemovedSinceTheSnapshot) {
+  Cluster cluster(fault_config());
+  SwallowContext ctx(cluster);
+  ctx.register_flow(FlowInfo{1, 0, 1, 64 * 1024, true});
+  const CoflowRef ref = ctx.add(ctx.aggregate(ctx.hook(0)));
+  TempDir dir;
+  cluster.master().checkpoint(dir.str(), 1);
+  ctx.remove(ref);
+
+  crash_master(cluster);
+  EXPECT_TRUE(cluster.restore_master(dir.str()));
+  EXPECT_FALSE(cluster.master().has_coflow(ref));
+  ctx.register_flow(FlowInfo{1, 0, 1, 64 * 1024, true});
+  CoflowRef again = 0;
+  ASSERT_NO_THROW(again = ctx.add(ctx.aggregate(ctx.hook(0))));
+  EXPECT_GT(again, ref);  // the snapshot's next ref: refs are never reused
+  EXPECT_TRUE(cluster.master().has_coflow(again));
 }
 
 // ---------------------------------------------------------------------------
