@@ -31,6 +31,17 @@ inline std::uint64_t mix64(std::uint64_t seed, std::uint64_t a,
   return x;
 }
 
+/// One splitmix64 step: advances `x` by the golden-ratio increment and
+/// returns the avalanche of the new value. Seeds Rng's state and
+/// sim::batch_seed's per-run seeds.
+inline std::uint64_t splitmix64(std::uint64_t& x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256++ by Blackman & Vigna: fast, high-quality, 2^256-1 period.
 class Rng {
  public:

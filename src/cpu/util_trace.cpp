@@ -4,13 +4,21 @@
 
 namespace swallow::cpu {
 
+namespace {
+
+constexpr double kComputeUtilization = 0.92;
+constexpr double kTransferUtilization = 0.08;
+constexpr double kTransferSpikeProb = 0.27;
+constexpr double kComputeDipProb = 0.15;
+constexpr common::Seconds kSamplePeriod = 0.5;
+
+}  // namespace
+
 std::vector<UtilSample> generate_util_trace(const UtilTraceConfig& config) {
   if (config.bandwidth <= 0)
     throw std::invalid_argument("util_trace: non-positive bandwidth");
   if (config.transfer_bytes <= 0)
     throw std::invalid_argument("util_trace: non-positive transfer size");
-  if (config.sample_period <= 0)
-    throw std::invalid_argument("util_trace: non-positive sample period");
 
   common::Rng rng(config.seed);
   std::vector<UtilSample> out;
@@ -19,7 +27,7 @@ std::vector<UtilSample> generate_util_trace(const UtilTraceConfig& config) {
   bool computing = true;
   common::Seconds phase_end =
       rng.exponential(1.0 / config.compute_time);
-  for (common::Seconds s = 0; s < config.horizon; s += config.sample_period) {
+  for (common::Seconds s = 0; s < config.horizon; s += kSamplePeriod) {
     while (s >= phase_end) {
       t = phase_end;
       computing = !computing;
@@ -30,13 +38,11 @@ std::vector<UtilSample> generate_util_trace(const UtilTraceConfig& config) {
     }
     double base;
     if (computing) {
-      base = rng.bernoulli(config.compute_dip_prob)
-                 ? config.transfer_utilization + 0.07
-                 : config.compute_utilization;
+      base = rng.bernoulli(kComputeDipProb) ? kTransferUtilization + 0.07
+                                            : kComputeUtilization;
     } else {
-      base = rng.bernoulli(config.transfer_spike_prob)
-                 ? config.compute_utilization - 0.07
-                 : config.transfer_utilization;
+      base = rng.bernoulli(kTransferSpikeProb) ? kComputeUtilization - 0.07
+                                               : kTransferUtilization;
     }
     // Small jitter so the trace looks like a real sampled record.
     const double jitter = rng.uniform(-0.05, 0.05);

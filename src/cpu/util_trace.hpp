@@ -20,20 +20,15 @@ struct UtilTraceConfig {
   common::Bps bandwidth = 0;              ///< NIC speed during transfers
   common::Seconds compute_time = 4.0;     ///< mean compute phase length
   common::Bytes transfer_bytes = 0;       ///< mean bytes shuffled per phase
-  double compute_utilization = 0.92;
-  double transfer_utilization = 0.08;
-  /// Real transfers still show CPU spikes (deserialization, JVM GC): the
-  /// probability a transfer sample is busy anyway.
-  double transfer_spike_prob = 0.27;
-  /// Compute phases still show stalls (sync barriers, stragglers): the
-  /// probability a compute sample is idle anyway.
-  double compute_dip_prob = 0.15;
   common::Seconds horizon = 120.0;
-  common::Seconds sample_period = 0.5;
   std::uint64_t seed = 7;
 };
 
-/// Samples utilization over the horizon.
+/// Samples utilization every 0.5 s over the horizon. A compute sample reads
+/// about 92% busy and a transfer sample about 8%, but real transfers still
+/// show CPU spikes (deserialization, JVM GC: 27% of transfer samples are
+/// busy anyway) and compute phases still show stalls (sync barriers,
+/// stragglers: 15% of compute samples are idle anyway).
 std::vector<UtilSample> generate_util_trace(const UtilTraceConfig& config);
 
 /// Fraction of samples with utilization below `threshold` ("idle periods",

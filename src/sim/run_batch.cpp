@@ -5,14 +5,15 @@
 #include <mutex>
 #include <thread>
 
+#include "common/rng.hpp"
+
 namespace swallow::sim {
 
 std::uint64_t batch_seed(std::uint64_t base, std::uint64_t index) {
-  // splitmix64: decorrelates adjacent indices and the base seed itself.
-  std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  // Output index + 1 of the splitmix64 stream that starts at `base`:
+  // decorrelates adjacent indices and the base seed itself.
+  std::uint64_t x = base + 0x9e3779b97f4a7c15ull * index;
+  return common::splitmix64(x);
 }
 
 namespace detail {
