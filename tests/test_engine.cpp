@@ -69,6 +69,53 @@ TEST(Engine, IsolationBoundIsSetBySharedPort) {
   }
 }
 
+TEST(Engine, SliceFloorTiesFvdfButNotSebf) {
+  // Eq. 7's slice floor, by hand. Two ports at 10 Gbps (B = 1250 MB/s) and
+  // δ = 10 ms, so B·δ = 12.5 MB. Two single-flow coflows on the same ports
+  // arrive at t = 0: 5 MB (id 0) and 1 MB (id 1). LZ4 at h = 0.9 encodes
+  // far slower than B, so Eq. 3 refuses to compress either flow.
+  //   FVDF: a flow under B·δ gets Γ_F = δ + max(0, V − B·δ) / B = δ, so
+  //   both coflows tie at Γ_C = δ and go in id order. Lanes are paced at
+  //   V / δ: coflow 0 wants 500 MB/s and coflow 1 100 MB/s, and backfill
+  //   tops coflow 0 up with the other 650 MB/s. Coflow 0 ends at
+  //   5 MB / 1150 MB/s ≈ 4.348 ms. The next round waits for the 10 ms
+  //   boundary, so coflow 1 keeps 100 MB/s and ends at 10 ms.
+  //   SEBF: the bottlenecks are 4 ms and 0.8 ms, so coflow 1 takes the
+  //   whole port and ends at 1 MB / 1250 MB/s = 0.8 ms. The port then
+  //   idles to the 10 ms boundary, and coflow 0 ends at 10 + 4 = 14 ms.
+  workload::Trace t;
+  t.num_ports = 2;
+  for (const common::Bytes bytes : {5e6, 1e6}) {
+    workload::CoflowSpec c;
+    c.id = t.coflows.size();
+    c.flows = {{0, 1, bytes, true, 0}};
+    t.coflows.push_back(c);
+  }
+  const fabric::Fabric fabric(2, common::gbps(10));
+  const cpu::ConstantCpu cpu(0.9);
+  struct Want {
+    const char* scheduler;
+    common::Seconds cct0, cct1;
+  };
+  for (const Want& want :
+       {Want{"FVDF", 5e6 / 1150e6, 0.010}, Want{"SEBF", 0.014, 0.0008}}) {
+    for (const EngineMode mode :
+         {EngineMode::kEventDriven, EngineMode::kSliceStepped}) {
+      SCOPED_TRACE(std::string(want.scheduler) +
+                   (mode == EngineMode::kEventDriven ? " event" : " slice"));
+      auto sched = make_scheduler(want.scheduler);
+      SimConfig config;
+      config.codec = &codec::default_codec_model();
+      config.engine_mode = mode;
+      const Metrics m = run_simulation(t, fabric, cpu, *sched, config);
+      ASSERT_EQ(m.coflows.size(), 2u);
+      EXPECT_NEAR(m.coflows[0].completion, want.cct0, 1e-12);
+      EXPECT_NEAR(m.coflows[1].completion, want.cct1, 1e-12);
+      EXPECT_EQ(m.total_wire_bytes(), m.total_original_bytes());
+    }
+  }
+}
+
 TEST(Engine, WireBytesEqualOriginalWithoutCompression) {
   workload::Trace t;
   t.num_ports = 4;
