@@ -3,6 +3,10 @@
 // per-application profile bands.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+
+#include "codec/checksum.hpp"
 #include "codec/codec.hpp"
 #include "codec/synth_data.hpp"
 
@@ -109,6 +113,92 @@ std::string app_name(const ::testing::TestParamInfo<std::size_t>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllApps, AppProfileTest,
                          ::testing::Range<std::size_t>(0, 11), app_name);
+
+// Pinned bytes. Each digest folds, over every size in kPinnedSizes and
+// seeds 1-3, the payload's checksum64 and the Rng's next draw after the
+// call: a generator that keeps its bytes but consumes another number of
+// draws moves every payload generated after it, so it fails here too.
+constexpr std::size_t kPinnedSizes[] = {0, 1, 13, 777, 65536, 1 << 20};
+
+using Generator = std::function<Buffer(std::size_t, Rng&)>;
+
+std::uint64_t generator_digest(const Generator& generate) {
+  Buffer folded;
+  auto add = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) folded.push_back(std::uint8_t(v >> (8 * i)));
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const std::size_t n : kPinnedSizes) {
+      Rng rng(seed);
+      const Buffer payload = generate(n, rng);
+      EXPECT_EQ(payload.size(), n);
+      add(checksum64(payload));
+      add(rng.next_u64());
+    }
+  }
+  return checksum64(folded);
+}
+
+std::string hex(std::uint64_t v) {
+  char s[32];
+  std::snprintf(s, sizeof s, "0x%016llx", static_cast<unsigned long long>(v));
+  return s;
+}
+
+TEST(SynthData, GeneratorBytesArePinned) {
+  const struct {
+    const char* name;
+    Generator generate;
+    std::uint64_t digest;
+  } kPinned[] = {
+      {"text_bytes default",
+       [](std::size_t n, Rng& rng) { return text_bytes(n, rng); },
+       0xbe65b2d1587d05e7ULL},
+      {"text_bytes (16, 0.5)",
+       [](std::size_t n, Rng& rng) { return text_bytes(n, rng, 16, 0.5); },
+       0xdc8950b6ba81a4bfULL},
+      {"text_bytes (65536, 1.02)",
+       [](std::size_t n, Rng& rng) { return text_bytes(n, rng, 65536, 1.02); },
+       0x6a63bb0c0d41fe07ULL},
+      {"mixed_bytes 0.3",
+       [](std::size_t n, Rng& rng) { return mixed_bytes(n, rng, 0.3); },
+       0x8adf26ed6c0a175fULL},
+      {"run_bytes", [](std::size_t n, Rng& rng) { return run_bytes(n, rng); },
+       0x16376852b5773dbcULL},
+      {"record_bytes",
+       [](std::size_t n, Rng& rng) { return record_bytes(n, rng); },
+       0x0e72907704707a94ULL},
+  };
+  for (const auto& p : kPinned) {
+    const std::uint64_t got = generator_digest(p.generate);
+    EXPECT_EQ(got, p.digest) << p.name << ": digest " << hex(got);
+  }
+}
+
+TEST(Table1Apps, GeneratedBytesArePinned) {
+  // Every table1_apps() entry, in table order. Latent Dirichlet Allocation
+  // and Random Forest share one profile, so their digests are equal.
+  constexpr std::uint64_t kPinned[] = {
+      0x1ed66a368adec34aULL,  // Wordcount
+      0x2c777136165e7c8aULL,  // Sort
+      0xf188472de2ad068dULL,  // Terasort
+      0x5f82566bbb28d5beULL,  // Enhanced DFSIO
+      0xf47d672f22b7f6aaULL,  // Logistic Regression
+      0x016bde1d408bf74bULL,  // Latent Dirichlet Allocation
+      0x3cd743fd529e4f52ULL,  // Support Vector Machine
+      0x55781729a2db085aULL,  // Bayes
+      0x016bde1d408bf74bULL,  // Random Forest
+      0xdfe68115055b8566ULL,  // Pagerank
+      0x5a7874795dbd9543ULL,  // NWeight
+  };
+  const auto& apps = table1_apps();
+  ASSERT_EQ(apps.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const std::uint64_t got = generator_digest(
+        [&](std::size_t n, Rng& rng) { return apps[i].generate(n, rng); });
+    EXPECT_EQ(got, kPinned[i]) << apps[i].name << ": digest " << hex(got);
+  }
+}
 
 TEST(Table1Apps, OrderingRoughlyPreserved) {
   // The most and least compressible paper apps must stay ordered when
