@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -93,12 +94,26 @@ Zipf::Zipf(std::size_t n, double s) {
     cdf_[k - 1] = sum;
   }
   for (auto& v : cdf_) v /= sum;
+  // One merge pass over the slice edges b / G, which are exact because G is
+  // a power of two.
+  const std::size_t g = std::bit_ceil(n);
+  guide_.resize(g + 1);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b <= g; ++b) {
+    const double edge = static_cast<double>(b) / static_cast<double>(g);
+    while (i + 1 < n && cdf_[i] < edge) ++i;
+    guide_[b] = i;
+  }
 }
 
 std::size_t Zipf::sample(Rng& rng) const {
   const double u = rng.uniform();
-  // Binary search for the first rank whose CDF exceeds u.
-  std::size_t lo = 0, hi = cdf_.size() - 1;
+  // u·G is exact, so b / G <= u < (b + 1) / G: no index below guide_[b]
+  // reaches u, and guide_[b + 1] does (or is n - 1). The binary search for
+  // the first index whose CDF reaches u needs only that bracket.
+  const auto b = static_cast<std::size_t>(
+      u * static_cast<double>(guide_.size() - 1));
+  std::size_t lo = guide_[b], hi = guide_[b + 1];
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
     if (cdf_[mid] < u)

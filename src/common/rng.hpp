@@ -91,12 +91,18 @@ class Rng {
 class Zipf {
  public:
   Zipf(std::size_t n, double s);
-  /// Sample a rank in [1, n].
+  /// Sample a rank in [1, n]: the first rank whose CDF reaches one
+  /// rng.uniform() draw.
   std::size_t sample(Rng& rng) const;
   std::size_t n() const { return cdf_.size(); }
 
  private:
   std::vector<double> cdf_;
+  /// Guide table over G = bit_ceil(n) equal slices of [0, 1]: guide_[b] is
+  /// the first index whose CDF reaches b / G (n - 1 if none), b in [0, G].
+  /// A draw u lies in slice floor(u·G), whose two guide entries bracket the
+  /// first index with CDF >= u, so sample() searches that bracket only.
+  std::vector<std::size_t> guide_;
 };
 
 }  // namespace swallow::common

@@ -165,6 +165,55 @@ TEST(Zipf, RankOneIsMostFrequent) {
 
 TEST(Zipf, RejectsEmpty) { EXPECT_THROW(Zipf(0, 1.0), std::invalid_argument); }
 
+/// Zipf without a guide table: the same CDF, built by the same loop, and
+/// one binary search over all of it per draw.
+class PlainZipf {
+ public:
+  PlainZipf(std::size_t n, double s) : cdf_(n) {
+    double sum = 0.0;
+    for (std::size_t k = 1; k <= n; ++k) {
+      sum += 1.0 / std::pow(static_cast<double>(k), s);
+      cdf_[k - 1] = sum;
+    }
+    for (auto& v : cdf_) v /= sum;
+  }
+
+  std::size_t sample(Rng& rng) const {
+    const double u = rng.uniform();
+    std::size_t lo = 0, hi = cdf_.size() - 1;
+    while (lo < hi) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (cdf_[mid] < u)
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    return lo + 1;
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+// The guide table only narrows the search, so every draw returns the rank
+// the whole-CDF search returns. n covers one-, two- and three-rank tables,
+// non-powers of two and a full power of two; s = 0 puts CDF values on the
+// guide's slice edges, and s = 4 gives tail ranks equal CDF values.
+TEST(Zipf, GuidedSearchDrawsThePlainSearchsRanks) {
+  for (const std::size_t n : {1u, 2u, 3u, 1000u, 4097u, 65536u}) {
+    for (const double s : {0.0, 0.5, 1.02, 1.25, 4.0}) {
+      const Zipf guided(n, s);
+      const PlainZipf plain(n, s);
+      Rng a(n * 1000 + static_cast<std::uint64_t>(s * 100)), b = a;
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 100000; ++i)
+        mismatches += guided.sample(a) != plain.sample(b);
+      EXPECT_EQ(mismatches, 0u) << "n " << n << ", s " << s;
+      EXPECT_EQ(a.next_u64(), b.next_u64());
+    }
+  }
+}
+
 TEST(Percentile, InterpolatesLinearly) {
   const std::vector<double> v{10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10);
