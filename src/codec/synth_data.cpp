@@ -36,32 +36,47 @@ Buffer run_bytes(std::size_t n, Rng& rng, std::size_t mean_run) {
 }
 
 namespace {
-/// Deterministic pseudo-word for a vocabulary rank: 2+ syllables (4+ chars),
-/// like natural-language tokens, so LZ77 matches span whole words.
-std::string word_for_rank(std::size_t rank) {
-  static const char* kSyllables[32] = {
-      "ba", "ce", "di", "fo", "gu", "ha", "je", "ki", "lo", "mu", "na",
-      "pe", "qui", "ro", "su", "ta", "ve", "wi", "xo", "yu", "za", "bre",
-      "cla", "dro", "fli", "gra", "ple", "sto", "tri", "vla", "sne", "kro"};
-  std::string w;
+/// Syllables of the pseudo-words, each padded to 4 bytes so one fixed-size
+/// copy spells it; the padding lands where the next syllable or the space
+/// goes.
+constexpr char kSyllables[32][4] = {
+    "ba", "ce", "di", "fo", "gu", "ha", "je", "ki", "lo", "mu", "na",
+    "pe", "qui", "ro", "su", "ta", "ve", "wi", "xo", "yu", "za", "bre",
+    "cla", "dro", "fli", "gra", "ple", "sto", "tri", "vla", "sne", "kro"};
+
+/// The longest word a 64-bit rank spells (13 syllables of <= 3 bytes) plus
+/// its space and the last copy's padding fit in this slack past the end.
+constexpr std::size_t kWordSlack = 64;
+
+std::uint8_t* spell_syllable(std::size_t v, std::uint8_t* out) {
+  const char* syllable = kSyllables[v % 32];
+  std::memcpy(out, syllable, 4);
+  return out + (syllable[2] != '\0' ? 3 : 2);
+}
+
+/// Spells the deterministic pseudo-word for a vocabulary rank at `out` and
+/// returns its end: 2+ syllables (4+ chars), like natural-language tokens,
+/// so LZ77 matches span whole words.
+std::uint8_t* spell_word(std::size_t rank, std::uint8_t* out) {
+  std::uint8_t* const start = out;
   std::size_t v = rank;
   do {
-    w += kSyllables[v % 32];
+    out = spell_syllable(v, out);
     v /= 32;
   } while (v != 0);
-  if (w.size() < 4) w += kSyllables[rank % 32];
-  return w;
+  if (out - start < 4) out = spell_syllable(rank, out);
+  return out;
 }
 }  // namespace
 
 Buffer text_bytes(std::size_t n, Rng& rng, std::size_t vocab, double zipf_s) {
   const Zipf dist(vocab, zipf_s);
-  Buffer out;
-  out.reserve(n + 16);
-  while (out.size() < n) {
-    const std::string w = word_for_rank(dist.sample(rng));
-    out.insert(out.end(), w.begin(), w.end());
-    out.push_back(' ');
+  Buffer out(n + kWordSlack);
+  std::uint8_t* p = out.data();
+  std::uint8_t* const end = p + n;
+  while (p < end) {
+    p = spell_word(dist.sample(rng), p);
+    *p++ = ' ';
   }
   out.resize(n);
   return out;
@@ -69,6 +84,10 @@ Buffer text_bytes(std::size_t n, Rng& rng, std::size_t vocab, double zipf_s) {
 
 Buffer record_bytes(std::size_t n, Rng& rng, std::size_t keys,
                     std::size_t value_digits) {
+  // 10^19 is the largest power of ten a uint64_t holds; past it `limit`
+  // wraps, and a record would outgrow `buf`.
+  if (value_digits > 19)
+    throw std::invalid_argument("record_bytes: value_digits > 19");
   Buffer out;
   out.reserve(n + 32);
   char buf[64];
