@@ -30,7 +30,8 @@ Buffer text_bytes(std::size_t n, common::Rng& rng, std::size_t vocab = 4096,
                   double zipf_s = 1.1);
 
 /// Key=value records with a fixed small key set and random numeric values;
-/// models serialized feature vectors (ML workloads).
+/// models serialized feature vectors (ML workloads). Throws
+/// std::invalid_argument when value_digits > 19.
 Buffer record_bytes(std::size_t n, common::Rng& rng, std::size_t keys = 32,
                     std::size_t value_digits = 8);
 

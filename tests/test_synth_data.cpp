@@ -3,6 +3,7 @@
 // per-application profile bands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 
@@ -29,6 +30,21 @@ TEST(SynthData, GeneratorsProduceRequestedSize) {
     EXPECT_EQ(record_bytes(n, rng).size(), n);
     EXPECT_EQ(mixed_bytes(n, rng, 0.3).size(), n);
   }
+}
+
+TEST(SynthData, RecordValuesTakeAtMostNineteenDigits) {
+  Rng rng(10);
+  const Buffer records = record_bytes(1000, rng, 32, 19);
+  ASSERT_EQ(records.size(), 1000u);
+  // "k" + two key digits + "=" + 19 value digits + ";" per record.
+  for (std::size_t i = 0; i + 24 <= records.size(); i += 24) {
+    EXPECT_EQ(records[i], 'k') << i;
+    EXPECT_EQ(records[i + 3], '=') << i;
+    EXPECT_EQ(records[i + 23], ';') << i;
+  }
+  EXPECT_EQ(std::count(records.begin(), records.end(), '\0'), 0);
+  EXPECT_THROW(record_bytes(1000, rng, 32, 20), std::invalid_argument);
+  EXPECT_THROW(record_bytes(0, rng, 32, 60), std::invalid_argument);
 }
 
 TEST(SynthData, DeterministicForSeed) {
