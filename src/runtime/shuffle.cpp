@@ -122,9 +122,10 @@ ShuffleReport run_shuffle_job(Cluster& cluster,
               config.app.generate(config.bytes_per_partition, rng);
           std::copy(payload.begin(), payload.end(), part.begin());
           const BlockId id = block_id(m, r);
+          const std::uint64_t checksum = codec::checksum64(part);
           {
             std::lock_guard<std::mutex> lock(checksum_mutex);
-            checksums[id] = codec::checksum64(part);
+            checksums[id] = checksum;
           }
           ctx.register_flow(FlowInfo{id, mapper_worker(m), reducer_worker(r),
                                      part.size(), /*compressible=*/true});
