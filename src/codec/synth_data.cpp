@@ -84,8 +84,8 @@ Buffer text_bytes(std::size_t n, Rng& rng, std::size_t vocab, double zipf_s) {
 
 Buffer record_bytes(std::size_t n, Rng& rng, std::size_t keys,
                     std::size_t value_digits) {
-  // 10^19 is the largest power of ten a uint64_t holds; past it `limit`
-  // wraps, and a record would outgrow `buf`.
+  // Past 19 digits `limit` (10^value_digits) wraps a uint64_t, and from 59
+  // a record no longer fits `buf`.
   if (value_digits > 19)
     throw std::invalid_argument("record_bytes: value_digits > 19");
   Buffer out;

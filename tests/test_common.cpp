@@ -197,8 +197,9 @@ class PlainZipf {
 
 // The guide table only narrows the search, so every draw returns the rank
 // the whole-CDF search returns. n covers one-, two- and three-rank tables,
-// non-powers of two and a full power of two; s = 0 puts CDF values on the
-// guide's slice edges, and s = 4 gives tail ranks equal CDF values.
+// non-powers of two and a full power of two; s = 0 at a power-of-two n puts
+// every CDF value on a slice edge, and s = 4 at n = 65536 gives tail ranks
+// equal CDF values.
 TEST(Zipf, GuidedSearchDrawsThePlainSearchsRanks) {
   for (const std::size_t n : {1u, 2u, 3u, 1000u, 4097u, 65536u}) {
     for (const double s : {0.0, 0.5, 1.02, 1.25, 4.0}) {
